@@ -3,10 +3,10 @@
 // trial in microseconds — is what makes the E1-E8 sweeps laptop-scale
 // (stepping the same trial would cost ~D^2/k * k = 65536+ node visits).
 //
-// The BM_Unified* group covers the environment-aware executor
-// (sim::run_trial): its sync path must stay at parity with the historical
-// run_search numbers (it IS the same sweep), and the environment draw,
-// async, multi-target, and lock-step costs get their own counters.
+// Every trial here runs through the environment-aware executor
+// (sim::run_trial). The BM_Trial* group times the base model per paper
+// strategy; the BM_Unified* group adds the environment draw, async,
+// multi-target, and lock-step costs, each paired with a BM_Batched* twin.
 // bench/baseline_engine.json pins a reference run of this harness;
 // tools/bench_compare.py diffs a fresh run against it (the CI
 // benchmark-smoke job does both).
@@ -21,7 +21,6 @@
 #include "plane/strategies.h"
 #include "scenario/sweep.h"
 #include "sim/batch/batch.h"
-#include "sim/engine.h"
 #include "sim/placement.h"
 #include "sim/trial.h"
 #include "telemetry/run_telemetry.h"
@@ -35,7 +34,8 @@ void BM_TrialKnownK(benchmark::State& state) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {d, 0}, trial);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({d, 0}), trial);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -51,7 +51,8 @@ void BM_TrialUniform(benchmark::State& state) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {64, 0}, trial);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({64, 0}), trial);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -65,7 +66,9 @@ void BM_TrialHarmonic(benchmark::State& state) {
   config.time_cap = ants::sim::Time{1} << 32;  // censor heavy-tail stragglers
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {64, 0}, trial, config);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({64, 0}), trial,
+        config);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -77,7 +80,8 @@ void BM_TrialSectorSweep(benchmark::State& state) {
   std::uint64_t seed = 0;
   for (auto _ : state) {
     ants::rng::Rng trial(++seed);
-    const auto r = ants::sim::run_search(strategy, k, {128, 0}, trial);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({128, 0}), trial);
     benchmark::DoNotOptimize(r.time);
   }
 }
@@ -100,8 +104,8 @@ void BM_UnifiedDrawEnvironment(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedDrawEnvironment)->Arg(16)->Arg(256);
 
-// Sync single-target trial through run_trial: must track BM_TrialKnownK
-// (the wrapper indirection is the only difference).
+// Sync single-target trial through run_trial: the BM_TrialKnownK call,
+// kept under this name as the scalar side of the BM_BatchedTrialSync pair.
 void BM_UnifiedTrialSync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   const std::int64_t d = state.range(1);
@@ -187,10 +191,9 @@ void BM_UnifiedTrialStepBiased(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedTrialStepBiased);
 
-// Plane backend under the base model through run_trial: must stay at
-// parity with the historical run_plane_search cost (it IS the same
-// min-clock sweep; the dispatch + environment adaptation is the only
-// difference).
+// Plane backend under the base model through run_trial: its only cost
+// over a direct plane::run_plane_trial call is the dispatch and the
+// environment adaptation.
 void BM_UnifiedTrialPlaneSync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   const std::int64_t d = state.range(1);

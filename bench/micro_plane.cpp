@@ -88,13 +88,15 @@ BENCHMARK(BM_SpiralThetaForArc);
 void BM_PlaneTrialHarmonic(benchmark::State& state) {
   // One full collaborative plane trial: k = 16, D = 24.
   const ants::plane::PlaneHarmonicStrategy strategy(0.5);
+  ants::plane::PlaneTrialEnvironment env;
+  env.targets = {Vec2{17, 17}};
   std::uint64_t seed = 0;
   for (auto _ : state) {
     const ants::rng::Rng trial(seed++);
     ants::plane::PlaneEngineConfig config;
     config.time_cap = 1e6;
-    benchmark::DoNotOptimize(ants::plane::run_plane_search(
-        strategy, 16, Vec2{17, 17}, trial, config));
+    benchmark::DoNotOptimize(
+        ants::plane::run_plane_trial(strategy, 16, env, trial, config));
   }
 }
 BENCHMARK(BM_PlaneTrialHarmonic);

@@ -23,7 +23,7 @@
 
 #include "core/harmonic.h"
 #include "rng/rng.h"
-#include "sim/multi_target.h"
+#include "sim/trial.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) try {
@@ -46,9 +46,11 @@ int main(int argc, char** argv) try {
       {"carcass (D=36)", {-20, 16}},
       {"grove (D=120)", {60, -60}},
   };
-  std::vector<ants::grid::Point> targets;
-  targets.reserve(patches.size());
-  for (const Patch& p : patches) targets.push_back(p.where);
+  // Collect-all mode: agents run to the time cap and the first-visit time
+  // of EVERY patch is recorded — the discovery schedule.
+  ants::sim::TrialEnvironment env;
+  env.collect_all = true;
+  for (const Patch& p : patches) env.targets.push_back(p.where);
 
   const ants::core::HarmonicStrategy strategy(delta);
 
@@ -63,15 +65,16 @@ int main(int argc, char** argv) try {
   for (std::int64_t t = 0; t < trials; ++t) {
     const ants::rng::Rng trial(
         ants::rng::mix_seed(0xF00D, static_cast<std::uint64_t>(t)));
-    const ants::sim::MultiSearchResult r = ants::sim::run_search_multi(
-        strategy, k, targets, trial, config, /*collect_all=*/true);
-    if (r.found) {
+    const ants::sim::TrialResult r =
+        ants::sim::run_trial(strategy, k, env, trial, config);
+    // finder >= 0: some patch was found (r.found means ALL were).
+    if (r.finder >= 0) {
       ++races_decided;
       ++first_wins[static_cast<std::size_t>(r.first_target)];
     }
     for (std::size_t i = 0; i < patches.size(); ++i) {
-      if (r.target_times[i] != ants::sim::kNeverTime) {
-        discovery_sums[i] += static_cast<double>(r.target_times[i]);
+      if (r.target_times[i] >= 0) {
+        discovery_sums[i] += r.target_times[i];
         ++discovered[i];
       }
     }

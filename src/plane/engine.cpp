@@ -294,22 +294,4 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
   return result;
 }
 
-PlaneSearchResult run_plane_search(const PlaneStrategy& strategy, int k,
-                                   Vec2 treasure, const rng::Rng& trial_rng,
-                                   const PlaneEngineConfig& config) {
-  if (k < 1) throw std::invalid_argument("run_plane_search: need k >= 1");
-  // The base model is the environment-aware executor under the trivial
-  // environment (simultaneous starts, immortal agents, one treasure).
-  PlaneTrialEnvironment env;
-  env.targets = {treasure};
-  const PlaneTrialResult r =
-      run_plane_trial(strategy, k, env, trial_rng, config);
-  PlaneSearchResult result;
-  result.time = r.time;
-  result.found = r.found;
-  result.finder = r.finder;
-  result.segments = r.segments;
-  return result;
-}
-
 }  // namespace ants::plane

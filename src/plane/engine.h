@@ -54,20 +54,6 @@ struct PlaneEngineConfig {
   std::int64_t max_segments_per_agent = 50'000'000;
 };
 
-struct PlaneSearchResult {
-  Time time = kPlaneNever;
-  bool found = false;
-  int finder = -1;
-  std::int64_t segments = 0;
-};
-
-/// One collaborative continuous search; agent a uses trial_rng.child(a).
-/// Thin wrapper over run_plane_trial under the base-model environment
-/// (simultaneous starts, immortal agents, one treasure).
-PlaneSearchResult run_plane_search(const PlaneStrategy& strategy, int k,
-                                   Vec2 treasure, const rng::Rng& trial_rng,
-                                   const PlaneEngineConfig& config = {});
-
 /// The fully realized environment of one continuous-plane trial — the
 /// plane-side mirror of sim::TrialEnvironment. Targets are sight discs of
 /// the engine's eps around each point; empty `starts` / `lifetimes` are the
@@ -127,9 +113,9 @@ struct PlaneTrialResult {
 /// min-clock sweep generalized over per-agent start delays (agents idle at
 /// home until their start time), fail-stop lifetimes (a trajectory is
 /// truncated at its active-time budget; sightings past it do not count),
-/// and first-of-set races over multiple sight discs. Under a sync/no-crash
-/// single-target environment this is exactly the historical
-/// run_plane_search (which is now a wrapper over it). Throws
+/// and first-of-set races over multiple sight discs; agent a draws from
+/// trial_rng.child(a). The paper's base model is an environment with only
+/// `targets = {treasure}` set (simultaneous starts, immortal agents). Throws
 /// std::invalid_argument on k < 1, an empty target set, environment vectors
 /// of the wrong size, or a non-positive sight radius.
 PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,

@@ -16,7 +16,6 @@
 #include "scenario/registry.h"
 #include "scenario/sink.h"
 #include "scenario/text.h"
-#include "sim/batch/batch.h"
 #include "sim/trial.h"
 #include "telemetry/run_telemetry.h"
 #include "util/format.h"
@@ -193,16 +192,12 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
       make_schedule(spec.schedule);
   const std::unique_ptr<sim::CrashModel> crashes = make_crash(spec.crash);
 
-  sim::EngineConfig engine_config;
-  engine_config.time_cap = spec.effective_time_cap();
-
   // Target-process aggregates accumulate per trial into trial-indexed slots
   // and are reduced in trial order in finalize_cell — atomic double sums
   // would make the means depend on scheduling and break the thread-count
   // byte-identity contract.
   const bool dynamic = spec.is_dynamic();
   const bool collect_all = spec.collect_all();
-  const sim::Time capture_dwell = spec.capture_dwell();
   constexpr std::size_t kSlots = CellResult::kTargetTimeSlots;
 
   std::vector<std::vector<double>> times(n_cells);
@@ -229,10 +224,6 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
   }
   std::vector<std::atomic<std::int64_t>> found(n_cells);
   std::vector<std::atomic<std::int64_t>> first_target_sum(n_cells);
-  std::vector<std::atomic<std::int64_t>> remaining(n_cells);
-  for (const std::size_t i : pending) {
-    remaining[i].store(static_cast<std::int64_t>(trials));
-  }
   // Per-cell wall clock (telemetry only): the worker that runs a cell's
   // FIRST trial CASes its start timestamp in (and emits cell_start); the
   // worker that finishes its LAST trial reads it back for the duration.
@@ -310,156 +301,110 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
     }
   };
 
-  // Trace hookup: one track per scheduler worker, labelled spans named
-  // after the cell. Labels are prebuilt so the per-trial record is just a
-  // push/extend on the worker's own buffer.
-  // Work items are (cell, trial-block) pairs: `block` consecutive trials of
-  // one cell per item (sim::batch::trial_block: at most kTrialBlock, and
-  // small enough that even one cell spreads over every worker), so a
-  // worker amortizes one batch runner (SoA workspaces, SIMD kernels —
-  // sim/batch/) across the block while the scheduler stays granular enough
-  // for cells to overlap. The mapping is index arithmetic, not a
-  // materialized pair vector: huge sweeps must not pay O(cells * blocks)
-  // memory before any work runs.
-  const std::size_t block = sim::batch::trial_block(
-      trials, util::parallel_workers(pending.size() * trials, opt.threads));
-  const std::size_t blocks_per_cell = (trials + block - 1) / block;
-  const std::size_t n_items = pending.size() * blocks_per_cell;
-  const unsigned n_workers = util::parallel_workers(n_items, opt.threads);
+  // Work items are (cell, trial-block) pairs run by the shared block
+  // executor (sim::run_cell_blocks); this driver only aggregates. Cell j
+  // of the executor is pending[j]. Trace hookup: one track per scheduler
+  // worker, labelled spans named after the cell; labels are prebuilt so
+  // the per-trial record is just a push/extend on the worker's own buffer.
+  std::vector<sim::TrialCell> trial_cells;
+  trial_cells.reserve(pending.size());
+  for (const std::size_t i : pending) {
+    const Cell& cell = cells[i];
+    sim::TrialStrategy strategy;
+    strategy.segment = built[i]->segment.get();
+    strategy.step = built[i]->step.get();
+    strategy.plane = built[i]->plane.get();
+    trial_cells.push_back(sim::TrialCell{
+        strategy, static_cast<int>(cell.k), cell.distance, cell.seed,
+        &target_processes[cell.placement_index * n_targets +
+                          cell.targets_index]});
+  }
+  sim::CellBlockRun run;
+  run.trials = trials;
+  run.threads = opt.threads;
+  run.engine.time_cap = spec.effective_time_cap();
+  if (async) {
+    run.schedule = schedule.get();
+    run.crashes = crashes.get();
+  }
+  run.capture_dwell = spec.capture_dwell();
+  run.collect_all = collect_all;
 
   telemetry::TraceCollector* trace = tel != nullptr ? tel->trace() : nullptr;
-  if (trace != nullptr) {
+  sim::CellBlockHooks hooks;
+  hooks.timed = trace != nullptr;
+  hooks.begin = [&](unsigned workers) {
+    if (trace == nullptr) return;
     std::vector<std::string> labels(n_cells);
     for (const std::size_t i : pending) {
       labels[i] = cells[i].strategy_name + " k=" +
                   std::to_string(cells[i].k) + " D=" +
                   std::to_string(cells[i].distance);
     }
-    trace->begin_workers(n_workers, std::move(labels));
-  }
-  telemetry::RunTelemetry::PhaseScope execute_scope(
-      tel, telemetry::Phase::kExecute);
-
-  // Each worker keeps ONE batch runner, rebuilt only when it crosses to a
-  // cell with a different (strategy, k) pair; consecutive blocks of the
-  // same cell reuse its workspaces wholesale.
-  struct WorkerCache {
-    const void* strategy = nullptr;
-    std::int64_t k = -1;
-    std::unique_ptr<sim::batch::BatchRunner> runner;
+    trace->begin_workers(workers, std::move(labels));
   };
-  std::vector<WorkerCache> runner_cache(n_workers);
-
-  util::parallel_for(
-      n_items,
-      [&](std::size_t item, unsigned worker) {
-        const std::size_t ci = pending[item / blocks_per_cell];
-        const std::size_t trial_begin = (item % blocks_per_cell) * block;
-        const std::size_t trial_end = std::min(trials, trial_begin + block);
-        const Cell& cell = cells[ci];
-        if (tel != nullptr &&
-            cell_start_us[ci].load(std::memory_order_relaxed) == 0) {
-          std::int64_t expected = 0;
-          if (cell_start_us[ci].compare_exchange_strong(
-                  expected, telemetry::now_us(),
-                  std::memory_order_relaxed)) {
-            tel->cell_start(ci, cell.strategy_name, cell.k, cell.distance);
-          }
+  hooks.begin_block = [&](std::size_t j) {
+    const std::size_t ci = pending[j];
+    if (tel != nullptr &&
+        cell_start_us[ci].load(std::memory_order_relaxed) == 0) {
+      std::int64_t expected = 0;
+      if (cell_start_us[ci].compare_exchange_strong(
+              expected, telemetry::now_us(), std::memory_order_relaxed)) {
+        tel->cell_start(ci, cells[ci].strategy_name, cells[ci].k,
+                        cells[ci].distance);
+      }
+    }
+  };
+  hooks.trial = [&](std::size_t j, std::size_t trial, unsigned worker,
+                    const sim::TrialEnvironment& env,
+                    const sim::TrialResult& r, std::int64_t t0_us) {
+    const std::size_t ci = pending[j];
+    times[ci][trial] = r.time;
+    if (async) {
+      from_last[ci][trial] = r.from_last_start;
+      crashed[ci][trial] = static_cast<double>(r.crashed);
+      last_starts[ci][trial] = r.last_start;
+    }
+    if (r.found) {
+      found[ci].fetch_add(1, std::memory_order_relaxed);
+      first_target_sum[ci].fetch_add(r.first_target,
+                                     std::memory_order_relaxed);
+    }
+    if (dynamic) {
+      const double nt = static_cast<double>(
+          built[ci]->is_plane() ? env.plane_targets.size()
+                                : env.targets.size());
+      double nf = r.found ? 1.0 : 0.0;
+      if (collect_all) {
+        nf = 0;
+        for (const double tt : r.target_times) nf += tt >= 0 ? 1 : 0;
+        const std::size_t ns = std::min(kSlots, r.target_times.size());
+        for (std::size_t s = 0; s < ns; ++s) {
+          slot_times[ci][trial * kSlots + s] = r.target_times[s];
         }
+      }
+      spawned[ci][trial] = nt;
+      found_count[ci][trial] = nf;
+      fbv[ci][trial] = nt > 0 ? nf / nt : 1.0;
+    }
+    if (trace != nullptr) {
+      trace->record_trial(worker, ci, t0_us, telemetry::now_us());
+    }
+  };
+  // Plane dynamic cells are the only source of scalar fallbacks (grid
+  // dynamic environments batch).
+  hooks.end_block = [&](std::uint64_t fallbacks) {
+    if (tel != nullptr && fallbacks > 0) {
+      tel->record_batch_scalar_fallback(fallbacks);
+    }
+  };
+  hooks.finish_cell = [&](std::size_t j) { finalize_cell(pending[j]); };
 
-        WorkerCache& cache = runner_cache[worker];
-        if (cache.strategy != built[ci] || cache.k != cell.k) {
-          sim::TrialStrategy strategy;
-          strategy.segment = built[ci]->segment.get();
-          strategy.step = built[ci]->step.get();
-          strategy.plane = built[ci]->plane.get();
-          cache.runner = std::make_unique<sim::batch::BatchRunner>(
-              strategy, static_cast<int>(cell.k), engine_config);
-          cache.strategy = built[ci];
-          cache.k = cell.k;
-        }
-
-        const sim::TargetProcess& process =
-            target_processes[cell.placement_index * n_targets +
-                             cell.targets_index];
-        for (std::size_t trial = trial_begin; trial < trial_end; ++trial) {
-          const std::int64_t trial_t0 =
-              trace != nullptr ? telemetry::now_us() : 0;
-          rng::Rng trial_rng(rng::mix_seed(cell.seed, trial));
-          // THE executor call site: every cell — any strategy family (grid
-          // segment/step or continuous plane), any schedule/crash/targets
-          // combination — runs through the batch executor, which is
-          // byte-identical to sim::run_trial per trial (seed derivation is
-          // untouched; batching is an execution detail). Base-model specs
-          // take the executor's empty-starts/lifetimes fast path instead
-          // of drawing all-zero/immortal vectors every trial: the sync hot
-          // path must not pay for axes it does not use.
-          sim::TrialEnvironment env;
-          if (built[ci]->is_plane()) {
-            process.plane(trial_rng, cell.distance, engine_config.time_cap,
-                          &env);
-          } else {
-            process.grid(trial_rng, cell.distance, engine_config.time_cap,
-                         &env);
-          }
-          if (async) {
-            env = sim::draw_environment(static_cast<int>(cell.k),
-                                        std::move(env), *schedule, *crashes,
-                                        trial_rng);
-          }
-          env.capture_dwell = capture_dwell;
-          env.collect_all = collect_all;
-          const sim::TrialResult r = cache.runner->run_one(env, trial_rng);
-          times[ci][trial] = r.time;
-          if (async) {
-            from_last[ci][trial] = r.from_last_start;
-            crashed[ci][trial] = static_cast<double>(r.crashed);
-            last_starts[ci][trial] = r.last_start;
-          }
-          if (r.found) {
-            found[ci].fetch_add(1, std::memory_order_relaxed);
-            first_target_sum[ci].fetch_add(r.first_target,
-                                           std::memory_order_relaxed);
-          }
-          if (dynamic) {
-            const double nt = static_cast<double>(
-                built[ci]->is_plane() ? env.plane_targets.size()
-                                      : env.targets.size());
-            double nf = r.found ? 1.0 : 0.0;
-            if (collect_all) {
-              nf = 0;
-              for (const double tt : r.target_times) nf += tt >= 0 ? 1 : 0;
-              const std::size_t ns =
-                  std::min(kSlots, r.target_times.size());
-              for (std::size_t j = 0; j < ns; ++j) {
-                slot_times[ci][trial * kSlots + j] = r.target_times[j];
-              }
-            }
-            spawned[ci][trial] = nt;
-            found_count[ci][trial] = nf;
-            fbv[ci][trial] = nt > 0 ? nf / nt : 1.0;
-          }
-          if (trace != nullptr) {
-            trace->record_trial(worker, ci, trial_t0, telemetry::now_us());
-          }
-        }
-
-        // Drain the runner's delegation count once per block (plane dynamic
-        // cells are the only source — grid dynamic environments batch).
-        const std::uint64_t fallbacks = cache.runner->take_scalar_fallbacks();
-        if (tel != nullptr && fallbacks > 0) {
-          tel->record_batch_scalar_fallback(fallbacks);
-        }
-
-        const auto done =
-            static_cast<std::int64_t>(trial_end - trial_begin);
-        if (remaining[ci].fetch_sub(done, std::memory_order_acq_rel) ==
-            done) {
-          finalize_cell(ci);
-        }
-      },
-      opt.threads);
-
+  {
+    const telemetry::RunTelemetry::PhaseScope execute_scope(
+        tel, telemetry::Phase::kExecute);
+    sim::run_cell_blocks(trial_cells, run, hooks);
+  }
   if (trace != nullptr) trace->end_workers();
   return results;
 }

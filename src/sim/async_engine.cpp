@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "sim/trial.h"
 #include "util/format.h"
 #include "util/sat.h"
 
@@ -105,18 +104,6 @@ std::string FixedLifetime::name() const {
 
 std::vector<Time> FixedLifetime::draw_lifetimes(int k, rng::Rng&) const {
   return std::vector<Time>(static_cast<std::size_t>(k), lifetime_);
-}
-
-TrialResult run_search_async(const Strategy& strategy, int k,
-                             grid::Point treasure, const rng::Rng& trial_rng,
-                             const StartSchedule& schedule,
-                             const CrashModel& crashes,
-                             const EngineConfig& config) {
-  if (k < 1) throw std::invalid_argument("run_search_async: need k >= 1");
-  return run_trial(strategy, k,
-                   draw_environment(k, {treasure}, schedule, crashes,
-                                    trial_rng),
-                   trial_rng, config);
 }
 
 }  // namespace ants::sim

@@ -22,8 +22,6 @@
 // lock-step-, and continuous-plane-level alike — through the unified
 // run_trial executor (plane backends read the integer delays/lifetimes as
 // continuous time units).
-// run_search_async below is the historical segment-level entry point, now a
-// thin wrapper over that executor.
 //
 // Determinism: delays and lifetimes are drawn from dedicated child streams
 // of the trial rng (tags kScheduleStream / kCrashStream), so enabling either
@@ -143,16 +141,5 @@ class FixedLifetime final : public CrashModel {
  private:
   Time lifetime_;
 };
-
-/// Collaborative search with per-agent start delays and fail-stop crashes:
-/// draws the trial environment from the dedicated child streams and runs
-/// the unified executor. With SyncStart and NoCrash this is exactly
-/// run_search (asserted by the equivalence tests). The returned time is
-/// absolute (from t = 0).
-TrialResult run_search_async(const Strategy& strategy, int k,
-                             grid::Point treasure, const rng::Rng& trial_rng,
-                             const StartSchedule& schedule,
-                             const CrashModel& crashes,
-                             const EngineConfig& config = {});
 
 }  // namespace ants::sim

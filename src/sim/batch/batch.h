@@ -21,13 +21,13 @@
 // golden CSVs).
 //
 // A runner is single-threaded and reusable: construct one per worker per
-// (strategy, k) pair and feed it a block of trials. The parallel drivers
-// (scenario sweep, sim::Runner) hand one worker one block at a time, sized
-// by trial_block below: at most kTrialBlock trials, enough to amortize
-// runner reuse, and at least one block per worker when a cell has fewer
-// than workers * kTrialBlock trials, so a small cell still spreads over
-// every worker. Results are indexed by trial, so block sizes never change a
-// byte.
+// (strategy, k) pair and feed it a block of trials. The parallel driver
+// (sim::run_cell_blocks, behind both the scenario sweep and sim::Runner)
+// hands one worker one block at a time, sized by trial_block below: at
+// most kTrialBlock trials, enough to amortize runner reuse, and at least
+// one block per worker when a cell has fewer than workers * kTrialBlock
+// trials, so a small cell still spreads over every worker. Results are
+// indexed by trial, so block sizes never change a byte.
 #pragma once
 
 #include <algorithm>
@@ -70,8 +70,8 @@ class BatchRunner {
   /// Trials run_one delegated to the scalar executor since the last call,
   /// returned and reset. Grid backends never delegate; the one remaining
   /// case is a plane strategy under a dynamic target process (see run_one).
-  /// Drained per block by the sweep driver into the batch_scalar_fallback
-  /// metric.
+  /// Drained per block by sim::run_cell_blocks; the sweep adds it to the
+  /// batch_scalar_fallback metric.
   std::uint64_t take_scalar_fallbacks() noexcept {
     const std::uint64_t n = scalar_fallbacks_;
     scalar_fallbacks_ = 0;

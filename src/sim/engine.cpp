@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/trial.h"
 #include "util/sat.h"
 
 namespace ants::sim {
@@ -61,23 +60,6 @@ Time single_agent_hit_time(AgentProgram& program, rng::Rng& rng,
   }
   if (segments_out) *segments_out = segments;
   return kNeverTime;
-}
-
-SearchResult run_search(const Strategy& strategy, int k, grid::Point treasure,
-                        const rng::Rng& trial_rng, const EngineConfig& config) {
-  if (k < 1) throw std::invalid_argument("run_search: need k >= 1");
-  // The base model is the unified executor under the trivial environment
-  // (simultaneous starts, immortal agents, one target); see sim/trial.h for
-  // the interleaved min-heap sweep this used to implement directly.
-  const TrialResult r =
-      run_trial(strategy, k, single_target_environment(treasure), trial_rng,
-                config);
-  SearchResult result;
-  result.time = static_cast<Time>(r.time);
-  result.found = r.found;
-  result.finder = r.finder;
-  result.segments = r.segments;
-  return result;
 }
 
 }  // namespace ants::sim

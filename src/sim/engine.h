@@ -9,10 +9,10 @@
 // polylogarithmic in D for the paper's algorithms — never the number of
 // grid steps.
 //
-// run_search is the historical single-treasure entry point; since the
-// engine unification it is a thin wrapper over sim::run_trial (sim/trial.h)
-// under the trivial environment, and is test-pinned to the exact results it
-// produced as a standalone engine.
+// This header holds the segment backend's building blocks: the engine
+// config shared by every backend, op realization, and the one-agent hit
+// time. The trial itself — k agents, any environment — is sim::run_trial
+// (sim/trial.h); the base model is its single_target_environment.
 //
 // Determinism: agent a of a trial draws from trial_rng.child(a), so results
 // are identical regardless of evaluation order or thread count.
@@ -42,14 +42,9 @@ struct EngineConfig {
 /// Realizes an op into a concrete segment given the agent's position.
 Segment realize(const Op& op, grid::Point current, grid::Point source);
 
-/// Runs one collaborative search trial.
-SearchResult run_search(const Strategy& strategy, int k, grid::Point treasure,
-                        const rng::Rng& trial_rng,
-                        const EngineConfig& config = {});
-
-/// First-hit time of a single agent's program under `bound` (exposed for
-/// tests and the visitation tooling). Returns kNeverTime if the agent does
-/// not hit at or before the bound.
+/// First-hit time of a single agent's program under `bound`, a one-agent
+/// oracle for tests. Returns kNeverTime if the agent does not hit at or
+/// before the bound.
 Time single_agent_hit_time(AgentProgram& program, rng::Rng& rng,
                            grid::Point treasure, grid::Point source,
                            Time bound, std::int64_t max_segments,

@@ -1,9 +1,7 @@
 #include "sim/step_engine.h"
 
 #include <algorithm>
-#include <stdexcept>
 
-#include "sim/trial.h"
 #include "util/sat.h"
 
 namespace ants::sim {
@@ -55,34 +53,6 @@ void StepRoster::rebuild(Time t) {
     }
   }
   next_change_ = next;
-}
-
-SearchResult run_step_search(const StepStrategy& strategy, int k,
-                             grid::Point treasure, const rng::Rng& trial_rng,
-                             Time time_cap) {
-  if (k < 1) throw std::invalid_argument("run_step_search: need k >= 1");
-  if (time_cap == kNeverTime) {
-    // Random-walk-style strategies have infinite expected hitting time on
-    // Z^2 (see the paper's related-work discussion); an uncapped run is a
-    // programming error.
-    throw std::invalid_argument("run_step_search: finite time_cap required");
-  }
-
-  EngineConfig config;
-  config.time_cap = time_cap;
-  const TrialResult r =
-      run_trial(strategy, k, single_target_environment(treasure), trial_rng,
-                config);
-  SearchResult result;
-  result.time = static_cast<Time>(r.time);
-  result.found = r.found;
-  result.finder = r.finder;
-  // Historical accounting: this entry point always charged full k-agent
-  // ticks (t * k), even for the tick the finder cut short. The unified
-  // executor counts steps actually taken; keep the legacy figure here so
-  // long-standing callers see unchanged numbers.
-  result.segments = (r.found ? static_cast<Time>(r.time) : time_cap) * k;
-  return result;
 }
 
 }  // namespace ants::sim

@@ -14,9 +14,7 @@
 //
 // The lock-step execution loop lives in the unified executor (sim/trial.h)
 // and the batch executor (sim/batch/batch.h), which also give these
-// strategies start schedules, fail-stop crashes, and multi-target races;
-// run_step_search below is the historical single-treasure entry point, now
-// a thin wrapper over it.
+// strategies start schedules, fail-stop crashes, and multi-target races.
 #pragma once
 
 #include <cstdint>
@@ -103,11 +101,5 @@ class StepRoster {
   std::vector<std::uint32_t> active_;
   std::vector<std::uint32_t> halting_;
 };
-
-/// Runs one lock-step trial with k agents starting at the origin; the search
-/// succeeds when any agent occupies `treasure` at some tick <= time_cap.
-SearchResult run_step_search(const StepStrategy& strategy, int k,
-                             grid::Point treasure, const rng::Rng& trial_rng,
-                             Time time_cap);
 
 }  // namespace ants::sim

@@ -71,10 +71,10 @@ void validate_trial_args(const TrialStrategy& strategy, int k,
   }
 }
 
-/// Matches the historical engines for the base model (run_search: t = 0,
-/// finder 0); under a crash model, dead-on-arrival agents are skipped as
-/// finder candidates and counted as crashed — a lifetime <= 0 agent never
-/// acts, so crediting it with the find (and leaving crashed at 0) made
+/// In the base model the source treasure is found at t = 0 by agent 0;
+/// under a crash model, dead-on-arrival agents are skipped as finder
+/// candidates and counted as crashed — a lifetime <= 0 agent never acts,
+/// so crediting it with the find (and leaving crashed at 0) made
 /// mean_crashed/survivors disagree with the non-origin path.
 std::optional<TrialResult> resolve_origin_target(const TrialEnvironment& env,
                                                  int k, Time time_cap) {
@@ -324,12 +324,11 @@ TrialResult run_segment_trial(const Strategy& strategy, int k,
 }
 
 /// Lock-step backend: every alive, started agent advances one edge per
-/// tick. Under a sync/no-crash single-target environment this is
-/// tick-for-tick the historical run_step_search loop (the first agent in
-/// index order to stand on a target wins the tick). Each tick steps every
-/// active agent through one strategy kernel call, then detects in agent
-/// order; the tick a first find cuts short counts steps and crash
-/// transitions only up to the finder.
+/// tick; the first agent in index order to stand on a target wins the
+/// tick (sim_trial_test pins this against a per-agent reference loop).
+/// Each tick steps every active agent through one strategy kernel call,
+/// then detects in agent order; the tick a first find cuts short counts
+/// steps and crash transitions only up to the finder.
 /// Generalized over appear/vanish windows, drifting targets, dwell capture,
 /// and collect-all. Contact under a dwell policy is the L1-radius-1 disc
 /// (see TrialEnvironment docs); a find confirms when an (agent, target)

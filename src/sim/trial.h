@@ -26,10 +26,10 @@
 //     apply — integer delays and lifetimes read as continuous time units —
 //     so a paired grid-vs-plane sweep perturbs both substrates identically.
 //
-// Under a sync/no-crash single-target environment all backends reproduce
-// the historical run_search / run_step_search / run_plane_search results
-// exactly (test-enforced byte-for-byte), so the legacy entry points are
-// thin wrappers over this executor.
+// The paper's base model is single_target_environment(treasure): sync
+// starts, immortal agents, one treasure. Tests pin each backend under it
+// to in-test reference reimplementations of the engines this executor
+// replaced, byte for byte.
 #pragma once
 
 #include <functional>

@@ -25,20 +25,12 @@ struct AgentContext {
   int k = 1;
 };
 
-/// Result of one collaborative search run.
-struct SearchResult {
-  Time time = kNeverTime;     ///< first visit of the treasure (or cap)
-  bool found = false;         ///< true iff some agent reached the treasure
-  int finder = -1;            ///< index of the first agent to reach it
-  std::int64_t segments = 0;  ///< total segments realized (cost accounting)
-};
-
 /// Result of one environment-aware trial (the unified executor in
-/// sim/trial.h). Subsumes the former SearchResult/AsyncSearchResult pair:
-/// `time` is always absolute (from t = 0, the first possible start), the
-/// schedule/crash aggregates are zero under the paper's base model, and
-/// `first_target` identifies the winning target of a multi-target race
-/// (0 for the ordinary single-treasure hunt).
+/// sim/trial.h), for every backend and environment: `time` is always
+/// absolute (from t = 0, the first possible start), the schedule/crash
+/// aggregates are zero under the paper's base model, and `first_target`
+/// identifies the winning target of a multi-target race (0 for the
+/// ordinary single-treasure hunt).
 ///
 /// Time fields are doubles because the executor serves BOTH substrates: the
 /// grid backends fill exact integer tick counts (every Time below 2^53 is

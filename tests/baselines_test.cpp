@@ -14,8 +14,8 @@
 #include "baselines/spiral_single.h"
 #include "grid/spiral.h"
 #include "grid/visited_set.h"
-#include "sim/engine.h"
 #include "sim/runner.h"
+#include "sim/trial.h"
 #include "util/sat.h"
 
 namespace ants::baselines {
@@ -285,7 +285,8 @@ TEST(SpiralSingle, MatchesPureSpiralTime) {
   const SpiralSingleStrategy strategy;
   rng::Rng rng(8);
   for (const Point tau : {Point{3, 2}, Point{-5, 0}, Point{0, -7}}) {
-    const sim::SearchResult r = sim::run_search(strategy, 1, tau, rng);
+    const sim::TrialResult r =
+        sim::run_trial(strategy, 1, sim::single_target_environment(tau), rng);
     EXPECT_TRUE(r.found);
     EXPECT_EQ(r.time, grid::spiral_index(tau));
   }
@@ -294,9 +295,9 @@ TEST(SpiralSingle, MatchesPureSpiralTime) {
 TEST(SpiralSingle, NoSpeedupFromMoreAgents) {
   const SpiralSingleStrategy strategy;
   rng::Rng rng(9);
-  const Point tau{6, -4};
-  const sim::SearchResult one = sim::run_search(strategy, 1, tau, rng);
-  const sim::SearchResult many = sim::run_search(strategy, 16, tau, rng);
+  const sim::TrialEnvironment env = sim::single_target_environment({6, -4});
+  const sim::TrialResult one = sim::run_trial(strategy, 1, env, rng);
+  const sim::TrialResult many = sim::run_trial(strategy, 16, env, rng);
   EXPECT_EQ(one.time, many.time);  // identical deterministic agents
 }
 
@@ -304,7 +305,8 @@ TEST(SectorSweep, SingleAgentCoversBallInOrder) {
   // k=1: the sweep degenerates to the full spiral ring-by-ring.
   const SectorSweepStrategy strategy;
   rng::Rng rng(10);
-  const sim::SearchResult r = sim::run_search(strategy, 1, {4, 4}, rng);
+  const sim::TrialResult r =
+      sim::run_trial(strategy, 1, sim::single_target_environment({4, 4}), rng);
   EXPECT_TRUE(r.found);
   EXPECT_GT(r.time, 0);
 }
@@ -337,8 +339,8 @@ TEST(SectorSweep, CoversEverythingWithinTimeBudget) {
       rng::Rng rng(11);
       sim::EngineConfig config;
       config.time_cap = 4000;
-      const sim::SearchResult r =
-          sim::run_search(strategy, 4, {x, y}, rng, config);
+      const sim::TrialResult r = sim::run_trial(
+          strategy, 4, sim::single_target_environment({x, y}), rng, config);
       EXPECT_TRUE(r.found) << x << "," << y;
     }
   }
@@ -347,9 +349,9 @@ TEST(SectorSweep, CoversEverythingWithinTimeBudget) {
 TEST(SectorSweep, MoreAgentsFindFaster) {
   const SectorSweepStrategy strategy;
   rng::Rng rng(12);
-  const Point tau{0, 20};
-  const sim::SearchResult k1 = sim::run_search(strategy, 1, tau, rng);
-  const sim::SearchResult k8 = sim::run_search(strategy, 8, tau, rng);
+  const sim::TrialEnvironment env = sim::single_target_environment({0, 20});
+  const sim::TrialResult k1 = sim::run_trial(strategy, 1, env, rng);
+  const sim::TrialResult k8 = sim::run_trial(strategy, 8, env, rng);
   EXPECT_TRUE(k1.found);
   EXPECT_TRUE(k8.found);
   EXPECT_LT(k8.time, k1.time);

@@ -46,21 +46,29 @@ class ScriptedPlaneStrategy final : public PlaneStrategy {
   std::vector<PlaneOp> ops_;
 };
 
+/// The paper's base model around one treasure: simultaneous starts,
+/// immortal agents.
+PlaneTrialEnvironment treasure_at(Vec2 treasure) {
+  PlaneTrialEnvironment env;
+  env.targets = {treasure};
+  return env;
+}
+
 TEST(PlaneEngine, RejectsBadArguments) {
   const ScriptedPlaneStrategy s({GoToPoint{{1, 0}}});
   const rng::Rng trial(1);
-  EXPECT_THROW(run_plane_search(s, 0, Vec2{5, 0}, trial),
-               std::invalid_argument);
+  const PlaneTrialEnvironment env = treasure_at(Vec2{5, 0});
+  EXPECT_THROW(run_plane_trial(s, 0, env, trial), std::invalid_argument);
   PlaneEngineConfig config;
   config.sight_radius = 0;
-  EXPECT_THROW(run_plane_search(s, 1, Vec2{5, 0}, trial, config),
+  EXPECT_THROW(run_plane_trial(s, 1, env, trial, config),
                std::invalid_argument);
 }
 
 TEST(PlaneEngine, TreasureWithinSightOfHomeIsInstant) {
   const ScriptedPlaneStrategy s({GoToPoint{{50, 0}}});
   const rng::Rng trial(2);
-  const auto r = run_plane_search(s, 1, Vec2{0.5, 0.5}, trial);
+  const auto r = run_plane_trial(s, 1, treasure_at(Vec2{0.5, 0.5}), trial);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 0.0);
 }
@@ -68,7 +76,7 @@ TEST(PlaneEngine, TreasureWithinSightOfHomeIsInstant) {
 TEST(PlaneEngine, StraightWalkHitTimeIsExact) {
   const ScriptedPlaneStrategy s({GoToPoint{{20, 0}}});
   const rng::Rng trial(3);
-  const auto r = run_plane_search(s, 1, Vec2{10, 0}, trial);
+  const auto r = run_plane_trial(s, 1, treasure_at(Vec2{10, 0}), trial);
   ASSERT_TRUE(r.found);
   EXPECT_NEAR(r.time, 9.0, 1e-9);  // sighted at distance eps = 1
   EXPECT_EQ(r.finder, 0);
@@ -79,7 +87,8 @@ TEST(PlaneEngine, TimeCapCensorsSlowRuns) {
   const rng::Rng trial(4);
   PlaneEngineConfig config;
   config.time_cap = 50.0;
-  const auto r = run_plane_search(s, 1, Vec2{199, 0}, trial, config);
+  const auto r =
+      run_plane_trial(s, 1, treasure_at(Vec2{199, 0}), trial, config);
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.time, 50.0);
 }
@@ -87,7 +96,7 @@ TEST(PlaneEngine, TimeCapCensorsSlowRuns) {
 TEST(PlaneEngine, SpiralSweepFindsNearbyTreasure) {
   const ScriptedPlaneStrategy s({SpiralSweep{5000.0}});
   const rng::Rng trial(5);
-  const auto r = run_plane_search(s, 1, Vec2{6, 3}, trial);
+  const auto r = run_plane_trial(s, 1, treasure_at(Vec2{6, 3}), trial);
   ASSERT_TRUE(r.found);
   // Radius ~6.7 is reached at arc length ~ r^2 * pi / pitch ~ 141; allow
   // the coil slack.
@@ -126,7 +135,8 @@ TEST(PlaneEngine, FirstFinderAmongManyWins) {
   };
   const Fanout s;
   const rng::Rng trial(6);
-  const auto r = run_plane_search(s, 4, Vec2{0, 30}, trial);  // on +y axis
+  // The treasure lies on the +y axis.
+  const auto r = run_plane_trial(s, 4, treasure_at(Vec2{0, 30}), trial);
   ASSERT_TRUE(r.found);
   EXPECT_EQ(r.finder, 1);  // agent 1 heads along +y
   EXPECT_NEAR(r.time, 29.0, 1e-9);
@@ -137,8 +147,9 @@ TEST(PlaneEngine, DeterministicAcrossCalls) {
   const rng::Rng trial(7);
   PlaneEngineConfig config;
   config.time_cap = 1e6;
-  const auto a = run_plane_search(s, 8, Vec2{15, 9}, trial, config);
-  const auto b = run_plane_search(s, 8, Vec2{15, 9}, trial, config);
+  const PlaneTrialEnvironment env = treasure_at(Vec2{15, 9});
+  const auto a = run_plane_trial(s, 8, env, trial, config);
+  const auto b = run_plane_trial(s, 8, env, trial, config);
   EXPECT_EQ(a.found, b.found);
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.finder, b.finder);
@@ -164,8 +175,8 @@ TEST(PlaneVsGrid, KnownKSameOrderOfMagnitude) {
                           static_cast<double>(d);
     PlaneEngineConfig config;
     config.time_cap = 1e7;
-    const auto r = run_plane_search(plane_strategy, static_cast<int>(k),
-                                    treasure, trial, config);
+    const auto r = run_plane_trial(plane_strategy, static_cast<int>(k),
+                                   treasure_at(treasure), trial, config);
     EXPECT_TRUE(r.found);
     plane_sum += r.time;
   }
@@ -206,8 +217,8 @@ TEST(PlaneVsGrid, HarmonicSuccessProbabilityComparable) {
         unit(placement_rng.angle()) * static_cast<double>(d);
     PlaneEngineConfig config;
     config.time_cap = budget;
-    const auto r = run_plane_search(plane_strategy, k, treasure, trial,
-                                    config);
+    const auto r = run_plane_trial(plane_strategy, k, treasure_at(treasure),
+                                   trial, config);
     plane_found += r.found;
   }
   EXPECT_GT(static_cast<double>(plane_found) / trials, 0.7);

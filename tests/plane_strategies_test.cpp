@@ -139,7 +139,9 @@ TEST(PlaneUniform, FindsTreasureSmallScale) {
     const Vec2 treasure = unit(placement.angle()) * 12.0;
     PlaneEngineConfig config;
     config.time_cap = 1 << 20;
-    const auto r = run_plane_search(s, 4, treasure, trial, config);
+    PlaneTrialEnvironment env;
+    env.targets = {treasure};
+    const auto r = run_plane_trial(s, 4, env, trial, config);
     found += r.found;
   }
   EXPECT_GT(static_cast<double>(found) / trials, 0.9);

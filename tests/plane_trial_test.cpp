@@ -2,7 +2,7 @@
 // its sim::run_trial plane backend.
 //
 // The conformance tests pin the zero-delay/no-crash path against a verbatim
-// in-test reimplementation of the PRE-environment-port run_plane_search
+// in-test reimplementation of the PRE-environment-port plane search
 // loop, field for field — the same technique the unified grid executor used
 // for the step/async engines — so the port provably did not move a single
 // double on the base model. The environment tests cover the new axes:
@@ -77,10 +77,10 @@ Move legacy_realize(const PlaneOp& op, Vec2 current, double pitch) {
   return std::visit(Visitor{current, pitch}, op);
 }
 
-PlaneSearchResult legacy_plane_search(const PlaneStrategy& strategy, int k,
-                                      Vec2 treasure, const rng::Rng& trial_rng,
-                                      const PlaneEngineConfig& config) {
-  PlaneSearchResult result;
+PlaneTrialResult legacy_plane_search(const PlaneStrategy& strategy, int k,
+                                     Vec2 treasure, const rng::Rng& trial_rng,
+                                     const PlaneEngineConfig& config) {
+  PlaneTrialResult result;
   if (distance(treasure, kPlaneOrigin) <= config.sight_radius) {
     result.found = true;
     result.time = 0;
@@ -162,7 +162,7 @@ TEST(PlaneTrialConformance, ZeroDelayNoCrashMatchesLegacyEngineExactly) {
       const double angle = 0.26180 * static_cast<double>(seed);
       const Vec2 treasure = unit(angle) * 12.0;
 
-      const PlaneSearchResult legacy =
+      const PlaneTrialResult legacy =
           legacy_plane_search(*s, 4, treasure, trial, config);
 
       PlaneTrialEnvironment env;
@@ -175,13 +175,6 @@ TEST(PlaneTrialConformance, ZeroDelayNoCrashMatchesLegacyEngineExactly) {
       EXPECT_EQ(r.crashed, 0);
       EXPECT_EQ(r.last_start, 0.0);
       if (r.found) EXPECT_EQ(r.from_last_start, r.time);
-
-      // The historical entry point is a wrapper over the same executor.
-      const PlaneSearchResult wrapped =
-          run_plane_search(*s, 4, treasure, trial, config);
-      ASSERT_EQ(wrapped.time, legacy.time);
-      ASSERT_EQ(wrapped.finder, legacy.finder);
-      ASSERT_EQ(wrapped.segments, legacy.segments);
     }
   }
 }

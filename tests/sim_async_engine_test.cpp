@@ -8,6 +8,7 @@
 #include "core/harmonic.h"
 #include "core/known_k.h"
 #include "rng/rng.h"
+#include "sim/trial.h"
 #include "test_support.h"
 
 namespace ants::sim {
@@ -111,10 +112,11 @@ TEST(CrashModel, FixedLifetimeIsConstant) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine equivalence: sync + immortal must reproduce run_search exactly.
+// Base-model equivalence: a drawn sync + immortal environment must run
+// exactly like the empty-vector base model the drivers use for it.
 // ---------------------------------------------------------------------------
 
-TEST(AsyncEngine, SyncNoCrashMatchesPlainEngineOnPaperStrategies) {
+TEST(AsyncEngine, SyncNoCrashDrawMatchesBaseModelOnPaperStrategies) {
   const core::KnownKStrategy known(8);
   const core::HarmonicStrategy harmonic(0.5);
   const grid::Point treasure{13, -6};
@@ -123,12 +125,15 @@ TEST(AsyncEngine, SyncNoCrashMatchesPlainEngineOnPaperStrategies) {
         static_cast<const Strategy*>(&harmonic)}) {
     for (std::uint64_t seed = 0; seed < 25; ++seed) {
       const rng::Rng trial(seed);
-      const SearchResult plain = run_search(*s, 8, treasure, trial);
-      const TrialResult async =
-          run_search_async(*s, 8, treasure, trial, SyncStart(), NoCrash());
+      const TrialResult plain =
+          run_trial(*s, 8, single_target_environment(treasure), trial);
+      const TrialResult async = run_trial(
+          *s, 8, draw_environment(8, {treasure}, SyncStart(), NoCrash(), trial),
+          trial);
       ASSERT_EQ(async.time, plain.time) << s->name() << " seed " << seed;
       ASSERT_EQ(async.finder, plain.finder);
       ASSERT_EQ(async.found, plain.found);
+      ASSERT_EQ(async.segments, plain.segments);
       ASSERT_EQ(async.from_last_start, plain.time);
       ASSERT_EQ(async.crashed, 0);
     }
@@ -138,8 +143,9 @@ TEST(AsyncEngine, SyncNoCrashMatchesPlainEngineOnPaperStrategies) {
 TEST(AsyncEngine, TreasureAtSourceFoundAtFirstStart) {
   const ScriptedStrategy s({GoTo{grid::Point{5, 5}}});
   const rng::Rng trial(3);
-  const auto r = run_search_async(s, 3, grid::kOrigin, trial,
-                                  FixedStart({9, 4, 11}), NoCrash());
+  const TrialEnvironment env = draw_environment(
+      3, {grid::kOrigin}, FixedStart({9, 4, 11}), NoCrash(), trial);
+  const auto r = run_trial(s, 3, env, trial);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 4);  // earliest starter wakes up on the treasure
   EXPECT_EQ(r.finder, 1);
@@ -156,8 +162,9 @@ TEST(AsyncEngine, DelayShiftsHitTimeExactly) {
   const ScriptedStrategy s({GoTo{grid::Point{10, 0}}});
   const rng::Rng trial(7);
   for (const Time delay : {0, 1, 17, 400}) {
-    const auto r = run_search_async(s, 1, grid::Point{10, 0}, trial,
-                                    FixedStart({delay}), NoCrash());
+    const TrialEnvironment env = draw_environment(
+        1, {grid::Point{10, 0}}, FixedStart({delay}), NoCrash(), trial);
+    const auto r = run_trial(s, 1, env, trial);
     ASSERT_TRUE(r.found);
     EXPECT_EQ(r.time, delay + 10);
     EXPECT_EQ(r.from_last_start, 10);  // invariant in the agent's own frame
@@ -168,8 +175,9 @@ TEST(AsyncEngine, EarlierStarterWinsRace) {
   // Both agents walk to (6, 0); agent 1 starts 3 earlier than agent 0.
   const ScriptedStrategy s({GoTo{grid::Point{6, 0}}});
   const rng::Rng trial(11);
-  const auto r = run_search_async(s, 2, grid::Point{6, 0}, trial,
-                                  FixedStart({3, 0}), NoCrash());
+  const TrialEnvironment env = draw_environment(
+      2, {grid::Point{6, 0}}, FixedStart({3, 0}), NoCrash(), trial);
+  const auto r = run_trial(s, 2, env, trial);
   EXPECT_EQ(r.finder, 1);
   EXPECT_EQ(r.time, 6);
   EXPECT_EQ(r.last_start, 3);
@@ -183,8 +191,9 @@ TEST(AsyncEngine, FromLastStartNeverNegative) {
       {GoTo{grid::Point{0, 30}}},     // agent 1: wanders off
   });
   const rng::Rng trial(13);
-  const auto r = run_search_async(s, 2, grid::Point{2, 0}, trial,
-                                  FixedStart({0, 50}), NoCrash());
+  const TrialEnvironment env = draw_environment(
+      2, {grid::Point{2, 0}}, FixedStart({0, 50}), NoCrash(), trial);
+  const auto r = run_trial(s, 2, env, trial);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 2);
   EXPECT_EQ(r.last_start, 50);
@@ -199,9 +208,9 @@ TEST(AsyncEngine, AgentCrashingBeforeHitDoesNotFind) {
   const ScriptedStrategy s({GoTo{grid::Point{10, 0}}});
   const rng::Rng trial(17);
   // Lifetime 9 < hit offset 10: the agent dies one step short.
-  const auto r =
-      run_search_async(s, 1, grid::Point{10, 0}, trial, SyncStart(),
-                       FixedLifetime(9), {.time_cap = 10'000});
+  const TrialEnvironment env = draw_environment(
+      1, {grid::Point{10, 0}}, SyncStart(), FixedLifetime(9), trial);
+  const auto r = run_trial(s, 1, env, trial, {.time_cap = 10'000});
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.crashed, 1);
 }
@@ -209,8 +218,9 @@ TEST(AsyncEngine, AgentCrashingBeforeHitDoesNotFind) {
 TEST(AsyncEngine, AgentHittingExactlyAtLifetimeCounts) {
   const ScriptedStrategy s({GoTo{grid::Point{10, 0}}});
   const rng::Rng trial(17);
-  const auto r = run_search_async(s, 1, grid::Point{10, 0}, trial, SyncStart(),
-                                  FixedLifetime(10));
+  const TrialEnvironment env = draw_environment(
+      1, {grid::Point{10, 0}}, SyncStart(), FixedLifetime(10), trial);
+  const auto r = run_trial(s, 1, env, trial);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 10);
 }
@@ -219,8 +229,9 @@ TEST(AsyncEngine, DoaAgentsNeverAct) {
   // p = 1: every agent is dead on arrival; nothing is ever found.
   const ScriptedStrategy s({GoTo{grid::Point{3, 0}}});
   const rng::Rng trial(19);
-  const auto r = run_search_async(s, 4, grid::Point{3, 0}, trial, SyncStart(),
-                                  DoaCrash(1.0), {.time_cap = 1000});
+  const TrialEnvironment env = draw_environment(
+      4, {grid::Point{3, 0}}, SyncStart(), DoaCrash(1.0), trial);
+  const auto r = run_trial(s, 4, env, trial, {.time_cap = 1000});
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.crashed, 4);
   EXPECT_EQ(r.segments, 0);  // no dead agent pulled a segment
@@ -234,9 +245,9 @@ TEST(AsyncEngine, SurvivorStillFindsUnderPartialDoa) {
   bool saw_mixed = false;
   for (std::uint64_t seed = 0; seed < 50 && !saw_mixed; ++seed) {
     const rng::Rng trial(seed);
-    const auto r = run_search_async(s, 6, grid::Point{4, 0}, trial,
-                                    SyncStart(), DoaCrash(0.5),
-                                    {.time_cap = 1000});
+    const TrialEnvironment env = draw_environment(
+        6, {grid::Point{4, 0}}, SyncStart(), DoaCrash(0.5), trial);
+    const auto r = run_trial(s, 6, env, trial, {.time_cap = 1000});
     if (r.crashed > 0 && r.found) {
       EXPECT_EQ(r.time, 4);
       saw_mixed = true;
@@ -248,10 +259,13 @@ TEST(AsyncEngine, SurvivorStillFindsUnderPartialDoa) {
 TEST(AsyncEngine, CrashedCountIsDeterministicPerSeed) {
   const core::HarmonicStrategy s(0.5);
   const rng::Rng trial(123);
-  const auto a = run_search_async(s, 16, grid::Point{9, 9}, trial, SyncStart(),
-                                  DoaCrash(0.25), {.time_cap = 100'000});
-  const auto b = run_search_async(s, 16, grid::Point{9, 9}, trial, SyncStart(),
-                                  DoaCrash(0.25), {.time_cap = 100'000});
+  const auto run = [&] {
+    const TrialEnvironment env = draw_environment(
+        16, {grid::Point{9, 9}}, SyncStart(), DoaCrash(0.25), trial);
+    return run_trial(s, 16, env, trial, {.time_cap = 100'000});
+  };
+  const auto a = run();
+  const auto b = run();
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.crashed, b.crashed);
   EXPECT_EQ(a.finder, b.finder);
@@ -262,10 +276,15 @@ TEST(AsyncEngine, ScheduleStreamDoesNotPerturbAgentPrograms) {
   // delays are enabled: with all delays equal the outcome shifts rigidly.
   const core::KnownKStrategy s(4);
   const rng::Rng trial(777);
-  const auto sync =
-      run_search_async(s, 4, grid::Point{7, 3}, trial, SyncStart(), NoCrash());
-  const auto shifted = run_search_async(s, 4, grid::Point{7, 3}, trial,
-                                        FixedStart({5, 5, 5, 5}), NoCrash());
+  const grid::Point treasure{7, 3};
+  const auto sync = run_trial(
+      s, 4, draw_environment(4, {treasure}, SyncStart(), NoCrash(), trial),
+      trial);
+  const auto shifted = run_trial(
+      s, 4,
+      draw_environment(4, {treasure}, FixedStart({5, 5, 5, 5}), NoCrash(),
+                       trial),
+      trial);
   ASSERT_TRUE(sync.found);
   ASSERT_TRUE(shifted.found);
   EXPECT_EQ(shifted.time, sync.time + 5);
@@ -283,14 +302,17 @@ TEST(AsyncEngine, StaggeredStartFromLastStartMatchesSyncScale) {
   const int trials = 40;
   for (std::uint64_t seed = 0; seed < trials; ++seed) {
     const rng::Rng trial(seed);
-    const auto sync = run_search_async(s, 8, treasure, trial, SyncStart(),
-                                       NoCrash());
-    const auto stag = run_search_async(s, 8, treasure, trial,
-                                       StaggeredStart(1), NoCrash());
+    const auto sync = run_trial(
+        s, 8, draw_environment(8, {treasure}, SyncStart(), NoCrash(), trial),
+        trial);
+    const auto stag = run_trial(
+        s, 8,
+        draw_environment(8, {treasure}, StaggeredStart(1), NoCrash(), trial),
+        trial);
     ASSERT_TRUE(sync.found);
     ASSERT_TRUE(stag.found);
-    sync_total += static_cast<double>(sync.time);
-    async_total += static_cast<double>(stag.from_last_start);
+    sync_total += sync.time;
+    async_total += stag.from_last_start;
   }
   // from_last_start can only be cheaper in expectation than a fresh
   // synchronous run of the same horizon (early starters pre-cover ground);
@@ -302,8 +324,7 @@ TEST(AsyncEngine, StaggeredStartFromLastStartMatchesSyncScale) {
 TEST(AsyncEngine, RejectsNonPositiveK) {
   const ScriptedStrategy s({GoTo{grid::Point{1, 0}}});
   const rng::Rng trial(1);
-  EXPECT_THROW(run_search_async(s, 0, grid::Point{1, 0}, trial, SyncStart(),
-                                NoCrash()),
+  EXPECT_THROW(run_trial(s, 0, single_target_environment({1, 0}), trial),
                std::invalid_argument);
 }
 

@@ -19,6 +19,7 @@
 #include "core/uniform.h"
 #include "grid/ball.h"
 #include "sim/engine.h"
+#include "sim/trial.h"
 #include "util/sat.h"
 
 namespace ants::sim {
@@ -27,10 +28,10 @@ namespace {
 /// Brute-force reference: enumerates every visited node with for_each_visit
 /// and returns the earliest treasure visit <= cap (same agent-rng derivation
 /// as the engine).
-SearchResult brute_force_search(const Strategy& strategy, int k,
-                                grid::Point treasure,
-                                const rng::Rng& trial_rng, Time cap) {
-  SearchResult result;
+TrialResult brute_force_search(const Strategy& strategy, int k,
+                               grid::Point treasure,
+                               const rng::Rng& trial_rng, Time cap) {
+  TrialResult result;
   result.time = cap;
   Time best = kNeverTime;
 
@@ -78,9 +79,9 @@ void expect_engine_matches_brute_force(const Strategy& strategy, int k,
   const rng::Rng trial_rng(seed);
   EngineConfig config;
   config.time_cap = cap;
-  const SearchResult fast = run_search(strategy, k, treasure, trial_rng,
-                                       config);
-  const SearchResult slow =
+  const TrialResult fast = run_trial(
+      strategy, k, single_target_environment(treasure), trial_rng, config);
+  const TrialResult slow =
       brute_force_search(strategy, k, treasure, trial_rng, cap);
 
   ASSERT_EQ(fast.found, slow.found)

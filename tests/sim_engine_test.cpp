@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "sim/trial.h"
 #include "test_support.h"
 
 namespace ants::sim {
@@ -45,7 +46,8 @@ TEST(Engine, FindsTreasureOnScriptedRoute) {
       {GoTo{{4, 0}}, SpiralFor{8}, ReturnToSource{}});
   // Treasure directly on the walk: hit at time 2.
   rng::Rng rng(1);
-  SearchResult r = run_search(strategy, 1, {2, 0}, rng);
+  TrialResult r =
+      run_trial(strategy, 1, single_target_environment({2, 0}), rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 2);
   EXPECT_EQ(r.finder, 0);
@@ -53,7 +55,7 @@ TEST(Engine, FindsTreasureOnScriptedRoute) {
   // Treasure adjacent to (4,0): the spiral reaches (4,1) at offset 2
   // (spiral visits (5,0) at 1, (5,1)... no: relative ring (0,1) has spiral
   // index 3), so time = 4 (walk) + index.
-  r = run_search(strategy, 1, {4, 1}, rng);
+  r = run_trial(strategy, 1, single_target_environment({4, 1}), rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 4 + grid::spiral_index({0, 1}));
 }
@@ -61,9 +63,11 @@ TEST(Engine, FindsTreasureOnScriptedRoute) {
 TEST(Engine, TreasureAtSourceIsInstant) {
   const ScriptedStrategy strategy({GoTo{{4, 0}}});
   rng::Rng rng(2);
-  const SearchResult r = run_search(strategy, 3, grid::kOrigin, rng);
+  const TrialResult r =
+      run_trial(strategy, 3, single_target_environment(grid::kOrigin), rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 0);
+  EXPECT_EQ(r.finder, 0);
 }
 
 TEST(Engine, MinimumOverAgents) {
@@ -76,7 +80,8 @@ TEST(Engine, MinimumOverAgents) {
       {GoTo{{0, 2}}, GoTo{{6, 2}}, GoTo{{6, 0}}},  // hits at 2+6+2=10
   });
   rng::Rng rng(3);
-  const SearchResult r = run_search(strategy, 3, {6, 0}, rng, {});
+  const TrialResult r =
+      run_trial(strategy, 3, single_target_environment({6, 0}), rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 6);
   EXPECT_EQ(r.finder, 0);
@@ -88,7 +93,8 @@ TEST(Engine, FinderIsEarliestNotFirstListed) {
       {GoTo{{5, 0}}},                              // hits (5,0) at t=5
   });
   rng::Rng rng(4);
-  const SearchResult r = run_search(strategy, 2, {5, 0}, rng, {});
+  const TrialResult r =
+      run_trial(strategy, 2, single_target_environment({5, 0}), rng);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 5);
   EXPECT_EQ(r.finder, 1);
@@ -99,7 +105,8 @@ TEST(Engine, CapCensorsSlowRuns) {
   rng::Rng rng(5);
   EngineConfig config;
   config.time_cap = 50;
-  const SearchResult r = run_search(strategy, 1, {100, 0}, rng, config);
+  const TrialResult r = run_trial(
+      strategy, 1, single_target_environment({100, 0}), rng, config);
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.time, 50);
   EXPECT_EQ(r.finder, -1);
@@ -110,7 +117,8 @@ TEST(Engine, HitExactlyAtCapCounts) {
   rng::Rng rng(6);
   EngineConfig config;
   config.time_cap = 50;
-  const SearchResult r = run_search(strategy, 1, {50, 0}, rng, config);
+  const TrialResult r = run_trial(
+      strategy, 1, single_target_environment({50, 0}), rng, config);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 50);
 }
@@ -131,21 +139,24 @@ TEST(Engine, SegmentBudgetGuardsNonTermination) {
   EngineConfig config;
   config.time_cap = 100;
   config.max_segments_per_agent = 1000;
-  EXPECT_THROW(run_search(Stuck{}, 1, {5, 5}, rng, config),
-               std::runtime_error);
+  EXPECT_THROW(
+      run_trial(Stuck{}, 1, single_target_environment({5, 5}), rng, config),
+      std::runtime_error);
 }
 
 TEST(Engine, RejectsNonPositiveK) {
   const ScriptedStrategy strategy({GoTo{{1, 0}}});
   rng::Rng rng(8);
-  EXPECT_THROW(run_search(strategy, 0, {1, 0}, rng), std::invalid_argument);
+  EXPECT_THROW(run_trial(strategy, 0, single_target_environment({1, 0}), rng),
+               std::invalid_argument);
 }
 
 TEST(Engine, DeterministicAcrossCalls) {
   const ScriptedStrategy strategy({GoTo{{7, 3}}, SpiralFor{30}});
   rng::Rng rng_a(42), rng_b(42);
-  const SearchResult a = run_search(strategy, 4, {6, 3}, rng_a);
-  const SearchResult b = run_search(strategy, 4, {6, 3}, rng_b);
+  const TrialEnvironment env = single_target_environment({6, 3});
+  const TrialResult a = run_trial(strategy, 4, env, rng_a);
+  const TrialResult b = run_trial(strategy, 4, env, rng_b);
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.finder, b.finder);
   EXPECT_EQ(a.segments, b.segments);

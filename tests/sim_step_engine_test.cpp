@@ -5,11 +5,16 @@
 #include <stdexcept>
 
 #include "baselines/random_walk.h"
+#include "sim/trial.h"
 
 namespace ants::sim {
 namespace {
 
 using grid::Point;
+
+// Lock-step trials need a finite cap.
+const EngineConfig kCap100{.time_cap = 100};
+const EngineConfig kCap1000{.time_cap = 1000};
 
 /// Deterministic stepper marching east forever.
 class EastStrategy final : public StepStrategy {
@@ -37,8 +42,8 @@ class FanOutStrategy final : public StepStrategy {
 
 TEST(StepEngine, DeterministicMarchHitsAtDistance) {
   rng::Rng rng(1);
-  const SearchResult r =
-      run_step_search(EastStrategy{}, 1, {25, 0}, rng, 1000);
+  const TrialResult r = run_trial(
+      EastStrategy{}, 1, single_target_environment({25, 0}), rng, kCap1000);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 25);
   EXPECT_EQ(r.finder, 0);
@@ -46,24 +51,27 @@ TEST(StepEngine, DeterministicMarchHitsAtDistance) {
 
 TEST(StepEngine, MissesOffAxisTarget) {
   rng::Rng rng(2);
-  const SearchResult r = run_step_search(EastStrategy{}, 1, {5, 1}, rng, 100);
+  const TrialResult r = run_trial(
+      EastStrategy{}, 1, single_target_environment({5, 1}), rng, kCap100);
   EXPECT_FALSE(r.found);
   EXPECT_EQ(r.time, 100);
 }
 
 TEST(StepEngine, TreasureAtSourceInstant) {
   rng::Rng rng(3);
-  const SearchResult r =
-      run_step_search(EastStrategy{}, 2, grid::kOrigin, rng, 10);
+  const TrialResult r = run_trial(
+      EastStrategy{}, 2, single_target_environment(grid::kOrigin), rng,
+      kCap100);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 0);
+  EXPECT_EQ(r.finder, 0);
 }
 
 TEST(StepEngine, FanOutFinderIdentity) {
   rng::Rng rng(4);
   // Treasure north: only agent with direction (0,1) (index 1 mod 4) hits.
-  const SearchResult r =
-      run_step_search(FanOutStrategy{}, 4, {0, 12}, rng, 100);
+  const TrialResult r = run_trial(
+      FanOutStrategy{}, 4, single_target_environment({0, 12}), rng, kCap100);
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.time, 12);
   EXPECT_EQ(r.finder, 1);
@@ -71,14 +79,15 @@ TEST(StepEngine, FanOutFinderIdentity) {
 
 TEST(StepEngine, RequiresFiniteCap) {
   rng::Rng rng(5);
-  EXPECT_THROW(
-      run_step_search(EastStrategy{}, 1, {1, 0}, rng, kNeverTime),
-      std::invalid_argument);
+  EXPECT_THROW(run_trial(EastStrategy{}, 1, single_target_environment({1, 0}),
+                         rng, {.time_cap = kNeverTime}),
+               std::invalid_argument);
 }
 
 TEST(StepEngine, RejectsNonPositiveK) {
   rng::Rng rng(6);
-  EXPECT_THROW(run_step_search(EastStrategy{}, 0, {1, 0}, rng, 10),
+  EXPECT_THROW(run_trial(EastStrategy{}, 0, single_target_environment({1, 0}),
+                         rng, kCap100),
                std::invalid_argument);
 }
 
@@ -87,10 +96,11 @@ TEST(StepEngine, RandomWalkFindsAdjacentTreasureUsually) {
   // a 10k-step cap (the walk is recurrent in the "visits neighborhood"
   // sense; only the EXPECTED time is infinite).
   const baselines::RandomWalkStrategy rw;
+  const TrialEnvironment env = single_target_environment({1, 0});
   int found = 0;
   for (int trial = 0; trial < 50; ++trial) {
     rng::Rng rng(1000 + static_cast<std::uint64_t>(trial));
-    const SearchResult r = run_step_search(rw, 8, {1, 0}, rng, 10000);
+    const TrialResult r = run_trial(rw, 8, env, rng, {.time_cap = 10000});
     found += r.found ? 1 : 0;
   }
   EXPECT_GE(found, 45);
@@ -98,9 +108,10 @@ TEST(StepEngine, RandomWalkFindsAdjacentTreasureUsually) {
 
 TEST(StepEngine, RandomWalkDeterministicPerSeed) {
   const baselines::RandomWalkStrategy rw;
+  const TrialEnvironment env = single_target_environment({2, 1});
   rng::Rng a(99), b(99);
-  const SearchResult ra = run_step_search(rw, 3, {2, 1}, a, 5000);
-  const SearchResult rb = run_step_search(rw, 3, {2, 1}, b, 5000);
+  const TrialResult ra = run_trial(rw, 3, env, a, {.time_cap = 5000});
+  const TrialResult rb = run_trial(rw, 3, env, b, {.time_cap = 5000});
   EXPECT_EQ(ra.found, rb.found);
   EXPECT_EQ(ra.time, rb.time);
   EXPECT_EQ(ra.finder, rb.finder);

@@ -1,9 +1,9 @@
 // The unified environment-aware executor (sim/trial.h).
 //
 // The heart of this suite is byte-level conformance against REFERENCE
-// implementations of the three engines run_trial replaced: the pre-merge
-// run_step_trials lock-step loop and the pre-merge run_search_async
-// min-heap sweep are reimplemented here verbatim, and the unified executor
+// implementations of the engines run_trial replaced: the pre-merge
+// lock-step loop and the pre-merge asynchronous min-heap sweep are
+// reimplemented here verbatim, and the unified executor
 // must reproduce them exactly across strategies, schedules, crash models,
 // and seeds. On top of that come the genuinely new semantics: schedules and
 // crashes for step-level strategies (waiting and halting agents) and
@@ -21,7 +21,6 @@
 #include "core/harmonic.h"
 #include "core/known_k.h"
 #include "rng/splitmix64.h"
-#include "sim/multi_target.h"
 #include "sim/runner.h"
 #include "test_support.h"
 #include "util/sat.h"
@@ -62,14 +61,14 @@ class FanOutStrategy final : public StepStrategy {
 // kept verbatim so the unified executor is pinned to their exact behavior.
 // ---------------------------------------------------------------------------
 
-/// The pre-merge run_step_search: all k agents advance one edge per tick,
+/// The pre-merge lock-step search: all k agents advance one edge per tick,
 /// no environment support. Each agent steps (a one-agent kernel call) and
 /// checks in turn — the order the executors' step-all-then-detect ticks
 /// must reproduce.
-SearchResult reference_step_search(const StepStrategy& strategy, int k,
-                                   Point treasure, const rng::Rng& trial_rng,
-                                   Time time_cap) {
-  SearchResult result;
+TrialResult reference_step_search(const StepStrategy& strategy, int k,
+                                  Point treasure, const rng::Rng& trial_rng,
+                                  Time time_cap) {
+  TrialResult result;
   if (treasure == grid::kOrigin) {
     result.found = true;
     result.time = 0;
@@ -96,7 +95,7 @@ SearchResult reference_step_search(const StepStrategy& strategy, int k,
   return result;
 }
 
-/// The pre-merge run_search_async: interleaved min-heap sweep with
+/// The pre-merge asynchronous search: interleaved min-heap sweep with
 /// starts/lifetimes drawn from the dedicated child streams.
 TrialResult reference_async_search(const Strategy& strategy, int k,
                                    Point treasure, const rng::Rng& trial_rng,
@@ -210,7 +209,7 @@ TEST(TrialConformance, StepBackendMatchesOldStepEngineByteForByte) {
   for (const auto& c : cases) {
     for (std::uint64_t seed = 0; seed < 25; ++seed) {
       const rng::Rng trial(seed * 13 + 1);
-      const SearchResult ref =
+      const TrialResult ref =
           reference_step_search(*c.strategy, 4, c.treasure, trial, 5000);
       EngineConfig config;
       config.time_cap = 5000;
@@ -245,9 +244,9 @@ TEST(TrialConformance, RunStepTrialsMatchesOldLoopByteForByte) {
   for (std::size_t trial = 0; trial < 40; ++trial) {
     rng::Rng trial_rng(rng::mix_seed(config.seed, trial));
     const Point treasure = placement(trial_rng, 2);
-    const SearchResult ref =
+    const TrialResult ref =
         reference_step_search(rw, 3, treasure, trial_rng, config.time_cap);
-    ASSERT_EQ(rs.times[trial], static_cast<double>(ref.time)) << trial;
+    ASSERT_EQ(rs.times[trial], ref.time) << trial;
   }
 }
 
@@ -615,25 +614,6 @@ TEST(MultiTargetTrial, StepBackendNearTargetWins) {
   EXPECT_TRUE(r.found);
   EXPECT_EQ(r.first_target, 1);
   EXPECT_EQ(r.time, 3);
-}
-
-TEST(MultiTargetTrial, SegmentBackendMatchesFirstOfSetMultiEngine) {
-  const core::HarmonicStrategy s(0.5);
-  const std::vector<Point> targets{{6, 2}, {-9, 4}, {0, -12}};
-  EngineConfig config;
-  config.time_cap = 200'000;
-  for (std::uint64_t seed = 0; seed < 12; ++seed) {
-    const rng::Rng trial(seed * 3 + 1);
-    const MultiSearchResult multi =
-        run_search_multi(s, 6, targets, trial, config, false);
-    TrialEnvironment env;
-    env.targets = targets;
-    const TrialResult r = run_trial(s, 6, env, trial, config);
-    ASSERT_EQ(r.found, multi.found) << seed;
-    ASSERT_EQ(r.time, multi.first_time) << seed;
-    ASSERT_EQ(r.finder, multi.finder) << seed;
-    ASSERT_EQ(r.first_target, multi.first_target) << seed;
-  }
 }
 
 TEST(MultiTargetTrial, CrashCanForfeitTheNearPatch) {

@@ -31,10 +31,9 @@
 #include "core/lowmem.h"
 #include "core/single_shot.h"
 #include "core/uniform.h"
-#include "sim/async_engine.h"
-#include "sim/engine.h"
 #include "sim/placement.h"
 #include "sim/runner.h"
+#include "sim/trial.h"
 
 namespace ants {
 namespace {
@@ -160,18 +159,22 @@ TEST_P(StrategyConformanceTest, SmallScaleSearchTerminates) {
   EXPECT_GE(rs.time.mean, 0.0);
 }
 
-TEST_P(StrategyConformanceTest, AsyncSyncNoCrashMatchesPlainEngine) {
+TEST_P(StrategyConformanceTest, DrawnSyncNoCrashMatchesBaseModel) {
+  // The drivers skip draw_environment under the base model; that shortcut
+  // must be invisible for every strategy.
   const auto strategy = GetParam().make();
   const grid::Point treasure{5, -3};
   sim::EngineConfig config;
   config.time_cap = 1 << 20;
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     const rng::Rng trial(seed);
-    const sim::SearchResult plain =
-        run_search(*strategy, 8, treasure, trial, config);
-    const sim::TrialResult async = run_search_async(
-        *strategy, 8, treasure, trial, sim::SyncStart(), sim::NoCrash(),
-        config);
+    const sim::TrialResult plain = sim::run_trial(
+        *strategy, 8, sim::single_target_environment(treasure), trial, config);
+    const sim::TrialResult async = sim::run_trial(
+        *strategy, 8,
+        sim::draw_environment(8, {treasure}, sim::SyncStart(), sim::NoCrash(),
+                              trial),
+        trial, config);
     ASSERT_EQ(async.found, plain.found) << seed;
     ASSERT_EQ(async.time, plain.time) << seed;
     ASSERT_EQ(async.finder, plain.finder) << seed;
