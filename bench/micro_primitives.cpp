@@ -9,6 +9,7 @@
 #include "grid/staircase_path.h"
 #include "rng/power_law.h"
 #include "rng/rng.h"
+#include "scenario/registry.h"
 
 namespace {
 
@@ -67,6 +68,19 @@ void BM_PowerLawSample(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PowerLawSample);
+
+// Strategy setup cost: one registry build of the harmonic strategy. Its
+// radius law's octave table (~2^19 pow calls) is memoised per process, so
+// after the first iteration this times the parse + factory + table lookup.
+void BM_RegistryMakeHarmonic(benchmark::State& state) {
+  const ants::scenario::Registry& registry =
+      ants::scenario::Registry::instance();
+  const ants::scenario::BuildContext ctx{16};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.make("harmonic(delta=0.5)", ctx));
+  }
+}
+BENCHMARK(BM_RegistryMakeHarmonic);
 
 void BM_RngUniformU64(benchmark::State& state) {
   ants::rng::Rng rng(5);

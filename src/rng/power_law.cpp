@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
 #include <stdexcept>
+#include <utility>
 
 namespace ants::rng {
 
@@ -21,15 +24,32 @@ DiscretePowerLaw::DiscretePowerLaw(double exponent, std::int64_t r_max)
   }
   if (r_max < 1) throw std::invalid_argument("power-law r_max must be >= 1");
 
+  // Process-wide memo, never evicted: a run uses a handful of distinct
+  // (exponent, r_max) pairs at under 1 KiB each. The build runs under the
+  // lock, so concurrent first uses of one pair sum it once.
+  static std::mutex mutex;
+  static std::map<std::pair<double, std::int64_t>,
+                  std::shared_ptr<const OctaveTable>>
+      tables;
+  const std::lock_guard<std::mutex> lock(mutex);
+  std::shared_ptr<const OctaveTable>& slot = tables[{exponent_, r_max_}];
+  if (slot == nullptr) slot = build_table();
+  table_ = slot;
+}
+
+std::shared_ptr<const DiscretePowerLaw::OctaveTable>
+DiscretePowerLaw::build_table() const {
+  auto table = std::make_shared<OctaveTable>();
   for (std::int64_t lo = 1; lo <= r_max_; lo <<= 1) {
     const std::int64_t hi = std::min(r_max_ + 1, lo << 1);  // [lo, hi)
     const double w = (hi - lo) <= kExactTermLimit
                          ? octave_weight_exact(lo, hi)
                          : octave_weight_integral(lo, hi);
-    total_ += w;
-    octave_lo_.push_back(lo);
-    cum_weight_.push_back(total_);
+    table->total += w;
+    table->octave_lo.push_back(lo);
+    table->cum_weight.push_back(table->total);
   }
+  return table;
 }
 
 double DiscretePowerLaw::octave_weight_exact(std::int64_t lo,
@@ -60,12 +80,13 @@ double DiscretePowerLaw::octave_weight_integral(std::int64_t lo,
 
 std::int64_t DiscretePowerLaw::sample(Rng& rng) const {
   // Octave by inversion over the cumulative weights.
-  const double u = rng.uniform_unit() * total_;
-  const auto it = std::lower_bound(cum_weight_.begin(), cum_weight_.end(), u);
-  const std::size_t o = it == cum_weight_.end()
-                            ? cum_weight_.size() - 1
-                            : static_cast<std::size_t>(it - cum_weight_.begin());
-  const std::int64_t lo = octave_lo_[o];
+  const std::vector<double>& cum = table_->cum_weight;
+  const double u = rng.uniform_unit() * table_->total;
+  const auto it = std::lower_bound(cum.begin(), cum.end(), u);
+  const std::size_t o = it == cum.end()
+                            ? cum.size() - 1
+                            : static_cast<std::size_t>(it - cum.begin());
+  const std::int64_t lo = table_->octave_lo[o];
   const std::int64_t hi = std::min(r_max_ + 1, lo << 1);
 
   // Radius inside the octave by rejection: proposal uniform on [lo, hi),
@@ -80,7 +101,7 @@ std::int64_t DiscretePowerLaw::sample(Rng& rng) const {
 
 double DiscretePowerLaw::pmf(std::int64_t r) const {
   if (r < 1 || r > r_max_) return 0;
-  return std::pow(static_cast<double>(r), -exponent_) / total_;
+  return std::pow(static_cast<double>(r), -exponent_) / table_->total;
 }
 
 double DiscretePowerLaw::cdf(std::int64_t r) const {
@@ -88,12 +109,13 @@ double DiscretePowerLaw::cdf(std::int64_t r) const {
   r = std::min(r, r_max_);
   double acc = 0;
   // Whole octaves below r from the precomputed table, partial octave exactly.
+  const OctaveTable& table = *table_;
   std::size_t o = 0;
-  while (o < octave_lo_.size()) {
-    const std::int64_t lo = octave_lo_[o];
+  while (o < table.octave_lo.size()) {
+    const std::int64_t lo = table.octave_lo[o];
     const std::int64_t hi = std::min(r_max_ + 1, lo << 1);
     if (hi - 1 <= r) {
-      acc = cum_weight_[o];
+      acc = table.cum_weight[o];
       ++o;
     } else {
       for (std::int64_t q = lo; q <= r; ++q) {
@@ -102,7 +124,7 @@ double DiscretePowerLaw::cdf(std::int64_t r) const {
       break;
     }
   }
-  return acc / total_;
+  return acc / table.total;
 }
 
 }  // namespace ants::rng

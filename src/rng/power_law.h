@@ -12,12 +12,18 @@
 // Octave weights are exact sums for octaves with <= 2^18 terms and
 // Euler-Maclaurin-corrected integrals beyond (relative error < 1e-12 there).
 //
+// The octave table is a pure function of (exponent, r_max) and costs about
+// 2^19 std::pow calls at the default r_max, so each distinct pair is summed
+// once per process and shared by every law built on it: copies and repeat
+// constructions are O(1).
+//
 // The truncation at r_max (default 2^45) is a simulation artifact, not a
 // model change: a trip to radius r costs >= r steps, so every truncated
 // sample lies beyond any experiment's time bound; see DESIGN.md section 3.4.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "rng/rng.h"
@@ -41,17 +47,22 @@ class DiscretePowerLaw {
   double exponent() const { return exponent_; }
   std::int64_t r_max() const { return r_max_; }
   /// Unnormalized total weight sum_{r=1}^{r_max} r^-exponent.
-  double total_weight() const { return total_; }
+  double total_weight() const { return table_->total; }
 
  private:
+  struct OctaveTable {
+    std::vector<std::int64_t> octave_lo;  // first radius of each octave
+    std::vector<double> cum_weight;  // inclusive cumulative octave weights
+    double total = 0;
+  };
+
+  std::shared_ptr<const OctaveTable> build_table() const;
   double octave_weight_exact(std::int64_t lo, std::int64_t hi) const;
   double octave_weight_integral(std::int64_t lo, std::int64_t hi) const;
 
   double exponent_;
   std::int64_t r_max_;
-  std::vector<std::int64_t> octave_lo_;  // first radius of each octave
-  std::vector<double> cum_weight_;       // inclusive cumulative octave weights
-  double total_ = 0;
+  std::shared_ptr<const OctaveTable> table_;  // shared per (exponent, r_max)
 };
 
 }  // namespace ants::rng

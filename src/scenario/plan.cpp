@@ -1,5 +1,6 @@
 #include "scenario/plan.h"
 
+#include <map>
 #include <sstream>
 #include <utility>
 
@@ -44,7 +45,8 @@ std::uint64_t cell_hash(const ScenarioSpec& spec, const std::string& strategy,
 int cell_format_version() noexcept { return kCellFormatVersion; }
 
 std::vector<Cell> flatten(const ScenarioSpec& spec) {
-  spec.validate();
+  const std::vector<std::shared_ptr<const BuiltStrategy>> first_k_builds =
+      spec.validate();
   const std::string schedule = canonical_schedule_spec(spec.schedule);
   const std::string crash = canonical_crash_spec(spec.crash);
   const std::string capture = canonical_capture_spec(spec.capture);
@@ -63,12 +65,18 @@ std::vector<Cell> flatten(const ScenarioSpec& spec) {
   for (std::size_t si = 0; si < spec.strategies.size(); ++si) {
     const StrategySpec parsed = parse_strategy_spec(spec.strategies[si]);
     const std::string canonical = parsed.canonical();
+    // A strategy depends on k ("$k" defaults), never on the distance,
+    // placement, or targets: one build per (strategy, k), starting from the
+    // one validation made at the grid's first k.
+    std::map<std::int64_t, std::shared_ptr<const BuiltStrategy>> by_k = {
+        {spec.ks.front(), first_k_builds[si]}};
     for (const std::int64_t k : spec.ks) {
-      // The display name can depend on k ("$k" defaults), the distance,
-      // placement, and targets cannot — build once per (strategy, k).
-      const BuildContext ctx{static_cast<int>(k)};
-      const std::string display =
-          Registry::instance().make(parsed, ctx).display_name();
+      std::shared_ptr<const BuiltStrategy>& built = by_k[k];
+      if (built == nullptr) {
+        built = std::make_shared<const BuiltStrategy>(Registry::instance().make(
+            parsed, BuildContext{static_cast<int>(k)}));
+      }
+      const std::string display = built->display_name();
       for (const std::int64_t d : spec.distances) {
         for (std::size_t pi = 0; pi < placements.size(); ++pi) {
           for (std::size_t ti = 0; ti < targets.size(); ++ti) {
@@ -76,6 +84,7 @@ std::vector<Cell> flatten(const ScenarioSpec& spec) {
             cell.strategy_index = si;
             cell.strategy_spec = canonical;
             cell.strategy_name = display;
+            cell.built = built;
             cell.placement_index = pi;
             cell.placement_spec = placements[pi];
             cell.targets_index = ti;

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,10 @@ struct Cell {
   std::size_t strategy_index = 0;   ///< into spec.strategies
   std::string strategy_spec;        ///< canonical registry spec string
   std::string strategy_name;        ///< display name of the built strategy
+  /// The strategy built for (strategy_index, k) — one object shared by every
+  /// cell of that pair and read-only across scheduler threads. The plan is
+  /// the one place strategies are built; execution runs this object.
+  std::shared_ptr<const BuiltStrategy> built;
   std::size_t placement_index = 0;  ///< into spec.placements
   std::string placement_spec;       ///< canonical placement spec string
   std::size_t targets_index = 0;    ///< into spec.targets
@@ -56,7 +61,8 @@ int cell_format_version() noexcept;
 /// ks, then distances, then placements, then targets — cell
 /// (si, ki, di, pi, ti) lands at index
 /// (((si * ks.size() + ki) * distances.size() + di) * placements.size() +
-/// pi) * targets.size() + ti. Validates the spec.
+/// pi) * targets.size() + ti. Validates the spec and builds each
+/// (strategy, k) exactly once (validation's builds at ks.front() included).
 std::vector<Cell> flatten(const ScenarioSpec& spec);
 
 /// Hash over the canonical spec text and the cell format version — the

@@ -121,7 +121,8 @@ std::uint64_t hash_text(const std::string& text) noexcept {
   return h;
 }
 
-void ScenarioSpec::validate() const {
+std::vector<std::shared_ptr<const BuiltStrategy>> ScenarioSpec::validate()
+    const {
   if (strategies.empty()) bad("scenario '" + name + "': no strategies");
   if (ks.empty()) bad("scenario '" + name + "': empty k grid");
   if (distances.empty()) bad("scenario '" + name + "': empty distance grid");
@@ -175,30 +176,35 @@ void ScenarioSpec::validate() const {
       }
     }
   }
-  // Building each strategy (at the grid's first k) surfaces unknown names,
+  // Building each strategy at the grid's first k surfaces unknown names,
   // unknown/malformed parameters, and constructor range errors up front
-  // rather than mid-sweep. The unified executor gives EVERY strategy family
-  // — segment-, step-, and plane-level — the full environment (schedule,
-  // crash, targets), so no per-family axis rejections remain; only the
-  // finite-cap requirements below.
+  // rather than mid-sweep; the builds are handed back for the plan to keep.
+  // The unified executor gives EVERY strategy family — segment-, step-, and
+  // plane-level — the full environment (schedule, crash, targets), so no
+  // per-family axis rejections remain; only the finite-cap requirements
+  // below.
   const BuildContext ctx{static_cast<int>(ks.front())};
+  std::vector<std::shared_ptr<const BuiltStrategy>> builds;
+  builds.reserve(strategies.size());
   for (const std::string& s : strategies) {
-    const BuiltStrategy built = Registry::instance().make(s, ctx);
-    if (built.is_step() && time_cap == 0) {
+    const auto& built = builds.emplace_back(
+        std::make_shared<const BuiltStrategy>(
+            Registry::instance().make(s, ctx)));
+    if (built->is_step() && time_cap == 0) {
       bad("scenario '" + name + "': step-level strategy '" + s +
           "' requires a finite time_cap");
     }
-    if (built.is_plane() && time_cap == 0) {
+    if (built->is_plane() && time_cap == 0) {
       bad("scenario '" + name + "': plane-level strategy '" + s +
           "' requires a finite time_cap");
     }
     // Per-tick target positions / contact dwell only exist on the lock-step
     // backend, so these axes restrict the whole strategy list.
-    if (!built.is_step() && step_only_targets) {
+    if (!built->is_step() && step_only_targets) {
       bad("scenario '" + name + "': targets 'drift' requires step-level "
           "strategies, but '" + s + "' is not");
     }
-    if (!built.is_step() && capture_dwell() > 0) {
+    if (!built->is_step() && capture_dwell() > 0) {
       bad("scenario '" + name + "': capture 'dwell' requires step-level "
           "strategies, but '" + s + "' is not");
     }
@@ -208,6 +214,7 @@ void ScenarioSpec::validate() const {
       bad("scenario '" + name + "': unknown column '" + column + "'");
     }
   }
+  return builds;
 }
 
 std::string ScenarioSpec::canonical() const {

@@ -28,6 +28,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,6 +36,8 @@
 #include "util/cli.h"
 
 namespace ants::scenario {
+
+struct BuiltStrategy;  // scenario/registry.h
 
 struct ScenarioSpec {
   std::string name = "sweep";
@@ -97,8 +100,11 @@ struct ScenarioSpec {
 
   /// Throws std::invalid_argument on an unrunnable spec (empty strategy
   /// list, non-positive grids or trials, unknown placement or strategy,
-  /// malformed strategy spec, unknown column).
-  void validate() const;
+  /// malformed strategy spec, unknown column). Returns the strategies it
+  /// builds for its checks: element i is strategies[i] built at
+  /// k = ks.front(). flatten (plan.h) keeps them as the plan's builds, so
+  /// planning a spec builds each (strategy, k) exactly once.
+  std::vector<std::shared_ptr<const BuiltStrategy>> validate() const;
 
   /// Stable text-form serialization (round-trips through parse_spec_text);
   /// also the basis of cell cache keys.

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdio>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <utility>
@@ -132,24 +131,6 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
   }
   if (pending.empty()) return results;
 
-  // Strategies are built once per (strategy, k) — cells along the distance
-  // and placement grids share the object — and read-only shared across
-  // scheduler threads, same as sim::run_trials shares its strategy.
-  std::map<std::pair<std::size_t, std::int64_t>, BuiltStrategy> by_sk;
-  std::vector<const BuiltStrategy*> built(n_cells, nullptr);
-  for (const std::size_t i : pending) {
-    const auto key = std::make_pair(cells[i].strategy_index, cells[i].k);
-    auto it = by_sk.find(key);
-    if (it == by_sk.end()) {
-      it = by_sk
-               .emplace(key, Registry::instance().make(
-                                 cells[i].strategy_spec,
-                                 BuildContext{static_cast<int>(cells[i].k)}))
-               .first;
-    }
-    built[i] = &it->second;
-  }
-
   // Placement policies, target processes, schedule, and crash model are
   // stateless draws from the trial rng — one shared instance per spec is
   // thread-safe. Target processes compose the placement policy (grid points
@@ -166,7 +147,7 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
     const Cell& cell = cells[i];
     const std::size_t di = cell.placement_index * n_targets +
                            cell.targets_index;
-    if (built[i]->is_plane()) {
+    if (cell.built->is_plane()) {
       if (!plane_angles[cell.placement_index]) {
         plane_angles[cell.placement_index] =
             make_plane_angle(cell.placement_spec);
@@ -303,17 +284,19 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
 
   // Work items are (cell, trial-block) pairs run by the shared block
   // executor (sim::run_cell_blocks); this driver only aggregates. Cell j
-  // of the executor is pending[j]. Trace hookup: one track per scheduler
-  // worker, labelled spans named after the cell; labels are prebuilt so
-  // the per-trial record is just a push/extend on the worker's own buffer.
+  // of the executor is pending[j], running the strategy its plan built
+  // (Cell::built: one object per (strategy, k), read-only across threads).
+  // Trace hookup: one track per scheduler worker, labelled spans named
+  // after the cell; labels are prebuilt so the per-trial record is just a
+  // push/extend on the worker's own buffer.
   std::vector<sim::TrialCell> trial_cells;
   trial_cells.reserve(pending.size());
   for (const std::size_t i : pending) {
     const Cell& cell = cells[i];
     sim::TrialStrategy strategy;
-    strategy.segment = built[i]->segment.get();
-    strategy.step = built[i]->step.get();
-    strategy.plane = built[i]->plane.get();
+    strategy.segment = cell.built->segment.get();
+    strategy.step = cell.built->step.get();
+    strategy.plane = cell.built->plane.get();
     trial_cells.push_back(sim::TrialCell{
         strategy, static_cast<int>(cell.k), cell.distance, cell.seed,
         &target_processes[cell.placement_index * n_targets +
@@ -372,7 +355,7 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
     }
     if (dynamic) {
       const double nt = static_cast<double>(
-          built[ci]->is_plane() ? env.plane_targets.size()
+          cells[ci].built->is_plane() ? env.plane_targets.size()
                                 : env.targets.size());
       double nf = r.found ? 1.0 : 0.0;
       if (collect_all) {

@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "stats/regression.h"
@@ -134,6 +137,78 @@ TEST(PowerLaw, HarmonicRadiusLawExponent) {
     sum += static_cast<double>(law.sample(rng));
   }
   EXPECT_LT(sum / n, 50.0);  // E[r] = zeta-ish constant, well under 50
+}
+
+/// Everything observable about a law, doubles as bit patterns so equality
+/// is bit-for-bit: the total weight, pmf and cdf at probe radii, and a
+/// 10^4-draw sample stream from a fixed seed.
+struct LawSignature {
+  std::vector<std::uint64_t> weights;
+  std::vector<std::int64_t> samples;
+  bool operator==(const LawSignature&) const = default;
+};
+
+LawSignature signature_of(const DiscretePowerLaw& law) {
+  LawSignature sig;
+  sig.weights.push_back(std::bit_cast<std::uint64_t>(law.total_weight()));
+  for (const std::int64_t r : {std::int64_t{1}, std::int64_t{7},
+                               std::int64_t{3000}, std::int64_t{1} << 17,
+                               law.r_max()}) {
+    sig.weights.push_back(std::bit_cast<std::uint64_t>(law.pmf(r)));
+    sig.weights.push_back(std::bit_cast<std::uint64_t>(law.cdf(r)));
+  }
+  Rng rng(104);
+  for (int i = 0; i < 10000; ++i) sig.samples.push_back(law.sample(rng));
+  return sig;
+}
+
+TEST(PowerLaw, MemoisedTablesAreBitIdenticalAcrossBuildsAndThreads) {
+  // Octave tables are memoised per (exponent, r_max) for the whole process.
+  // Exponents no other test here uses, so the first serial build below is
+  // the one that sums the table; r_max 2^20 ends on an Euler-Maclaurin
+  // octave, 2^45 is the harmonic default.
+  const std::vector<double> exponents = {1.31, 1.57, 1.83};
+  const std::vector<std::int64_t> r_maxes = {std::int64_t{1} << 20,
+                                             std::int64_t{1} << 45};
+  std::vector<LawSignature> first;
+  for (const double e : exponents) {
+    for (const std::int64_t r_max : r_maxes) {
+      first.push_back(signature_of(DiscretePowerLaw(e, r_max)));
+    }
+  }
+  const auto all_match = [&](std::size_t* mismatches) {
+    std::size_t i = 0;
+    for (const double e : exponents) {
+      for (const std::int64_t r_max : r_maxes) {
+        const DiscretePowerLaw law(e, r_max);
+        const DiscretePowerLaw copy = law;
+        if (!(signature_of(law) == first[i])) ++*mismatches;
+        if (!(signature_of(copy) == first[i])) ++*mismatches;
+        ++i;
+      }
+    }
+  };
+  std::size_t serial_mismatches = 0;
+  all_match(&serial_mismatches);
+  EXPECT_EQ(serial_mismatches, 0u);
+
+  // Eight threads at once: every one rebuilds the six memoised laws, and
+  // all race on the first build of a pair nobody has built yet.
+  constexpr int kThreads = 8;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<LawSignature> fresh(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      fresh[t] = signature_of(DiscretePowerLaw(1.77, std::int64_t{1} << 30));
+      all_match(&mismatches[t]);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+    EXPECT_TRUE(fresh[t] == fresh[0]) << "thread " << t;
+  }
 }
 
 }  // namespace

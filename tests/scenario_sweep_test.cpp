@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/known_k.h"
+#include "scenario/registry.h"
 #include "scenario/sink.h"
 #include "sim/placement.h"
 #include "sim/runner.h"
@@ -177,6 +180,71 @@ TEST(Sweep, CachedAndFreshRowsRenderIdentically) {
   const auto fresh_rows = rendered_rows(spec, SweepOptions{});
   (void)run_sweep(spec, cached);  // populate
   EXPECT_EQ(rendered_rows(spec, cached), fresh_rows);
+}
+
+std::atomic<int> g_counted_builds{0};
+
+/// Registers "counted-a" and "counted-b": known-k under another name, with
+/// a factory that counts its calls in g_counted_builds.
+void register_counted_strategies() {
+  static const bool registered = [] {
+    for (const char* name : {"counted-a", "counted-b"}) {
+      StrategyEntry entry = *Registry::instance().find("known-k");
+      entry.name = name;
+      entry.factory = [inner = entry.factory](const Params& p,
+                                              const BuildContext& ctx) {
+        g_counted_builds.fetch_add(1);
+        return inner(p, ctx);
+      };
+      Registry::instance().add(std::move(entry));
+    }
+    return true;
+  }();
+  (void)registered;
+}
+
+/// 2 counted strategies x 3 ks: 6 (strategy, k) pairs over 24 cells.
+ScenarioSpec counted_spec() {
+  register_counted_strategies();
+  ScenarioSpec spec;
+  spec.name = "counted-builds";
+  spec.strategies = {"counted-a", "counted-b"};
+  spec.ks = {2, 4, 8};
+  spec.distances = {2, 4};
+  spec.placements = {"ring", "axis"};
+  spec.trials = 8;
+  return spec;
+}
+
+TEST(Sweep, BuildsEachStrategyOncePerKColdAndWarm) {
+  const ScenarioSpec spec = counted_spec();
+  SweepOptions opt;
+  opt.threads = 2;
+  opt.cache_dir = ::testing::TempDir() + "ants_sweep_counted_builds";
+  std::filesystem::remove_all(opt.cache_dir);
+
+  g_counted_builds = 0;
+  const std::vector<CellResult> cold = run_sweep(spec, opt);
+  ASSERT_EQ(cold.size(), 24u);
+  EXPECT_FALSE(cold.front().from_cache);
+  EXPECT_EQ(g_counted_builds.load(), 6);
+
+  g_counted_builds = 0;
+  const std::vector<CellResult> warm = run_sweep(spec, opt);
+  for (const CellResult& r : warm) EXPECT_TRUE(r.from_cache);
+  EXPECT_EQ(g_counted_builds.load(), 6);
+}
+
+TEST(Sweep, ShardedRunBuildsEachStrategyOncePerKFromThePlan) {
+  const ScenarioSpec spec = counted_spec();
+  g_counted_builds = 0;
+  const SweepPlan plan = make_plan(spec);
+  std::size_t cells = 0;
+  for (std::size_t shard = 1; shard <= 3; ++shard) {
+    cells += run_shard(plan, shard, 3).size();
+  }
+  EXPECT_EQ(cells, plan.cells.size());
+  EXPECT_EQ(g_counted_builds.load(), 6);
 }
 
 }  // namespace
