@@ -1,17 +1,10 @@
-// Microbenchmarks for the sweep I/O fast paths: binary columnar shard
-// artifacts vs the JSONL interchange format, and the packed cell-cache
-// index vs per-hash cache files.
-//
-// The perf contract this harness makes gateable (tools/bench_compare.py
-// --pair-gate, run by the CI benchmark job):
-//
-//   merge throughput   BM_MergeJsonlShards / BM_MergeBinaryShards >= 3x
-//   warm-cache sweep   BM_WarmCacheFilesSweep / BM_WarmCachePackedSweep >= 2x
-//
-// both over a 10,000-cell synthetic spec — the scale where a campaign's
-// merge and warm-resume costs stop being noise. The aggregate values are
-// synthesized (bit-patterned through the shared field table), not computed:
-// these benchmarks time serialization, parsing, and lookup, never trials.
+// Microbenchmarks for the sweep I/O paths: binary columnar shard artifacts
+// (write, read, full merge) and the warm sweep served from the cell cache
+// journal, each over a 10,000-cell synthetic spec — the scale where a
+// campaign's merge and warm-resume costs stop being noise. The aggregate
+// values are synthesized (bit-patterned through the shared field table),
+// not computed: these benchmarks time serialization, parsing, and lookup,
+// never trials.
 #include <benchmark/benchmark.h>
 
 #include <unistd.h>
@@ -25,7 +18,6 @@
 #include "scenario/artifact.h"
 #include "scenario/cache_pack.h"
 #include "scenario/plan.h"
-#include "scenario/sink.h"
 #include "scenario/sweep.h"
 
 namespace {
@@ -77,14 +69,12 @@ sc::CellResult synth_result(std::size_t cell_index) {
   return result;
 }
 
-std::vector<sc::ShardEntry> synth_entries(
+std::vector<sc::CellResult> synth_results(
     const std::vector<std::size_t>& indices) {
-  std::vector<sc::ShardEntry> entries(indices.size());
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    entries[j].cell_index = indices[j];
-    entries[j].result = synth_result(indices[j]);
-  }
-  return entries;
+  std::vector<sc::CellResult> results;
+  results.reserve(indices.size());
+  for (const std::size_t i : indices) results.push_back(synth_result(i));
+  return results;
 }
 
 sc::ShardHeader shard_header(std::size_t shard, std::size_t n_shards) {
@@ -101,104 +91,58 @@ sc::ShardHeader shard_header(std::size_t shard, std::size_t n_shards) {
 
 constexpr std::size_t kShards = 3;
 
-/// Writes the 3-shard artifact set once per format; returns the paths.
-const std::vector<std::string>& shard_paths(sc::ArtifactFormat format) {
-  static const auto make = [](sc::ArtifactFormat fmt) {
+/// Writes the 3-shard artifact set once; returns the paths.
+const std::vector<std::string>& shard_paths() {
+  static const std::vector<std::string> paths = [] {
     const sc::SweepPlan& plan = io_plan();
-    const char* ext = fmt == sc::ArtifactFormat::kBinary ? ".bin" : ".jsonl";
-    std::vector<std::string> paths;
+    std::vector<std::string> out;
     for (std::size_t s = 1; s <= kShards; ++s) {
       const std::string path =
-          bench_dir() + "/shard_" + std::to_string(s) + ext;
-      const std::vector<sc::ShardEntry> entries =
-          synth_entries(sc::shard_cell_indices(plan, s, kShards));
-      if (fmt == sc::ArtifactFormat::kBinary) {
-        sc::write_binary_artifact(path, shard_header(s, kShards), entries);
-      } else {
-        sc::write_shard_artifact(path, shard_header(s, kShards), entries);
-      }
-      paths.push_back(path);
+          bench_dir() + "/shard_" + std::to_string(s) + ".shard";
+      const std::vector<std::size_t> indices =
+          sc::shard_cell_indices(plan, s, kShards);
+      sc::write_binary_artifact(path, shard_header(s, kShards), indices,
+                                synth_results(indices));
+      out.push_back(path);
     }
-    return paths;
-  };
-  static const std::vector<std::string> jsonl =
-      make(sc::ArtifactFormat::kJsonl);
-  static const std::vector<std::string> binary =
-      make(sc::ArtifactFormat::kBinary);
-  return format == sc::ArtifactFormat::kBinary ? binary : jsonl;
+    return out;
+  }();
+  return paths;
 }
 
 // --- artifact write / read -------------------------------------------------
 
-void BM_ArtifactWriteJsonl(benchmark::State& state) {
-  const sc::SweepPlan& plan = io_plan();
-  const std::vector<sc::ShardEntry> entries =
-      synth_entries(sc::shard_cell_indices(plan, 1, 1));
-  const sc::ShardHeader header = shard_header(1, 1);
-  const std::string path = bench_dir() + "/write_bench.jsonl";
-  for (auto _ : state) {
-    sc::write_shard_artifact(path, header, entries);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(entries.size()));
-}
-BENCHMARK(BM_ArtifactWriteJsonl)->Unit(benchmark::kMillisecond);
-
 void BM_ArtifactWriteBinary(benchmark::State& state) {
   const sc::SweepPlan& plan = io_plan();
-  const std::vector<sc::ShardEntry> entries =
-      synth_entries(sc::shard_cell_indices(plan, 1, 1));
+  const std::vector<std::size_t> indices = sc::shard_cell_indices(plan, 1, 1);
+  const std::vector<sc::CellResult> results = synth_results(indices);
   const sc::ShardHeader header = shard_header(1, 1);
-  const std::string path = bench_dir() + "/write_bench.bin";
+  const std::string path = bench_dir() + "/write_bench.shard";
   for (auto _ : state) {
-    sc::write_binary_artifact(path, header, entries);
+    sc::write_binary_artifact(path, header, indices, results);
   }
   state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(entries.size()));
+                          static_cast<std::int64_t>(results.size()));
 }
 BENCHMARK(BM_ArtifactWriteBinary)->Unit(benchmark::kMillisecond);
 
-void BM_ArtifactReadJsonl(benchmark::State& state) {
-  const std::string& path = shard_paths(sc::ArtifactFormat::kJsonl).front();
-  for (auto _ : state) {
-    std::vector<sc::ShardEntry> entries;
-    const sc::ShardHeader header = sc::read_any_artifact(path, &entries);
-    benchmark::DoNotOptimize(header.spec_hash);
-    benchmark::DoNotOptimize(entries.data());
-  }
-}
-BENCHMARK(BM_ArtifactReadJsonl)->Unit(benchmark::kMillisecond);
-
 void BM_ArtifactReadBinary(benchmark::State& state) {
-  const std::string& path = shard_paths(sc::ArtifactFormat::kBinary).front();
+  const std::string& path = shard_paths().front();
   for (auto _ : state) {
-    std::vector<sc::ShardEntry> entries;
-    const sc::ShardHeader header = sc::read_any_artifact(path, &entries);
-    benchmark::DoNotOptimize(header.spec_hash);
-    benchmark::DoNotOptimize(entries.data());
+    const sc::BinaryArtifactReader reader(path);
+    std::vector<sc::CellResult> rows(reader.n_cells());
+    for (std::size_t i = 0; i < rows.size(); ++i) reader.load(i, &rows[i]);
+    benchmark::DoNotOptimize(reader.header().spec_hash);
+    benchmark::DoNotOptimize(rows.data());
   }
 }
 BENCHMARK(BM_ArtifactReadBinary)->Unit(benchmark::kMillisecond);
 
-// --- full merge: the pair-gated >= 3x contract -----------------------------
-
-void BM_MergeJsonlShards(benchmark::State& state) {
-  const sc::SweepPlan& plan = io_plan();
-  const std::vector<std::string>& paths =
-      shard_paths(sc::ArtifactFormat::kJsonl);
-  for (auto _ : state) {
-    const std::vector<sc::CellResult> merged = sc::merge_shards(plan, paths);
-    benchmark::DoNotOptimize(merged.data());
-  }
-  state.SetItemsProcessed(
-      state.iterations() * static_cast<std::int64_t>(plan.cells.size()));
-}
-BENCHMARK(BM_MergeJsonlShards)->Unit(benchmark::kMillisecond);
+// --- full merge ------------------------------------------------------------
 
 void BM_MergeBinaryShards(benchmark::State& state) {
   const sc::SweepPlan& plan = io_plan();
-  const std::vector<std::string>& paths =
-      shard_paths(sc::ArtifactFormat::kBinary);
+  const std::vector<std::string>& paths = shard_paths();
   for (auto _ : state) {
     const std::vector<sc::CellResult> merged = sc::merge_shards(plan, paths);
     benchmark::DoNotOptimize(merged.data());
@@ -208,35 +152,31 @@ void BM_MergeBinaryShards(benchmark::State& state) {
 }
 BENCHMARK(BM_MergeBinaryShards)->Unit(benchmark::kMillisecond);
 
-// --- warm-cache sweep: the pair-gated >= 2x contract -----------------------
+// --- warm-cache sweep -------------------------------------------------------
 
-/// Seeds a cache_dir with every plan cell's synthetic aggregates via the
-/// public store path, once per process.
-const std::string& seeded_cache_dir(bool packed) {
-  static const auto seed = [](const std::string& name) {
-    const std::string dir = bench_dir() + "/" + name;
+/// Seeds a cache journal with every plan cell's synthetic aggregates, once
+/// per process.
+const std::string& seeded_cache_dir() {
+  static const std::string dir = [] {
+    const std::string d = bench_dir() + "/cache";
     const sc::SweepPlan& plan = io_plan();
+    sc::PackedCacheIndex cache(d);
     for (std::size_t i = 0; i < plan.cells.size(); ++i) {
-      sc::cache_store(dir, plan.cells[i].hash, synth_result(i));
+      cache.append(plan.cells[i].hash, synth_result(i));
     }
-    return dir;
-  };
-  static const std::string files_dir = seed("cache_files");
-  static const std::string packed_dir = [&] {
-    const std::string dir = seed("cache_packed");
-    sc::pack_cache_dir(dir);
-    return dir;
+    return d;
   }();
-  return packed ? packed_dir : files_dir;
+  return dir;
 }
 
 /// One warm sweep pass: every cell hits the cache, zero trials execute —
-/// the iteration measures the cache front end (and result assembly) alone.
-void warm_sweep(benchmark::State& state, bool packed) {
+/// the iteration measures the journal load, the lookups and result
+/// assembly alone.
+void BM_WarmCachePackedSweep(benchmark::State& state) {
   const sc::SweepPlan& plan = io_plan();
   sc::SweepOptions opt;
   opt.threads = 1;
-  opt.cache_dir = seeded_cache_dir(packed);
+  opt.cache_dir = seeded_cache_dir();
   for (auto _ : state) {
     const std::vector<sc::CellResult> results =
         sc::run_shard(plan, 1, 1, opt);
@@ -244,15 +184,6 @@ void warm_sweep(benchmark::State& state, bool packed) {
   }
   state.SetItemsProcessed(
       state.iterations() * static_cast<std::int64_t>(plan.cells.size()));
-}
-
-void BM_WarmCacheFilesSweep(benchmark::State& state) {
-  warm_sweep(state, /*packed=*/false);
-}
-BENCHMARK(BM_WarmCacheFilesSweep)->Unit(benchmark::kMillisecond);
-
-void BM_WarmCachePackedSweep(benchmark::State& state) {
-  warm_sweep(state, /*packed=*/true);
 }
 BENCHMARK(BM_WarmCachePackedSweep)->Unit(benchmark::kMillisecond);
 

@@ -1,18 +1,15 @@
-// The shared aggregate serialization table and file-publication helpers
-// behind every persisted form of a CellResult.
+// The shared aggregate serialization table behind every persisted form of a
+// CellResult.
 //
-// Four formats serialize the same aggregate field set: the per-hash cache
-// record (key=value lines), the packed cache journal (cache_pack.h), the
-// JSONL shard artifact, and the binary columnar shard artifact
-// (artifact.h). They all index THIS table — one (name, getter, setter)
-// triple per aggregate, defined once in sink.cpp — so the formats can never
-// drift apart field-by-field: adding an aggregate here adds it everywhere,
-// and the binary column order is the table order by construction.
+// Two formats serialize the same aggregate field set: the cache journal
+// (cache_pack.h) and the binary columnar shard artifact (artifact.h). Both
+// index THIS table — one (name, getter, setter) triple per aggregate,
+// defined once in sink.cpp — so the formats can never drift apart
+// field-by-field: adding an aggregate here adds it everywhere, and the
+// record and column order is the table order by construction.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <iosfwd>
 #include <string>
 
 #include "scenario/sweep.h"
@@ -33,20 +30,8 @@ const AggField* agg_fields() noexcept;
 std::size_t agg_field_count() noexcept;
 
 /// The table's names joined with '\n' — the self-description blob binary
-/// artifacts and cache packs embed so an incompatible field set is detected
-/// by content, not just by version number.
+/// artifacts and cache journals embed so an incompatible field set is
+/// detected by content, not just by version number.
 std::string agg_field_names_blob();
-
-/// A temp-file name no other writer — thread or process — can collide on:
-/// racing stores of one entry each write their own temp and the renames
-/// serialize on the final path (POSIX rename replaces atomically).
-std::string unique_tmp_path(const std::string& path);
-
-/// Write-then-rename publication shared by cache entries and shard
-/// artifacts (text and binary): `fill` streams the content; a short write
-/// (e.g. disk full) removes the temp and throws instead of publishing.
-void atomic_write(const std::string& path,
-                  const std::function<void(std::ostream&)>& fill,
-                  bool binary = false);
 
 }  // namespace ants::scenario::detail

@@ -1,8 +1,10 @@
 #include "scenario/artifact.h"
 
-#include <cstring>
+#include <unistd.h>
+
+#include <atomic>
+#include <filesystem>
 #include <fstream>
-#include <ostream>
 #include <stdexcept>
 
 #include "scenario/agg_fields.h"
@@ -42,40 +44,37 @@ std::uint32_t crc32(const void* data, std::size_t size) noexcept {
   return crc ^ 0xFFFFFFFFu;
 }
 
+std::string write_temp(const std::string& path, const std::string& bytes) {
+  static std::atomic<std::uint64_t> counter{0};
+  const std::string tmp = path + ".tmp." +
+                          std::to_string(static_cast<long long>(::getpid())) +
+                          "." + std::to_string(counter.fetch_add(1));
+  std::ofstream out(tmp, std::ios::binary);
+  if (!out) throw std::runtime_error("cannot write file: " + tmp);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  out.flush();
+  if (!out.good()) {
+    out.close();
+    std::filesystem::remove(tmp);
+    throw std::runtime_error("failed writing file: " + tmp);
+  }
+  return tmp;
+}
+
+void atomic_write(const std::string& path, const std::string& bytes) {
+  std::filesystem::rename(write_temp(path, bytes), path);
+}
+
 }  // namespace detail
 
 namespace {
 
+using detail::append_u32;
+using detail::append_u64;
+using detail::load_u32;
+using detail::load_u64;
+
 constexpr char kMagic[8] = {'A', 'N', 'T', 'S', 'H', 'R', 'D', '\x01'};
-
-// The in-memory integer widths below are fixed by the format, not by the
-// host: every multi-byte value is written and read as little-endian bytes.
-// The build targets little-endian x86 (the SIMD batch executor already
-// assumes it), so the append/load helpers are plain memcpy.
-
-void append_bytes(std::string* out, const void* data, std::size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-
-void append_u32(std::string* out, std::uint32_t v) {
-  append_bytes(out, &v, sizeof v);
-}
-
-void append_u64(std::string* out, std::uint64_t v) {
-  append_bytes(out, &v, sizeof v);
-}
-
-std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
 
 [[noreturn]] void bad_artifact(const std::string& path,
                                const std::string& what) {
@@ -84,27 +83,26 @@ std::uint64_t load_u64(const std::uint8_t* p) {
 
 }  // namespace
 
-bool is_binary_artifact(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  char magic[sizeof kMagic];
-  if (!in.read(magic, sizeof magic)) return false;
-  return std::memcmp(magic, kMagic, sizeof kMagic) == 0;
-}
-
 void write_binary_artifact(const std::string& path, const ShardHeader& header,
-                           const std::vector<ShardEntry>& entries,
+                           const std::vector<std::size_t>& cell_indices,
+                           const std::vector<CellResult>& results,
                            const std::string* metrics_line) {
   const detail::AggField* fields = detail::agg_fields();
   const std::size_t n_fields = detail::agg_field_count();
   const std::string names = detail::agg_field_names_blob();
   const std::string metrics = metrics_line != nullptr ? *metrics_line : "";
-  const std::size_t n = entries.size();
+  const std::size_t n = results.size();
+  if (cell_indices.size() != n) {
+    bad_artifact(path, std::to_string(n) + " results for " +
+                           std::to_string(cell_indices.size()) +
+                           " cell indices");
+  }
 
   std::string buf;
   buf.reserve(sizeof kMagic + 128 + header.spec_text.size() +
               metrics.size() + names.size() + n * (8 * (n_fields + 1) + 1) +
               16);
-  append_bytes(&buf, kMagic, sizeof kMagic);
+  buf.append(kMagic, sizeof kMagic);
 
   // Meta section (CRC'd from just past the magic).
   const std::size_t meta_begin = buf.size();
@@ -128,26 +126,22 @@ void write_binary_artifact(const std::string& path, const ShardHeader& header,
   // Columns section: cell_index, one f64-bits array per aggregate field
   // in table order, from_cache flags, then the section CRC.
   const std::size_t columns_begin = buf.size();
-  for (const ShardEntry& entry : entries) {
-    append_u64(&buf, entry.cell_index);
-  }
+  for (const std::size_t index : cell_indices) append_u64(&buf, index);
   for (std::size_t f = 0; f < n_fields; ++f) {
-    for (const ShardEntry& entry : entries) {
-      const double v = fields[f].get(entry.result);
+    for (const CellResult& result : results) {
+      const double v = fields[f].get(result);
       std::uint64_t bits;
       std::memcpy(&bits, &v, sizeof bits);
       append_u64(&buf, bits);
     }
   }
-  for (const ShardEntry& entry : entries) {
-    buf += static_cast<char>(entry.result.from_cache ? 1 : 0);
+  for (const CellResult& result : results) {
+    buf += static_cast<char>(result.from_cache ? 1 : 0);
   }
   append_u32(&buf, detail::crc32(buf.data() + columns_begin,
                                  buf.size() - columns_begin));
 
-  detail::atomic_write(
-      path, [&](std::ostream& out) { out.write(buf.data(), buf.size()); },
-      /*binary=*/true);
+  detail::atomic_write(path, buf);
 }
 
 BinaryArtifactReader::BinaryArtifactReader(const std::string& path)
@@ -157,10 +151,13 @@ BinaryArtifactReader::BinaryArtifactReader(const std::string& path)
 
   // Fixed-width meta prelude: magic + 2 u32 + 8 u64.
   constexpr std::size_t kPrelude = sizeof kMagic + 2 * 4 + 8 * 8;
-  if (size < kPrelude) bad_artifact(path, "truncated (no header)");
-  if (std::memcmp(base, kMagic, sizeof kMagic) != 0) {
-    bad_artifact(path, "bad magic (not a binary shard artifact)");
+  if (size >= sizeof kMagic &&
+      std::memcmp(base, kMagic, sizeof kMagic) != 0) {
+    bad_artifact(path,
+                 "not a binary shard artifact (JSONL artifacts are no "
+                 "longer read — re-run the shard)");
   }
+  if (size < kPrelude) bad_artifact(path, "truncated (no header)");
 
   const std::uint8_t* p = base + sizeof kMagic;
   header_.format_version = static_cast<int>(load_u32(p));
@@ -237,33 +234,12 @@ bool BinaryArtifactReader::from_cache(std::size_t i) const noexcept {
   return map_.data()[columns_off_ + (1 + n_fields_) * n_cells_ * 8 + i] != 0;
 }
 
-ShardEntry BinaryArtifactReader::entry(std::size_t i) const {
+void BinaryArtifactReader::load(std::size_t i, CellResult* result) const {
   const detail::AggField* fields = detail::agg_fields();
-  ShardEntry out;
-  out.cell_index = static_cast<std::size_t>(cell_index(i));
   for (std::size_t f = 0; f < n_fields_; ++f) {
-    fields[f].set(out.result, value(f, i));
+    fields[f].set(*result, value(f, i));
   }
-  out.result.from_cache = from_cache(i);
-  return out;
-}
-
-ShardHeader read_any_artifact(const std::string& path,
-                              std::vector<ShardEntry>* entries,
-                              std::string* metrics_line) {
-  if (!is_binary_artifact(path)) {
-    return read_shard_artifact(path, entries, metrics_line);
-  }
-  BinaryArtifactReader reader(path);
-  if (entries != nullptr) {
-    entries->clear();
-    entries->reserve(reader.n_cells());
-    for (std::size_t i = 0; i < reader.n_cells(); ++i) {
-      entries->push_back(reader.entry(i));
-    }
-  }
-  if (metrics_line != nullptr) *metrics_line = reader.metrics_line();
-  return reader.header();
+  result->from_cache = from_cache(i);
 }
 
 }  // namespace ants::scenario

@@ -1,14 +1,15 @@
-// Binary columnar shard artifacts: the zero-copy interchange format.
+// Binary columnar shard artifacts: the interchange file between one
+// run_shard process and merge_shards.
 //
-// The JSONL artifact (sink.h) is the debuggable, diff-able interchange
-// format; this is its fast twin. A binary artifact stores the same header
-// and the same per-cell aggregates, but as fixed-width column arrays — one
-// u64 cell_index column, one f64 column per entry of the shared aggregate
-// table (agg_fields.h), one u8 from_cache column — so a reader can mmap the
-// file and load any value with pointer arithmetic instead of parsing text.
-// Doubles are stored as raw IEEE-754 bit patterns, which makes the
-// round-trip exact by construction (the JSONL path gets the same guarantee
-// from util::fmt_exact); merged CSVs are byte-identical across formats.
+// An artifact stores a self-describing header (format version, spec hash,
+// the full canonical spec text, shard coordinates, total cell count) and
+// the per-cell aggregates as fixed-width column arrays — one u64
+// cell_index column, one f64 column per entry of the shared aggregate
+// table (agg_fields.h), one u8 from_cache column — so a reader can mmap
+// the file and load any value with pointer arithmetic instead of parsing
+// text. Doubles are stored as raw IEEE-754 bit patterns, which makes the
+// round-trip exact by construction: merged CSVs are byte-identical to the
+// single-process run.
 //
 // Layout (all integers little-endian; offsets 8-byte aligned):
 //
@@ -44,28 +45,33 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <vector>
 
-#include "scenario/sink.h"
+#include "scenario/sweep.h"
 #include "util/mmap.h"
 
 namespace ants::scenario {
 
-// (ArtifactFormat, the writer-side format selector, lives in sweep.h next
-// to write_shard — readers never need it, the magic sniff decides.)
+struct ShardHeader {
+  int format_version = 0;       ///< scenario::cell_format_version() stamp
+  std::uint64_t spec_hash = 0;  ///< scenario::hash_spec of the plan's spec
+  std::string spec_text;        ///< canonical spec (parse_spec_text form)
+  std::size_t shard = 0;        ///< 1-based shard index
+  std::size_t n_shards = 0;
+  std::size_t n_cells_total = 0;  ///< cells in the WHOLE plan, not the shard
+};
 
-/// True when the file starts with the binary artifact magic. A short or
-/// unreadable file is simply "not binary" (the JSONL reader will produce
-/// the real error).
-bool is_binary_artifact(const std::string& path);
-
-/// Writes header + entries in the binary columnar layout. Atomic
-/// (unique temp + rename) like its JSONL counterpart, so a killed writer
-/// never publishes a partial artifact. `metrics_line` mirrors
-/// write_shard_artifact's.
+/// Writes header + one row per result in the binary columnar layout:
+/// row j is plan cell `cell_indices[j]` with the aggregates of
+/// `results[j]`, serialized straight through the aggregate table. Atomic
+/// (unique temp + rename), so a killed writer never publishes a partial
+/// artifact. `metrics_line` (optional) is telemetry::metrics_to_json
+/// output carried in the meta section.
 void write_binary_artifact(const std::string& path, const ShardHeader& header,
-                           const std::vector<ShardEntry>& entries,
+                           const std::vector<std::size_t>& cell_indices,
+                           const std::vector<CellResult>& results,
                            const std::string* metrics_line = nullptr);
 
 /// Zero-copy reader over one mmap'ed binary artifact. Construction
@@ -87,9 +93,9 @@ class BinaryArtifactReader {
   double value(std::size_t field, std::size_t i) const noexcept;
   bool from_cache(std::size_t i) const noexcept;
 
-  /// Materializes row i as a ShardEntry (result.cell left default; the
-  /// merge reattaches it from the plan, same as the JSONL path).
-  ShardEntry entry(std::size_t i) const;
+  /// Loads row i's aggregates and from_cache flag into `result`; its Cell
+  /// is left alone (merge and catalog attach it from the plan).
+  void load(std::size_t i, CellResult* result) const;
 
  private:
   util::MappedFile map_;
@@ -100,19 +106,45 @@ class BinaryArtifactReader {
   std::size_t columns_off_ = 0;  ///< byte offset of cell_index[0]
 };
 
-/// Reads either artifact format, dispatching on the magic sniff: the format
-/// is a property of the file, not a flag the caller must thread through.
-/// Same contract as read_shard_artifact (null `entries` reads the header
-/// alone; `metrics_line` gets "" when absent).
-ShardHeader read_any_artifact(const std::string& path,
-                              std::vector<ShardEntry>* entries,
-                              std::string* metrics_line = nullptr);
-
 namespace detail {
 
 /// CRC-32 (IEEE 802.3, reflected) over a byte range. Shared by the binary
-/// artifact sections and the cache-pack journal records.
+/// artifact sections and the cache journal records.
 std::uint32_t crc32(const void* data, std::size_t size) noexcept;
+
+// Fixed-width field helpers for both binary formats. Every multi-byte
+// value is written and read as little-endian bytes; the build targets
+// little-endian x86 (the SIMD batch executor already assumes it), so they
+// are plain memcpy.
+
+inline void append_u32(std::string* out, std::uint32_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+inline void append_u64(std::string* out, std::uint64_t v) {
+  out->append(reinterpret_cast<const char*>(&v), sizeof v);
+}
+
+inline std::uint32_t load_u32(const std::uint8_t* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+inline std::uint64_t load_u64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof v);
+  return v;
+}
+
+/// Writes `bytes` to a temp file beside `path` that no other writer —
+/// thread or process — can collide on, and returns its name. A short write
+/// (e.g. disk full) removes the temp and throws std::runtime_error.
+std::string write_temp(const std::string& path, const std::string& bytes);
+
+/// write_temp, then rename onto `path`: readers see the old file or the
+/// complete new one, never a torn one.
+void atomic_write(const std::string& path, const std::string& bytes);
 
 }  // namespace detail
 

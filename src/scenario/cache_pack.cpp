@@ -3,13 +3,10 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <cstdio>
+#include <cerrno>
 #include <cstring>
 #include <filesystem>
-#include <map>
-#include <memory>
-#include <ostream>
-#include <stdexcept>
+#include <system_error>
 #include <utility>
 
 #include "scenario/agg_fields.h"
@@ -22,33 +19,65 @@ namespace ants::scenario {
 
 namespace {
 
+using detail::append_u32;
+using detail::append_u64;
+using detail::load_u32;
+using detail::load_u64;
+
 constexpr char kPackMagic[8] = {'A', 'N', 'T', 'S', 'P', 'C', 'K', '\x01'};
 constexpr char kRecordMagic[4] = {'P', 'C', 'K', '1'};
 
-std::string pack_path(const std::string& dir) { return dir + "/cache.pack"; }
-
-void append_bytes(std::string* out, const void* data, std::size_t size) {
-  out->append(static_cast<const char*>(data), size);
+std::string journal_path(const std::string& dir) {
+  return dir + "/cache.pack";
 }
 
-void append_u32(std::string* out, std::uint32_t v) {
-  append_bytes(out, &v, sizeof v);
+[[noreturn]] void journal_error(const std::string& path,
+                                const std::string& what) {
+  throw CacheJournalError("cache journal " + path + ": " + what);
 }
 
-void append_u64(std::string* out, std::uint64_t v) {
-  append_bytes(out, &v, sizeof v);
+/// The header this build writes — and the only one it accepts.
+const std::string& journal_header() {
+  static const std::string header = [] {
+    const std::string names = detail::agg_field_names_blob();
+    std::string buf(kPackMagic, sizeof kPackMagic);
+    append_u32(&buf, static_cast<std::uint32_t>(cell_format_version()));
+    append_u32(&buf, static_cast<std::uint32_t>(detail::agg_field_count()));
+    append_u64(&buf, names.size());
+    buf += names;
+    append_u32(&buf, detail::crc32(buf.data() + sizeof kPackMagic,
+                                   buf.size() - sizeof kPackMagic));
+    return buf;
+  }();
+  return header;
 }
 
-std::uint32_t load_u32(const std::uint8_t* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-std::uint64_t load_u64(const std::uint8_t* p) {
-  std::uint64_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
+/// Throws CacheJournalError, saying what differs, unless the `size` bytes
+/// at `base` open with journal_header().
+void check_header(const std::string& path, const std::uint8_t* base,
+                  std::size_t size) {
+  const std::string& want = journal_header();
+  if (size >= want.size() &&
+      std::memcmp(base, want.data(), want.size()) == 0) {
+    return;
+  }
+  if (size < sizeof kPackMagic ||
+      std::memcmp(base, kPackMagic, sizeof kPackMagic) != 0) {
+    journal_error(path, "not a cache journal (bad magic)");
+  }
+  if (size >= sizeof kPackMagic + 4 &&
+      load_u32(base + sizeof kPackMagic) !=
+          static_cast<std::uint32_t>(cell_format_version())) {
+    journal_error(path,
+                  "format version " +
+                      std::to_string(load_u32(base + sizeof kPackMagic)) +
+                      " does not match this build's " +
+                      std::to_string(cell_format_version()) +
+                      " — delete it to rebuild the cache");
+  }
+  journal_error(path,
+                "header does not match this build's aggregate fields — "
+                "delete it to rebuild the cache");
 }
 
 /// One journal record: magic + hash + f64-bits values + CRC of the
@@ -57,205 +86,126 @@ std::size_t record_size(std::size_t n_fields) {
   return sizeof kRecordMagic + 8 + 8 * n_fields + 4;
 }
 
+std::vector<double> result_values(const CellResult& result) {
+  const detail::AggField* fields = detail::agg_fields();
+  std::vector<double> values(detail::agg_field_count());
+  for (std::size_t f = 0; f < values.size(); ++f) {
+    values[f] = fields[f].get(result);
+  }
+  return values;
+}
+
 std::string serialize_record(std::uint64_t hash,
                              const std::vector<double>& values) {
-  std::string buf;
+  std::string buf(kRecordMagic, sizeof kRecordMagic);
   buf.reserve(record_size(values.size()));
-  append_bytes(&buf, kRecordMagic, sizeof kRecordMagic);
-  const std::size_t payload_begin = buf.size();
   append_u64(&buf, hash);
   for (double v : values) {
     std::uint64_t bits;
     std::memcpy(&bits, &v, sizeof bits);
     append_u64(&buf, bits);
   }
-  append_u32(&buf, detail::crc32(buf.data() + payload_begin,
-                                 buf.size() - payload_begin));
+  append_u32(&buf, detail::crc32(buf.data() + sizeof kRecordMagic,
+                                 buf.size() - sizeof kRecordMagic));
   return buf;
 }
 
-std::string serialize_header(std::size_t n_fields, const std::string& names) {
-  std::string buf;
-  append_bytes(&buf, kPackMagic, sizeof kPackMagic);
-  const std::size_t crc_begin = buf.size();
-  append_u32(&buf, static_cast<std::uint32_t>(cell_format_version()));
-  append_u32(&buf, static_cast<std::uint32_t>(n_fields));
-  append_u64(&buf, names.size());
-  buf += names;
-  append_u32(&buf,
-             detail::crc32(buf.data() + crc_begin, buf.size() - crc_begin));
-  return buf;
-}
-
-/// Parses a pack file into `out` (last record wins per hash). Returns false
-/// when the file is absent, unreadable, or its header does not describe the
-/// running build — callers treat all three as "no pack". Corrupt records
-/// are skipped, resynchronizing on the next record magic; `corrupt` counts
-/// one per damaged stretch (a torn tail, an interleaved write, a flipped
-/// byte each count once, however many bytes they cost).
-template <typename Map>
-bool parse_pack(const std::string& path, Map* out, std::size_t* corrupt) {
-  const std::size_t n_fields = detail::agg_field_count();
-  const std::string names = detail::agg_field_names_blob();
-
-  std::unique_ptr<util::MappedFile> map;
+/// Opens <dir>/cache.pack for appending — creating `dir` and the journal
+/// first when absent — and checks its header.
+int open_journal(const std::string& dir) {
+  const std::string path = journal_path(dir);
+  int fd = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+  if (fd < 0 && errno == ENOENT) {
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+    if (ec) journal_error(path, "cannot create directory: " + ec.message());
+    std::string tmp;
+    try {
+      tmp = detail::write_temp(path, journal_header());
+    } catch (const std::exception& e) {
+      journal_error(path, e.what());
+    }
+    // link() never replaces: when racing first stores collide, exactly one
+    // header lands and the losers see EEXIST. Their headers are the same
+    // bytes, so every writer can go on to append.
+    const int linked = ::link(tmp.c_str(), path.c_str());
+    const int link_errno = errno;
+    ::unlink(tmp.c_str());
+    if (linked != 0 && link_errno != EEXIST) {
+      journal_error(path,
+                    std::string("cannot create: ") + std::strerror(link_errno));
+    }
+    fd = ::open(path.c_str(), O_RDWR | O_APPEND | O_CLOEXEC);
+  }
+  if (fd < 0) {
+    const int open_errno = errno;
+    journal_error(path, std::string("cannot open for append: ") +
+                            std::strerror(open_errno));
+  }
+  std::string head(journal_header().size(), '\0');
+  const ssize_t got = ::pread(fd, head.data(), head.size(), 0);
   try {
-    map = std::make_unique<util::MappedFile>(path);
-  } catch (const std::runtime_error&) {
-    return false;
+    check_header(path, reinterpret_cast<const std::uint8_t*>(head.data()),
+                 got < 0 ? 0 : static_cast<std::size_t>(got));
+  } catch (...) {
+    ::close(fd);
+    throw;
   }
-  const std::uint8_t* base = map->data();
-  const std::size_t size = map->size();
+  return fd;
+}
 
-  const std::size_t header_size =
-      sizeof kPackMagic + 4 + 4 + 8 + names.size() + 4;
-  if (size < header_size) return false;
-  if (std::memcmp(base, kPackMagic, sizeof kPackMagic) != 0) return false;
-  const std::uint8_t* p = base + sizeof kPackMagic;
-  if (load_u32(p) != static_cast<std::uint32_t>(cell_format_version())) {
-    return false;
+/// One write() under O_APPEND: concurrent shard processes interleave at
+/// record granularity; a torn tail (crash mid-write) is caught by the
+/// record CRC on the next load and skipped.
+void write_record(int fd, const std::string& dir, const std::string& rec) {
+  const ssize_t written = ::write(fd, rec.data(), rec.size());
+  if (written != static_cast<ssize_t>(rec.size())) {
+    const std::string why =
+        written < 0 ? std::strerror(errno) : "short write";
+    journal_error(journal_path(dir), "append failed: " + why);
   }
-  if (load_u32(p + 4) != n_fields) return false;
-  if (load_u64(p + 8) != names.size()) return false;
-  if (std::memcmp(p + 16, names.data(), names.size()) != 0) return false;
-  const std::uint32_t want_crc = load_u32(base + header_size - 4);
-  if (want_crc != detail::crc32(base + sizeof kPackMagic,
-                                header_size - sizeof kPackMagic - 4)) {
-    return false;
-  }
+}
 
+}  // namespace
+
+PackedCacheIndex::PackedCacheIndex(const std::string& dir) : dir_(dir) {
+  const std::string path = journal_path(dir);
+  if (!std::filesystem::exists(path)) return;
+  const util::MappedFile map(path);
+  const std::uint8_t* base = map.data();
+  const std::size_t size = map.size();
+  check_header(path, base, size);
+  present_ = true;
+
+  // Records, last one wins per hash. A damaged stretch — a torn tail, an
+  // interleaved write, a flipped byte — is skipped byte by byte until the
+  // next record magic whose CRC holds, and counts once however many bytes
+  // it costs.
+  const std::size_t n_fields = detail::agg_field_count();
   const std::size_t rec = record_size(n_fields);
-  std::size_t off = header_size;
+  const std::size_t payload_size = 8 + 8 * n_fields;
+  std::size_t off = journal_header().size();
   bool in_garbage = false;
   while (off < size) {
     if (size - off < rec ||
-        std::memcmp(base + off, kRecordMagic, sizeof kRecordMagic) != 0) {
-      if (!in_garbage && corrupt != nullptr) ++*corrupt;
-      in_garbage = true;
-      ++off;
-      continue;
-    }
-    const std::uint8_t* payload = base + off + sizeof kRecordMagic;
-    const std::size_t payload_size = 8 + 8 * n_fields;
-    const std::uint32_t rec_crc = load_u32(payload + payload_size);
-    if (rec_crc != detail::crc32(payload, payload_size)) {
-      if (!in_garbage && corrupt != nullptr) ++*corrupt;
+        std::memcmp(base + off, kRecordMagic, sizeof kRecordMagic) != 0 ||
+        load_u32(base + off + sizeof kRecordMagic + payload_size) !=
+            detail::crc32(base + off + sizeof kRecordMagic, payload_size)) {
+      if (!in_garbage) ++corrupt_records_;
       in_garbage = true;
       ++off;
       continue;
     }
     in_garbage = false;
-    const std::uint64_t hash = load_u64(payload);
+    const std::uint8_t* payload = base + off + sizeof kRecordMagic;
     std::vector<double> values(n_fields);
     for (std::size_t f = 0; f < n_fields; ++f) {
       const std::uint64_t bits = load_u64(payload + 8 + 8 * f);
       std::memcpy(&values[f], &bits, sizeof(double));
     }
-    (*out)[hash] = std::move(values);
+    index_[load_u64(payload)] = std::move(values);
     off += rec;
   }
-  return true;
-}
-
-std::vector<double> result_values(const CellResult& result) {
-  const detail::AggField* fields = detail::agg_fields();
-  const std::size_t n_fields = detail::agg_field_count();
-  std::vector<double> values(n_fields);
-  for (std::size_t f = 0; f < n_fields; ++f) {
-    values[f] = fields[f].get(result);
-  }
-  return values;
-}
-
-/// Hash of a per-hash cache file name ("%016llx.cell"), or false.
-bool parse_cell_filename(const std::string& name, std::uint64_t* hash) {
-  if (name.size() != 16 + 5 || name.substr(16) != ".cell") return false;
-  std::uint64_t value = 0;
-  for (char c : name.substr(0, 16)) {
-    int digit;
-    if (c >= '0' && c <= '9') {
-      digit = c - '0';
-    } else if (c >= 'a' && c <= 'f') {
-      digit = c - 'a' + 10;
-    } else {
-      return false;
-    }
-    value = value << 4 | static_cast<std::uint64_t>(digit);
-  }
-  *hash = value;
-  return true;
-}
-
-}  // namespace
-
-PackStats pack_cache_dir(const std::string& dir) {
-  std::filesystem::create_directories(dir);
-  PackStats stats;
-
-  // Deterministic pack contents: records sorted by hash, existing journal
-  // entries folded in first so a fresher .cell file (if both exist) wins.
-  std::map<std::uint64_t, std::vector<double>> records;
-  parse_pack(pack_path(dir), &records, &stats.corrupt_dropped);
-
-  std::vector<std::string> folded;
-  std::vector<std::string> corrupt;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (!entry.is_regular_file()) continue;
-    std::uint64_t hash = 0;
-    if (!parse_cell_filename(entry.path().filename().string(), &hash)) {
-      continue;
-    }
-    CellResult result;
-    switch (cache_lookup(dir, hash, &result)) {
-      case CacheLookup::kHit:
-        records[hash] = result_values(result);
-        folded.push_back(entry.path().string());
-        break;
-      case CacheLookup::kCorrupt:
-        ++stats.corrupt_dropped;
-        corrupt.push_back(entry.path().string());
-        break;
-      case CacheLookup::kMiss:
-        break;  // raced with a concurrent remove; nothing to fold
-    }
-  }
-
-  const std::string names = detail::agg_field_names_blob();
-  detail::atomic_write(
-      pack_path(dir),
-      [&](std::ostream& out) {
-        const std::string header =
-            serialize_header(detail::agg_field_count(), names);
-        out.write(header.data(),
-                  static_cast<std::streamsize>(header.size()));
-        for (const auto& [hash, values] : records) {
-          const std::string rec = serialize_record(hash, values);
-          out.write(rec.data(), static_cast<std::streamsize>(rec.size()));
-        }
-      },
-      /*binary=*/true);
-
-  for (const std::string& path : folded) std::filesystem::remove(path);
-  for (const std::string& path : corrupt) std::filesystem::remove(path);
-  stats.packed_cells = records.size();
-  stats.folded_files = folded.size();
-  return stats;
-}
-
-PackedCacheIndex::PackedCacheIndex(const std::string& dir) {
-  if (!parse_pack(pack_path(dir), &index_, &corrupt_records_)) {
-    index_.clear();
-    return;
-  }
-  fd_ = ::open(pack_path(dir).c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    // Readable but not appendable — fall back to per-hash files entirely
-    // rather than serve lookups we could not keep coherent on store.
-    index_.clear();
-    corrupt_records_ = 0;
-    return;
-  }
-  present_ = true;
 }
 
 PackedCacheIndex::~PackedCacheIndex() {
@@ -280,14 +230,30 @@ void PackedCacheIndex::append(std::uint64_t hash, const CellResult& result) {
   std::vector<double> values = result_values(result);
   const std::string rec = serialize_record(hash, values);
   std::lock_guard<std::mutex> lock(mutex_);
-  // One write() under O_APPEND: concurrent shard processes interleave at
-  // record granularity; a torn tail (crash mid-write) is caught by the
-  // record CRC on the next load and skipped.
-  const ssize_t written = ::write(fd_, rec.data(), rec.size());
-  if (written != static_cast<ssize_t>(rec.size())) {
-    throw std::runtime_error("cache pack: append failed");
-  }
+  if (fd_ < 0) fd_ = open_journal(dir_);
+  write_record(fd_, dir_, rec);
   index_[hash] = std::move(values);
+}
+
+CacheLookup cache_lookup(const std::string& dir, std::uint64_t hash,
+                         CellResult* result) {
+  const PackedCacheIndex index(dir);
+  if (index.load(hash, result)) return CacheLookup::kHit;
+  return index.corrupt_records() > 0 ? CacheLookup::kCorrupt
+                                     : CacheLookup::kMiss;
+}
+
+void cache_store(const std::string& dir, std::uint64_t hash,
+                 const CellResult& result) {
+  const std::string rec = serialize_record(hash, result_values(result));
+  const int fd = open_journal(dir);
+  try {
+    write_record(fd, dir, rec);
+  } catch (...) {
+    ::close(fd);
+    throw;
+  }
+  ::close(fd);
 }
 
 }  // namespace ants::scenario

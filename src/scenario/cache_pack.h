@@ -1,11 +1,9 @@
-// Packed cell-cache index: one journal file instead of one file per cell.
+// The cell cache: one append-only journal per cache_dir.
 //
-// The per-hash cache (sink.h) costs an open+read+parse per cell on every
-// warm lookup; at tens of thousands of cells the sweep's warm path is
-// dominated by filesystem metadata, not arithmetic. `cache pack` compacts
-// the per-hash files into a single append-only journal
-// (<cache_dir>/cache.pack) and run_cells loads it once into an in-memory
-// hash map — a warm sweep then pays one mmap plus hash lookups.
+// Every completed cell appends one CRC-framed record to <cache_dir>/
+// cache.pack; a run loads the journal once (one mmap) into an in-memory
+// hash map, so a warm sweep pays one file read plus hash lookups however
+// many cells it has.
 //
 // Layout:
 //
@@ -19,23 +17,31 @@
 //            f64-bits value[n_fields] (aggregate table order)
 //            u32 record_crc           CRC-32 of hash + values
 //
-// Every record is self-framed (magic + CRC), so concurrent appenders using
-// O_APPEND stay safe: a torn or interleaved tail fails its CRC and the
-// reader resynchronizes on the next record magic, counting what it skipped.
-// Duplicate hashes are legal — last record wins — which is what makes the
-// journal appendable without coordination. A header that does not match the
-// running build (version, field count, names) reads as "no pack": lookups
-// fall back to the per-hash files, and cell hashes embed the format version
-// anyway, so a stale pack can never serve a wrong value — only a useless
-// one.
+// The journal is created on the first store. The header is written to a
+// unique temp file and link()ed into place, so when several shard
+// processes make that first store at once exactly one header wins and
+// nobody's records are clobbered (a rename could replace a journal another
+// process has already appended to). Every writer then appends with
+// O_APPEND, one write() per record. Records are self-framed (magic + CRC):
+// a torn or interleaved tail fails its CRC and the reader resynchronizes
+// on the next record magic, counting what it skipped. Duplicate hashes are
+// legal — last record wins — which is what makes the journal appendable
+// without coordination.
 //
-// The killed-shard resume contract is unchanged: finalize_cell appends to
-// the journal (when a pack exists) or writes a per-hash file, both atomic,
-// so a rerun after SIGKILL reuses every completed cell.
+// A journal whose header does not describe the running build (version,
+// field count, names) is a CacheJournalError naming the file: it is never
+// read and never appended to. So is a journal that cannot be created or
+// opened for append.
+//
+// The killed-shard resume contract: finalize_cell appends each cell the
+// moment it completes, so a rerun after SIGKILL reuses every completed
+// cell and recomputes only the ones whose records never landed (or were
+// torn).
 #pragma once
 
 #include <cstdint>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -44,52 +50,45 @@
 
 namespace ants::scenario {
 
-/// What pack_cache_dir did, for the CLI to report.
-struct PackStats {
-  std::size_t packed_cells = 0;    ///< distinct hashes in the new pack
-  std::size_t folded_files = 0;    ///< per-hash .cell files absorbed+removed
-  std::size_t corrupt_dropped = 0; ///< corrupt files/records discarded
+/// A cache journal this build cannot use: written by an incompatible
+/// build, or not creatable/appendable. The message names the file.
+class CacheJournalError : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
-/// Compacts `dir` in place: existing pack records (if any) plus every
-/// parseable *.cell file fold into a fresh cache.pack (written atomically),
-/// then the folded .cell files are removed. Corrupt .cell files and corrupt
-/// journal records are dropped and counted. Safe to run on a cache_dir that
-/// has neither — the result is an empty-but-valid pack.
-PackStats pack_cache_dir(const std::string& dir);
-
-/// The in-memory index over one cache.pack, loaded once per run_cells.
+/// The in-memory index over one cache journal, loaded once per run_cells.
 /// Lookups and appends are thread-safe within the process; appends from
 /// concurrent shard processes are safe via O_APPEND + per-record framing.
 class PackedCacheIndex {
  public:
-  /// Loads <dir>/cache.pack if present and compatible. Never throws on
-  /// journal content: an absent, incompatible, or unreadable pack leaves
-  /// present() false, and corrupt records are skipped and counted.
+  /// Loads <dir>/cache.pack if it exists. Corrupt records are skipped and
+  /// counted; an incompatible header throws CacheJournalError.
   explicit PackedCacheIndex(const std::string& dir);
   ~PackedCacheIndex();
 
   PackedCacheIndex(const PackedCacheIndex&) = delete;
   PackedCacheIndex& operator=(const PackedCacheIndex&) = delete;
 
-  /// True when a compatible pack was found — lookups and appends are live.
+  /// True when a journal existed at construction (it may still be empty).
   bool present() const noexcept { return present_; }
   /// Distinct hashes in the index.
   std::size_t size() const noexcept { return index_.size(); }
-  /// Torn or corrupt journal records skipped during load.
+  /// Torn or corrupt journal stretches skipped during load.
   std::size_t corrupt_records() const noexcept { return corrupt_records_; }
 
-  /// On hit, loads the aggregates into `result` (which keeps its Cell),
-  /// mirroring cache_lookup's contract.
+  /// On hit, loads the aggregates into `result` (which keeps its Cell).
   bool load(std::uint64_t hash, CellResult* result) const;
 
-  /// Appends one CRC-framed record to the journal (O_APPEND) and updates
-  /// the in-memory index. Throws std::runtime_error if the write fails.
+  /// Appends one CRC-framed record to the journal — creating it on first
+  /// use — and updates the in-memory index. Throws CacheJournalError if
+  /// the journal cannot be opened or the write fails.
   void append(std::uint64_t hash, const CellResult& result);
 
  private:
+  std::string dir_;
   bool present_ = false;
-  int fd_ = -1;  ///< journal descriptor, O_APPEND, owned
+  int fd_ = -1;  ///< journal descriptor, O_APPEND, opened on first append
   std::size_t corrupt_records_ = 0;
   std::unordered_map<std::uint64_t, std::vector<double>> index_;
   mutable std::mutex mutex_;

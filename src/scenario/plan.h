@@ -10,7 +10,7 @@
 //            thread count, or which host runs the shard — so every process
 //            that parses the same spec derives the identical partition.
 //   execute  run_shard (sweep.h) runs exactly one shard's cells through the
-//            unified executor and writes a self-describing JSONL artifact.
+//            unified executor and writes a self-describing binary artifact.
 //   merge    merge_shards (sweep.h) reassembles artifacts into the
 //            canonical CellResult vector, which feeds the sinks unchanged.
 //

@@ -1,14 +1,7 @@
 #include "scenario/sink.h"
 
-#include <unistd.h>
-
-#include <atomic>
-#include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <ostream>
 #include <stdexcept>
 
@@ -202,8 +195,6 @@ const Column* find_column(const std::string& name) {
   return nullptr;
 }
 
-using util::fmt_exact;  // cache records must round-trip every double
-
 }  // namespace
 
 std::vector<std::string> all_columns() {
@@ -290,21 +281,13 @@ void emit_results(const ScenarioSpec& spec,
   for (ResultSink* sink : sinks) sink->end();
 }
 
-// --- per-cell result cache + shard artifacts -------------------------------
+// --- the shared aggregate table ---------------------------------------------
 
 namespace {
 
-std::string cache_path(const std::string& dir, std::uint64_t hash) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.cell",
-                static_cast<unsigned long long>(hash));
-  return dir + "/" + name;
-}
-
-/// The one definition of the shared aggregate table (agg_fields.h): the
-/// cache record (key=value lines), the packed cache journal, and both
-/// shard-artifact formats (JSONL and binary columnar) all index it, so the
-/// formats can never drift apart field-by-field.
+/// The one definition of the aggregate table (agg_fields.h): the cache
+/// journal and the binary shard artifact both index it, so the formats can
+/// never drift apart field-by-field.
 using detail::AggField;
 
 constexpr AggField kAggFields[] = {
@@ -391,12 +374,6 @@ constexpr AggField kAggFields[] = {
      [](CellResult& r, double v) { r.target_time_mean[3] = v; }},
 };
 
-bool parse_double_exact(const std::string& text, double* out) {
-  char* end = nullptr;
-  *out = std::strtod(text.c_str(), &end);
-  return !text.empty() && end == text.c_str() + text.size();
-}
-
 }  // namespace
 
 namespace detail {
@@ -416,238 +393,6 @@ std::string agg_field_names_blob() {
   return out;
 }
 
-std::string unique_tmp_path(const std::string& path) {
-  static std::atomic<std::uint64_t> counter{0};
-  return path + ".tmp." + std::to_string(static_cast<long long>(::getpid())) +
-         "." + std::to_string(counter.fetch_add(1));
-}
-
-void atomic_write(const std::string& path,
-                  const std::function<void(std::ostream&)>& fill,
-                  bool binary) {
-  const std::string tmp = unique_tmp_path(path);
-  {
-    std::ofstream out(tmp, binary ? std::ios::binary | std::ios::out
-                                  : std::ios::out);
-    if (!out) throw std::runtime_error("cannot write file: " + tmp);
-    fill(out);
-    out.flush();
-    if (!out.good()) {
-      out.close();
-      std::filesystem::remove(tmp);
-      throw std::runtime_error("failed writing file: " + tmp);
-    }
-  }
-  std::filesystem::rename(tmp, path);
-}
-
 }  // namespace detail
-
-CacheLookup cache_lookup(const std::string& dir, std::uint64_t hash,
-                         CellResult* result) {
-  std::ifstream in(cache_path(dir, hash));
-  if (!in) return CacheLookup::kMiss;
-
-  std::map<std::string, std::string> fields;
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::size_t eq = line.find('=');
-    if (eq == std::string::npos) return CacheLookup::kCorrupt;
-    fields[line.substr(0, eq)] = line.substr(eq + 1);
-  }
-
-  CellResult loaded;
-  for (const AggField& field : kAggFields) {
-    const auto it = fields.find(field.name);
-    double value = 0;
-    if (it == fields.end() || !parse_double_exact(it->second, &value)) {
-      return CacheLookup::kCorrupt;
-    }
-    field.set(loaded, value);
-  }
-  loaded.cell = std::move(result->cell);
-  *result = std::move(loaded);
-  return CacheLookup::kHit;
-}
-
-bool cache_load(const std::string& dir, std::uint64_t hash,
-                CellResult* result) {
-  return cache_lookup(dir, hash, result) == CacheLookup::kHit;
-}
-
-void cache_store(const std::string& dir, std::uint64_t hash,
-                 const CellResult& result) {
-  std::filesystem::create_directories(dir);
-  detail::atomic_write(cache_path(dir, hash), [&](std::ostream& out) {
-    for (const AggField& field : kAggFields) {
-      out << field.name << "=" << fmt_exact(field.get(result)) << "\n";
-    }
-  });
-}
-
-// --- shard artifacts -------------------------------------------------------
-
-namespace {
-
-constexpr const char* kArtifactKind = "ants-shard-artifact";
-
-[[noreturn]] void bad_artifact(const std::string& path,
-                               const std::string& what) {
-  throw std::invalid_argument("shard artifact " + path + ": " + what);
-}
-
-/// The parsed fields of one artifact line as name -> raw scalar text.
-std::map<std::string, std::string> object_fields(const std::string& path,
-                                                 const std::string& line) {
-  std::map<std::string, std::string> out;
-  detail::JsonLineParser parser(line);
-  std::vector<std::pair<std::string, detail::JsonValue>> parsed;
-  try {
-    parsed = parser.parse_object();
-  } catch (const std::invalid_argument& e) {
-    bad_artifact(path, e.what());
-  }
-  for (auto& [key, value] : parsed) {
-    if (value.kind == detail::JsonValue::Kind::kArray ||
-        value.kind == detail::JsonValue::Kind::kObject) {
-      bad_artifact(path, "unexpected non-scalar value for '" + key + "'");
-    }
-    out[key] = value.kind == detail::JsonValue::Kind::kBool
-                   ? (value.boolean ? "1" : "0")
-                   : value.string;
-  }
-  return out;
-}
-
-std::string field_text(const std::string& path,
-                       const std::map<std::string, std::string>& fields,
-                       const char* key) {
-  const auto it = fields.find(key);
-  if (it == fields.end()) bad_artifact(path, "missing field '" + std::string(key) + "'");
-  return it->second;
-}
-
-double field_number(const std::string& path,
-                    const std::map<std::string, std::string>& fields,
-                    const char* key) {
-  double value = 0;
-  if (!parse_double_exact(field_text(path, fields, key), &value)) {
-    bad_artifact(path, "field '" + std::string(key) + "' is not a number");
-  }
-  return value;
-}
-
-}  // namespace
-
-namespace {
-
-/// The fixed prefix every embedded telemetry line starts with — how the
-/// reader recognizes it without a full parse (its cell_hist array would
-/// trip the scalar-only object_fields used for result records).
-constexpr const char* kMetricsLinePrefix = "{\"kind\":\"ants-run-metrics\"";
-
-bool is_metrics_line(const std::string& line) {
-  return line.rfind(kMetricsLinePrefix, 0) == 0;
-}
-
-}  // namespace
-
-void write_shard_artifact(const std::string& path, const ShardHeader& header,
-                          const std::vector<ShardEntry>& entries,
-                          const std::string* metrics_line) {
-  if (metrics_line != nullptr && !is_metrics_line(*metrics_line)) {
-    bad_artifact(path, "metrics line does not start with " +
-                           std::string(kMetricsLinePrefix));
-  }
-  detail::atomic_write(path, [&](std::ostream& out) {
-    out << "{\"kind\":\"" << kArtifactKind << "\""
-        << ",\"format_version\":" << header.format_version
-        << ",\"spec_hash\":\"" << std::hex << header.spec_hash << std::dec
-        << "\",\"shard\":" << header.shard
-        << ",\"n_shards\":" << header.n_shards
-        << ",\"n_cells_total\":" << header.n_cells_total
-        << ",\"n_cells_shard\":" << entries.size() << ",\"spec\":\""
-        << detail::json_escape(header.spec_text) << "\"}\n";
-    if (metrics_line != nullptr) out << *metrics_line << "\n";
-    for (const ShardEntry& entry : entries) {
-      out << "{\"cell_index\":" << entry.cell_index;
-      for (const AggField& field : kAggFields) {
-        out << ",\"" << field.name
-            << "\":" << fmt_exact(field.get(entry.result));
-      }
-      out << ",\"from_cache\":" << (entry.result.from_cache ? 1 : 0) << "}\n";
-    }
-  });
-}
-
-ShardHeader read_shard_artifact(const std::string& path,
-                                std::vector<ShardEntry>* entries,
-                                std::string* metrics_line) {
-  std::ifstream in(path);
-  if (!in) bad_artifact(path, "cannot open");
-  if (metrics_line != nullptr) metrics_line->clear();
-
-  std::string line;
-  if (!std::getline(in, line)) bad_artifact(path, "empty file");
-  const auto head = object_fields(path, line);
-  if (field_text(path, head, "kind") != kArtifactKind) {
-    bad_artifact(path, "not a shard artifact (kind mismatch)");
-  }
-
-  ShardHeader header;
-  header.format_version =
-      static_cast<int>(field_number(path, head, "format_version"));
-  {
-    const std::string hex = field_text(path, head, "spec_hash");
-    char* end = nullptr;
-    header.spec_hash = std::strtoull(hex.c_str(), &end, 16);
-    if (hex.empty() || end != hex.c_str() + hex.size()) {
-      bad_artifact(path, "malformed spec_hash");
-    }
-  }
-  header.spec_text = field_text(path, head, "spec");
-  header.shard = static_cast<std::size_t>(field_number(path, head, "shard"));
-  header.n_shards =
-      static_cast<std::size_t>(field_number(path, head, "n_shards"));
-  header.n_cells_total =
-      static_cast<std::size_t>(field_number(path, head, "n_cells_total"));
-  const auto n_cells_shard =
-      static_cast<std::size_t>(field_number(path, head, "n_cells_shard"));
-
-  if (entries == nullptr && metrics_line == nullptr) return header;
-  if (entries != nullptr) entries->clear();
-  std::size_t line_no = 1;
-  while (std::getline(in, line)) {
-    ++line_no;
-    if (line.empty()) continue;
-    if (is_metrics_line(line)) {
-      // The embedded telemetry record. Passed through verbatim — parsing
-      // (and version validation) is telemetry::metrics_from_json's job, and
-      // a reader that did not ask for it skips it entirely.
-      if (metrics_line != nullptr) *metrics_line = line;
-      continue;
-    }
-    if (entries == nullptr) continue;
-    // Errors in a record name the line: a torn or hand-mangled artifact of
-    // thousands of cells must not need manual bisection.
-    const std::string where = path + ", line " + std::to_string(line_no);
-    const auto fields = object_fields(where, line);
-    ShardEntry entry;
-    entry.cell_index =
-        static_cast<std::size_t>(field_number(where, fields, "cell_index"));
-    for (const AggField& field : kAggFields) {
-      field.set(entry.result, field_number(where, fields, field.name));
-    }
-    entry.result.from_cache =
-        field_number(where, fields, "from_cache") != 0;
-    entries->push_back(std::move(entry));
-  }
-  if (entries != nullptr && entries->size() != n_cells_shard) {
-    bad_artifact(path, "truncated: header promises " +
-                           std::to_string(n_cells_shard) + " cells, found " +
-                           std::to_string(entries->size()));
-  }
-  return header;
-}
 
 }  // namespace ants::scenario

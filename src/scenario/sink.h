@@ -3,14 +3,11 @@
 // The sweep scheduler produces CellResults; this layer turns them into
 // rows — an aligned stdout table, a CSV file, a JSON-lines file, or any
 // combination — under a named-column model so a spec can choose exactly the
-// columns its table needs. Also home of the two persistence formats the
-// sharded pipeline rests on: the per-cell result cache (cell aggregates
-// keyed by the cell's spec hash, so re-running a spec — or resuming a
-// killed shard — recomputes only the cells whose definition changed) and
-// the shard-artifact reader/writer (the JSONL interchange format between
-// run_shard processes and merge_shards). Both serialize the same aggregate
-// field set with exact double round-tripping, which is what makes merged
-// shard output byte-identical to a single-process run.
+// columns its table needs. Also the single-cell face of the result cache
+// (cell aggregates keyed by the cell's spec hash, so re-running a spec — or
+// resuming a killed shard — recomputes only the cells whose definition
+// changed); the cache itself is the journal in cache_pack.h. Shard
+// artifacts live in artifact.h.
 #pragma once
 
 #include <fstream>
@@ -92,77 +89,31 @@ void emit_results(const ScenarioSpec& spec,
                   const std::vector<ResultSink*>& sinks);
 
 // --- per-cell result cache -------------------------------------------------
+//
+// One-cell convenience calls over the cache journal (cache_pack.h), which
+// implements them. A sweep holds one PackedCacheIndex for the whole run
+// instead: each call here opens the journal afresh.
 
-/// Outcome of a per-hash cache probe. kCorrupt means the entry FILE exists
-/// but does not parse (garbage bytes, a torn line, a missing field) — the
-/// sweep treats it exactly like a miss (recompute and overwrite, never
-/// abort) but telemetry counts it separately (cache_corrupt), because a
-/// corruption rate is an operational signal a plain miss is not.
+/// Outcome of a cache probe. kCorrupt means the cell is not among the
+/// journal's intact records AND the journal holds damaged stretches (a
+/// torn or bit-rotted record) that may have been it — the sweep treats it
+/// exactly like a miss (recompute and append, never abort) but telemetry
+/// counts the damage separately (cache_corrupt), because a corruption rate
+/// is an operational signal a plain miss is not.
 enum class CacheLookup { kMiss, kHit, kCorrupt };
 
-/// Probes the per-hash cache for a cell hash; on kHit the aggregates load
+/// Probes <dir>/cache.pack for a cell hash; on kHit the aggregates load
 /// into `result` (which keeps its Cell). Loaded stats carry aggregates only
-/// (stats.times stays empty); the environment extras (from_last_start
-/// mean/median, mean_crashed, mean_last_start, mean_first_target)
-/// round-trip.
+/// (stats.times stays empty). Throws CacheJournalError when the journal was
+/// written by an incompatible build.
 CacheLookup cache_lookup(const std::string& dir, std::uint64_t hash,
                          CellResult* result);
 
-/// cache_lookup reduced to hit-or-not (corrupt reads as a miss).
-bool cache_load(const std::string& dir, std::uint64_t hash,
-                CellResult* result);
-
-/// Stores a cell's aggregates (creates `dir` if needed). Atomic against
-/// concurrent writers: the record lands in a uniquely named temp file
-/// (pid + per-process counter) and is renamed into place, so shard
-/// processes sharing one cache_dir can never observe a torn entry and
-/// racing stores of the same cell resolve to one complete record.
+/// Appends a cell's aggregates to <dir>/cache.pack, creating `dir` and the
+/// journal on first store. Safe against concurrent writers — threads and
+/// shard processes sharing one cache_dir. Throws CacheJournalError when the
+/// journal is incompatible or cannot be written.
 void cache_store(const std::string& dir, std::uint64_t hash,
                  const CellResult& result);
-
-// --- shard artifacts -------------------------------------------------------
-//
-// A shard artifact is the interchange file between one run_shard process
-// and merge_shards: JSON lines, first a header object identifying the run
-// (format version, spec hash, the full canonical spec text, shard
-// coordinates, total cell count), then one flat aggregate record per
-// completed cell keyed by its index into flatten(spec). Doubles are
-// serialized with util::fmt_exact so aggregates round-trip bit-for-bit —
-// the byte-identity of merged vs single-process CSVs depends on it.
-
-struct ShardHeader {
-  int format_version = 0;       ///< scenario::cell_format_version() stamp
-  std::uint64_t spec_hash = 0;  ///< scenario::hash_spec of the plan's spec
-  std::string spec_text;        ///< canonical spec (parse_spec_text form)
-  std::size_t shard = 0;        ///< 1-based shard index
-  std::size_t n_shards = 0;
-  std::size_t n_cells_total = 0;  ///< cells in the WHOLE plan, not the shard
-};
-
-struct ShardEntry {
-  std::size_t cell_index = 0;  ///< into flatten(spec)
-  /// Aggregates only — result.cell is NOT serialized; merge_shards
-  /// reattaches it from the plan.
-  CellResult result;
-};
-
-/// Writes header + entries as a shard artifact. Atomic (unique temp file +
-/// rename), so a killed writer never publishes a partial artifact.
-/// `metrics_line` (optional) is one extra self-describing JSON line —
-/// telemetry::metrics_to_json output — written right after the header; it
-/// carries the shard's run telemetry without touching the result records.
-void write_shard_artifact(const std::string& path, const ShardHeader& header,
-                          const std::vector<ShardEntry>& entries,
-                          const std::string* metrics_line = nullptr);
-
-/// Reads an artifact back; throws std::invalid_argument with the path and
-/// line on any malformed content. `entries` may be null to read the header
-/// alone. `metrics_line` (if non-null) receives the artifact's embedded
-/// telemetry line verbatim, or "" when the artifact carries none — metrics
-/// are optional by design, so artifacts from telemetry-free runs merge
-/// fine.
-ShardHeader read_shard_artifact(const std::string& path,
-                                std::vector<ShardEntry>* entries,
-                                std::string* metrics_line = nullptr);
 
 }  // namespace ants::scenario

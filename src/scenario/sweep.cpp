@@ -1,5 +1,7 @@
 #include "scenario/sweep.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -13,7 +15,6 @@
 #include "scenario/cache_pack.h"
 #include "scenario/environment.h"
 #include "scenario/registry.h"
-#include "scenario/sink.h"
 #include "scenario/text.h"
 #include "sim/trial.h"
 #include "telemetry/run_telemetry.h"
@@ -78,44 +79,23 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
   // one only advances when progress printing is on).
   std::atomic<std::uint64_t> cells_done{0};
 
-  // Packed-index cache front end: when the cache_dir has been compacted
-  // (`search_lab cache pack`), warm lookups hit an in-memory map loaded
-  // once from the mmap'ed journal instead of an open+parse per cell. The
-  // per-hash files remain the fallback on index misses, so a packed and an
-  // unpacked cache_dir serve byte-identical results. Torn journal records
-  // skipped during the load surface as cache_corrupt telemetry — same
-  // signal as a corrupt per-hash file.
-  std::unique_ptr<PackedCacheIndex> pack;
+  // Cache pass: cells whose aggregates are already in the journal never
+  // re-run — also how a killed shard resumes, since finished cells append
+  // as the sweep runs (see finalize_cell below). The journal loads once
+  // into memory; damaged stretches skipped during the load (torn or
+  // bit-rotted records) read as misses — those cells recompute and append —
+  // but are counted separately: a corruption rate is an operational signal
+  // a plain miss is not.
+  std::unique_ptr<PackedCacheIndex> cache;
   if (!opt.cache_dir.empty()) {
-    pack = std::make_unique<PackedCacheIndex>(opt.cache_dir);
-    if (!pack->present()) pack.reset();
-    if (pack != nullptr && tel != nullptr && pack->corrupt_records() > 0) {
-      tel->record_cache_corrupt(pack->corrupt_records());
+    cache = std::make_unique<PackedCacheIndex>(opt.cache_dir);
+    if (tel != nullptr && cache->corrupt_records() > 0) {
+      tel->record_cache_corrupt(cache->corrupt_records());
     }
   }
-
-  // Cache pass: cells whose aggregates are already on disk never re-run —
-  // also how a killed shard resumes, since finished cells persist as the
-  // sweep runs (see finalize_cell below). A corrupt per-hash entry (torn
-  // bytes, missing field) reads as a miss — the cell recomputes and the
-  // overwrite heals the cache — but is counted separately: a corruption
-  // rate is an operational signal a plain miss is not.
   std::vector<std::size_t> pending;
   for (std::size_t i = 0; i < n_cells; ++i) {
-    bool hit = false;
-    if (!opt.cache_dir.empty()) {
-      if (pack != nullptr && pack->load(cells[i].hash, &results[i])) {
-        hit = true;
-      } else {
-        const CacheLookup lookup =
-            cache_lookup(opt.cache_dir, cells[i].hash, &results[i]);
-        hit = lookup == CacheLookup::kHit;
-        if (lookup == CacheLookup::kCorrupt && tel != nullptr) {
-          tel->record_cache_corrupt();
-        }
-      }
-    }
-    if (hit) {
+    if (cache != nullptr && cache->load(cells[i].hash, &results[i])) {
       results[i].from_cache = true;
       report_cell(cells[i], "cached");
       if (tel != nullptr) {
@@ -125,7 +105,7 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
                       /*trials=*/0, cells_done.fetch_add(1) + 1, n_cells);
       }
     } else {
-      if (tel != nullptr && !opt.cache_dir.empty()) tel->record_cache_miss();
+      if (tel != nullptr && cache != nullptr) tel->record_cache_miss();
       pending.push_back(i);
     }
   }
@@ -180,6 +160,29 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
   const bool dynamic = spec.is_dynamic();
   const bool collect_all = spec.collect_all();
   constexpr std::size_t kSlots = CellResult::kTargetTimeSlots;
+
+  // Admission: every pending cell holds its per-trial arrays until it
+  // finalizes, so a trial count whose arrays cannot fit in physical memory
+  // is a typed error here, not a std::bad_alloc halfway through.
+  {
+    const double doubles_per_trial =
+        1.0 + (async ? 3.0 : 0.0) + (dynamic ? 3.0 : 0.0) +
+        (collect_all ? static_cast<double>(kSlots) : 0.0);
+    const double bytes = static_cast<double>(pending.size()) *
+                         static_cast<double>(trials) * doubles_per_trial *
+                         sizeof(double);
+    const double physical = static_cast<double>(::sysconf(_SC_PHYS_PAGES)) *
+                            static_cast<double>(::sysconf(_SC_PAGE_SIZE));
+    if (physical > 0 && bytes > physical) {
+      detail::bad("scenario '" + spec.name + "': " + std::to_string(trials) +
+                  " trials x " + std::to_string(pending.size()) +
+                  " cells need " + util::fmt_param(bytes) +
+                  " bytes of per-trial arrays, more than the " +
+                  util::fmt_param(physical) +
+                  " bytes of physical memory — lower trials or split the "
+                  "sweep");
+    }
+  }
 
   std::vector<std::vector<double>> times(n_cells);
   std::vector<std::vector<double>> from_last(async ? n_cells : 0);
@@ -259,18 +262,9 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
             n_found > 0 ? sum / static_cast<double>(n_found) : -1.0;
       }
     }
-    if (!opt.cache_dir.empty()) {
-      // Packed cache_dirs take the append-journal path (one O_APPEND write,
-      // CRC-framed, safe against concurrent shard processes); unpacked ones
-      // keep the per-hash temp+rename discipline. Either way the cell
-      // persists the moment it completes — the killed-shard resume
-      // contract.
-      if (pack != nullptr) {
-        pack->append(cells[i].hash, results[i]);
-      } else {
-        cache_store(opt.cache_dir, cells[i].hash, results[i]);
-      }
-    }
+    // The cell persists the moment it completes — the killed-shard resume
+    // contract.
+    if (cache != nullptr) cache->append(cells[i].hash, results[i]);
     report_cell(cells[i], "done");
     if (tel != nullptr) {
       const std::int64_t duration_us =
@@ -439,8 +433,7 @@ std::vector<CellResult> run_shard(const SweepPlan& plan, std::size_t shard,
 void write_shard(const std::string& path, const SweepPlan& plan,
                  std::size_t shard, std::size_t n_shards,
                  const std::vector<CellResult>& results,
-                 const telemetry::RunMetrics* metrics,
-                 ArtifactFormat format) {
+                 const telemetry::RunMetrics* metrics) {
   const std::vector<std::size_t> indices =
       shard_cell_indices(plan, shard, n_shards);
   if (results.size() != indices.size()) {
@@ -455,45 +448,13 @@ void write_shard(const std::string& path, const SweepPlan& plan,
   header.shard = shard;
   header.n_shards = n_shards;
   header.n_cells_total = plan.cells.size();
-  std::vector<ShardEntry> entries(indices.size());
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    entries[j].cell_index = indices[j];
-    // Aggregates only: neither the raw per-trial times (a fresh cell
-    // carries trials doubles — copying them just to drop them would spike
-    // memory on big shards) nor the Cell (merge reattaches it from the
-    // plan) go to disk.
-    CellResult& slim = entries[j].result;
-    const CellResult& full = results[j];
-    slim.stats.time = full.stats.time;
-    slim.stats.success_rate = full.stats.success_rate;
-    slim.stats.mean_competitiveness = full.stats.mean_competitiveness;
-    slim.stats.median_competitiveness = full.stats.median_competitiveness;
-    slim.stats.distance = full.stats.distance;
-    slim.stats.k = full.stats.k;
-    slim.from_last_start = full.from_last_start;
-    slim.mean_crashed = full.mean_crashed;
-    slim.mean_last_start = full.mean_last_start;
-    slim.mean_first_target = full.mean_first_target;
-    slim.mean_targets_found = full.mean_targets_found;
-    slim.mean_targets_spawned = full.mean_targets_spawned;
-    slim.found_before_vanish = full.found_before_vanish;
-    for (std::size_t j = 0; j < CellResult::kTargetTimeSlots; ++j) {
-      slim.target_time_mean[j] = full.target_time_mean[j];
-    }
-    slim.from_cache = full.from_cache;
-  }
   std::string line;
-  const std::string* metrics_line = nullptr;
   if (metrics != nullptr) {
     line = telemetry::metrics_to_json(*metrics, plan.spec.name, shard,
                                       n_shards);
-    metrics_line = &line;
   }
-  if (format == ArtifactFormat::kBinary) {
-    write_binary_artifact(path, header, entries, metrics_line);
-  } else {
-    write_shard_artifact(path, header, entries, metrics_line);
-  }
+  write_binary_artifact(path, header, indices, results,
+                        metrics != nullptr ? &line : nullptr);
 }
 
 std::vector<CellResult> merge_shards(const SweepPlan& plan,
@@ -504,21 +465,13 @@ std::vector<CellResult> merge_shards(const SweepPlan& plan,
   std::vector<CellResult> merged(n);
   std::vector<bool> seen(n, false);
 
-  // Read phase runs one artifact per pool slot — I/O and parsing dominate a
-  // merge, and the artifacts are independent files. read_any_artifact
-  // dispatches per file on the magic sniff, so JSONL and binary shards mix
-  // freely in one merge. parallel_for propagates the first reader's
-  // exception, so a bad artifact still fails the merge with its own
-  // message.
-  struct LoadedShard {
-    ShardHeader header;
-    std::vector<ShardEntry> entries;
-    std::string metrics_line;
-  };
-  std::vector<LoadedShard> shards(paths.size());
+  // Open phase runs one artifact per pool slot — the mmap and the CRC pass
+  // over every byte dominate a merge, and the artifacts are independent
+  // files. parallel_for propagates the first reader's exception, so a bad
+  // artifact still fails the merge with its own message.
+  std::vector<std::unique_ptr<BinaryArtifactReader>> readers(paths.size());
   util::parallel_for(paths.size(), [&](std::size_t i) {
-    shards[i].header = read_any_artifact(paths[i], &shards[i].entries,
-                                         &shards[i].metrics_line);
+    readers[i] = std::make_unique<BinaryArtifactReader>(paths[i]);
   });
 
   // Validation and placement stay sequential in `paths` order: duplicate
@@ -526,15 +479,14 @@ std::vector<CellResult> merge_shards(const SweepPlan& plan,
   // not depend on read-completion timing.
   for (std::size_t pi = 0; pi < paths.size(); ++pi) {
     const std::string& path = paths[pi];
-    const ShardHeader& header = shards[pi].header;
-    std::vector<ShardEntry>& entries = shards[pi].entries;
-    const std::string& metrics_line = shards[pi].metrics_line;
-    if (metrics_out != nullptr && !metrics_line.empty()) {
+    const BinaryArtifactReader& reader = *readers[pi];
+    const ShardHeader& header = reader.header();
+    if (metrics_out != nullptr && !reader.metrics_line().empty()) {
       // Exact re-aggregation: counter sums plus a bin-wise sketch merge, so
       // the campaign-level quantiles equal a single process's. An artifact
       // without a metrics line contributes nothing (telemetry-free shard).
-      metrics_out->merge(telemetry::metrics_from_json(metrics_line, nullptr,
-                                                      nullptr, nullptr));
+      metrics_out->merge(telemetry::metrics_from_json(
+          reader.metrics_line(), nullptr, nullptr, nullptr));
     }
     if (header.format_version != cell_format_version()) {
       detail::bad("shard artifact " + path + ": format version " +
@@ -553,20 +505,21 @@ std::vector<CellResult> merge_shards(const SweepPlan& plan,
                   std::to_string(n) + " cells, artifact claims " +
                   std::to_string(header.n_cells_total));
     }
-    for (ShardEntry& entry : entries) {
-      if (entry.cell_index >= n) {
+    for (std::size_t row = 0; row < reader.n_cells(); ++row) {
+      const std::uint64_t index = reader.cell_index(row);
+      if (index >= n) {
         detail::bad("shard artifact " + path + ": cell index " +
-                    std::to_string(entry.cell_index) + " out of range");
+                    std::to_string(index) + " out of range");
       }
-      if (seen[entry.cell_index]) {
-        detail::bad("merge_shards: duplicate cell " +
-                    std::to_string(entry.cell_index) + " (artifact " + path +
+      if (seen[index]) {
+        detail::bad("merge_shards: duplicate cell " + std::to_string(index) +
+                    " (artifact " + path +
                     " overlaps an earlier shard — was a shard merged "
                     "twice?)");
       }
-      seen[entry.cell_index] = true;
-      merged[entry.cell_index] = std::move(entry.result);
-      merged[entry.cell_index].cell = plan.cells[entry.cell_index];
+      seen[index] = true;
+      reader.load(row, &merged[index]);
+      merged[index].cell = plan.cells[index];
     }
   }
 
@@ -591,7 +544,7 @@ std::vector<CellResult> merge_shards(const std::vector<std::string>& paths,
                                      ScenarioSpec* spec_out,
                                      telemetry::RunMetrics* metrics_out) {
   if (paths.empty()) detail::bad("merge_shards: no artifacts given");
-  const ShardHeader header = read_any_artifact(paths.front(), nullptr);
+  const ShardHeader header = BinaryArtifactReader(paths.front()).header();
   const std::vector<ScenarioSpec> specs = parse_spec_text(header.spec_text);
   if (specs.size() != 1) {
     detail::bad("shard artifact " + paths.front() +

@@ -78,7 +78,7 @@ struct CellResult {
 
 struct SweepOptions {
   unsigned threads = 0;   ///< scheduler thread count; 0 = hardware
-  std::string cache_dir;  ///< non-empty enables the per-cell result cache
+  std::string cache_dir;  ///< non-empty enables the cell cache journal
   /// Per-cell completion lines as the sweep runs. Diagnostics only: output
   /// rows are unaffected (test-enforced). Sharded runs prefix each line
   /// with "shard i/N" and count done/total local to the shard. Each line
@@ -112,35 +112,24 @@ std::vector<CellResult> run_shard(const SweepPlan& plan, std::size_t shard,
                                   std::size_t n_shards,
                                   const SweepOptions& opt = {});
 
-/// The two on-disk shard-artifact encodings: JSONL (debuggable, diff-able,
-/// the historical default) and binary columnar (artifact.h — mmap-able
-/// fixed-width columns for the zero-copy merge/catalog fast path). Same
-/// header, same aggregate table, bit-identical doubles, same merge
-/// semantics; they differ only in read/write cost. Writer-side only:
-/// readers dispatch on the file's magic, never on a flag.
-enum class ArtifactFormat { kJsonl, kBinary };
-
-/// Writes a run_shard result set as a self-describing shard artifact
-/// (header with format version, spec hash, canonical spec text, and shard
-/// coordinates; then one aggregate record per cell) in the requested
-/// encoding. Atomic: written to a temp file and renamed, so a killed
-/// process never publishes a torn artifact. When `metrics` is non-null the
-/// shard's RunMetrics ride along as one extra self-describing JSON line,
-/// so merge_shards can aggregate campaign-level telemetry exactly; readers
-/// without telemetry ignore it.
+/// Writes a run_shard result set as a self-describing binary shard
+/// artifact (artifact.h: header with format version, spec hash, canonical
+/// spec text, and shard coordinates; then every aggregate of the shared
+/// table as a column). Atomic: written to a temp file and renamed, so a
+/// killed process never publishes a torn artifact. When `metrics` is
+/// non-null the shard's RunMetrics ride along as one self-describing JSON
+/// line, so merge_shards can aggregate campaign-level telemetry exactly.
 void write_shard(const std::string& path, const SweepPlan& plan,
                  std::size_t shard, std::size_t n_shards,
                  const std::vector<CellResult>& results,
-                 const telemetry::RunMetrics* metrics = nullptr,
-                 ArtifactFormat format = ArtifactFormat::kJsonl);
+                 const telemetry::RunMetrics* metrics = nullptr);
 
 /// Merge layer: reassembles shard artifacts into the canonical CellResult
-/// vector (parallel to plan.cells), ready for the sinks. Artifacts may mix
-/// encodings freely (JSONL and binary shards of one spec merge together —
-/// the reader dispatches per file) and are READ in parallel, one
-/// mmap/parse per artifact across the pool; validation and placement then
-/// run sequentially in `paths` order, so error attribution (which artifact
-/// duplicated a cell) is deterministic regardless of read timing. Verifies
+/// vector (parallel to plan.cells), ready for the sinks. Artifacts are
+/// opened in parallel — one mmap plus CRC pass per artifact across the
+/// pool; validation and placement then run sequentially in `paths` order,
+/// so error attribution (which artifact duplicated a cell) is
+/// deterministic regardless of read timing. Verifies
 /// every artifact against the plan — format version, spec hash, cell
 /// count — and throws std::invalid_argument on any incompatibility,
 /// duplicate cell, or missing cell. Merged results carry aggregates only

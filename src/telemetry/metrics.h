@@ -141,10 +141,10 @@ struct RunMetrics {
   std::uint64_t trials_executed = 0; ///< trials run (cached cells run none)
   std::uint64_t cache_hits = 0;      ///< cache lookups that hit
   std::uint64_t cache_misses = 0;    ///< cache lookups that missed
-  /// Cache entries that existed but failed to parse or verify (torn
-  /// per-hash file, journal record with a bad CRC). Each also counts as a
-  /// miss — the cell recomputes and the store heals the cache — but a
-  /// corruption rate is an operational signal a plain miss is not.
+  /// Damaged stretches of the cache journal (a torn or bit-rotted record
+  /// failing its CRC). The cells they held count as misses — they
+  /// recompute and append — but a corruption rate is an operational signal
+  /// a plain miss is not.
   std::uint64_t cache_corrupt = 0;
   /// Trials the batch executor delegated to the scalar run_trial path.
   /// Since the batch dynamic SoA paths landed, only plane strategies under

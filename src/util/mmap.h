@@ -1,6 +1,6 @@
 // Read-only memory-mapped files for the zero-copy artifact readers.
 //
-// The binary shard-artifact and cache-pack readers (scenario/artifact.h,
+// The binary shard-artifact and cache-journal readers (scenario/artifact.h,
 // scenario/cache_pack.h) want the whole file addressable without a
 // read-and-copy pass: a merge or catalog over millions of cells should pay
 // one mmap per artifact plus per-value loads, not a line parser. This is

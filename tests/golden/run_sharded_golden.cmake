@@ -1,69 +1,35 @@
 # Runs a pinned golden spec as N separate `search_lab run --shard=i/N`
-# processes, merges the artifacts with `search_lab merge`, and byte-compares
-# the merged CSV against GOLDEN — the binary-level enforcement of the shard
-# pipeline's headline invariant (the library-level twin lives in
-# tests/scenario_shard_test.cpp).
-#
-# With -DFORMAT=binary every shard writes the binary columnar artifact
-# (artifact.h); -DFORMAT=mixed alternates binary and JSONL shards in ONE
-# merge — the byte-compare then proves the two encodings are
-# interchangeable at the process level, not just in-library. Default:
-# jsonl.
+# processes sharing one cache journal, merges the binary shard artifacts
+# with `search_lab merge`, and byte-compares the merged CSV against
+# GOLDEN — the binary-level enforcement of the shard pipeline's headline
+# invariant (the library-level twin lives in tests/scenario_shard_test.cpp).
 #
 # With -DRESUME=ON it additionally emulates a killed-and-resumed shard:
-# after all shards complete, half of the shared cell cache is deleted along
-# with shard 1's artifact, and shard 1 reruns — serving the surviving cells
-# from cache and recomputing the rest. The merge of the resumed artifact
-# must still match GOLDEN byte-for-byte. Adding -DPACK=ON compacts the
-# surviving cache into the packed journal (`search_lab cache pack`) BEFORE
-# the rerun, so the resume is served through the PackedCacheIndex fast path
-# — the binary-level kill-and-resume-against-packed-cache gate.
+# after all shards complete, shard 1's artifact is deleted and the shared
+# cache journal is cut (`truncate -s`) halfway through shard 1's records —
+# the state a process killed mid-append leaves behind. Shard 1 then
+# reruns, serving its surviving cells from the journal, skipping the torn
+# record, and recomputing (and appending) the rest; its metrics must show
+# both. The merge of the resumed artifact must still match GOLDEN
+# byte-for-byte.
 #
 # With -DCATALOG=ON the artifact set is additionally smoke-tested through
-# `search_lab catalog`: the listing must name every artifact with its
-# encoding, and the cell-mode CSV render must produce exactly the plan's
-# row count without a merge.
+# `search_lab catalog`: the listing must name every artifact, and the
+# cell-mode CSV render must produce exactly the plan's row count without a
+# merge.
 #
 #   cmake -DSEARCH_LAB=<bin> -DSPEC=<spec> -DGOLDEN=<csv> -DOUT_DIR=<dir>
-#         -DN_SHARDS=<n> [-DFORMAT=jsonl|binary|mixed] [-DRESUME=ON]
-#         [-DPACK=ON] [-DCATALOG=ON] -P run_sharded_golden.cmake
+#         -DN_SHARDS=<n> [-DRESUME=ON] [-DCATALOG=ON]
+#         -P run_sharded_golden.cmake
 foreach(var SEARCH_LAB SPEC GOLDEN OUT_DIR N_SHARDS)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_sharded_golden.cmake: missing -D${var}=")
   endif()
 endforeach()
-if(NOT DEFINED FORMAT)
-  set(FORMAT jsonl)
-endif()
 
 file(REMOVE_RECURSE ${OUT_DIR})
 file(MAKE_DIRECTORY ${OUT_DIR})
 set(cache_dir ${OUT_DIR}/cache)
-
-# Per-shard encoding: uniform for jsonl/binary, alternating (odd shards
-# binary) for mixed.
-foreach(shard RANGE 1 ${N_SHARDS})
-  if(FORMAT STREQUAL "binary")
-    set(fmt_${shard} binary)
-  elseif(FORMAT STREQUAL "mixed")
-    math(EXPR odd "${shard} % 2")
-    if(odd EQUAL 1)
-      set(fmt_${shard} binary)
-    else()
-      set(fmt_${shard} jsonl)
-    endif()
-  elseif(FORMAT STREQUAL "jsonl")
-    set(fmt_${shard} jsonl)
-  else()
-    message(FATAL_ERROR "run_sharded_golden.cmake: FORMAT must be "
-            "jsonl, binary, or mixed (got '${FORMAT}')")
-  endif()
-  if(fmt_${shard} STREQUAL "binary")
-    set(ext_${shard} bin)
-  else()
-    set(ext_${shard} jsonl)
-  endif()
-endforeach()
 
 # Each shard also writes its telemetry (metrics + event log) next to its
 # artifact: the shard artifact embeds the metrics record, so the final
@@ -73,8 +39,8 @@ endforeach()
 function(run_one_shard shard)
   execute_process(
     COMMAND ${SEARCH_LAB} run --spec=${SPEC}
-            --shard=${shard}/${N_SHARDS} --format=${fmt_${shard}}
-            --shard-out=${OUT_DIR}/shard_${shard}.${ext_${shard}}
+            --shard=${shard}/${N_SHARDS}
+            --shard-out=${OUT_DIR}/shard_${shard}.shard
             --cache-dir=${cache_dir} --quiet
             --metrics-out=${OUT_DIR}/shard_${shard}.metrics.json
             --events=${OUT_DIR}/shard_${shard}.events.jsonl
@@ -86,51 +52,53 @@ function(run_one_shard shard)
   endif()
 endfunction()
 
+# Shard 1 runs last, so its records sit at the journal's tail — where a
+# kill would cut them.
 set(artifacts "")
 foreach(shard RANGE 1 ${N_SHARDS})
-  run_one_shard(${shard})
-  list(APPEND artifacts ${OUT_DIR}/shard_${shard}.${ext_${shard}})
+  list(APPEND artifacts ${OUT_DIR}/shard_${shard}.shard)
+  if(shard GREATER 1)
+    run_one_shard(${shard})
+  endif()
 endforeach()
+set(journal ${cache_dir}/cache.pack)
+set(before_shard_1 0)
+if(EXISTS ${journal})
+  file(SIZE ${journal} before_shard_1)
+endif()
+run_one_shard(1)
 
 if(RESUME)
-  # Emulate a mid-run kill of shard 1: its artifact never landed and only
-  # part of its cells reached the cache. Deleting every other cache entry
-  # (cells of ALL shards — only shard 1 reruns, so its missing cells
-  # recompute and other shards' entries are simply unused) forces the rerun
-  # down both the cached and the recompute path.
-  file(REMOVE ${OUT_DIR}/shard_1.${ext_1})
-  file(GLOB cache_entries ${cache_dir}/*.cell)
-  list(SORT cache_entries)
-  set(index 0)
-  foreach(entry ${cache_entries})
-    math(EXPR keep "${index} % 2")
-    if(keep EQUAL 0)
-      file(REMOVE ${entry})
-    endif()
-    math(EXPR index "${index} + 1")
-  endforeach()
-  if(PACK)
-    # Compact the surviving cells into the packed journal first: the rerun
-    # must then resume THROUGH the PackedCacheIndex (cached cells served
-    # from the mmap'ed pack, recomputed ones appended to it) and still
-    # reproduce GOLDEN below.
-    execute_process(
-      COMMAND ${SEARCH_LAB} cache pack --cache-dir=${cache_dir}
-      RESULT_VARIABLE pack_result)
-    if(NOT pack_result EQUAL 0)
-      message(FATAL_ERROR "search_lab cache pack failed (${pack_result})")
-    endif()
-    file(GLOB leftover_cells ${cache_dir}/*.cell)
-    if(leftover_cells)
-      message(FATAL_ERROR
-              "cache pack left per-cell files behind: ${leftover_cells}")
-    endif()
+  # Emulate a mid-run kill of shard 1: its artifact never landed and the
+  # journal ends in a torn record halfway through shard 1's appends. The
+  # rerun must serve the surviving cells from the journal, skip the torn
+  # bytes, and recompute (and append) the rest.
+  file(REMOVE ${OUT_DIR}/shard_1.shard)
+  file(SIZE ${journal} after_shard_1)
+  math(EXPR cut "(${before_shard_1} + ${after_shard_1}) / 2")
+  execute_process(
+    COMMAND truncate -s ${cut} ${journal}
+    RESULT_VARIABLE truncate_result)
+  if(NOT truncate_result EQUAL 0)
+    message(FATAL_ERROR "truncate of the cache journal failed "
+            "(${truncate_result})")
   endif()
   run_one_shard(1)
+  file(READ ${OUT_DIR}/shard_1.metrics.json resumed_metrics)
+  string(REGEX MATCH "\"cache_hits\":([0-9]+)" _ "${resumed_metrics}")
+  set(resumed_hits ${CMAKE_MATCH_1})
+  string(REGEX MATCH "\"cells_computed\":([0-9]+)" _ "${resumed_metrics}")
+  set(resumed_computed ${CMAKE_MATCH_1})
+  if(NOT resumed_hits GREATER 0 OR NOT resumed_computed GREATER 0)
+    message(FATAL_ERROR
+            "resumed shard 1 served ${resumed_hits} cells from the journal "
+            "and computed ${resumed_computed}: the cut journal must leave "
+            "both some of its cells cached and some to recompute")
+  endif()
 endif()
 
 if(CATALOG)
-  # Listing mode: every artifact must appear with its encoding.
+  # Listing mode: every artifact must appear.
   execute_process(
     COMMAND ${SEARCH_LAB} catalog ${artifacts}
     OUTPUT_VARIABLE catalog_listing
@@ -139,16 +107,10 @@ if(CATALOG)
     message(FATAL_ERROR "search_lab catalog failed (${catalog_result})")
   endif()
   foreach(shard RANGE 1 ${N_SHARDS})
-    string(FIND "${catalog_listing}" "shard_${shard}.${ext_${shard}}" at)
+    string(FIND "${catalog_listing}" "shard_${shard}.shard" at)
     if(at EQUAL -1)
       message(FATAL_ERROR
-              "catalog listing is missing shard_${shard}.${ext_${shard}}:\n"
-              "${catalog_listing}")
-    endif()
-    string(FIND "${catalog_listing}" "${fmt_${shard}}" at)
-    if(at EQUAL -1)
-      message(FATAL_ERROR
-              "catalog listing does not name the ${fmt_${shard}} encoding:\n"
+              "catalog listing is missing shard_${shard}.shard:\n"
               "${catalog_listing}")
     endif()
   endforeach()

@@ -1,9 +1,7 @@
 // Binary columnar shard artifacts (scenario/artifact.h): bit-exact
-// round-trips, format sniffing, CRC/truncation detection, and the headline
-// invariant extended across encodings — a merge over binary or mixed
-// binary+JSONL shards renders the SAME golden CSV bytes as the
-// single-process run, because both formats serialize the same aggregate
-// table with exact doubles.
+// round-trips through the aggregate table, the embedded metrics line,
+// CRC/truncation detection, and the stale-JSONL error. The merge-level
+// golden identity lives in scenario_shard_test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +14,6 @@
 #include "scenario/agg_fields.h"
 #include "scenario/artifact.h"
 #include "scenario/plan.h"
-#include "scenario/sink.h"
 #include "scenario/spec.h"
 #include "scenario/sweep.h"
 #include "telemetry/metrics.h"
@@ -49,47 +46,11 @@ ScenarioSpec golden_spec(const std::string& stem) {
   return specs.front();
 }
 
-std::string golden_csv(const std::string& stem) {
-  return read_file(std::string(ANTS_SOURCE_DIR) + "/tests/golden/" + stem +
-                   ".golden.csv");
-}
-
 std::string scratch_dir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "ants_artifact_" + name;
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
   return dir;
-}
-
-std::string render_csv(const ScenarioSpec& spec,
-                       const std::vector<CellResult>& results,
-                       const std::string& path) {
-  {
-    CsvSink csv(path);
-    std::vector<ResultSink*> sinks = {&csv};
-    emit_results(spec, results, sinks);
-  }
-  return read_file(path);
-}
-
-/// Runs every shard of an N-way split and writes each artifact in the
-/// format `formats[shard-1]` selects — the mixed-encoding generalization
-/// of the shard test's helper.
-std::vector<std::string> run_all_shards(
-    const SweepPlan& plan, const std::vector<ArtifactFormat>& formats,
-    const std::string& dir) {
-  const std::size_t n_shards = formats.size();
-  std::vector<std::string> paths;
-  for (std::size_t shard = 1; shard <= n_shards; ++shard) {
-    const std::vector<CellResult> results = run_shard(plan, shard, n_shards);
-    const bool binary = formats[shard - 1] == ArtifactFormat::kBinary;
-    const std::string path = dir + "/shard_" + std::to_string(shard) +
-                             (binary ? ".bin" : ".jsonl");
-    write_shard(path, plan, shard, n_shards, results, nullptr,
-                formats[shard - 1]);
-    paths.push_back(path);
-  }
-  return paths;
 }
 
 /// The message of the std::invalid_argument `fn` must throw.
@@ -111,12 +72,10 @@ TEST(BinaryArtifact, AggregatesRoundTripBitForBit) {
   const SweepPlan plan = make_plan(spec);
   const std::string dir = scratch_dir("roundtrip");
   const std::vector<CellResult> results = run_shard(plan, 1, 2);
-  const std::string path = dir + "/shard.bin";
-  write_shard(path, plan, 1, 2, results, nullptr, ArtifactFormat::kBinary);
-  ASSERT_TRUE(is_binary_artifact(path));
+  const std::string path = dir + "/shard.shard";
+  write_shard(path, plan, 1, 2, results);
 
-  // Once through the zero-copy reader directly...
-  BinaryArtifactReader reader(path);
+  const BinaryArtifactReader reader(path);
   EXPECT_EQ(reader.header().format_version, cell_format_version());
   EXPECT_EQ(reader.header().spec_hash, plan.spec_hash);
   EXPECT_EQ(reader.header().spec_text, plan.spec.canonical());
@@ -125,25 +84,56 @@ TEST(BinaryArtifact, AggregatesRoundTripBitForBit) {
   EXPECT_EQ(reader.header().n_cells_total, plan.cells.size());
   ASSERT_EQ(reader.n_cells(), results.size());
 
-  // ...and once through the sniffing dispatcher: identical entries. The
-  // comparison walks the shared aggregate table, so every serialized field
-  // is checked with EXPECT_EQ — the IEEE bit patterns are stored raw, the
-  // round-trip must be exact, not merely close.
-  std::vector<ShardEntry> entries;
-  read_any_artifact(path, &entries);
-  ASSERT_EQ(entries.size(), results.size());
+  // The comparison walks the shared aggregate table, so every serialized
+  // field is checked with EXPECT_EQ — the IEEE bit patterns are stored raw,
+  // the round-trip must be exact, not merely close.
   const detail::AggField* fields = detail::agg_fields();
   const std::size_t n_fields = detail::agg_field_count();
   const std::vector<std::size_t> indices = shard_cell_indices(plan, 1, 2);
-  for (std::size_t j = 0; j < entries.size(); ++j) {
-    EXPECT_EQ(entries[j].cell_index, indices[j]);
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    EXPECT_EQ(reader.cell_index(j), indices[j]);
+    CellResult loaded;
+    reader.load(j, &loaded);
+    EXPECT_TRUE(loaded.stats.times.empty()) << "per-trial times never ship";
+    EXPECT_EQ(loaded.from_cache, results[j].from_cache);
     for (std::size_t f = 0; f < n_fields; ++f) {
-      EXPECT_EQ(fields[f].get(entries[j].result), fields[f].get(results[j]))
+      EXPECT_EQ(fields[f].get(loaded), fields[f].get(results[j]))
           << "field " << fields[f].name << " of cell " << j;
       EXPECT_EQ(reader.value(f, j), fields[f].get(results[j]))
           << "reader column " << fields[f].name << " of cell " << j;
     }
-    EXPECT_EQ(reader.cell_index(j), indices[j]);
+  }
+}
+
+TEST(BinaryArtifact, EveryAggregateOfTheTableShips) {
+  // write_shard serializes straight through the aggregate table: give every
+  // table entry a distinct value and each must come back, so a new
+  // aggregate cannot be silently dropped from shards.
+  const SweepPlan plan = make_plan(golden_spec("sync"));
+  const std::string dir = scratch_dir("every_field");
+  const detail::AggField* fields = detail::agg_fields();
+  const std::size_t n_fields = detail::agg_field_count();
+  std::vector<CellResult> results(shard_cell_indices(plan, 1, 1).size());
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    for (std::size_t f = 0; f < n_fields; ++f) {
+      fields[f].set(results[j],
+                    static_cast<double>(1000 * j + f) + 0.5 * (f % 2));
+    }
+    results[j].from_cache = j % 2 == 1;
+  }
+  const std::string path = dir + "/shard.shard";
+  write_shard(path, plan, 1, 1, results);
+
+  const BinaryArtifactReader reader(path);
+  ASSERT_EQ(reader.n_cells(), results.size());
+  for (std::size_t j = 0; j < results.size(); ++j) {
+    CellResult loaded;
+    reader.load(j, &loaded);
+    EXPECT_EQ(loaded.from_cache, results[j].from_cache);
+    for (std::size_t f = 0; f < n_fields; ++f) {
+      EXPECT_EQ(fields[f].get(loaded), fields[f].get(results[j]))
+          << "aggregate " << fields[f].name << " of row " << j;
+    }
   }
 }
 
@@ -156,11 +146,10 @@ TEST(BinaryArtifact, MetricsLineRidesAlong) {
   metrics.cells_total = results.size();
   metrics.trials_executed = 1234;
   metrics.cache_corrupt = 3;
-  const std::string path = dir + "/shard.bin";
-  write_shard(path, plan, 1, 1, results, &metrics, ArtifactFormat::kBinary);
+  const std::string path = dir + "/shard.shard";
+  write_shard(path, plan, 1, 1, results, &metrics);
 
-  std::string metrics_line;
-  read_any_artifact(path, nullptr, &metrics_line);
+  const std::string metrics_line = BinaryArtifactReader(path).metrics_line();
   ASSERT_FALSE(metrics_line.empty());
   const telemetry::RunMetrics back =
       telemetry::metrics_from_json(metrics_line, nullptr, nullptr, nullptr);
@@ -169,26 +158,30 @@ TEST(BinaryArtifact, MetricsLineRidesAlong) {
   EXPECT_EQ(back.cache_corrupt, 3u);
 
   // An artifact without telemetry reads back an empty metrics line.
-  const std::string bare = dir + "/bare.bin";
-  write_shard(bare, plan, 1, 1, results, nullptr, ArtifactFormat::kBinary);
-  std::string none = "sentinel";
-  read_any_artifact(bare, nullptr, &none);
-  EXPECT_EQ(none, "");
+  const std::string bare = dir + "/bare.shard";
+  write_shard(bare, plan, 1, 1, results);
+  EXPECT_EQ(BinaryArtifactReader(bare).metrics_line(), "");
 }
 
-TEST(BinaryArtifact, SniffDistinguishesFormats) {
+TEST(BinaryArtifact, JsonlArtifactIsAStaleArtifactError) {
+  // A shard artifact from a build that still wrote JSONL: merge and
+  // catalog must say what it is and what to do, not just "bad magic".
   const SweepPlan plan = make_plan(golden_spec("sync"));
-  const std::string dir = scratch_dir("sniff");
-  const std::vector<CellResult> results = run_shard(plan, 1, 1);
-  write_shard(dir + "/a.bin", plan, 1, 1, results, nullptr,
-              ArtifactFormat::kBinary);
-  write_shard(dir + "/a.jsonl", plan, 1, 1, results);
-
-  EXPECT_TRUE(is_binary_artifact(dir + "/a.bin"));
-  EXPECT_FALSE(is_binary_artifact(dir + "/a.jsonl"));
-  EXPECT_FALSE(is_binary_artifact(dir + "/does_not_exist"));
-  write_file(dir + "/short", "ANT");  // shorter than the magic
-  EXPECT_FALSE(is_binary_artifact(dir + "/short"));
+  const std::string dir = scratch_dir("stale_jsonl");
+  const std::string path = dir + "/shard_1.jsonl";
+  write_file(path,
+             "{\"kind\":\"ants-shard-artifact\",\"format_version\":6,"
+             "\"spec_hash\":\"0\",\"shard\":1,\"n_shards\":1}\n");
+  const std::string what =
+      error_message([&] { merge_shards(plan, {path}); });
+  EXPECT_NE(what.find(path), std::string::npos) << what;
+  EXPECT_NE(what.find("not a binary shard artifact (JSONL artifacts are no "
+                      "longer read — re-run the shard)"),
+            std::string::npos)
+      << what;
+  EXPECT_NE(error_message([&] { merge_shards({path}, nullptr); })
+                .find("JSONL artifacts are no longer read"),
+            std::string::npos);
 }
 
 // --- corruption and incompatibility ----------------------------------------
@@ -197,8 +190,8 @@ TEST(BinaryArtifact, DetectsCorruptionWithDistinctMessages) {
   const SweepPlan plan = make_plan(golden_spec("sync"));
   const std::string dir = scratch_dir("corrupt");
   const std::vector<CellResult> results = run_shard(plan, 1, 1);
-  const std::string path = dir + "/shard.bin";
-  write_shard(path, plan, 1, 1, results, nullptr, ArtifactFormat::kBinary);
+  const std::string path = dir + "/shard.shard";
+  write_shard(path, plan, 1, 1, results);
   const std::string pristine = read_file(path);
   ASSERT_GT(pristine.size(), 64u);
 
@@ -225,86 +218,17 @@ TEST(BinaryArtifact, DetectsCorruptionWithDistinctMessages) {
                 .find("truncated"),
             std::string::npos);
 
-  // Not a binary artifact at all (long enough to pass the prelude-size
-  // check, so the magic comparison is what rejects it).
+  // Not a binary artifact at all.
   write_file(path, "{\"kind\":\"ants-shard-artifact\"}" + std::string(96, ' '));
   EXPECT_NE(error_message([&] { BinaryArtifactReader r(path); })
-                .find("bad magic"),
+                .find("not a binary shard artifact"),
             std::string::npos);
 
-  // Shorter than the fixed prelude: reported as truncation, not magic.
+  // Shorter than the magic: reported as truncation.
   write_file(path, "junk");
   EXPECT_NE(error_message([&] { BinaryArtifactReader r(path); })
                 .find("truncated (no header)"),
             std::string::npos);
-}
-
-// --- the headline invariant, across encodings ------------------------------
-
-void check_binary_and_mixed_identity(const std::string& stem) {
-  const ScenarioSpec spec = golden_spec(stem);
-  const std::string golden = golden_csv(stem);
-  const SweepPlan plan = make_plan(spec);
-
-  // All-binary shards.
-  {
-    const std::string dir = scratch_dir(stem + "_allbin");
-    const std::vector<std::string> paths = run_all_shards(
-        plan,
-        {ArtifactFormat::kBinary, ArtifactFormat::kBinary,
-         ArtifactFormat::kBinary},
-        dir);
-    EXPECT_EQ(render_csv(spec, merge_shards(plan, paths), dir + "/m.csv"),
-              golden)
-        << stem << " all-binary merge diverged from golden";
-  }
-
-  // Mixed encodings in one merge: binary, JSONL, binary.
-  {
-    const std::string dir = scratch_dir(stem + "_mixed");
-    const std::vector<std::string> paths = run_all_shards(
-        plan,
-        {ArtifactFormat::kBinary, ArtifactFormat::kJsonl,
-         ArtifactFormat::kBinary},
-        dir);
-    EXPECT_EQ(render_csv(spec, merge_shards(plan, paths), dir + "/m.csv"),
-              golden)
-        << stem << " mixed-format merge diverged from golden";
-  }
-}
-
-TEST(BinaryArtifact, StepAsyncBinaryAndMixedMergesAreByteIdentical) {
-  check_binary_and_mixed_identity("step_async");
-}
-
-TEST(BinaryArtifact, PlaneBaseBinaryAndMixedMergesAreByteIdentical) {
-  check_binary_and_mixed_identity("plane_base");
-}
-
-TEST(BinaryArtifact, AllOtherGoldenBinaryAndMixedMergesAreByteIdentical) {
-  for (const char* stem :
-       {"sync", "async_crash", "placement_sweep", "multi_target",
-        "plane_async"}) {
-    check_binary_and_mixed_identity(stem);
-  }
-}
-
-TEST(BinaryArtifact, SelfDescribingMergeWorksFromABinaryFirstArtifact) {
-  const ScenarioSpec spec = golden_spec("step_async");
-  const SweepPlan plan = make_plan(spec);
-  const std::string dir = scratch_dir("selfdesc_bin");
-  const std::vector<std::string> paths = run_all_shards(
-      plan,
-      {ArtifactFormat::kBinary, ArtifactFormat::kJsonl,
-       ArtifactFormat::kJsonl},
-      dir);
-
-  // The plan is reconstructed from the BINARY artifact's embedded spec.
-  ScenarioSpec recovered;
-  const std::vector<CellResult> merged = merge_shards(paths, &recovered);
-  EXPECT_EQ(recovered.canonical(), spec.canonical());
-  EXPECT_EQ(render_csv(recovered, merged, dir + "/m.csv"),
-            golden_csv("step_async"));
 }
 
 }  // namespace

@@ -7,14 +7,13 @@
 // cell runs, never what it computes — cell seeds depend only on the spec.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "scenario/agg_fields.h"
 #include "scenario/artifact.h"
 #include "scenario/plan.h"
 #include "scenario/sink.h"
@@ -82,7 +81,7 @@ std::vector<std::string> run_all_shards(const SweepPlan& plan,
     const std::vector<CellResult> results =
         run_shard(plan, shard, n_shards, opt);
     const std::string path =
-        dir + "/shard_" + std::to_string(shard) + ".jsonl";
+        dir + "/shard_" + std::to_string(shard) + ".shard";
     write_shard(path, plan, shard, n_shards, results);
     paths.push_back(path);
   }
@@ -213,132 +212,7 @@ TEST(ShardExec, RunShardMatchesTheMatchingRunSweepCells) {
   }
 }
 
-// --- artifact round-trip ---------------------------------------------------
-
-TEST(ShardArtifact, AggregatesRoundTripBitForBit) {
-  const ScenarioSpec spec = golden_spec("step_async");
-  const SweepPlan plan = make_plan(spec);
-  const std::string dir = scratch_dir("roundtrip");
-  const std::vector<CellResult> results = run_shard(plan, 1, 2);
-  const std::string path = dir + "/shard.jsonl";
-  write_shard(path, plan, 1, 2, results);
-
-  std::vector<ShardEntry> entries;
-  const ShardHeader header = read_shard_artifact(path, &entries);
-  EXPECT_EQ(header.format_version, cell_format_version());
-  EXPECT_EQ(header.spec_hash, plan.spec_hash);
-  EXPECT_EQ(header.shard, 1u);
-  EXPECT_EQ(header.n_shards, 2u);
-  EXPECT_EQ(header.n_cells_total, plan.cells.size());
-  ASSERT_EQ(entries.size(), results.size());
-  for (std::size_t j = 0; j < entries.size(); ++j) {
-    const CellResult& in = results[j];
-    const CellResult& out = entries[j].result;
-    // EXPECT_EQ, not EXPECT_DOUBLE_EQ: fmt_exact serialization must
-    // reproduce the identical bits, or merged CSVs could drift from the
-    // in-process run in the last printed digit.
-    EXPECT_EQ(in.stats.time.mean, out.stats.time.mean);
-    EXPECT_EQ(in.stats.time.std_error, out.stats.time.std_error);
-    EXPECT_EQ(in.stats.time.q95, out.stats.time.q95);
-    EXPECT_EQ(in.stats.success_rate, out.stats.success_rate);
-    EXPECT_EQ(in.stats.mean_competitiveness, out.stats.mean_competitiveness);
-    EXPECT_EQ(in.from_last_start.mean, out.from_last_start.mean);
-    EXPECT_EQ(in.mean_crashed, out.mean_crashed);
-    EXPECT_EQ(in.mean_last_start, out.mean_last_start);
-    EXPECT_EQ(in.mean_first_target, out.mean_first_target);
-    EXPECT_EQ(in.stats.time.n, out.stats.time.n);
-    EXPECT_TRUE(out.stats.times.empty()) << "per-trial times must not ship";
-  }
-}
-
 // --- merge verification ----------------------------------------------------
-
-TEST(ShardMerge, RejectsArtifactsFromADifferentSpec) {
-  ScenarioSpec spec = golden_spec("step_async");
-  const SweepPlan plan = make_plan(spec);
-  const std::string dir = scratch_dir("wrongspec");
-
-  ScenarioSpec other = spec;
-  other.seed += 1;  // same shape, different numbers — must not merge
-  const SweepPlan other_plan = make_plan(other);
-  const std::vector<std::string> paths = run_all_shards(other_plan, 3, dir);
-
-  EXPECT_THROW(merge_shards(plan, paths), std::invalid_argument);
-}
-
-TEST(ShardMerge, RejectsDuplicateCells) {
-  const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("dup");
-  const std::vector<std::string> paths = run_all_shards(plan, 3, dir);
-
-  std::vector<std::string> doubled = paths;
-  doubled.push_back(paths.front());  // shard 1 listed twice
-  EXPECT_THROW(merge_shards(plan, doubled), std::invalid_argument);
-}
-
-TEST(ShardMerge, RejectsMissingCells) {
-  const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("missing");
-  const std::vector<std::string> paths = run_all_shards(plan, 3, dir);
-
-  const std::vector<std::string> partial(paths.begin(), paths.end() - 1);
-  EXPECT_THROW(merge_shards(plan, partial), std::invalid_argument);
-}
-
-TEST(ShardMerge, RejectsTamperedFormatVersion) {
-  const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("stale");
-  const std::vector<std::string> paths = run_all_shards(plan, 1, dir);
-
-  // Simulate an artifact from an older build: patch the header version.
-  std::string content = read_file(paths.front());
-  const std::string want = "\"format_version\":" +
-                           std::to_string(cell_format_version());
-  const std::size_t at = content.find(want);
-  ASSERT_NE(at, std::string::npos);
-  content.replace(at, want.size(), "\"format_version\":1");
-  {
-    std::ofstream out(paths.front(), std::ios::binary | std::ios::trunc);
-    out << content;
-  }
-  EXPECT_THROW(merge_shards(plan, paths), std::invalid_argument);
-}
-
-TEST(ShardMerge, RejectsTruncatedArtifact) {
-  const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("truncated");
-  const std::vector<std::string> paths = run_all_shards(plan, 1, dir);
-
-  // Drop the last line: the header's n_cells_shard no longer matches, the
-  // torn file must be rejected, not half-merged.
-  const std::string content = read_file(paths.front());
-  const std::size_t cut = content.rfind('{');
-  ASSERT_NE(cut, std::string::npos);
-  {
-    std::ofstream out(paths.front(), std::ios::binary | std::ios::trunc);
-    out << content.substr(0, cut);
-  }
-  EXPECT_THROW(merge_shards(plan, paths), std::invalid_argument);
-}
-
-// --- merge verification across artifact encodings --------------------------
-//
-// The binary columnar format must be held to exactly the rejection rules
-// the JSONL format established, with messages distinct enough to act on.
-// Each test mixes encodings, because a real campaign can: old shards on
-// disk as JSONL, a rerun shard written binary.
-
-/// Runs one shard and writes it in the requested encoding.
-std::string write_one_shard(const SweepPlan& plan, std::size_t shard,
-                            std::size_t n_shards, const std::string& dir,
-                            ArtifactFormat format) {
-  const std::vector<CellResult> results = run_shard(plan, shard, n_shards);
-  const std::string path =
-      dir + "/shard_" + std::to_string(shard) +
-      (format == ArtifactFormat::kBinary ? ".bin" : ".jsonl");
-  write_shard(path, plan, shard, n_shards, results, nullptr, format);
-  return path;
-}
 
 /// The invalid_argument message `fn` must raise.
 template <typename Fn>
@@ -352,37 +226,48 @@ std::string merge_error(Fn&& fn) {
   return "";
 }
 
-TEST(ShardMergeCrossFormat, RejectsBinaryShardOfADifferentSpec) {
+TEST(ShardMerge, RejectsArtifactsFromADifferentSpec) {
   ScenarioSpec spec = golden_spec("step_async");
   const SweepPlan plan = make_plan(spec);
-  const std::string dir = scratch_dir("xf_wrongspec");
+  const std::string dir = scratch_dir("wrongspec");
 
   ScenarioSpec other = spec;
-  other.seed += 1;
+  other.seed += 1;  // same shape, different numbers — must not merge
   const SweepPlan other_plan = make_plan(other);
-  std::vector<std::string> paths = {
-      write_one_shard(plan, 1, 3, dir, ArtifactFormat::kJsonl),
-      write_one_shard(plan, 2, 3, dir, ArtifactFormat::kJsonl),
-      write_one_shard(other_plan, 3, 3, dir, ArtifactFormat::kBinary),
-  };
-  const std::string what =
-      merge_error([&] { merge_shards(plan, paths); });
+  const std::vector<std::string> paths = run_all_shards(other_plan, 3, dir);
+
+  const std::string what = merge_error([&] { merge_shards(plan, paths); });
   EXPECT_NE(what.find("spec hash mismatch"), std::string::npos) << what;
 }
 
-TEST(ShardMergeCrossFormat, RejectsStaleBinaryFormatVersion) {
+TEST(ShardMerge, RejectsDuplicateCells) {
   const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("xf_stale");
+  const std::string dir = scratch_dir("dup");
+  const std::vector<std::string> paths = run_all_shards(plan, 3, dir);
+
+  std::vector<std::string> doubled = paths;
+  doubled.push_back(paths.front());  // shard 1 listed twice
+  const std::string what = merge_error([&] { merge_shards(plan, doubled); });
+  EXPECT_NE(what.find("duplicate cell"), std::string::npos) << what;
+  EXPECT_NE(what.find(paths.front()), std::string::npos) << what;
+}
+
+TEST(ShardMerge, RejectsMissingCells) {
+  const SweepPlan plan = make_plan(golden_spec("step_async"));
+  const std::string dir = scratch_dir("missing");
+  const std::vector<std::string> paths = run_all_shards(plan, 3, dir);
+
+  const std::vector<std::string> partial(paths.begin(), paths.end() - 1);
+  const std::string what = merge_error([&] { merge_shards(plan, partial); });
+  EXPECT_NE(what.find("cells missing"), std::string::npos) << what;
+}
+
+TEST(ShardMerge, RejectsStaleFormatVersion) {
+  const SweepPlan plan = make_plan(golden_spec("step_async"));
+  const std::string dir = scratch_dir("stale");
 
   // An artifact from an older build, crafted through the public writer so
   // its CRCs are valid — only the version stamp is stale.
-  const std::vector<CellResult> results = run_shard(plan, 1, 1);
-  std::vector<ShardEntry> entries(results.size());
-  const std::vector<std::size_t> indices = shard_cell_indices(plan, 1, 1);
-  for (std::size_t j = 0; j < results.size(); ++j) {
-    entries[j].cell_index = indices[j];
-    entries[j].result = results[j];
-  }
   ShardHeader header;
   header.format_version = 1;  // predates every current cache/artifact key
   header.spec_hash = plan.spec_hash;
@@ -390,69 +275,40 @@ TEST(ShardMergeCrossFormat, RejectsStaleBinaryFormatVersion) {
   header.shard = 1;
   header.n_shards = 1;
   header.n_cells_total = plan.cells.size();
-  const std::string path = dir + "/stale.bin";
-  write_binary_artifact(path, header, entries);
+  const std::string path = dir + "/stale.shard";
+  write_binary_artifact(path, header, shard_cell_indices(plan, 1, 1),
+                        run_shard(plan, 1, 1));
 
-  const std::string what =
-      merge_error([&] { merge_shards(plan, {path}); });
+  const std::string what = merge_error([&] { merge_shards(plan, {path}); });
   EXPECT_NE(what.find("format version 1"), std::string::npos) << what;
   EXPECT_NE(what.find("regenerate"), std::string::npos) << what;
 }
 
-TEST(ShardMergeCrossFormat, RejectsDuplicateCellsAcrossEncodings) {
+TEST(ShardMerge, RejectsTruncatedAndCorruptArtifacts) {
   const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("xf_dup");
-  // Shard 1 appears twice: once JSONL, once binary — same cells, different
-  // bytes, so only cell-level bookkeeping can catch it.
-  const std::vector<std::string> paths = {
-      write_one_shard(plan, 1, 3, dir, ArtifactFormat::kJsonl),
-      write_one_shard(plan, 2, 3, dir, ArtifactFormat::kBinary),
-      write_one_shard(plan, 3, 3, dir, ArtifactFormat::kBinary),
-      write_one_shard(plan, 1, 3, dir, ArtifactFormat::kBinary),
-  };
-  const std::string what =
-      merge_error([&] { merge_shards(plan, paths); });
-  EXPECT_NE(what.find("duplicate cell"), std::string::npos) << what;
-}
-
-TEST(ShardMergeCrossFormat, RejectsMissingCellsWithBinaryShards) {
-  const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("xf_missing");
-  const std::vector<std::string> paths = {
-      write_one_shard(plan, 1, 3, dir, ArtifactFormat::kBinary),
-      write_one_shard(plan, 2, 3, dir, ArtifactFormat::kJsonl),
-      // shard 3 never ran
-  };
-  const std::string what =
-      merge_error([&] { merge_shards(plan, paths); });
-  EXPECT_NE(what.find("cells missing"), std::string::npos) << what;
-}
-
-TEST(ShardMergeCrossFormat, RejectsCorruptBinaryArtifactWithCrcMessage) {
-  const SweepPlan plan = make_plan(golden_spec("step_async"));
-  const std::string dir = scratch_dir("xf_crc");
-  const std::string path =
-      write_one_shard(plan, 1, 1, dir, ArtifactFormat::kBinary);
+  const std::string dir = scratch_dir("truncated");
+  const std::string path = run_all_shards(plan, 1, dir).front();
+  const std::string content = read_file(path);
+  ASSERT_GT(content.size(), 32u);
 
   // Bit rot in the column data: the CRC must fail the merge with a message
   // naming the damage, not silently merge a wrong double.
-  std::string content = read_file(path);
-  ASSERT_GT(content.size(), 32u);
-  content[content.size() - 24] ^= 0x01;
+  std::string rotted = content;
+  rotted[content.size() - 24] ^= 0x01;
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out << content;
+    out << rotted;
   }
-  const std::string what =
-      merge_error([&] { merge_shards(plan, {path}); });
+  std::string what = merge_error([&] { merge_shards(plan, {path}); });
   EXPECT_NE(what.find("CRC mismatch"), std::string::npos) << what;
 
-  // A truncated binary artifact is likewise rejected up front.
+  // A torn file must be rejected, not half-merged.
   {
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     out << content.substr(0, content.size() / 2);
   }
-  EXPECT_THROW(merge_shards(plan, {path}), std::invalid_argument);
+  what = merge_error([&] { merge_shards(plan, {path}); });
+  EXPECT_NE(what.find("truncated"), std::string::npos) << what;
 }
 
 // --- resumability ----------------------------------------------------------
@@ -464,35 +320,36 @@ TEST(ShardResume, KilledShardRerunRecomputesOnlyMissingCells) {
   SweepOptions opt;
   opt.cache_dir = dir + "/cache";
 
-  // Full shard pass populates the per-cell cache as cells complete.
-  const std::vector<std::size_t> indices = shard_cell_indices(plan, 1, 3);
+  // Full shard pass appends every cell to the cache journal as it
+  // completes.
   const std::vector<CellResult> first = run_shard(plan, 1, 3, opt);
-  ASSERT_GE(indices.size(), 2u);
+  ASSERT_GE(first.size(), 2u);
 
-  // Simulate a mid-shard kill: one cell's cache entry never landed.
-  char name[32];
-  std::snprintf(name, sizeof(name), "%016llx.cell",
-                static_cast<unsigned long long>(
-                    plan.cells[indices[1]].hash));
-  ASSERT_TRUE(std::filesystem::remove(opt.cache_dir + "/" + name));
+  // Simulate a mid-shard kill: the last cell's record never landed.
+  const std::string journal = opt.cache_dir + "/cache.pack";
+  const std::size_t record = 4 + 8 + 8 * detail::agg_field_count() + 4;
+  std::filesystem::resize_file(journal,
+                               std::filesystem::file_size(journal) - record);
 
   // The rerun serves every surviving cell from cache and recomputes only
   // the lost one — with identical aggregates either way.
   const std::vector<CellResult> second = run_shard(plan, 1, 3, opt);
   ASSERT_EQ(second.size(), first.size());
+  std::size_t cached = 0;
   for (std::size_t j = 0; j < second.size(); ++j) {
-    EXPECT_EQ(second[j].from_cache, j != 1);
+    cached += second[j].from_cache ? 1 : 0;
     EXPECT_EQ(second[j].stats.time.mean, first[j].stats.time.mean);
     EXPECT_EQ(second[j].stats.success_rate, first[j].stats.success_rate);
   }
+  EXPECT_EQ(cached, first.size() - 1);
 
   // And the artifact written by the resumed shard still merges to golden.
-  const std::string resumed = dir + "/resumed.jsonl";
+  const std::string resumed = dir + "/resumed.shard";
   write_shard(resumed, plan, 1, 3, second);
   std::vector<std::string> paths = {resumed};
   for (std::size_t shard = 2; shard <= 3; ++shard) {
     const std::string path = dir + "/shard_" + std::to_string(shard) +
-                             ".jsonl";
+                             ".shard";
     write_shard(path, plan, shard, 3, run_shard(plan, shard, 3));
     paths.push_back(path);
   }
@@ -532,61 +389,6 @@ TEST(ShardProgress, LinesArePrefixedAndCountsAreShardLocal) {
   for (std::size_t j = 0; j < with.size(); ++j) {
     EXPECT_EQ(with[j].stats.time.mean, without[j].stats.time.mean);
   }
-}
-
-// --- cache atomicity -------------------------------------------------------
-
-TEST(CacheAtomicity, ConcurrentStoresOfOneCellNeverTear) {
-  // Shard processes sharing a cache_dir can race on a cell (e.g. the same
-  // spec launched twice). Writers use unique temp names + rename, so every
-  // load observes a complete record; a torn or interleaved file would fail
-  // cache_load's full-field parse.
-  const ScenarioSpec spec = golden_spec("step_async");
-  const std::vector<CellResult> seed_results = run_sweep(spec);
-  ASSERT_FALSE(seed_results.empty());
-  const CellResult& sample = seed_results.front();
-
-  const std::string dir = scratch_dir("atomic") + "/cache";
-  constexpr std::uint64_t kHash = 0xDEADBEEFCAFEF00DULL;
-  constexpr int kIterations = 200;
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < 4; ++w) {
-    writers.emplace_back([&, w]() {
-      CellResult mine = sample;
-      // Distinguishable-but-valid payloads per writer: a reader must see
-      // one of them in full, never a mix.
-      mine.mean_last_start = w;
-      for (int i = 0; i < kIterations; ++i) cache_store(dir, kHash, mine);
-    });
-  }
-  // Wait for the first publication (the writers have just been spawned),
-  // then hammer loads concurrently with the ongoing stores.
-  {
-    CellResult first;
-    while (!cache_load(dir, kHash, &first)) std::this_thread::yield();
-  }
-  std::size_t loads = 0;
-  for (int i = 0; i < kIterations; ++i) {
-    CellResult loaded;
-    if (cache_load(dir, kHash, &loaded)) {
-      ++loads;
-      EXPECT_EQ(loaded.stats.time.mean, sample.stats.time.mean);
-      EXPECT_GE(loaded.mean_last_start, 0.0);
-      EXPECT_LT(loaded.mean_last_start, 4.0);
-    }
-  }
-  for (std::thread& t : writers) t.join();
-  EXPECT_GT(loads, 0u) << "reader never saw a published entry";
-
-  // No temp droppings left behind.
-  std::size_t files = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    ++files;
-    EXPECT_EQ(entry.path().extension(), ".cell")
-        << "stray file: " << entry.path();
-  }
-  EXPECT_EQ(files, 1u);
 }
 
 }  // namespace

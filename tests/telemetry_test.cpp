@@ -14,6 +14,7 @@
 #include <string>
 #include <vector>
 
+#include "scenario/artifact.h"
 #include "scenario/json.h"
 #include "scenario/sink.h"
 #include "scenario/spec.h"
@@ -478,6 +479,7 @@ TEST(Telemetry, ShardMetricsAggregateExactlyThroughArtifacts) {
   // artifact exactly like `search_lab run --shard` does.
   RunMetrics expected;
   std::vector<std::string> paths;
+  std::vector<scenario::CellResult> first_shard;
   for (std::size_t s = 1; s <= n_shards; ++s) {
     RunTelemetry tel;
     scenario::SweepOptions opt;
@@ -485,16 +487,17 @@ TEST(Telemetry, ShardMetricsAggregateExactlyThroughArtifacts) {
     opt.telemetry = &tel;
     const std::vector<scenario::CellResult> results =
         scenario::run_shard(plan, s, n_shards, opt);
-    const std::string path = dir + "/shard" + std::to_string(s) + ".jsonl";
+    const std::string path = dir + "/shard" + std::to_string(s) + ".shard";
     const RunMetrics metrics = tel.snapshot();
     scenario::write_shard(path, plan, s, n_shards, results, &metrics);
     expected.merge(metrics);
     paths.push_back(path);
+    if (s == 1) first_shard = results;
 
     // The artifact carries the metrics line and it parses back to the same
     // record.
-    std::string line;
-    scenario::read_shard_artifact(path, nullptr, &line);
+    const std::string line =
+        scenario::BinaryArtifactReader(path).metrics_line();
     ASSERT_FALSE(line.empty());
     std::size_t shard_back = 0, n_back = 0;
     const RunMetrics back =
@@ -521,13 +524,10 @@ TEST(Telemetry, ShardMetricsAggregateExactlyThroughArtifacts) {
   EXPECT_EQ(merged.cell_duration.total(), plan.cells.size());
 
   // Artifacts without metrics lines still merge — metrics are optional.
-  std::vector<scenario::ShardEntry> entries;
-  const scenario::ShardHeader header =
-      scenario::read_shard_artifact(paths[0], &entries);
-  scenario::write_shard_artifact(dir + "/bare.jsonl", header, entries);
+  scenario::write_shard(dir + "/bare.shard", plan, 1, n_shards, first_shard);
   RunMetrics partial;
   std::vector<std::string> mixed = paths;
-  mixed[0] = dir + "/bare.jsonl";
+  mixed[0] = dir + "/bare.shard";
   scenario::merge_shards(plan, mixed, &partial);
   EXPECT_LT(partial.trials_executed, merged.trials_executed);
 }

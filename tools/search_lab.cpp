@@ -14,22 +14,20 @@
 //       Runs every scenario in FILE (text or JSON-lines form, see
 //       docs/scenarios.md), or a single scenario assembled from flags.
 //
-//   search_lab run ... --shard=I/N --shard-out=FILE [--format=jsonl|binary]
+//   search_lab run ... --shard=I/N --shard-out=FILE
 //       Runs only shard I of an N-way split of each scenario's cells
 //       (deterministic partition by cell index) and writes a
-//       self-describing shard artifact instead of CSV/JSONL rows —
-//       JSONL (default; diff-able) or binary columnar (mmap-able, the
-//       fast path for big campaigns). Launch one process per shard — on
-//       one machine or many — then reassemble with `search_lab merge`.
-//       With --cache-dir, a killed shard resumes: the rerun recomputes
-//       only cells missing from the cache.
+//       self-describing binary shard artifact (docs/scenarios.md,
+//       "Artifact format") instead of CSV/JSONL rows. Launch one process
+//       per shard — on one machine or many — then reassemble with
+//       `search_lab merge`. With --cache-dir, a killed shard resumes: the
+//       rerun recomputes only cells missing from the cache journal.
 //
 //   search_lab merge ARTIFACT... [--csv=PATH] [--jsonl=PATH] [--quiet]
 //             [--metrics-out=FILE]
 //       Merges shard artifacts back into the canonical result table —
 //       byte-identical to what the unsharded run would have written
-//       (test-enforced). Artifacts are read in parallel and may mix JSONL
-//       and binary encodings freely (each file is sniffed). The spec
+//       (test-enforced). Artifacts are opened in parallel. The spec
 //       travels inside the artifacts; merge refuses mismatched specs,
 //       duplicate cells, and missing cells. --metrics-out aggregates the
 //       per-shard telemetry embedded in the artifacts (exact counter sums
@@ -37,21 +35,15 @@
 //
 //   search_lab catalog ARTIFACT... [--columns=a,b,c] [--csv=PATH]
 //             [--strategy=SUBSTR] [--k=LIST] [--d=LIST] [--quiet]
-//       Inspects shard artifacts without merging. With no selection flags,
-//       lists one row per artifact (path, format, scenario, shard, cells,
-//       spec hash). With --columns/--csv/filters it switches to cell mode:
-//       renders the selected columns for every matching cell across ALL
-//       the artifacts — different specs may mix, no completeness required,
+//       Inspects shard artifacts without merging — the human/CSV view of
+//       the binary files. With no selection flags, lists one row per
+//       artifact (path, scenario, shard, cells, spec hash). With
+//       --columns/--csv/filters it switches to cell mode: renders the
+//       selected columns for every matching cell across ALL the
+//       artifacts — different specs may mix, no completeness required,
 //       nothing is validated against a plan beyond each artifact's own
 //       spec. The cheap "what do I have / pull these columns" tool for a
 //       directory of campaign shards.
-//
-//   search_lab cache pack --cache-dir=DIR
-//       Compacts DIR's per-cell cache files into one mmap-able journal
-//       (DIR/cache.pack). Subsequent runs load the pack once instead of
-//       opening one file per cell, and append completed cells to the
-//       journal; corrupt entries are dropped (and counted). Pack any time
-//       — between runs, between shards — the cache contract is unchanged.
 //
 //   search_lab report METRICS_FILE... [--hist]
 //       Renders metrics JSON files (from --metrics-out) as a human table:
@@ -64,8 +56,9 @@
 //   --jsonl=PATH     write rows as JSON lines (same suffix rule)
 //   --quiet          suppress the stdout table
 //   --threads=N      scheduler threads (0 = hardware concurrency)
-//   --cache-dir=DIR  per-cell result cache; re-runs recompute only changed
-//                    cells (shards sharing one dir write atomically)
+//   --cache-dir=DIR  cell cache (one journal, DIR/cache.pack); re-runs
+//                    recompute only changed cells, and shards may share
+//                    one DIR
 //   --progress       per-cell completion lines on stderr (rows unaffected;
 //                    sharded runs prefix lines with "shard I/N"), with
 //                    elapsed/rate/ETA appended
@@ -93,7 +86,6 @@
 #include <vector>
 
 #include "scenario/artifact.h"
-#include "scenario/cache_pack.h"
 #include "scenario/environment.h"
 #include "scenario/registry.h"
 #include "scenario/sink.h"
@@ -237,7 +229,6 @@ int run_specs(util::Cli& cli) {
   const bool quiet = cli.get_bool("quiet", false);
   const std::string shard_arg = cli.get_string("shard", "");
   const std::string shard_out = cli.get_string("shard-out", "");
-  const std::string format_arg = cli.get_string("format", "");
   const std::string metrics_path = cli.get_string("metrics-out", "");
   const std::string events_path = cli.get_string("events", "");
   const std::string trace_path = cli.get_string("trace", "");
@@ -259,22 +250,6 @@ int run_specs(util::Cli& cli) {
   } else if (!shard_out.empty()) {
     std::cerr << "error: --shard-out only applies with --shard=I/N\n";
     return 2;
-  }
-
-  scenario::ArtifactFormat format = scenario::ArtifactFormat::kJsonl;
-  if (!format_arg.empty()) {
-    if (shard_arg.empty()) {
-      std::cerr << "error: --format selects the shard-artifact encoding and "
-                   "only applies with --shard=I/N\n";
-      return 2;
-    }
-    if (format_arg == "binary") {
-      format = scenario::ArtifactFormat::kBinary;
-    } else if (format_arg != "jsonl") {
-      std::cerr << "error: --format expects jsonl or binary, got '"
-                << format_arg << "'\n";
-      return 2;
-    }
   }
 
   scenario::SweepOptions sweep_opt;
@@ -349,13 +324,12 @@ int run_specs(util::Cli& cli) {
         // aggregate the campaign exactly.
         const telemetry::RunMetrics metrics = tel->snapshot();
         scenario::write_shard(out_path, plan, shard, n_shards, results,
-                              &metrics, format);
+                              &metrics);
         if (!metrics_path.empty()) {
           write_metrics_file(indexed_path(metrics_path, i), *tel);
         }
       } else {
-        scenario::write_shard(out_path, plan, shard, n_shards, results,
-                              nullptr, format);
+        scenario::write_shard(out_path, plan, shard, n_shards, results);
       }
       if (!quiet) {
         scenario::TableSink table(std::cout);
@@ -589,23 +563,20 @@ int run_catalog(util::Cli& cli) {
 
   if (!cell_mode) {
     // Listing mode: one row per artifact, header-level facts only.
-    util::Table table({"artifact", "format", "scenario", "shard", "cells",
+    util::Table table({"artifact", "scenario", "shard", "cells",
                        "spec_hash", "version"});
     for (const std::string& path : artifacts) {
-      std::vector<scenario::ShardEntry> entries;
-      const scenario::ShardHeader header =
-          scenario::read_any_artifact(path, &entries);
+      const scenario::BinaryArtifactReader reader(path);
+      const scenario::ShardHeader& header = reader.header();
       const std::vector<scenario::ScenarioSpec> specs =
           scenario::parse_spec_text(header.spec_text);
       char hash_hex[24];
       std::snprintf(hash_hex, sizeof(hash_hex), "%016llx",
                     static_cast<unsigned long long>(header.spec_hash));
-      table.add_row({path,
-                     scenario::is_binary_artifact(path) ? "binary" : "jsonl",
-                     specs.size() == 1 ? specs.front().name : "?",
+      table.add_row({path, specs.size() == 1 ? specs.front().name : "?",
                      std::to_string(header.shard) + "/" +
                          std::to_string(header.n_shards),
-                     std::to_string(entries.size()) + "/" +
+                     std::to_string(reader.n_cells()) + "/" +
                          std::to_string(header.n_cells_total),
                      hash_hex, std::to_string(header.format_version)});
     }
@@ -665,9 +636,8 @@ int run_catalog(util::Cli& cli) {
   std::map<std::uint64_t, scenario::SweepPlan> plans;
   std::size_t matched = 0;
   for (const std::string& path : artifacts) {
-    std::vector<scenario::ShardEntry> entries;
-    const scenario::ShardHeader header =
-        scenario::read_any_artifact(path, &entries);
+    const scenario::BinaryArtifactReader reader(path);
+    const scenario::ShardHeader& header = reader.header();
     if (header.format_version != scenario::cell_format_version()) {
       throw std::invalid_argument(
           "shard artifact " + path + ": format version " +
@@ -695,20 +665,22 @@ int run_catalog(util::Cli& cli) {
       }
     }
     const scenario::SweepPlan& plan = it->second;
-    for (scenario::ShardEntry& entry : entries) {
-      if (entry.cell_index >= plan.cells.size()) {
+    for (std::size_t row = 0; row < reader.n_cells(); ++row) {
+      const std::uint64_t index = reader.cell_index(row);
+      if (index >= plan.cells.size()) {
         throw std::invalid_argument(
             "shard artifact " + path + ": cell index " +
-            std::to_string(entry.cell_index) + " out of range");
+            std::to_string(index) + " out of range");
       }
-      entry.result.cell = plan.cells[entry.cell_index];
-      if (!keep(entry.result.cell)) continue;
+      scenario::CellResult result;
+      result.cell = plan.cells[index];
+      if (!keep(result.cell)) continue;
+      reader.load(row, &result);
       ++matched;
       std::vector<std::string> cells_row;
       cells_row.reserve(columns.size());
       for (const std::string& column : columns) {
-        cells_row.push_back(
-            scenario::column_value(column, plan.spec, entry.result));
+        cells_row.push_back(scenario::column_value(column, plan.spec, result));
       }
       for (scenario::ResultSink* sink : sinks) sink->row(cells_row);
     }
@@ -727,42 +699,17 @@ int run_catalog(util::Cli& cli) {
   return 0;
 }
 
-/// `search_lab cache pack`: compacts a cache_dir into the packed journal.
-int run_cache(util::Cli& cli) {
-  const std::string cache_dir = cli.get_string("cache-dir", "");
-  cli.finish();
-  if (cli.positional().size() != 2 || cli.positional()[1] != "pack") {
-    std::cerr << "usage: search_lab cache pack --cache-dir=DIR\n";
-    return 2;
-  }
-  if (cache_dir.empty()) {
-    std::cerr << "error: cache pack needs --cache-dir=DIR\n";
-    return 2;
-  }
-  const scenario::PackStats stats = scenario::pack_cache_dir(cache_dir);
-  std::cout << "packed " << stats.packed_cells << " cells into " << cache_dir
-            << "/cache.pack (" << stats.folded_files
-            << " per-cell files folded";
-  if (stats.corrupt_dropped > 0) {
-    std::cout << ", " << stats.corrupt_dropped << " corrupt entries dropped";
-  }
-  std::cout << ")\n";
-  return 0;
-}
-
 int usage() {
   std::cerr << "usage: search_lab list\n"
             << "       search_lab run --spec=FILE [flags]\n"
             << "       search_lab run --strategies='a; b(x=1)' --ks=... "
                "--ds=... [flags]\n"
-            << "       search_lab run ... --shard=I/N --shard-out=FILE "
-               "[--format=jsonl|binary]\n"
+            << "       search_lab run ... --shard=I/N --shard-out=FILE\n"
             << "       search_lab merge ARTIFACT... [--csv=PATH] "
                "[--jsonl=PATH] [--metrics-out=FILE] [--quiet]\n"
             << "       search_lab catalog ARTIFACT... [--columns=a,b,c] "
                "[--csv=PATH] [--strategy=SUBSTR] [--k=LIST] [--d=LIST] "
                "[--quiet]\n"
-            << "       search_lab cache pack --cache-dir=DIR\n"
             << "       search_lab report METRICS_FILE... [--hist]\n"
             << "see docs/scenarios.md for the spec format and flag list,\n"
             << "docs/observability.md for --metrics-out/--events/--trace\n";
@@ -775,7 +722,6 @@ int run(int argc, char** argv) {
   const std::string& command = cli.positional()[0];
   if (command == "merge") return run_merge(cli);
   if (command == "catalog") return run_catalog(cli);
-  if (command == "cache") return run_cache(cli);
   if (command == "report") return run_report(cli);
   if (cli.positional().size() != 1) return usage();
   if (command == "list") {
