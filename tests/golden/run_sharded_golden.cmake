@@ -13,13 +13,25 @@
 # both. The merge of the resumed artifact must still match GOLDEN
 # byte-for-byte.
 #
+# With -DPRESEED_SHARDS=<m> the journal is first seeded by shard 1/m of an
+# m-way split of the same spec (its artifact discarded), so the N-way
+# shards find a journal another partition wrote: across the shard set some
+# cells must be served from it and some computed. With -DREVERSE_MERGE=ON
+# the artifacts are handed to `search_lab merge` last shard first.
+#
+# With -DWARM=ON every shard reruns, after the rest, against the complete
+# journal: each must serve all its cells from it (cells_computed 0), the
+# journal must not grow, and the warm artifacts are what the catalog and
+# the merge below read.
+#
 # With -DCATALOG=ON the artifact set is additionally smoke-tested through
 # `search_lab catalog`: the listing must name every artifact, and the
 # cell-mode CSV render must produce exactly the plan's row count without a
 # merge.
 #
 #   cmake -DSEARCH_LAB=<bin> -DSPEC=<spec> -DGOLDEN=<csv> -DOUT_DIR=<dir>
-#         -DN_SHARDS=<n> [-DRESUME=ON] [-DCATALOG=ON]
+#         -DN_SHARDS=<n> [-DPRESEED_SHARDS=<m>] [-DREVERSE_MERGE=ON]
+#         [-DRESUME=ON] [-DWARM=ON] [-DCATALOG=ON]
 #         -P run_sharded_golden.cmake
 foreach(var SEARCH_LAB SPEC GOLDEN OUT_DIR N_SHARDS)
   if(NOT DEFINED ${var})
@@ -52,6 +64,35 @@ function(run_one_shard shard)
   endif()
 endfunction()
 
+# Reads the cells_total / cells_computed / cache_hits counters of the
+# metrics file `run_one_shard` last wrote for `shard`.
+function(read_shard_metrics shard prefix)
+  file(READ ${OUT_DIR}/shard_${shard}.metrics.json metrics)
+  foreach(counter cells_total cells_computed cache_hits)
+    string(REGEX MATCH "\"${counter}\":([0-9]+)" _ "${metrics}")
+    if(CMAKE_MATCH_1 STREQUAL "")
+      message(FATAL_ERROR "shard ${shard} metrics lack ${counter}:\n"
+              "${metrics}")
+    endif()
+    set(${prefix}_${counter} ${CMAKE_MATCH_1} PARENT_SCOPE)
+  endforeach()
+endfunction()
+
+if(PRESEED_SHARDS)
+  execute_process(
+    COMMAND ${SEARCH_LAB} run --spec=${SPEC}
+            --shard=1/${PRESEED_SHARDS}
+            --shard-out=${OUT_DIR}/preseed.shard
+            --cache-dir=${cache_dir} --quiet
+    RESULT_VARIABLE preseed_result)
+  if(NOT preseed_result EQUAL 0)
+    message(FATAL_ERROR
+            "search_lab preseed shard 1/${PRESEED_SHARDS} failed "
+            "(${preseed_result}) on ${SPEC}")
+  endif()
+  file(REMOVE ${OUT_DIR}/preseed.shard)
+endif()
+
 # Shard 1 runs last, so its records sit at the journal's tail — where a
 # kill would cut them.
 set(artifacts "")
@@ -67,6 +108,23 @@ if(EXISTS ${journal})
   file(SIZE ${journal} before_shard_1)
 endif()
 run_one_shard(1)
+
+if(PRESEED_SHARDS)
+  set(served 0)
+  set(computed 0)
+  foreach(shard RANGE 1 ${N_SHARDS})
+    read_shard_metrics(${shard} m)
+    math(EXPR served "${served} + ${m_cache_hits}")
+    math(EXPR computed "${computed} + ${m_cells_computed}")
+  endforeach()
+  if(NOT served GREATER 0 OR NOT computed GREATER 0)
+    message(FATAL_ERROR
+            "the ${N_SHARDS} shards served ${served} cells from the "
+            "journal seeded by shard 1/${PRESEED_SHARDS} and computed "
+            "${computed}: the seeded journal must leave both some cells "
+            "cached and some to compute")
+  endif()
+endif()
 
 if(RESUME)
   # Emulate a mid-run kill of shard 1: its artifact never landed and the
@@ -84,17 +142,41 @@ if(RESUME)
             "(${truncate_result})")
   endif()
   run_one_shard(1)
-  file(READ ${OUT_DIR}/shard_1.metrics.json resumed_metrics)
-  string(REGEX MATCH "\"cache_hits\":([0-9]+)" _ "${resumed_metrics}")
-  set(resumed_hits ${CMAKE_MATCH_1})
-  string(REGEX MATCH "\"cells_computed\":([0-9]+)" _ "${resumed_metrics}")
-  set(resumed_computed ${CMAKE_MATCH_1})
+  read_shard_metrics(1 resumed)
+  set(resumed_hits ${resumed_cache_hits})
+  set(resumed_computed ${resumed_cells_computed})
   if(NOT resumed_hits GREATER 0 OR NOT resumed_computed GREATER 0)
     message(FATAL_ERROR
             "resumed shard 1 served ${resumed_hits} cells from the journal "
             "and computed ${resumed_computed}: the cut journal must leave "
             "both some of its cells cached and some to recompute")
   endif()
+endif()
+
+if(WARM)
+  # A complete journal serves every cell: no shard computes, none appends.
+  file(SIZE ${journal} cold_size)
+  foreach(shard RANGE 1 ${N_SHARDS})
+    run_one_shard(${shard})
+    read_shard_metrics(${shard} warm)
+    if(NOT warm_cells_computed EQUAL 0
+       OR NOT warm_cache_hits EQUAL warm_cells_total)
+      message(FATAL_ERROR
+              "warm shard ${shard} computed ${warm_cells_computed} and "
+              "served ${warm_cache_hits} of its ${warm_cells_total} cells "
+              "from the complete journal: all must be served")
+    endif()
+  endforeach()
+  file(SIZE ${journal} warm_size)
+  if(NOT warm_size EQUAL cold_size)
+    message(FATAL_ERROR
+            "the warm reruns grew the journal from ${cold_size} to "
+            "${warm_size} bytes: a served cell must not be appended again")
+  endif()
+endif()
+
+if(REVERSE_MERGE)
+  list(REVERSE artifacts)
 endif()
 
 if(CATALOG)
