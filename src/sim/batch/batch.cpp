@@ -106,6 +106,12 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
 // scans reproduce hit_offset_from exactly: walks and spirals visit each node
 // at most once, so their unique hit counts iff its offset is not before the
 // window's first admissible offset; explicit paths rescan from that offset.
+// A target whose window closed by the segment's start (vanish <= base) or
+// opens after its end (first admissible offset > duration) is skipped
+// before its hit test: every hit lies in [base, base + duration], so
+// consider() or the offset test would reject it anyway. Collect-all counts
+// the targets without a hit yet; while one is left the bound is the cap,
+// and only after that does a pop scan the per-target bounds.
 
 template <bool kDynamic>
 TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
@@ -179,6 +185,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     best_t_.assign(nt, kNeverTime);
     finder_t_.assign(nt, -1);
   }
+  [[maybe_unused]] std::size_t n_unhit = nt;  // collect: targets with no hit
 
   // Two-level min-clock advance (see kMinBlock). Block scans are at most
   // kMinBlock elements, so they use small_argmin; the block-minima scan uses
@@ -227,11 +234,13 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     Time bound =
         std::min(config_.time_cap, best == kNeverTime ? best : best - 1);
     if (collect) {
-      Time loosest = 0;
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        loosest = std::max(loosest, best_t_[ti] == kNeverTime
-                                        ? config_.time_cap
-                                        : best_t_[ti] - 1);
+      // Every hit is at most the cap, so an unhit target is the loosest.
+      Time loosest = config_.time_cap;
+      if (n_unhit == 0) {
+        loosest = 0;
+        for (std::size_t ti = 0; ti < nt; ++ti) {
+          loosest = std::max(loosest, best_t_[ti] - 1);
+        }
       }
       bound = std::min(config_.time_cap, loosest);
     }
@@ -256,6 +265,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         return 0;
       }
     };
+    // Target ti's window misses this segment, [base, base + len].
+    [[maybe_unused]] const auto misses = [&](std::size_t ti, Time len) {
+      return van_[ti] <= static_cast<double>(base) || window_from(ti) > len;
+    };
 
     const auto consider = [&](Time hit, std::size_t ti) {
       const Time when_active = util::sat_add(elapsed_[ia], hit);
@@ -268,6 +281,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         if (static_cast<double>(when_abs) >= van_[ti]) return;
         if (when_abs < best_t_[ti] ||
             (when_abs == best_t_[ti] && a < finder_t_[ti])) {
+          if (best_t_[ti] == kNeverTime) --n_unhit;
           best_t_[ti] = when_abs;
           finder_t_[ti] = a;
         }
@@ -291,6 +305,9 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       const std::int64_t yhi = std::max(from_pt.y, to.y);
       std::optional<grid::StaircasePath> path;
       for (std::size_t ti = 0; ti < nt; ++ti) {
+        if constexpr (kDynamic) {
+          if (misses(ti, grid::l1_dist(from_pt, to))) continue;
+        }
         const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
         if (tgt.x < xlo || tgt.x > xhi || tgt.y < ylo || tgt.y > yhi) continue;
         if (!path) path.emplace(from_pt, to);
@@ -310,6 +327,9 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       scan_walk(pos, grid::kOrigin);
     } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
       for (std::size_t ti = 0; ti < nt; ++ti) {
+        if constexpr (kDynamic) {
+          if (misses(ti, sp->duration)) continue;
+        }
         const std::int64_t idx = grid::spiral_index(
             grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
         if (idx > sp->duration) continue;
@@ -321,6 +341,9 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     } else {
       const auto& fp = std::get<FollowPath>(op);
       for (std::size_t ti = 0; ti < nt; ++ti) {
+        if constexpr (kDynamic) {
+          if (misses(ti, static_cast<Time>(fp.steps.size()))) continue;
+        }
         const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
         const Time from = window_from(ti);
         std::optional<Time> hit;
@@ -406,14 +429,20 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // an in-order scan either way.
 //
 // kDynamic adds appear/vanish windows, drift, dwell capture, and
-// collect-all. The per-target liveness test, drifted position, and
-// occupancy gate depend only on the tick — not the agent — so they are
-// evaluated ONCE per tick into the target SoA (window_gate /
-// drift_positions kernels) where the scalar loop recomputes them per
-// (agent, target) pair; each agent's post-move test then becomes one gated
-// occupancy scan (find_point_gated) or one dwell-contact advance
-// (dwell_advance) over contiguous arrays. The static instance compiles all
-// of that out and scans with the plain find_point kernel.
+// collect-all. Per tick the scalar loop tests every target ever spawned for
+// liveness; here the targets that can still be found at t — appear <= t <
+// vanish and not yet found — are one live list in ascending target index,
+// the order the scalar loop meets them in. The list changes only at window
+// events: it is rebuilt when t reaches the next appear or vanish time
+// (targets ordered by appear once per trial) and loses an entry when that
+// target is captured. The drifted positions, the occupancy scan and the
+// dwell-contact update walk only the list; cells without windows (drift,
+// dwell or collect only) admit every target at t = 1 and see no later
+// event. Dwell counters of targets off the list are not reset as the scalar
+// loop resets them, which nothing can observe: a target off the list either
+// has not appeared yet (its counters are still 0), has vanished for good,
+// or is found. The static instance compiles all of that out and scans every
+// target with the plain find_point kernel.
 
 template <bool kDynamic>
 TrialResult BatchRunner::run_step(const TrialEnvironment& env,
@@ -425,7 +454,6 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
   const Time last_start = env.last_start();
   const std::size_t nt = env.targets.size();
   const bool collect = kDynamic && env.collect_all;
-  const bool windows = kDynamic && env.has_target_windows();
   const bool drift = kDynamic && env.has_target_drift();
   const Time dwell = kDynamic ? env.capture_dwell : 0;
   TrialResult result;
@@ -449,36 +477,33 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
     tgt_x_[ti] = env.targets[ti].x;
     tgt_y_[ti] = env.targets[ti].y;
   }
-  if (windows) {
+  const std::int64_t* tx = tgt_x_.data();
+  const std::int64_t* ty = tgt_y_.data();
+  // Window events: order_[next_appear..] are the targets still to appear,
+  // next_event the earliest tick at which the live list can change.
+  [[maybe_unused]] std::size_t next_appear = 0;
+  [[maybe_unused]] double next_event = detail::kNeverVanish;
+  if constexpr (kDynamic) {
     app_.resize(nt);
     van_.resize(nt);
+    order_.resize(nt);
     for (std::size_t ti = 0; ti < nt; ++ti) {
       app_[ti] = detail::appear_of(env, ti);
       van_[ti] = detail::vanish_of(env, ti);
+      order_[ti] = static_cast<std::uint32_t>(ti);
     }
-  }
-  if (drift) {
-    drift_vx_.resize(nt);
-    drift_vy_.resize(nt);
-    cur_tx_.resize(nt);
-    cur_ty_.resize(nt);
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-      drift_vx_[ti] = env.target_drift[ti].vx;
-      drift_vy_[ti] = env.target_drift[ti].vy;
-    }
-  }
-  const std::int64_t* tx = drift ? cur_tx_.data() : tgt_x_.data();
-  const std::int64_t* ty = drift ? cur_ty_.data() : tgt_y_.data();
-  if constexpr (kDynamic) {
-    alive_.assign(nt, 1);
-    found_.assign(nt, 0);
+    // Ties in index order: a batch of equal appear times (all of them when
+    // the cell has no windows) is admitted by appending.
+    std::sort(order_.begin(), order_.end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                return app_[a] < app_[b] || (app_[a] == app_[b] && a < b);
+              });
+    if (nt > 0) next_event = app_[order_[0]];
+    live_.clear();
+    live_x_.clear();
+    live_y_.clear();
     found_at_.assign(nt, 0);
-    if (dwell > 0) {
-      held_.assign(uk * nt, 0);
-      confirm_.resize(nt);
-    } else {
-      gate_.resize(nt);
-    }
+    if (dwell > 0) held_.assign(uk * nt, 0);
   }
 
   std::size_t n_found = 0;
@@ -492,31 +517,42 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
        t <= config_.time_cap && (!kDynamic || nt == 0 || n_found < nt); ++t) {
     if constexpr (kDynamic) {
       const double td = static_cast<double>(t);
-      if (drift) {
-        if (nt >= 8) {
-          kernels_->drift_positions(tgt_x_.data(), tgt_y_.data(),
-                                    drift_vx_.data(), drift_vy_.data(), nt, td,
-                                    cur_tx_.data(), cur_ty_.data());
-        } else {
-          for (std::size_t ti = 0; ti < nt; ++ti) {
-            cur_tx_[ti] = tgt_x_[ti] + std::llround(drift_vx_[ti] * td);
-            cur_ty_[ti] = tgt_y_[ti] + std::llround(drift_vy_[ti] * td);
+      bool refresh = drift;  // live_x_/live_y_ need this tick's positions
+      if (td >= next_event) {
+        // Drop the targets whose windows closed, admit those that opened
+        // (a window with vanish <= t never opens), and find the next event.
+        std::size_t keep = 0;
+        for (const std::uint32_t ti : live_) {
+          if (td < van_[ti]) live_[keep++] = ti;
+        }
+        live_.resize(keep);
+        for (; next_appear < nt && app_[order_[next_appear]] <= td;
+             ++next_appear) {
+          const std::uint32_t ti = order_[next_appear];
+          if (td < van_[ti]) {
+            live_.insert(std::upper_bound(live_.begin(), live_.end(), ti),
+                         ti);
           }
         }
-      }
-      if (windows) {
-        if (nt >= 8) {
-          kernels_->window_gate(app_.data(), van_.data(), nt, td,
-                                alive_.data());
-        } else {
-          for (std::size_t ti = 0; ti < nt; ++ti) {
-            alive_[ti] = (app_[ti] <= td && td < van_[ti]) ? 1 : 0;
-          }
+        next_event = next_appear < nt ? app_[order_[next_appear]]
+                                      : detail::kNeverVanish;
+        for (const std::uint32_t ti : live_) {
+          next_event = std::min(next_event, van_[ti]);
         }
+        refresh = true;
       }
-      if (dwell == 0) {
-        for (std::size_t ti = 0; ti < nt; ++ti) {
-          gate_[ti] = static_cast<char>(alive_[ti] != 0 && found_[ti] == 0);
+      if (refresh) {
+        const std::size_t n_live = live_.size();
+        live_x_.resize(n_live);
+        live_y_.resize(n_live);
+        for (std::size_t j = 0; j < n_live; ++j) {
+          const std::uint32_t ti = live_[j];
+          live_x_[j] = tx[ti];
+          live_y_[j] = ty[ti];
+          if (drift) {
+            live_x_[j] += std::llround(env.target_drift[ti].vx * td);
+            live_y_[j] += std::llround(env.target_drift[ti].vy * td);
+          }
         }
       }
     }
@@ -545,84 +581,82 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
       const auto ia = static_cast<std::size_t>(active[i]);
       const grid::Point next{lanes_.x[ia], lanes_.y[ia]};
 
-      if (kDynamic && dwell > 0) {
-        std::int64_t* held = held_.data() + ia * nt;
-        std::size_t nc;
-        // For a handful of targets the inline scan beats the kernel call
-        // (same rationale and threshold as the occupancy scan below).
-        if (nt >= 8) {
-          nc = kernels_->dwell_advance(tx, ty, alive_.data(), found_.data(),
-                                       nt, next.x, next.y, held, dwell + 1,
-                                       confirm_.data());
-        } else {
-          nc = 0;
-          for (std::size_t ti = 0; ti < nt; ++ti) {
-            const std::int64_t dx = tx[ti] - next.x;
-            const std::int64_t dy = ty[ti] - next.y;
-            const std::int64_t l1 = (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
-            const bool in_disc = alive_[ti] != 0 && l1 <= 1;
-            held[ti] = in_disc ? held[ti] + 1 : 0;
-            if (found_[ti] == 0 && held[ti] >= dwell + 1) {
-              confirm_[nc++] = static_cast<std::uint32_t>(ti);
-            }
-          }
-        }
-        for (std::size_t ci = 0; ci < nc; ++ci) {
-          const std::size_t ti = confirm_[ci];
-          found_[ti] = 1;
+      if constexpr (kDynamic) {
+        // Takes live entry j off the list as found by agent a at t; true
+        // when that ends a first-of-set race.
+        const auto capture = [&](std::size_t j) {
+          const std::uint32_t ti = live_[j];
+          live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(j));
+          live_x_.erase(live_x_.begin() + static_cast<std::ptrdiff_t>(j));
+          live_y_.erase(live_y_.begin() + static_cast<std::ptrdiff_t>(j));
           found_at_[ti] = t;
           ++n_found;
           if (first_ti < 0) {
             first_finder = a;
             first_ti = static_cast<int>(ti);
           }
-          if (collect) {
-            result.target_times[ti] = static_cast<double>(t);
-            continue;
-          }
-          first_find(i, ti);
-          return result;
-        }
-      } else {
-        // One agent step can capture several co-located targets in collect
-        // mode (the scalar loop keeps scanning), so the gated scan resumes
-        // past each capture. For a handful of targets the in-order scalar
-        // scan beats the kernel call; same first match either way.
-        std::size_t lo = 0;
-        for (;;) {
-          std::size_t ti = kNpos;
-          if (nt - lo < 8) {
-            for (std::size_t i = lo; i < nt; ++i) {
-              if ((!kDynamic || gate_[i] != 0) && tx[i] == next.x &&
-                  ty[i] == next.y) {
-                ti = i;
-                break;
-              }
-            }
-          } else if constexpr (kDynamic) {
-            const std::size_t rel = kernels_->find_point_gated(
-                tx + lo, ty + lo, gate_.data() + lo, nt - lo, next.x, next.y);
-            if (rel != kNpos) ti = lo + rel;
-          } else {
-            ti = kernels_->find_point(tx, ty, nt, next.x, next.y);
-          }
-          if (ti == kNpos) break;
-          if constexpr (kDynamic) {
-            found_[ti] = 1;
-            gate_[ti] = 0;
-            found_at_[ti] = t;
-            ++n_found;
-            if (first_ti < 0) {
-              first_finder = a;
-              first_ti = static_cast<int>(ti);
-            }
-          }
           if (!collect) {
             first_find(i, ti);
-            return result;
+            return true;
           }
           result.target_times[ti] = static_cast<double>(t);
-          lo = ti + 1;
+          return false;
+        };
+        if (dwell > 0) {
+          std::int64_t* held = held_.data() + ia * nt;
+          for (std::size_t j = 0; j < live_.size();) {
+            const std::int64_t dx = live_x_[j] - next.x;
+            const std::int64_t dy = live_y_[j] - next.y;
+            const std::int64_t l1 = (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
+            std::int64_t& h = held[live_[j]];
+            h = l1 <= 1 ? h + 1 : 0;
+            if (h < dwell + 1) {
+              ++j;
+            } else if (capture(j)) {
+              return result;
+            }
+          }
+        } else {
+          // One agent step can capture several co-located targets in
+          // collect mode (the scalar loop keeps scanning), so the scan
+          // resumes at the entry that moved into the captured one's slot.
+          // For a handful of targets the in-order scalar scan beats the
+          // kernel call; same first match either way.
+          for (std::size_t j = 0; j < live_.size();) {
+            const std::size_t n = live_.size() - j;
+            std::size_t rel = kNpos;
+            if (n < 8) {
+              for (std::size_t r = 0; r < n; ++r) {
+                if (live_x_[j + r] == next.x && live_y_[j + r] == next.y) {
+                  rel = r;
+                  break;
+                }
+              }
+            } else {
+              rel = kernels_->find_point(live_x_.data() + j,
+                                         live_y_.data() + j, n, next.x,
+                                         next.y);
+            }
+            if (rel == kNpos) break;
+            j += rel;
+            if (capture(j)) return result;
+          }
+        }
+      } else {
+        std::size_t ti = kNpos;
+        if (nt < 8) {
+          for (std::size_t r = 0; r < nt; ++r) {
+            if (tx[r] == next.x && ty[r] == next.y) {
+              ti = r;
+              break;
+            }
+          }
+        } else {
+          ti = kernels_->find_point(tx, ty, nt, next.x, next.y);
+        }
+        if (ti != kNpos) {
+          first_find(i, ti);
+          return result;
         }
       }
     }

@@ -87,9 +87,10 @@ class BatchRunner {
   /// One loop per grid backend. kDynamic is env.has_dynamic_targets(),
   /// picked once in run_one after the origin pre-step: the true instance
   /// handles appear/vanish windows, drift, dwell capture, and collect-all
-  /// (per-tick target tests through the window_gate / drift_positions /
-  /// find_point_gated / dwell_advance kernels); the false instance compiles
-  /// all of that out and is the paper's static model.
+  /// (lock-step: per-tick tests over the live-target list only; segment:
+  /// targets whose window misses the segment skipped before the hit
+  /// test); the false instance compiles all of that out and is the
+  /// paper's static model.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng);
@@ -118,16 +119,13 @@ class BatchRunner {
 
   // Dynamic target processes (per-trial target state, SoA).
   std::vector<double> app_, van_;            ///< appear/vanish windows
-  std::vector<double> drift_vx_, drift_vy_;  ///< drift velocities
-  std::vector<std::int64_t> cur_tx_, cur_ty_;  ///< drifted positions @ tick
-  std::vector<char> alive_;     ///< window gate @ tick (appear <= t < vanish)
-  std::vector<char> found_;     ///< per-target found mask (collect-all)
-  std::vector<char> gate_;      ///< alive && !found, occupancy-scan gate
+  std::vector<std::uint32_t> order_;  ///< lock-step: targets by appear time
+  std::vector<std::uint32_t> live_;   ///< lock-step: live unfound, ascending
+  std::vector<std::int64_t> live_x_, live_y_;  ///< live_'s positions @ tick
   std::vector<std::int64_t> found_at_;  ///< per-target discovery tick
   std::vector<std::int64_t> best_t_;    ///< segment: per-target earliest hit
   std::vector<int> finder_t_;           ///< segment: per-target finder
   std::vector<std::int64_t> held_;      ///< dwell contact clocks, uk * nt
-  std::vector<std::uint32_t> confirm_;  ///< dwell_advance output buffer
 
   // Segment backend.
   std::vector<std::unique_ptr<AgentProgram>> seg_programs_;

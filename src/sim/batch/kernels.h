@@ -18,12 +18,19 @@
 //     re-checked by the scalar test, making the prefilter byte-safe.
 //   * the dynamic-target kernels (window_gate, find_point_gated,
 //     drift_positions, dwell_advance) compute exactly the per-target
-//     window/drift/dwell tests of the scalar lock-step loop (sim/trial.cpp);
-//     the batch loop's static instance never calls them:
+//     window/drift/dwell tests of the scalar lock-step loop (sim/trial.cpp):
 //     drift_positions reproduces std::llround's half-away-from-zero
 //     rounding bit for bit (trunc + exact fraction + ±1 adjust), and the
 //     scan/advance kernels emit indices in ascending order so the scalar
 //     lowest-target-index tie-break is preserved.
+//
+// BatchRunner calls argmin_i64 and argmin_f64 (segment and plane min-clock
+// advance), find_point (lock-step occupancy, over all targets in the static
+// loop and over the live-target list in the dynamic one) and
+// line_candidates (plane). The four dynamic-target kernels are not on its
+// path, since its dynamic lock-step loop walks a short live-target list
+// rather than gating every spawned target. They stay in the table because
+// perfbench's replay times them and sim_batch_test pins their contracts.
 //
 // Kernels never allocate and have no internal state; the dispatch level is
 // chosen per batch by the runner via kernels_for(active_simd_level()).

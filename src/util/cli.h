@@ -4,6 +4,9 @@
 // true). Anything not starting with "--" is collected as a positional
 // argument. Unknown flags are an error by default so typos in experiment
 // sweeps fail loudly instead of silently running the default configuration.
+// Every getter but get_bool rejects a bare flag ("--csv needs a value"), and
+// the numeric getters parse each value whole: "--trials=1e3" and
+// "--ks=4,x" are errors naming the flag and the value.
 //
 // Usage:
 //   ants::util::Cli cli(argc, argv);
@@ -25,7 +28,9 @@ class Cli {
   Cli(int argc, const char* const* argv);
 
   /// Typed accessors. Each call marks the flag as recognized; finish() then
-  /// rejects any flag the program never asked about.
+  /// rejects any flag the program never asked about. All but get_bool throw
+  /// std::invalid_argument for a bare flag or a value they cannot parse
+  /// whole.
   std::string get_string(const std::string& name, const std::string& def);
   std::int64_t get_int(const std::string& name, std::int64_t def);
   double get_double(const std::string& name, double def);
@@ -47,8 +52,13 @@ class Cli {
   void finish() const;
 
  private:
+  /// The value of flag `name` (marked recognized), nullptr when absent;
+  /// throws when the flag was given bare.
+  const std::string* value_of(const std::string& name);
+
   std::string program_;
   std::map<std::string, std::string> flags_;
+  std::set<std::string> bare_;  ///< flags given without a value
   std::vector<std::string> positional_;
   mutable std::set<std::string> recognized_;
 };

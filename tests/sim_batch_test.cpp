@@ -12,7 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <initializer_list>
 #include <vector>
 
@@ -139,6 +141,125 @@ TEST(BatchKernels, FindPointMissReturnsNpos) {
     const Kernels& k = kernels_for(level);
     EXPECT_EQ(k.find_point(xs.data(), ys.data(), xs.size(), 3, 4), kNpos);
     EXPECT_EQ(k.find_point(xs.data(), ys.data(), xs.size(), 4, 4), 3u);
+  }
+}
+
+// The four dynamic-target kernels below are not on the executor's path
+// (its lock-step loop walks a live-target list); perfbench's replay times
+// them, so their contracts stay pinned against the plain per-target
+// expressions they reproduce.
+
+TEST(BatchKernels, WindowGateMatchesPerTargetWindowTest) {
+  rng::Rng rng(11);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 24; ++n) {
+      for (int rep = 0; rep < 20; ++rep) {
+        std::vector<double> appear(n), vanish(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          // Half-tick grid around t = 5 => exact ties on both edges.
+          appear[i] = 0.5 * static_cast<double>(rng.uniform_int(6, 12));
+          vanish[i] = 0.5 * static_cast<double>(rng.uniform_int(8, 14));
+        }
+        std::vector<char> out(n, 7);
+        k.window_gate(appear.data(), vanish.data(), n, 5.0, out.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(out[i], (appear[i] <= 5.0 && 5.0 < vanish[i]) ? 1 : 0)
+              << simd_level_name(level) << " n=" << n << " i=" << i;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, FindPointGatedSkipsClosedGates) {
+  rng::Rng rng(12);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 24; ++n) {
+      for (int rep = 0; rep < 40; ++rep) {
+        std::vector<std::int64_t> xs(n), ys(n);
+        std::vector<char> gate(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          xs[i] = rng.uniform_int(-1, 1);
+          ys[i] = rng.uniform_int(-1, 1);
+          gate[i] = static_cast<char>(rng.uniform_int(0, 1));
+        }
+        std::size_t want = kNpos;
+        for (std::size_t i = 0; i < n && want == kNpos; ++i) {
+          if (gate[i] != 0 && xs[i] == 0 && ys[i] == 1) want = i;
+        }
+        EXPECT_EQ(k.find_point_gated(xs.data(), ys.data(), gate.data(), n, 0,
+                                     1),
+                  want)
+            << simd_level_name(level) << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, DriftPositionsMatchLlround) {
+  rng::Rng rng(13);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 24; ++n) {
+      std::vector<std::int64_t> bx(n), by(n), ox(n), oy(n);
+      std::vector<double> vx(n), vy(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        bx[i] = rng.uniform_int(-50, 50);
+        by[i] = rng.uniform_int(-50, 50);
+        // Multiples of 1/8 at odd ticks land exactly on .5: both signs of
+        // the half-away-from-zero case.
+        vx[i] = 0.125 * static_cast<double>(rng.uniform_int(-16, 16));
+        vy[i] = rng.uniform_real(-3.0, 3.0);
+      }
+      for (const double t : {1.0, 3.0, 4.0, 77.0, 1001.0}) {
+        k.drift_positions(bx.data(), by.data(), vx.data(), vy.data(), n, t,
+                          ox.data(), oy.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(ox[i], bx[i] + std::llround(vx[i] * t))
+              << simd_level_name(level) << " n=" << n << " t=" << t;
+          EXPECT_EQ(oy[i], by[i] + std::llround(vy[i] * t))
+              << simd_level_name(level) << " n=" << n << " t=" << t;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchKernels, DwellAdvanceMatchesPerTargetContactUpdate) {
+  rng::Rng rng(14);
+  for (const SimdLevel level : testable_levels()) {
+    const Kernels& k = kernels_for(level);
+    for (std::size_t n = 1; n <= 24; ++n) {
+      for (int rep = 0; rep < 20; ++rep) {
+        std::vector<std::int64_t> tx(n), ty(n), held(n);
+        std::vector<char> alive(n), found(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          tx[i] = rng.uniform_int(-2, 2);
+          ty[i] = rng.uniform_int(-2, 2);
+          held[i] = rng.uniform_int(0, 3);
+          alive[i] = static_cast<char>(rng.uniform_int(0, 3) != 0);
+          found[i] = static_cast<char>(rng.uniform_int(0, 3) == 0);
+        }
+        std::vector<std::int64_t> want_held = held;
+        std::vector<std::uint32_t> want;
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::int64_t l1 = std::abs(tx[i]) + std::abs(ty[i] - 1);
+          want_held[i] = alive[i] != 0 && l1 <= 1 ? want_held[i] + 1 : 0;
+          if (found[i] == 0 && want_held[i] >= 3) {
+            want.push_back(static_cast<std::uint32_t>(i));
+          }
+        }
+        std::vector<std::uint32_t> out(n);
+        const std::size_t nc =
+            k.dwell_advance(tx.data(), ty.data(), alive.data(), found.data(),
+                            n, 0, 1, held.data(), 3, out.data());
+        out.resize(nc);
+        EXPECT_EQ(held, want_held) << simd_level_name(level) << " n=" << n;
+        EXPECT_EQ(out, want) << simd_level_name(level) << " n=" << n;
+      }
+    }
   }
 }
 

@@ -20,15 +20,22 @@
 //     target aggregates survive a cache round-trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "baselines/biased_walk.h"
 #include "baselines/random_walk.h"
+#include "baselines/sector_sweep.h"
 #include "core/known_k.h"
+#include "core/uniform.h"
+#include "grid/spiral.h"
 #include "plane/strategies.h"
 #include "rng/splitmix64.h"
 #include "scenario/plan.h"
@@ -512,6 +519,298 @@ TEST(TargetProcess, BatchRunnerMatchesScalarOnDynamicEnvs) {
       expect_open_window_invariant(seg_s, grid_closed);
       expect_open_window_invariant(step_s, grid_closed);
       expect_open_window_invariant(plane_s, plane_closed);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Window-event edges of the batch executor's dynamic loops: the lock-step
+// live-target list (rebuilt at appear/vanish times, shortened by captures)
+// and the segment loop's out-of-window skip must reproduce the scalar
+// loops, which test every target on every tick and segment.
+// ---------------------------------------------------------------------------
+
+/// 36 targets in the 9x9 box around the source. Appear times descend with
+/// the index in 7.5-tick steps (so appear order is not index order, and
+/// half of them are fractional), every third repeats its predecessor's, and
+/// the vanish times cycle through: never (+inf), an empty window on a whole
+/// tick (vanish == appear), fractional, integer, coincident with another
+/// target's appear, and a half-tick window. Targets 7, 8 and 30 share a
+/// node and a window.
+TrialEnvironment window_edge_environment(std::uint64_t seed) {
+  rng::Rng rng(seed);
+  constexpr std::size_t kTargets = 36;
+  TrialEnvironment env;
+  for (std::size_t ti = 0; ti < kTargets; ++ti) {
+    Point p = grid::kOrigin;
+    while (p == grid::kOrigin) {
+      p = Point{rng.uniform_int(-4, 4), rng.uniform_int(-4, 4)};
+    }
+    env.targets.push_back(p);
+    double appear = ti % 3 == 2 ? env.target_appear.back()
+                                : static_cast<double>(kTargets - ti) * 7.5 +
+                                      static_cast<double>(rng.uniform_int(0, 2));
+    if (ti % 6 == 1) appear = std::floor(appear);
+    env.target_appear.push_back(appear);
+    const double vanishes[] = {
+        std::numeric_limits<double>::infinity(),
+        appear,
+        appear + 40.5,
+        appear + static_cast<double>(rng.uniform_int(1, 200)),
+        appear + 30.0,  // the appear of target ti - 4 (before jitter)
+        appear + 0.5};
+    env.target_vanish.push_back(vanishes[ti % 6]);
+  }
+  for (const std::size_t ti : {7, 8, 30}) {
+    env.targets[ti] = env.targets[7];
+    env.target_appear[ti] = 1.5;
+    env.target_vanish[ti] = 400.0;
+  }
+  env.windowed = true;
+  return env;
+}
+
+TEST(TargetProcess, BatchRunnerMatchesScalarAtWindowEventEdges) {
+  using sim::batch::SimdLevel;
+  const baselines::RandomWalkStrategy random_walk;
+  const baselines::BiasedWalkStrategy biased_walk(0.3, 0.8);
+  const core::KnownKStrategy known(3);
+  const core::UniformStrategy uniform(0.5);
+  const baselines::SectorSweepStrategy sector;
+  constexpr int k = 3;
+  EngineConfig config;
+  config.time_cap = 600;
+
+  // Staggered starts, one agent dead on arrival and one crashing mid-trial.
+  const auto stagger = [](TrialEnvironment env) {
+    env.starts = {9, 0, 4};
+    env.lifetimes = {0, 250, sim::kNeverTime};
+    return env;
+  };
+  const auto with_drift = [](TrialEnvironment env) {
+    for (std::size_t ti = 0; ti < env.targets.size(); ++ti) {
+      const double v = 0.125 * static_cast<double>(ti % 5) - 0.25;
+      env.target_drift.push_back({v, -0.5 * v});
+    }
+    return env;
+  };
+  const auto with_dwell = [](TrialEnvironment env) {
+    env.capture_dwell = 2;
+    return env;
+  };
+
+  std::vector<sim::TrialStrategy> step_strategies(2);
+  step_strategies[0].step = &random_walk;
+  step_strategies[1].step = &biased_walk;
+  std::vector<sim::TrialStrategy> segment_strategies(3);
+  segment_strategies[0].segment = &known;
+  segment_strategies[1].segment = &uniform;
+  segment_strategies[2].segment = &sector;
+
+  SimdLevelGuard guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    sim::batch::force_simd_level(level);
+    // One runner per strategy, reused over every environment below, so a
+    // list or counter left over from the previous trial would show.
+    std::vector<sim::batch::BatchRunner> step_runners;
+    for (const auto& s : step_strategies) step_runners.emplace_back(s, k, config);
+    std::vector<sim::batch::BatchRunner> segment_runners;
+    for (const auto& s : segment_strategies) {
+      segment_runners.emplace_back(s, k, config);
+    }
+    std::size_t collected = 0;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      const TrialEnvironment base = window_edge_environment(seed);
+      const rng::Rng trial_rng(rng::mix_seed(0xED6E5, seed));
+      for (const bool collect : {false, true}) {
+        TrialEnvironment windows = base;
+        windows.collect_all = collect;
+        const std::vector<TrialEnvironment> step_envs = {
+            windows, with_drift(windows), with_dwell(windows),
+            stagger(windows), stagger(with_dwell(with_drift(windows)))};
+        for (std::size_t si = 0; si < step_runners.size(); ++si) {
+          for (const TrialEnvironment& env : step_envs) {
+            const TrialResult want =
+                run_trial(step_strategies[si], k, env, trial_rng, config);
+            expect_same_result(step_runners[si].run_one(env, trial_rng),
+                               want);
+            if (collect) {
+              collected += static_cast<std::size_t>(
+                  std::count_if(want.target_times.begin(),
+                                want.target_times.end(),
+                                [](double t) { return t >= 0; }));
+            }
+          }
+        }
+        // Every window left open: collect-all can finish early, so the
+        // segment loop's bound tightens once each target has a hit.
+        TrialEnvironment open = windows;
+        open.target_vanish.assign(open.targets.size(),
+                                  std::numeric_limits<double>::infinity());
+        for (std::size_t si = 0; si < segment_runners.size(); ++si) {
+          for (const TrialEnvironment& env :
+               {windows, stagger(windows), open}) {
+            expect_same_result(
+                segment_runners[si].run_one(env, trial_rng),
+                run_trial(segment_strategies[si], k, env, trial_rng, config));
+          }
+        }
+      }
+    }
+    // The walkers capture dozens of targets, so the list really shrinks.
+    EXPECT_GE(collected, 50u);
+    for (auto& runner : step_runners) {
+      EXPECT_EQ(runner.take_scalar_fallbacks(), 0u);
+    }
+  }
+}
+
+TEST(TargetProcess, BatchRunnerCapturesColocatedTargetsInOneStep) {
+  // The east walker reaches (3,0) at t = 3, where targets 1 and 2 both
+  // wait; collect-all takes both on that step. Target 3's window is empty
+  // (appear == vanish == 4), so the walker passing it at t = 4 finds
+  // nothing and the collection never completes.
+  using sim::batch::SimdLevel;
+  const EastStrategy east;
+  sim::TrialStrategy s;
+  s.step = &east;
+  TrialEnvironment env;
+  env.targets = {Point{5, 0}, Point{3, 0}, Point{3, 0}, Point{4, 0}};
+  env.target_appear = {2.5, 2.0, 0.5, 4.0};
+  env.target_vanish = {std::numeric_limits<double>::infinity(), 10.0, 3.5,
+                       4.0};
+  env.collect_all = true;
+  EngineConfig config;
+  config.time_cap = 20;
+
+  SimdLevelGuard guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    sim::batch::force_simd_level(level);
+    sim::batch::BatchRunner runner(s, 1, config);
+    const TrialResult want = run_trial(east, 1, env, rng::Rng(3), config);
+    EXPECT_EQ(want.target_times, (std::vector<double>{5.0, 3.0, 3.0, -1.0}));
+    EXPECT_FALSE(want.found);
+    expect_same_result(runner.run_one(env, rng::Rng(3)), want);
+  }
+}
+
+/// Every agent hops east 3 cells per segment — a GoTo, an explicit path,
+/// or (spiral) a 3-step spiral from wherever it stands.
+class HopStrategy final : public sim::Strategy {
+ public:
+  enum class Kind { kGoTo, kPath, kSpiral };
+  explicit HopStrategy(Kind kind) : kind_(kind) {}
+  std::string name() const override { return "hop"; }
+  std::unique_ptr<sim::AgentProgram> make_program(
+      sim::AgentContext) const override {
+    return std::make_unique<Program>(kind_);
+  }
+
+ private:
+  class Program final : public sim::AgentProgram {
+   public:
+    explicit Program(Kind kind) : kind_(kind) {}
+    sim::Op next(rng::Rng&) override {
+      x_ += 3;
+      if (kind_ == Kind::kGoTo) return sim::GoTo{Point{x_, 0}};
+      if (kind_ == Kind::kSpiral) return sim::SpiralFor{3};
+      return sim::FollowPath{{Point{x_ - 2, 0}, Point{x_ - 1, 0}, Point{x_, 0}}};
+    }
+
+   private:
+    Kind kind_;
+    std::int64_t x_ = 0;
+  };
+  Kind kind_;
+};
+
+TEST(TargetProcess, BatchRunnerSegmentHitsAtWindowEdgesOfASegment) {
+  // The segment loop skips a target whose window misses the segment. The
+  // edges: a window opening exactly at the segment's last offset (the agent
+  // dies there, so no later segment sees the node), one closing just after
+  // its first offset (a late starter hit at offset 0), and one closing
+  // exactly at the hit.
+  using sim::batch::SimdLevel;
+  EngineConfig config;
+  config.time_cap = 100;
+
+  SimdLevelGuard guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    sim::batch::force_simd_level(level);
+    for (const auto kind : {HopStrategy::Kind::kGoTo, HopStrategy::Kind::kPath,
+                            HopStrategy::Kind::kSpiral}) {
+      const HopStrategy hop(kind);
+      sim::TrialStrategy s;
+      s.segment = &hop;
+      sim::batch::BatchRunner runner(s, 1, config);
+      const Point first_end = kind == HopStrategy::Kind::kSpiral
+                                  ? grid::spiral_point(3)
+                                  : Point{3, 0};
+      for (const bool collect : {false, true}) {
+        TrialEnvironment opens_at_end;
+        opens_at_end.targets = {first_end};
+        opens_at_end.target_appear = {3.0};
+        opens_at_end.target_vanish = {std::numeric_limits<double>::infinity()};
+        opens_at_end.lifetimes = {3};
+        TrialEnvironment closes_after_start;
+        closes_after_start.targets = {grid::kOrigin};
+        closes_after_start.target_appear = {0.0};
+        closes_after_start.target_vanish = {2.5};
+        closes_after_start.starts = {2};
+        TrialEnvironment closes_at_hit = opens_at_end;
+        closes_at_hit.target_appear = {0.0};
+        closes_at_hit.target_vanish = {3.0};
+        const std::pair<TrialEnvironment, double> cases[] = {
+            {opens_at_end, 3.0}, {closes_after_start, 2.0},
+            {closes_at_hit, -1.0}};
+        for (auto [env, want_time] : cases) {
+          env.collect_all = collect;
+          const TrialResult want =
+              run_trial(hop, 1, env, rng::Rng(9), config);
+          EXPECT_EQ(want.found, want_time >= 0);
+          if (want.found) {
+            EXPECT_EQ(want.time, want_time);
+          }
+          expect_same_result(runner.run_one(env, rng::Rng(9)), want);
+        }
+      }
+    }
+  }
+}
+
+TEST(TargetProcess, BatchRunnerDwellAcrossVanishMidContact) {
+  // The east walker is in the disc of (2,0) from t = 1 and confirms at
+  // t = 3 under dwell=2; vanish times around that contact either wipe the
+  // progress or not, with a far target keeping the trial going.
+  using sim::batch::SimdLevel;
+  const EastStrategy east;
+  sim::TrialStrategy s;
+  s.step = &east;
+  EngineConfig config;
+  config.time_cap = 50;
+
+  SimdLevelGuard guard;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    sim::batch::force_simd_level(level);
+    sim::batch::BatchRunner runner(s, 1, config);
+    for (const bool collect : {false, true}) {
+      for (const double vanish :
+           {1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0,
+            std::numeric_limits<double>::infinity()}) {
+        TrialEnvironment env;
+        env.targets = {Point{9, 0}, Point{2, 0}};
+        env.target_appear = {0.0, 0.0};
+        env.target_vanish = {std::numeric_limits<double>::infinity(), vanish};
+        env.capture_dwell = 2;
+        env.collect_all = collect;
+        const TrialResult want = run_trial(east, 1, env, rng::Rng(5), config);
+        EXPECT_EQ(want.first_target, vanish > 3.0 ? 1 : 0) << vanish;
+        expect_same_result(runner.run_one(env, rng::Rng(5)), want);
+      }
     }
   }
 }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 namespace ants::util {
@@ -102,6 +104,82 @@ TEST(Cli, HasDetectsPresence) {
   EXPECT_TRUE(cli.has("quick"));
   EXPECT_FALSE(cli.has("full"));
   cli.get_bool("quick", false);
+  cli.finish();
+}
+
+TEST(Cli, BareFlagIsAnErrorForEveryValueGetter) {
+  // A bare flag reads as true for get_bool only; a path or number flag
+  // given without a value must not run with the string "true".
+  Cli cli = make_cli({"--csv", "--trials", "--eps", "--ks", "--deltas"});
+  const auto expect_needs_value = [](auto&& get, const std::string& flag) {
+    try {
+      get();
+      ADD_FAILURE() << flag << " accepted without a value";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), flag + " needs a value");
+    }
+  };
+  expect_needs_value([&] { return cli.get_string("csv", ""); }, "--csv");
+  expect_needs_value([&] { return cli.get_int("trials", 0); }, "--trials");
+  expect_needs_value([&] { return cli.get_double("eps", 0); }, "--eps");
+  expect_needs_value([&] { return cli.get_int_list("ks", {}); }, "--ks");
+  expect_needs_value([&] { return cli.get_double_list("deltas", {}); },
+                     "--deltas");
+  cli.finish();
+}
+
+TEST(Cli, ValueGivenAfterABareFlagCounts) {
+  Cli cli = make_cli({"--csv", "--csv=out.csv", "--quiet"});
+  EXPECT_EQ(cli.get_string("csv", ""), "out.csv");
+  EXPECT_TRUE(cli.get_bool("quiet", false));
+  cli.finish();
+}
+
+TEST(Cli, NumericFlagsParseTheWholeValue) {
+  Cli cli = make_cli({"--trials=1e3", "--k=12abc", "--cap=", "--big=99999999999999999999",
+                      "--eps=0.5x", "--huge=1e999", "--ks=4,x", "--ds=8,16.5",
+                      "--deltas=0.2,,0.8", "--bad=0.2;0.8"});
+  const auto expect_error = [](auto&& get, const std::string& message) {
+    try {
+      get();
+      ADD_FAILURE() << "no error, expected: " << message;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()), message);
+    }
+  };
+  expect_error([&] { return cli.get_int("trials", 0); },
+               "--trials: '1e3' is not an integer");
+  expect_error([&] { return cli.get_int("k", 0); },
+               "--k: '12abc' is not an integer");
+  expect_error([&] { return cli.get_int("cap", 0); },
+               "--cap: '' is not an integer");
+  expect_error([&] { return cli.get_int("big", 0); },
+               "--big: '99999999999999999999' is not an integer");
+  expect_error([&] { return cli.get_double("eps", 0); },
+               "--eps: '0.5x' is not a number");
+  expect_error([&] { return cli.get_double("huge", 0); },
+               "--huge: '1e999' is not a number");
+  expect_error([&] { return cli.get_int_list("ks", {}); },
+               "--ks: 'x' is not an integer");
+  expect_error([&] { return cli.get_int_list("ds", {}); },
+               "--ds: '16.5' is not an integer");
+  // Blank list entries are skipped, as before; a wrong separator is not.
+  EXPECT_EQ(cli.get_double_list("deltas", {}),
+            (std::vector<double>{0.2, 0.8}));
+  expect_error([&] { return cli.get_double_list("bad", {}); },
+               "--bad: '0.2;0.8' is not a number");
+  cli.finish();
+}
+
+TEST(Cli, NumericFlagsAcceptWellFormedValues) {
+  // Whitespace around a value or list entry is not part of it.
+  Cli cli = make_cli({"--trials=-12", "--eps=1e-3", "--delta=.5 ",
+                      "--ks=1, -2,3", "--ds=2.5e1,4"});
+  EXPECT_EQ(cli.get_int("trials", 0), -12);
+  EXPECT_DOUBLE_EQ(cli.get_double("eps", 0), 1e-3);
+  EXPECT_DOUBLE_EQ(cli.get_double("delta", 0), 0.5);
+  EXPECT_EQ(cli.get_int_list("ks", {}), (std::vector<std::int64_t>{1, -2, 3}));
+  EXPECT_EQ(cli.get_double_list("ds", {}), (std::vector<double>{25.0, 4.0}));
   cli.finish();
 }
 
