@@ -41,14 +41,14 @@ int main(int argc, char** argv) try {
   config.time_cap = 1 << 22;
 
   // Baseline: the paper's pristine model (synchronous, immortal).
-  const ants::sim::AsyncRunStats pristine = ants::sim::run_async_trials(
+  const ants::sim::CellStats pristine = ants::sim::run_async_trials(
       strategy, k, distance, ants::sim::uniform_ring_placement(),
       ants::sim::SyncStart(), ants::sim::NoCrash(), config);
 
   // The stressed run: drip release + exponential attrition.
   const ants::sim::StaggeredStart schedule(gap);
   const ants::sim::ExponentialLifetime crashes(lifetime);
-  const ants::sim::AsyncRunStats stressed = ants::sim::run_async_trials(
+  const ants::sim::CellStats stressed = ants::sim::run_async_trials(
       strategy, k, distance, ants::sim::uniform_ring_placement(), schedule,
       crashes, config);
 
@@ -63,12 +63,12 @@ int main(int argc, char** argv) try {
 
   std::printf("%-34s %12s %12s\n", "", "pristine", "stressed");
   std::printf("%-34s %12.0f %12.0f\n", "mean search time (absolute)",
-              pristine.base.time.mean, stressed.base.time.mean);
+              pristine.stats.time.mean, stressed.stats.time.mean);
   std::printf("%-34s %12.0f %12.0f\n", "mean search time from last start",
               pristine.from_last_start.mean, stressed.from_last_start.mean);
   std::printf("%-34s %12.1f%% %11.1f%%\n", "success rate",
-              100.0 * pristine.base.success_rate,
-              100.0 * stressed.base.success_rate);
+              100.0 * pristine.stats.success_rate,
+              100.0 * stressed.stats.success_rate);
   std::printf("%-34s %12.1f %12.1f\n", "ants lost per trial (mean)",
               pristine.mean_crashed, stressed.mean_crashed);
 

@@ -1,7 +1,5 @@
 #include "scenario/sweep.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
@@ -18,7 +16,6 @@
 #include "scenario/text.h"
 #include "sim/trial.h"
 #include "telemetry/run_telemetry.h"
-#include "util/format.h"
 #include "util/thread_pool.h"
 
 namespace ants::scenario {
@@ -36,7 +33,6 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
                                   const std::string& progress_prefix) {
   const auto n_cells = cells.size();
   const auto trials = static_cast<std::size_t>(spec.trials);
-  const bool async = spec.is_async();
   telemetry::RunTelemetry* tel = opt.telemetry;
 
   std::mutex progress_mutex;
@@ -81,7 +77,7 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
 
   // Cache pass: cells whose aggregates are already in the journal never
   // re-run — also how a killed shard resumes, since finished cells append
-  // as the sweep runs (see finalize_cell below). The journal loads once
+  // as the sweep runs (see hooks.finish_cell below). The journal loads once
   // into memory; damaged stretches skipped during the load (torn or
   // bit-rotted records) read as misses — those cells recompute and append —
   // but are counted separately: a corruption rate is an operational signal
@@ -153,132 +149,10 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
       make_schedule(spec.schedule);
   const std::unique_ptr<sim::CrashModel> crashes = make_crash(spec.crash);
 
-  // Target-process aggregates accumulate per trial into trial-indexed slots
-  // and are reduced in trial order in finalize_cell — atomic double sums
-  // would make the means depend on scheduling and break the thread-count
-  // byte-identity contract.
-  const bool dynamic = spec.is_dynamic();
-  const bool collect_all = spec.collect_all();
-  constexpr std::size_t kSlots = CellResult::kTargetTimeSlots;
-
-  // Admission: every pending cell holds its per-trial arrays until it
-  // finalizes, so a trial count whose arrays cannot fit in physical memory
-  // is a typed error here, not a std::bad_alloc halfway through.
-  {
-    const double doubles_per_trial =
-        1.0 + (async ? 3.0 : 0.0) + (dynamic ? 3.0 : 0.0) +
-        (collect_all ? static_cast<double>(kSlots) : 0.0);
-    const double bytes = static_cast<double>(pending.size()) *
-                         static_cast<double>(trials) * doubles_per_trial *
-                         sizeof(double);
-    const double physical = static_cast<double>(::sysconf(_SC_PHYS_PAGES)) *
-                            static_cast<double>(::sysconf(_SC_PAGE_SIZE));
-    if (physical > 0 && bytes > physical) {
-      detail::bad("scenario '" + spec.name + "': " + std::to_string(trials) +
-                  " trials x " + std::to_string(pending.size()) +
-                  " cells need " + util::fmt_param(bytes) +
-                  " bytes of per-trial arrays, more than the " +
-                  util::fmt_param(physical) +
-                  " bytes of physical memory — lower trials or split the "
-                  "sweep");
-    }
-  }
-
-  std::vector<std::vector<double>> times(n_cells);
-  std::vector<std::vector<double>> from_last(async ? n_cells : 0);
-  std::vector<std::vector<double>> crashed(async ? n_cells : 0);
-  std::vector<std::vector<double>> last_starts(async ? n_cells : 0);
-  std::vector<std::vector<double>> spawned(dynamic ? n_cells : 0);
-  std::vector<std::vector<double>> found_count(dynamic ? n_cells : 0);
-  std::vector<std::vector<double>> fbv(dynamic ? n_cells : 0);
-  std::vector<std::vector<double>> slot_times(collect_all ? n_cells : 0);
-  for (const std::size_t i : pending) {
-    times[i].resize(trials);
-    if (async) {
-      from_last[i].resize(trials);
-      crashed[i].resize(trials);
-      last_starts[i].resize(trials);
-    }
-    if (dynamic) {
-      spawned[i].resize(trials);
-      found_count[i].resize(trials);
-      fbv[i].resize(trials);
-    }
-    if (collect_all) slot_times[i].assign(trials * kSlots, -1.0);
-  }
-  std::vector<std::atomic<std::int64_t>> found(n_cells);
-  std::vector<std::atomic<std::int64_t>> first_target_sum(n_cells);
-  // Per-cell wall clock (telemetry only): the worker that runs a cell's
-  // FIRST trial CASes its start timestamp in (and emits cell_start); the
-  // worker that finishes its LAST trial reads it back for the duration.
-  // Cells overlap arbitrarily under the flat (cell, trial) schedule, so a
-  // cell's wall time spans concurrent work on other cells — it measures
-  // latency, not exclusive CPU.
-  std::vector<std::atomic<std::int64_t>> cell_start_us(tel != nullptr
-                                                           ? n_cells
-                                                           : 0);
-
-  // Runs on the scheduler thread that completes a cell's LAST trial: the
-  // cell's aggregates are final, so they publish to the result slot and the
-  // cache immediately. Persisting per cell mid-run (instead of once at the
-  // end) is what makes a killed shard resumable — every finished cell
-  // survives the kill, and the rerun's cache pass skips it.
-  const auto finalize_cell = [&](std::size_t i) {
-    results[i].stats =
-        sim::make_run_stats(std::move(times[i]), found[i].load(),
-                            cells[i].distance, static_cast<int>(cells[i].k));
-    if (async) {
-      results[i].from_last_start = stats::Summary::from(from_last[i]);
-      results[i].mean_crashed = stats::Summary::from(crashed[i]).mean;
-      results[i].mean_last_start = stats::Summary::from(last_starts[i]).mean;
-    }
-    results[i].mean_first_target =
-        found[i].load() > 0
-            ? static_cast<double>(first_target_sum[i].load()) /
-                  static_cast<double>(found[i].load())
-            : -1.0;
-    if (dynamic) {
-      const auto mean_of = [](const std::vector<double>& v) {
-        double sum = 0;
-        for (const double x : v) sum += x;
-        return v.empty() ? -1.0 : sum / static_cast<double>(v.size());
-      };
-      results[i].mean_targets_spawned = mean_of(spawned[i]);
-      results[i].mean_targets_found = mean_of(found_count[i]);
-      results[i].found_before_vanish = mean_of(fbv[i]);
-    }
-    if (collect_all) {
-      for (std::size_t j = 0; j < kSlots; ++j) {
-        double sum = 0;
-        std::size_t n_found = 0;
-        for (std::size_t t = 0; t < trials; ++t) {
-          const double v = slot_times[i][t * kSlots + j];
-          if (v >= 0) {
-            sum += v;
-            ++n_found;
-          }
-        }
-        results[i].target_time_mean[j] =
-            n_found > 0 ? sum / static_cast<double>(n_found) : -1.0;
-      }
-    }
-    // The cell persists the moment it completes — the killed-shard resume
-    // contract.
-    if (cache != nullptr) cache->append(cells[i].hash, results[i]);
-    report_cell(cells[i], "done");
-    if (tel != nullptr) {
-      const std::int64_t duration_us =
-          telemetry::now_us() -
-          cell_start_us[i].load(std::memory_order_relaxed);
-      tel->cell_end(i, cells[i].strategy_name, cells[i].k, cells[i].distance,
-                    /*cached=*/false, duration_us, trials,
-                    cells_done.fetch_add(1) + 1, n_cells);
-    }
-  };
-
   // Work items are (cell, trial-block) pairs run by the shared block
-  // executor (sim::run_cell_blocks); this driver only aggregates. Cell j
-  // of the executor is pending[j], running the strategy its plan built
+  // executor (sim::run_cell_blocks), which also reduces every cell's trials
+  // to its aggregates; this driver only publishes them. Cell j of the
+  // executor is pending[j], running the strategy its plan built
   // (Cell::built: one object per (strategy, k), read-only across threads).
   // Trace hookup: one track per scheduler worker, labelled spans named
   // after the cell; labels are prebuilt so the per-trial record is just a
@@ -287,10 +161,9 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
   trial_cells.reserve(pending.size());
   for (const std::size_t i : pending) {
     const Cell& cell = cells[i];
-    sim::TrialStrategy strategy;
-    strategy.segment = cell.built->segment.get();
-    strategy.step = cell.built->step.get();
-    strategy.plane = cell.built->plane.get();
+    const sim::TrialStrategy strategy{cell.built->segment.get(),
+                                      cell.built->step.get(),
+                                      cell.built->plane.get()};
     trial_cells.push_back(sim::TrialCell{
         strategy, static_cast<int>(cell.k), cell.distance, cell.seed,
         &target_processes[cell.placement_index * n_targets +
@@ -300,82 +173,59 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
   run.trials = trials;
   run.threads = opt.threads;
   run.engine.time_cap = spec.effective_time_cap();
-  if (async) {
+  if (spec.is_async()) {
     run.schedule = schedule.get();
     run.crashes = crashes.get();
   }
   run.capture_dwell = spec.capture_dwell();
-  run.collect_all = collect_all;
+  run.collect_all = spec.collect_all();
+  run.target_stats = spec.is_dynamic();
 
   telemetry::TraceCollector* trace = tel != nullptr ? tel->trace() : nullptr;
   sim::CellBlockHooks hooks;
-  hooks.timed = trace != nullptr;
-  hooks.begin = [&](unsigned workers) {
-    if (trace == nullptr) return;
-    std::vector<std::string> labels(n_cells);
-    for (const std::size_t i : pending) {
-      labels[i] = cells[i].strategy_name + " k=" +
-                  std::to_string(cells[i].k) + " D=" +
-                  std::to_string(cells[i].distance);
-    }
-    trace->begin_workers(workers, std::move(labels));
-  };
-  hooks.begin_block = [&](std::size_t j) {
-    const std::size_t ci = pending[j];
-    if (tel != nullptr &&
-        cell_start_us[ci].load(std::memory_order_relaxed) == 0) {
-      std::int64_t expected = 0;
-      if (cell_start_us[ci].compare_exchange_strong(
-              expected, telemetry::now_us(), std::memory_order_relaxed)) {
-        tel->cell_start(ci, cells[ci].strategy_name, cells[ci].k,
-                        cells[ci].distance);
+  if (trace != nullptr) {
+    hooks.begin = [&](unsigned workers) {
+      std::vector<std::string> labels(n_cells);
+      for (const std::size_t i : pending) {
+        labels[i] = cells[i].strategy_name + " k=" +
+                    std::to_string(cells[i].k) + " D=" +
+                    std::to_string(cells[i].distance);
       }
+      trace->begin_workers(workers, std::move(labels));
+    };
+    hooks.trial = [&](std::size_t j, unsigned worker, std::int64_t t0_us) {
+      trace->record_trial(worker, pending[j], t0_us, telemetry::now_us());
+    };
+  }
+  if (tel != nullptr) {
+    hooks.start_cell = [&](std::size_t j) {
+      const Cell& cell = cells[pending[j]];
+      tel->cell_start(pending[j], cell.strategy_name, cell.k, cell.distance);
+    };
+    // Plane dynamic cells are the only source of scalar fallbacks (grid
+    // dynamic environments batch).
+    hooks.end_block = [&](std::uint64_t fallbacks) {
+      if (fallbacks > 0) tel->record_batch_scalar_fallback(fallbacks);
+    };
+  }
+  // Runs on the worker that completes a cell's LAST trial: the cell's
+  // aggregates are final, so they publish to the result slot and the cache
+  // immediately. Persisting per cell mid-run (instead of once at the end)
+  // is what makes a killed shard resumable — every finished cell survives
+  // the kill, and the rerun's cache pass skips it. A cell's telemetry wall
+  // time spans concurrent work on other cells: latency, not exclusive CPU.
+  hooks.finish_cell = [&](std::size_t j, sim::CellStats&& stats,
+                          std::int64_t start_us) {
+    const std::size_t i = pending[j];
+    static_cast<sim::CellStats&>(results[i]) = std::move(stats);
+    if (cache != nullptr) cache->append(cells[i].hash, results[i]);
+    report_cell(cells[i], "done");
+    if (tel != nullptr) {
+      tel->cell_end(i, cells[i].strategy_name, cells[i].k, cells[i].distance,
+                    /*cached=*/false, telemetry::now_us() - start_us, trials,
+                    cells_done.fetch_add(1) + 1, n_cells);
     }
   };
-  hooks.trial = [&](std::size_t j, std::size_t trial, unsigned worker,
-                    const sim::TrialEnvironment& env,
-                    const sim::TrialResult& r, std::int64_t t0_us) {
-    const std::size_t ci = pending[j];
-    times[ci][trial] = r.time;
-    if (async) {
-      from_last[ci][trial] = r.from_last_start;
-      crashed[ci][trial] = static_cast<double>(r.crashed);
-      last_starts[ci][trial] = r.last_start;
-    }
-    if (r.found) {
-      found[ci].fetch_add(1, std::memory_order_relaxed);
-      first_target_sum[ci].fetch_add(r.first_target,
-                                     std::memory_order_relaxed);
-    }
-    if (dynamic) {
-      const double nt = static_cast<double>(
-          cells[ci].built->is_plane() ? env.plane_targets.size()
-                                : env.targets.size());
-      double nf = r.found ? 1.0 : 0.0;
-      if (collect_all) {
-        nf = 0;
-        for (const double tt : r.target_times) nf += tt >= 0 ? 1 : 0;
-        const std::size_t ns = std::min(kSlots, r.target_times.size());
-        for (std::size_t s = 0; s < ns; ++s) {
-          slot_times[ci][trial * kSlots + s] = r.target_times[s];
-        }
-      }
-      spawned[ci][trial] = nt;
-      found_count[ci][trial] = nf;
-      fbv[ci][trial] = nt > 0 ? nf / nt : 1.0;
-    }
-    if (trace != nullptr) {
-      trace->record_trial(worker, ci, t0_us, telemetry::now_us());
-    }
-  };
-  // Plane dynamic cells are the only source of scalar fallbacks (grid
-  // dynamic environments batch).
-  hooks.end_block = [&](std::uint64_t fallbacks) {
-    if (tel != nullptr && fallbacks > 0) {
-      tel->record_batch_scalar_fallback(fallbacks);
-    }
-  };
-  hooks.finish_cell = [&](std::size_t j) { finalize_cell(pending[j]); };
 
   {
     const telemetry::RunTelemetry::PhaseScope execute_scope(

@@ -1,20 +1,21 @@
 // Execute and merge layers of the sweep pipeline (the plan layer lives in
-// scenario/plan.h): every trial of every cell runs through ONE
-// util::parallel_for, and sharded runs reassemble into the canonical result
-// vector via self-describing artifacts.
+// scenario/plan.h): the pending cells of a plan run as (cell, trial-block)
+// work items on sim::run_cell_blocks, and sharded runs reassemble into the
+// canonical result vector via self-describing artifacts.
 //
-// Scheduling across cells matters because per-cell parallelism (the
-// sim::run_trials path) serializes a sweep on one barrier per cell: a grid
-// of small-trial cells leaves most cores idle at every join. Here the work
-// list is all (cell, trial) pairs, so a long-running cell's trials overlap
-// the next cells' instead of gating them.
+// Scheduling across cells matters because per-cell parallelism serializes a
+// sweep on one barrier per cell: a grid of small-trial cells leaves most
+// cores idle at every join. Here the work list is every block of every
+// cell, so a long-running cell's blocks overlap the next cells' instead of
+// gating them.
 //
-// Every grid cell — segment- or step-level, base model or schedule/crash
-// variant, one target or many — executes through the SAME call site: the
-// unified sim::run_trial under a per-trial TrialEnvironment drawn from the
-// cell's schedule/crash/targets specs. Only plane-level strategies run a
-// different engine (the continuous plane has no environment port), with the
-// placement translated to a treasure angle.
+// Every cell — segment-, step- or plane-level, base model or schedule/crash
+// variant, one target or many — runs through the same executor: a
+// sim::batch::BatchRunner per worker under a per-trial TrialEnvironment
+// drawn from the cell's schedule/crash/targets specs (plane cells translate
+// the placement into a treasure angle). The executor also reduces each
+// cell's trials to its aggregates; the sweep only publishes them to the
+// result vector, the cache journal and the progress/telemetry streams.
 //
 // Reproducibility contract (inherited from sim/runner.h and test-enforced):
 // trial t of a cell uses rng seed mix(cell_seed, t), where
@@ -48,31 +49,11 @@ struct RunMetrics;
 
 namespace ants::scenario {
 
-struct CellResult {
+/// One plan cell's result: the aggregates the block executor reduced from
+/// its trials (sim::CellStats), the cell they belong to, and whether they
+/// came from the cache.
+struct CellResult : sim::CellStats {
   Cell cell;
-  sim::RunStats stats;
-  /// Async-run extras (zero for base-model cells): search times measured
-  /// from the trial's last start, mean crashed agents per trial, and the
-  /// mean of the trial's latest start delay.
-  stats::Summary from_last_start;
-  double mean_crashed = 0;
-  double mean_last_start = 0;
-  /// Mean winning-target index over FOUND trials (-1 when nothing was
-  /// found); 0 for single-target cells.
-  double mean_first_target = -1;
-  /// Number of per-target discovery-time slots persisted per cell
-  /// (collect-all specs; targets beyond the first slots still count into
-  /// mean_targets_found, they just don't get an individual column).
-  static constexpr std::size_t kTargetTimeSlots = 4;
-  /// Target-process aggregates (-1 / inert for classic static specs):
-  /// mean targets spawned and found per trial, the mean per-trial fraction
-  /// of spawned targets found before they vanished (1 when a trial spawned
-  /// none), and — collect-all only — the mean discovery time of target slot
-  /// j over the trials where that slot was found (-1 when never found).
-  double mean_targets_found = -1;
-  double mean_targets_spawned = -1;
-  double found_before_vanish = -1;
-  double target_time_mean[kTargetTimeSlots] = {-1, -1, -1, -1};
   bool from_cache = false;
 };
 

@@ -18,10 +18,11 @@
 //     Binomial(k, 1-p) crowd, so E[T] should track D + D^2/((1-p)k).
 //
 // Both policies are pure per-trial draws consumed by sim::draw_environment
-// (sim/trial.h), which executes them on EVERY strategy family — segment-,
-// lock-step-, and continuous-plane-level alike — through the unified
-// run_trial executor (plane backends read the integer delays/lifetimes as
-// continuous time units).
+// (sim/trial.h). The resulting environment applies to EVERY strategy
+// family — segment-, lock-step-, and continuous-plane-level alike — in the
+// batch executor behind sim::run_cell_blocks (sim/batch/batch.h) and in
+// its scalar reference sim::run_trial (plane backends read the integer
+// delays/lifetimes as continuous time units).
 //
 // Determinism: delays and lifetimes are drawn from dedicated child streams
 // of the trial rng (tags kScheduleStream / kCrashStream), so enabling either

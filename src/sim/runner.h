@@ -1,10 +1,13 @@
 // Monte-Carlo runner: repeats environment-aware trials across threads and
 // aggregates the statistics the experiment tables need.
 //
-// run_cell_blocks is THE (cell, trial-block) loop: it executes the trials
-// of any number of cells as work items on the batch executor. The scenario
-// sweep drives it over a whole plan; run_env_trials drives it over one
-// cell, and every other run_* entry point here forwards to run_env_trials.
+// run_cell_blocks is THE (cell, trial-block) loop and THE per-cell
+// aggregator: it runs the trials of any number of cells as work items on
+// the batch executor (sim/batch/batch.h), records every trial into its
+// cell's trial table, and reduces the table in trial order once the cell's
+// last trial lands. The scenario sweep drives it over a whole plan;
+// run_env_trials drives it over one cell, and every other run_* entry point
+// here forwards to run_env_trials.
 //
 // Reproducibility contract: trial i of a run with master seed S uses
 // rng seed mix(S, i) for both placement and the engine, so a result is a
@@ -40,23 +43,10 @@ struct RunStats {
   std::vector<double> times;    ///< raw per-trial times (censored)
 };
 
-/// Builds RunStats from raw per-trial times. Shared by the runner and the
-/// scenario sweep, which must aggregate identically.
+/// Builds RunStats from raw per-trial times: the reduction run_cell_blocks
+/// applies to every cell's search-time column.
 RunStats make_run_stats(std::vector<double> times, std::int64_t found,
                         std::int64_t distance, int k);
-
-/// Environment aggregates on top of the base stats (zero under the paper's
-/// base model, where every trial has zero delays, no crashes, and target 0
-/// wins every race).
-struct AsyncRunStats {
-  RunStats base;                  ///< times measured from t = 0
-  stats::Summary from_last_start; ///< times measured from the last start
-  double mean_crashed = 0;        ///< mean number of crashed agents per trial
-  double mean_last_start = 0;     ///< mean of the trial's latest start delay
-  /// Mean winning-target index over FOUND trials (-1 when nothing was ever
-  /// found); 0 for single-target runs.
-  double mean_first_target = -1;
-};
 
 /// One cell of a run_cell_blocks call: `strategy` with k agents against
 /// `targets` at distance D; trial t draws from rng seed mix_seed(seed, t).
@@ -79,30 +69,66 @@ struct CellBlockRun {
   const CrashModel* crashes = nullptr;
   Time capture_dwell = 0;    ///< copied into every trial's environment
   bool collect_all = false;  ///< copied into every trial's environment
+  /// Collect the target-process aggregates (mean_targets_spawned/_found,
+  /// found_before_vanish). The scenario sweep sets it for dynamic specs.
+  bool target_stats = false;
 };
 
-/// Callbacks of run_cell_blocks; only `trial` is required. Every hook but
-/// `begin` runs on worker threads, and blocks of one cell may run
-/// concurrently, so hooks write only trial-indexed slots or atomics. Cell
+/// A cell's aggregates, reduced by run_cell_blocks from the cell's
+/// trial-ordered columns, so no aggregate depends on scheduling. Fields
+/// whose columns the run does not collect keep their defaults. Also the
+/// result of run_env_trials, whose base-model runs (zero delays, no
+/// crashes) report from_last_start equal to stats.time.
+struct CellStats {
+  RunStats stats;
+  /// Async-run extras (zero for base-model cells): search times measured
+  /// from the trial's last start, mean crashed agents per trial, and the
+  /// mean of the trial's latest start delay.
+  stats::Summary from_last_start;
+  double mean_crashed = 0;
+  double mean_last_start = 0;
+  /// Mean winning-target index over FOUND trials (-1 when nothing was
+  /// found); 0 for single-target cells.
+  double mean_first_target = -1;
+  /// Number of per-target discovery-time slots kept per cell (collect-all
+  /// runs; targets beyond the first slots still count into
+  /// mean_targets_found, they just don't get an individual column).
+  static constexpr std::size_t kTargetTimeSlots = 4;
+  /// Target-process aggregates (-1 unless the run sets target_stats): mean
+  /// targets spawned and found per trial, the mean per-trial fraction of
+  /// spawned targets found before they vanished (1 when a trial spawned
+  /// none), and — collect-all only — the mean discovery time of target slot
+  /// j over the trials where that slot was found (-1 when never found).
+  double mean_targets_found = -1;
+  double mean_targets_spawned = -1;
+  double found_before_vanish = -1;
+  double target_time_mean[kTargetTimeSlots] = {-1, -1, -1, -1};
+};
+
+/// Callbacks of run_cell_blocks; only `finish_cell` is required. Every hook
+/// but `begin` runs on worker threads, and blocks of one cell may run
+/// concurrently, so hooks touch only per-cell or worker-owned state. Cell
 /// indices are positions in the `cells` vector.
 struct CellBlockHooks {
   /// Once, before any work item: the number of workers the run uses
   /// (worker ids handed to `trial` are below it).
   std::function<void(unsigned workers)> begin;
-  /// Before the first trial of every block of a cell.
-  std::function<void(std::size_t cell)> begin_block;
-  /// One finished trial. `t0_us` is telemetry::now_us() read just before
-  /// the trial when `timed` is set, and 0 otherwise.
-  std::function<void(std::size_t cell, std::size_t trial, unsigned worker,
-                     const TrialEnvironment& env, const TrialResult& result,
-                     std::int64_t t0_us)>
+  /// Once per cell, when its first block allocates the cell's trial table.
+  std::function<void(std::size_t cell)> start_cell;
+  /// One finished trial, for tracing: `t0_us` is telemetry::now_us() read
+  /// just before the trial. Unset, the loop reads no clock per trial.
+  std::function<void(std::size_t cell, unsigned worker, std::int64_t t0_us)>
       trial;
   /// After the last trial of every block: how many of its trials the
   /// worker's batch runner delegated to the scalar executor.
   std::function<void(std::uint64_t scalar_fallbacks)> end_block;
-  /// Once per cell, on the worker that completes the cell's last trial.
-  std::function<void(std::size_t cell)> finish_cell;
-  bool timed = false;
+  /// Once per cell, on the worker that completes the cell's last trial:
+  /// the cell's aggregates, and the telemetry::now_us() reading taken when
+  /// `start_cell` fired. Every column but the search times (kept in
+  /// stats.stats.times) is already freed.
+  std::function<void(std::size_t cell, CellStats&& stats,
+                     std::int64_t start_us)>
+      finish_cell;
 };
 
 /// Runs run.trials trials of every cell. Work items are blocks of
@@ -110,8 +136,20 @@ struct CellBlockHooks {
 /// amortizes one batch runner across a block, rebuilding it only when it
 /// moves to a cell with another (strategy, k). Per trial: seed from the
 /// cell, realize the target process, draw the schedule and crashes unless
-/// the run is the base model, run the trial, hand the result to `trial`.
-/// Results are byte-identical to sim::run_trial for any thread count.
+/// the run is the base model, run the trial, record it in the cell's trial
+/// table. Results are byte-identical to sim::run_trial for any thread
+/// count.
+///
+/// A cell's trial table holds one column per measure the run collects
+/// (search times always; async columns when a schedule is set; target
+/// columns under target_stats; discovery-time slots under collect_all). It
+/// is allocated when the cell's first block starts and freed, all but the
+/// times, when its last trial lands. Blocks are claimed in cell order, so at
+/// most workers + 1 cells are live: those with a running block and the one
+/// at the claim frontier. Before any work runs, every cell's times plus the
+/// other columns of that many cells are checked against physical memory;
+/// a run that cannot fit throws std::invalid_argument naming trials, cells
+/// and bytes.
 void run_cell_blocks(const std::vector<TrialCell>& cells,
                      const CellBlockRun& run, const CellBlockHooks& hooks);
 
@@ -123,7 +161,7 @@ void run_cell_blocks(const std::vector<TrialCell>& cells,
 /// be segment-, step-, or plane-level. Step- and plane-level strategies
 /// require a finite config.time_cap, and the target process must cover the
 /// strategy's substrate (grid vs plane).
-AsyncRunStats run_env_trials(const TrialStrategy& strategy, int k,
+CellStats run_env_trials(const TrialStrategy& strategy, int k,
                              std::int64_t distance,
                              const TargetProcess& targets,
                              const StartSchedule& schedule,
@@ -143,7 +181,7 @@ RunStats run_step_trials(const StepStrategy& strategy, int k,
 
 /// Segment-level strategies under a start schedule / crash model
 /// (experiment E9); same reproducibility contract as run_trials.
-AsyncRunStats run_async_trials(const Strategy& strategy, int k,
+CellStats run_async_trials(const Strategy& strategy, int k,
                                std::int64_t distance,
                                const Placement& placement,
                                const StartSchedule& schedule,

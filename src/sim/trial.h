@@ -164,13 +164,14 @@ TrialEnvironment draw_environment(int k, TrialEnvironment env,
                                   const CrashModel& crashes,
                                   const rng::Rng& trial_rng);
 
-/// A strategy for the unified executor: exactly one pointer set. The
-/// scenario sweep builds this from its registry entry, so every engine
-/// family funnels through the same run_trial call site.
+/// A strategy for the executors: exactly one pointer set. The scenario
+/// sweep builds this from its registry entry for sim::run_cell_blocks.
 struct TrialStrategy {
   const Strategy* segment = nullptr;
   const StepStrategy* step = nullptr;
   const plane::PlaneStrategy* plane = nullptr;
+
+  bool operator==(const TrialStrategy&) const = default;
 };
 
 /// Runs one trial of `strategy` under `env`. Dispatches to the segment,

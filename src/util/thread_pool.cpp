@@ -71,9 +71,17 @@ void parallel_for(std::size_t n,
   };
 
   std::vector<std::thread> pool;
-  pool.reserve(threads - 1);
   // The calling thread takes worker id 0; spawned workers take 1..threads-1.
-  for (unsigned t = 1; t < threads; ++t) pool.emplace_back(worker, t);
+  // When a thread cannot be created (the OS refuses it at a process or
+  // memory limit, or the pool vector cannot grow), spawning stops and the
+  // threads already running share the remaining items.
+  for (unsigned t = 1; t < threads; ++t) {
+    try {
+      pool.emplace_back(worker, t);
+    } catch (const std::exception&) {
+      break;
+    }
+  }
   worker(0);
   for (auto& th : pool) th.join();
 

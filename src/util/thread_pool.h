@@ -16,11 +16,13 @@ namespace ants::util {
 
 /// Runs body(i) for every i in [0, n), using up to `threads` OS threads
 /// (0 = hardware concurrency). n <= 1 or an effective thread count of 1
-/// runs inline and spawns nothing. Exceptions thrown by `body` propagate to
-/// the caller (the first one captured wins). A throw cancels cooperatively:
-/// workers stop claiming new items, in-flight items finish, and all threads
-/// are joined before the exception is rethrown — a failing multi-hour sweep
-/// surfaces its error promptly instead of draining the whole range.
+/// runs inline and spawns nothing. If a thread cannot be created, the
+/// threads already started run the remaining items. Exceptions thrown by
+/// `body` propagate to the caller (the first one captured wins). A throw
+/// cancels cooperatively: workers stop claiming new items, in-flight items
+/// finish, and all threads are joined before the exception is rethrown — a
+/// failing multi-hour sweep surfaces its error promptly instead of draining
+/// the whole range.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   unsigned threads = 0);
 
@@ -33,8 +35,9 @@ void parallel_for(std::size_t n,
                   const std::function<void(std::size_t, unsigned)>& body,
                   unsigned threads = 0);
 
-/// The number of workers a parallel_for(n, ..., threads) call will use —
-/// for pre-sizing per-worker buffers.
+/// The number of workers a parallel_for(n, ..., threads) call asks for (it
+/// runs fewer if the OS refuses threads); every worker id is below it — for
+/// pre-sizing per-worker buffers.
 unsigned parallel_workers(std::size_t n, unsigned threads = 0);
 
 /// Hardware concurrency with a sane floor of 1.

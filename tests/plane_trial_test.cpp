@@ -324,16 +324,16 @@ TEST(PlaneTrial, RunEnvTrialsAllAgentsDeadStaysFinite) {
   config.trials = 8;
   config.seed = 0xDEAD;
   config.time_cap = 5000;
-  const sim::AsyncRunStats rs = sim::run_env_trials(
+  const sim::CellStats rs = sim::run_env_trials(
       strategy, 4, 8,
       sim::single_plane_target([](rng::Rng& rng) { return rng.angle(); }),
       sim::SyncStart(), sim::FixedLifetime(0), config);
-  EXPECT_EQ(rs.base.success_rate, 0.0);
+  EXPECT_EQ(rs.stats.success_rate, 0.0);
   EXPECT_DOUBLE_EQ(rs.mean_crashed, 4.0);  // survivors column: k - 4 = 0
-  EXPECT_DOUBLE_EQ(rs.base.time.mean, 5000.0);
+  EXPECT_DOUBLE_EQ(rs.stats.time.mean, 5000.0);
   EXPECT_DOUBLE_EQ(rs.from_last_start.mean, 5000.0);
   EXPECT_EQ(rs.mean_first_target, -1.0);  // nothing ever found
-  EXPECT_TRUE(std::isfinite(rs.base.mean_competitiveness));
+  EXPECT_TRUE(std::isfinite(rs.stats.mean_competitiveness));
 }
 
 TEST(PlaneTrial, RunEnvTrialsThreadCountIndependence) {
@@ -350,13 +350,13 @@ TEST(PlaneTrial, RunEnvTrialsThreadCountIndependence) {
   const auto angle = [](rng::Rng& rng) { return rng.angle(); };
   const sim::StaggeredStart schedule(2);
   const sim::DoaCrash crashes(0.25);
-  const sim::AsyncRunStats a =
+  const sim::CellStats a =
       sim::run_env_trials(strategy, 2, 8, sim::single_plane_target(angle),
                           schedule, crashes, one);
-  const sim::AsyncRunStats b =
+  const sim::CellStats b =
       sim::run_env_trials(strategy, 2, 8, sim::single_plane_target(angle),
                           schedule, crashes, many);
-  EXPECT_EQ(a.base.times, b.base.times);
+  EXPECT_EQ(a.stats.times, b.stats.times);
   EXPECT_DOUBLE_EQ(a.mean_crashed, b.mean_crashed);
   EXPECT_DOUBLE_EQ(a.from_last_start.mean, b.from_last_start.mean);
   EXPECT_DOUBLE_EQ(a.mean_last_start, 2.0);  // k = 2, staggered(gap=2)

@@ -111,13 +111,13 @@ TEST(AsyncConformance, ZeroDelayNoCrashMatchesRunTrials) {
     SCOPED_TRACE(schedule_text);
     const auto schedule = make_schedule(schedule_text);
     const auto crashes = make_crash("none");
-    const sim::AsyncRunStats async = sim::run_async_trials(
+    const sim::CellStats async = sim::run_async_trials(
         strategy, 4, 8, placement, *schedule, *crashes, config);
 
-    EXPECT_EQ(async.base.times, plain.times);
-    EXPECT_DOUBLE_EQ(async.base.time.mean, plain.time.mean);
-    EXPECT_DOUBLE_EQ(async.base.success_rate, plain.success_rate);
-    EXPECT_DOUBLE_EQ(async.base.mean_competitiveness,
+    EXPECT_EQ(async.stats.times, plain.times);
+    EXPECT_DOUBLE_EQ(async.stats.time.mean, plain.time.mean);
+    EXPECT_DOUBLE_EQ(async.stats.success_rate, plain.success_rate);
+    EXPECT_DOUBLE_EQ(async.stats.mean_competitiveness,
                      plain.mean_competitiveness);
     EXPECT_DOUBLE_EQ(async.mean_crashed, 0.0);
     EXPECT_DOUBLE_EQ(async.mean_last_start, 0.0);
@@ -146,12 +146,12 @@ TEST(AsyncConformance, SweepCellMatchesRunAsyncTrials) {
   config.time_cap = spec.time_cap;
   const auto schedule = make_schedule(spec.schedule);
   const auto crashes = make_crash(spec.crash);
-  const sim::AsyncRunStats direct = sim::run_async_trials(
+  const sim::CellStats direct = sim::run_async_trials(
       strategy, 2, 4, sim::uniform_ring_placement(), *schedule, *crashes,
       config);
 
-  EXPECT_EQ(results[0].stats.times, direct.base.times);
-  EXPECT_DOUBLE_EQ(results[0].stats.time.mean, direct.base.time.mean);
+  EXPECT_EQ(results[0].stats.times, direct.stats.times);
+  EXPECT_DOUBLE_EQ(results[0].stats.time.mean, direct.stats.time.mean);
   EXPECT_DOUBLE_EQ(results[0].from_last_start.mean,
                    direct.from_last_start.mean);
   EXPECT_DOUBLE_EQ(results[0].from_last_start.median,
@@ -186,11 +186,11 @@ TEST(AsyncConformance, StepAsyncCellMatchesRunEnvTrials) {
   config.time_cap = spec.time_cap;
   const auto schedule = make_schedule(spec.schedule);
   const auto crashes = make_crash(spec.crash);
-  const sim::AsyncRunStats direct = sim::run_env_trials(
+  const sim::CellStats direct = sim::run_env_trials(
       strategy, 3, 2, sim::single_target(sim::uniform_ring_placement()),
       *schedule, *crashes, config);
 
-  EXPECT_EQ(results[0].stats.times, direct.base.times);
+  EXPECT_EQ(results[0].stats.times, direct.stats.times);
   EXPECT_DOUBLE_EQ(results[0].from_last_start.mean,
                    direct.from_last_start.mean);
   EXPECT_DOUBLE_EQ(results[0].mean_crashed, direct.mean_crashed);
@@ -227,13 +227,13 @@ TEST(AsyncConformance, PlaneAsyncCellMatchesRunEnvTrials) {
   config.time_cap = spec.time_cap;
   const auto schedule = make_schedule(spec.schedule);
   const auto crashes = make_crash(spec.crash);
-  const sim::AsyncRunStats direct = sim::run_env_trials(
+  const sim::CellStats direct = sim::run_env_trials(
       ts, 2, 8,
       make_plane_targets(spec.targets[0], make_plane_angle("ring")),
       *schedule, *crashes, config);
 
-  EXPECT_EQ(results[0].stats.times, direct.base.times);
-  EXPECT_DOUBLE_EQ(results[0].stats.time.mean, direct.base.time.mean);
+  EXPECT_EQ(results[0].stats.times, direct.stats.times);
+  EXPECT_DOUBLE_EQ(results[0].stats.time.mean, direct.stats.time.mean);
   EXPECT_DOUBLE_EQ(results[0].from_last_start.mean,
                    direct.from_last_start.mean);
   EXPECT_DOUBLE_EQ(results[0].mean_crashed, direct.mean_crashed);

@@ -115,6 +115,59 @@ TEST(Sweep, OutputIdenticalForOneAndManyThreads) {
   EXPECT_EQ(reference, rendered_rows(spec, many_threads));
 }
 
+// Every column kind of the executor's per-cell trial table at once: async
+// (schedule + crash), target-process (poisson) and per-slot discovery times
+// (collect=all). At 3 trials and 8 threads every trial is its own block, so
+// the blocks of one cell write its table concurrently; every aggregate must
+// still equal the 1-thread run exactly.
+TEST(Sweep, EveryTrialTableColumnIsThreadCountIndependent) {
+  ScenarioSpec spec;
+  spec.name = "table-columns";
+  spec.strategies = {"known-k", "random-walk"};
+  spec.ks = {1, 4};
+  spec.distances = {2, 4};
+  spec.targets = {"poisson(rate=0.02, life=300)"};
+  spec.schedule = "staggered(gap=2)";
+  spec.crash = "doa(p=0.25)";
+  spec.collect = "all";
+  spec.trials = 3;
+  spec.seed = 0xD1CE;
+  spec.time_cap = 2000;
+
+  SweepOptions one_thread;
+  one_thread.threads = 1;
+  SweepOptions eight_threads;
+  eight_threads.threads = 8;
+  const std::vector<CellResult> a = run_sweep(spec, one_thread);
+  const std::vector<CellResult> b = run_sweep(spec, eight_threads);
+  ASSERT_EQ(a.size(), b.size());
+  bool any_slot_found = false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].stats.times, b[i].stats.times);
+    EXPECT_EQ(a[i].stats.success_rate, b[i].stats.success_rate);
+    EXPECT_EQ(a[i].stats.time.mean, b[i].stats.time.mean);
+    EXPECT_EQ(a[i].stats.time.median, b[i].stats.time.median);
+    EXPECT_EQ(a[i].stats.mean_competitiveness,
+              b[i].stats.mean_competitiveness);
+    EXPECT_EQ(a[i].from_last_start.mean, b[i].from_last_start.mean);
+    EXPECT_EQ(a[i].from_last_start.median, b[i].from_last_start.median);
+    EXPECT_EQ(a[i].mean_crashed, b[i].mean_crashed);
+    EXPECT_EQ(a[i].mean_last_start, b[i].mean_last_start);
+    EXPECT_EQ(a[i].mean_first_target, b[i].mean_first_target);
+    EXPECT_EQ(a[i].mean_targets_spawned, b[i].mean_targets_spawned);
+    EXPECT_EQ(a[i].mean_targets_found, b[i].mean_targets_found);
+    EXPECT_EQ(a[i].found_before_vanish, b[i].found_before_vanish);
+    EXPECT_GE(a[i].mean_targets_spawned, 0.0);
+    EXPECT_GE(a[i].found_before_vanish, 0.0);
+    for (std::size_t j = 0; j < CellResult::kTargetTimeSlots; ++j) {
+      EXPECT_EQ(a[i].target_time_mean[j], b[i].target_time_mean[j]) << j;
+      any_slot_found = any_slot_found || a[i].target_time_mean[j] >= 0;
+    }
+  }
+  EXPECT_TRUE(any_slot_found) << "no discovery-time slot was ever filled";
+}
+
 // Each cell must equal a standalone sim::run_trials at the cell's derived
 // seed — the sweep scheduler changes scheduling, never results.
 TEST(Sweep, CellMatchesRunTrials) {

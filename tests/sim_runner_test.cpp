@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "baselines/random_walk.h"
+#include "sim/async_engine.h"
 #include "sim/metrics.h"
 #include "test_support.h"
 
@@ -83,6 +87,103 @@ TEST(Runner, Validation) {
   config.trials = 4;
   EXPECT_THROW(run_trials(strategy, 1, 0, axis_placement(), config),
                std::invalid_argument);
+}
+
+// The run_* path shares the executor's admission check: a trial count
+// whose trial table cannot fit in physical memory is a typed error naming
+// trials, cells and bytes, raised before anything is allocated.
+TEST(Runner, TrialsBeyondPhysicalMemoryAreATypedError) {
+  const ScriptedStrategy strategy({GoTo{{1, 0}}});
+  RunConfig config;
+  config.trials = 100'000'000'000;
+  try {
+    run_trials(strategy, 1, 1, axis_placement(), config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("100000000000 trials x 1 cells need"),
+              std::string::npos)
+        << what;
+    EXPECT_NE(what.find("bytes of physical memory"), std::string::npos)
+        << what;
+  }
+}
+
+// Blocks of one cell run concurrently, so the executor allocates each
+// cell's trial table once (at its first block) and frees it at its last
+// trial. Blocks are claimed in cell order, so at most workers + 1 cells are
+// ever live, and the aggregates do not depend on the thread count.
+TEST(CellBlocks, EachCellStartsAndFinishesOnceWithBoundedLiveCells) {
+  const ScriptedStrategy strategy({GoTo{{8, 0}}, SpiralFor{64},
+                                   ReturnToSource{}});
+  const TargetProcess targets =
+      poisson_targets(0.05, 200, uniform_ring_placement());
+  const StaggeredStart schedule(2);
+  const DoaCrash crashes(0.25);
+  constexpr std::size_t kCells = 40;
+  std::vector<TrialCell> cells;
+  for (std::size_t c = 0; c < kCells; ++c) {
+    TrialStrategy ts;
+    ts.segment = &strategy;
+    cells.push_back(TrialCell{ts, 2, 1 + static_cast<std::int64_t>(c % 8),
+                              0xCE11 + c, &targets});
+  }
+  CellBlockRun run;
+  run.trials = 3;
+  run.engine.time_cap = 1000;
+  run.schedule = &schedule;
+  run.crashes = &crashes;
+  run.collect_all = true;
+  run.target_stats = true;
+
+  const auto run_at = [&](unsigned threads) {
+    run.threads = threads;
+    unsigned workers = 0;
+    std::atomic<int> live{0};
+    std::atomic<int> max_live{0};
+    std::vector<std::atomic<int>> starts(kCells);
+    std::vector<std::atomic<int>> finishes(kCells);
+    std::vector<CellStats> out(kCells);
+    CellBlockHooks hooks;
+    hooks.begin = [&](unsigned w) { workers = w; };
+    hooks.start_cell = [&](std::size_t c) {
+      starts[c].fetch_add(1);
+      const int now = live.fetch_add(1) + 1;
+      int seen = max_live.load();
+      while (now > seen && !max_live.compare_exchange_weak(seen, now)) {
+      }
+    };
+    hooks.finish_cell = [&](std::size_t c, CellStats&& stats, std::int64_t) {
+      finishes[c].fetch_add(1);
+      out[c] = std::move(stats);
+      live.fetch_sub(1);
+    };
+    run_cell_blocks(cells, run, hooks);
+    EXPECT_EQ(workers, threads);
+    EXPECT_LE(max_live.load(), static_cast<int>(workers) + 1);
+    EXPECT_EQ(live.load(), 0);
+    for (std::size_t c = 0; c < kCells; ++c) {
+      EXPECT_EQ(starts[c].load(), 1) << c;
+      EXPECT_EQ(finishes[c].load(), 1) << c;
+    }
+    return out;
+  };
+
+  const std::vector<CellStats> one = run_at(1);
+  const std::vector<CellStats> many = run_at(8);
+  for (std::size_t c = 0; c < kCells; ++c) {
+    SCOPED_TRACE(c);
+    EXPECT_EQ(one[c].stats.times, many[c].stats.times);
+    EXPECT_EQ(one[c].stats.success_rate, many[c].stats.success_rate);
+    EXPECT_EQ(one[c].from_last_start.mean, many[c].from_last_start.mean);
+    EXPECT_EQ(one[c].mean_crashed, many[c].mean_crashed);
+    EXPECT_EQ(one[c].mean_first_target, many[c].mean_first_target);
+    EXPECT_EQ(one[c].mean_targets_found, many[c].mean_targets_found);
+    EXPECT_EQ(one[c].found_before_vanish, many[c].found_before_vanish);
+    for (std::size_t j = 0; j < CellStats::kTargetTimeSlots; ++j) {
+      EXPECT_EQ(one[c].target_time_mean[j], many[c].target_time_mean[j]);
+    }
+  }
 }
 
 TEST(StepRunner, MirrorsStepEngine) {

@@ -668,9 +668,9 @@ TEST(RunEnvTrials, MeanFirstTargetSeesTheForagingPreference) {
   config.trials = 60;
   config.seed = 0xF00D;
   config.time_cap = 500'000;
-  const AsyncRunStats rs = run_env_trials(strategy, 8, 16, pair, SyncStart(),
+  const CellStats rs = run_env_trials(strategy, 8, 16, pair, SyncStart(),
                                           NoCrash(), config);
-  EXPECT_GT(rs.base.success_rate, 0.9);
+  EXPECT_GT(rs.stats.success_rate, 0.9);
   // The near patch (index 0) wins nearly every race.
   EXPECT_LT(rs.mean_first_target, 0.2);
   EXPECT_GE(rs.mean_first_target, 0.0);
@@ -689,14 +689,14 @@ TEST(RunEnvTrials, StepStrategyUnderScheduleAndCrash) {
   many.threads = 6;
   const StaggeredStart schedule(5);
   const DoaCrash crashes(0.25);
-  const AsyncRunStats a =
+  const CellStats a =
       run_env_trials(strategy, 4, 1, single_target(uniform_ring_placement()),
                      schedule, crashes, one);
-  const AsyncRunStats b =
+  const CellStats b =
       run_env_trials(strategy, 4, 1, single_target(uniform_ring_placement()),
                      schedule, crashes, many);
   // Thread-count independence extends to the new family/environment combo.
-  EXPECT_EQ(a.base.times, b.base.times);
+  EXPECT_EQ(a.stats.times, b.stats.times);
   EXPECT_DOUBLE_EQ(a.mean_crashed, b.mean_crashed);
   EXPECT_DOUBLE_EQ(a.from_last_start.mean, b.from_last_start.mean);
   // k = 4 with staggered(gap=5): the last start is always 15.

@@ -73,10 +73,12 @@
 //                       or Perfetto to see per-worker cell execution
 //   (scenario i > 1 gets FILE.i, like --csv)
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -252,8 +254,14 @@ int run_specs(util::Cli& cli) {
     return 2;
   }
 
+  const std::int64_t threads = cli.get_int("threads", 0);
+  if (threads < 0 || threads > std::numeric_limits<unsigned>::max()) {
+    std::cerr << "error: --threads: " << threads
+              << " is not a thread count (0 = hardware concurrency)\n";
+    return 2;
+  }
   scenario::SweepOptions sweep_opt;
-  sweep_opt.threads = static_cast<unsigned>(cli.get_int("threads", 0));
+  sweep_opt.threads = static_cast<unsigned>(threads);
   sweep_opt.cache_dir = cli.get_string("cache-dir", "");
   sweep_opt.progress = cli.get_bool("progress", false);
 
