@@ -7,7 +7,7 @@
 //    SYSTEMATIC local search matters: a t-step spiral covers Theta(t)
 //    distinct nodes while a t-step random walk covers only Theta(t/log t)
 //    and keeps revisiting, so the per-phase hit probability collapses and
-//    competitiveness inflates (bench/abl_local_search.cpp).
+//    competitiveness inflates (bench/paper/abl_local_search.spec).
 //
 //  * KnownKNoReturnStrategy — atomic procedure (4), "return to the source",
 //    is dropped: each trip starts from wherever the previous spiral ended.
@@ -15,7 +15,7 @@
 //    travel out, so dropping them can only change constants — but the
 //    return step is what keeps an ant's navigation state bounded (path
 //    integration home resets odometry). The bench quantifies how little
-//    time the return legs actually cost (bench/abl_return_policy.cpp).
+//    time the return legs actually cost (bench/paper/abl_return_policy.spec).
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,7 @@
 // Outward-biased correlated random walk: the synthetic stand-in for the
 // Harkness-Maroudas desert-ant model [24] the paper cites (their 1985 model
-// is specified only loosely; see DESIGN.md section 3.5). Two behavioral
-// knobs:
+// is specified only loosely, so this is one concrete reading of it). Two
+// behavioral knobs:
 //
 //   outward_bias  in [0, 1): extra weight on moves that increase the
 //                 distance from the nest (drift away from the origin);

@@ -10,7 +10,7 @@
 // O(log l) = O(log log d) bits — and the expected number of steps is
 // 2^(l+1) - 2 = Theta(2^l). The walk length is a random variable, not an
 // exact register, so strategies built on it pay a constant-factor
-// competitiveness penalty; the ablation bench abl_lowmem measures it.
+// competitiveness penalty; bench/paper/abl_lowmem.spec measures it.
 //
 // Built on top of the counter:
 //

@@ -14,8 +14,8 @@
 // competitive; Theorem 4.1 shows no uniform algorithm is O(log k)-
 // competitive, so the family is essentially tight as eps -> 0.
 //
-// Divisions use j^ = max(j, 1) (the paper's j = 0 term would divide by
-// zero; see DESIGN.md section 3.3). eps = 0 is deliberately allowed so
+// Divisions use j^ = max(j, 1): the paper's j = 0 term would divide by
+// zero, and j = 1 is the nearest term that does not. eps = 0 is allowed so
 // experiment E4 can probe the non-convergent boundary the lower bound
 // forbids.
 #pragma once

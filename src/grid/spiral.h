@@ -15,7 +15,8 @@
 // Coverage guarantee (the paper assumes radius sqrt(x)/2 after x steps): a
 // spiral of duration t covers the full Chebyshev — hence L1 — ball of radius
 // spiral_coverage_radius(t) = floor((floor(sqrt(t+1)) - 1) / 2), which is
-// sqrt(t)/2 - O(1); see DESIGN.md section 3.2.
+// sqrt(t)/2 - O(1): the spiral completes the (2r+1) x (2r+1) square at
+// index (2r+1)^2 - 1.
 #pragma once
 
 #include <cstdint>

@@ -6,7 +6,7 @@
 // implements the model BEFORE that reduction — agents move on R^2 at unit
 // speed and detect the treasure within sight radius eps — so the reduction
 // itself becomes testable (plane and grid runs must agree up to constants;
-// see tests/plane_engine_test.cpp and bench/exp_e11_plane.cpp).
+// see tests/plane_engine_test.cpp and bench/paper/e11.spec).
 #pragma once
 
 #include <cmath>

@@ -19,7 +19,7 @@
 //
 // The truncation at r_max (default 2^45) is a simulation artifact, not a
 // model change: a trip to radius r costs >= r steps, so every truncated
-// sample lies beyond any experiment's time bound; see DESIGN.md section 3.4.
+// sample lies beyond any experiment's time bound.
 #pragma once
 
 #include <cstdint>

@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 
@@ -53,9 +54,32 @@ std::string json_scalar_to_text(const std::string& context,
 // ---------------------------------------------------------------------------
 // Shared field assignment: both on-disk forms funnel into key/value(s).
 
-void assign_field(ScenarioSpec& spec, const std::string& key,
-                  const std::string& value,
+/// The keys one scenario has set so far, by canonical name ("ds" counts as
+/// "distances", "placement" as "placements"): the spelling used and the
+/// line that set it (0 inside a JSON object).
+struct SetKey {
+  std::string spelling;
+  int line = 0;
+};
+using SetKeys = std::map<std::string, SetKey>;
+
+/// Sets one field. A key the scenario already set is an error, not an
+/// overwrite: in a text file it usually means a missing blank line merged
+/// two scenarios, and the first would silently vanish.
+void assign_field(ScenarioSpec& spec, SetKeys& set, int line,
+                  const std::string& key, const std::string& value,
                   const std::vector<std::string>& list) {
+  const std::string canonical = key == "ds"          ? "distances"
+                                : key == "placement" ? "placements"
+                                                     : key;
+  const auto [it, fresh] = set.try_emplace(canonical, SetKey{key, line});
+  if (!fresh) {
+    const std::string first = "key '" + key + "' repeats '" +
+                              it->second.spelling + "'";
+    if (line == 0) bad(first + " in one JSON object");
+    bad(first + " from line " + std::to_string(it->second.line) +
+        "; separate scenarios with a blank line");
+  }
   if (key == "name") {
     spec.name = value;
   } else if (key == "strategies") {
@@ -94,6 +118,7 @@ void assign_field(ScenarioSpec& spec, const std::string& key,
 
 ScenarioSpec spec_from_json_line(const std::string& line) {
   ScenarioSpec spec;
+  SetKeys set;
   JsonLineParser parser(line);
   for (const auto& [key, value] : parser.parse_object()) {
     std::vector<std::string> list;
@@ -105,7 +130,7 @@ ScenarioSpec spec_from_json_line(const std::string& line) {
       scalar = json_scalar_to_text(key, value);
       list = {scalar};
     }
-    assign_field(spec, key, scalar, list);
+    assign_field(spec, set, 0, key, scalar, list);
   }
   return spec;
 }
@@ -280,12 +305,14 @@ sim::Time ScenarioSpec::capture_dwell() const {
 std::vector<ScenarioSpec> parse_spec_text(const std::string& text) {
   std::vector<ScenarioSpec> out;
   ScenarioSpec current;
+  SetKeys current_keys;
   bool in_block = false;
   int line_number = 0;
 
   const auto flush = [&] {
     if (in_block) out.push_back(current);
     current = ScenarioSpec{};
+    current_keys.clear();
     in_block = false;
   };
 
@@ -311,7 +338,8 @@ std::vector<ScenarioSpec> parse_spec_text(const std::string& text) {
       }
       const std::string key = trim(line.substr(0, eq));
       const std::string value = trim(line.substr(eq + 1));
-      assign_field(current, key, value, split_top_level(value, ','));
+      assign_field(current, current_keys, line_number, key, value,
+                   split_top_level(value, ','));
       in_block = true;
     } catch (const std::invalid_argument& e) {
       bad("scenario spec line " + std::to_string(line_number) + ": " +

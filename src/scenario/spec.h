@@ -24,7 +24,9 @@
 //       {"name": "quick", "strategies": ["uniform(eps=0.5)"], "ks": [1, 4]}
 //
 // Unknown keys are an error in both forms (typos fail loudly, matching the
-// util::Cli philosophy).
+// util::Cli philosophy), and so is a key repeated within one scenario
+// ("ds"/"distances" and "placement"/"placements" are one key each): a
+// missing blank line between two text blocks fails instead of merging them.
 #pragma once
 
 #include <cstdint>

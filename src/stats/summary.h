@@ -3,7 +3,8 @@
 // Two entry points: Accumulator for streaming (Welford) aggregation inside
 // the runner, and Summary::from for a full vector when quantiles are needed.
 // Heavy-tailed experiments (harmonic algorithm) must report medians and
-// quantiles, not just means — see DESIGN.md section 3.4 — so Summary always
+// quantiles, not just means: one harmonic trip's cost has infinite
+// expectation, so a sample mean never settles. Summary therefore always
 // carries order statistics.
 #pragma once
 

@@ -66,19 +66,6 @@ double parse_double(const std::string& name, const std::string& text) {
   return v;
 }
 
-// Comma-separated tokens of `text`, each parsed whole; blank tokens skip.
-template <typename T, typename Parse>
-std::vector<T> parse_list(const std::string& name, const std::string& text,
-                          Parse parse) {
-  std::vector<T> out;
-  std::stringstream ss(text);
-  std::string tok;
-  while (std::getline(ss, tok, ',')) {
-    if (!trimmed(tok).empty()) out.push_back(parse(name, tok));
-  }
-  return out;
-}
-
 }  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
@@ -141,14 +128,15 @@ bool Cli::get_bool(const std::string& name, bool def) {
 std::vector<std::int64_t> Cli::get_int_list(const std::string& name,
                                             std::vector<std::int64_t> def) {
   const std::string* v = value_of(name);
-  return v == nullptr ? def
-                      : parse_list<std::int64_t>(name, *v, parse_int);
-}
-
-std::vector<double> Cli::get_double_list(const std::string& name,
-                                         std::vector<double> def) {
-  const std::string* v = value_of(name);
-  return v == nullptr ? def : parse_list<double>(name, *v, parse_double);
+  if (v == nullptr) return def;
+  // Comma-separated tokens, each parsed whole; blank tokens skip.
+  std::vector<std::int64_t> out;
+  std::stringstream ss(*v);
+  std::string tok;
+  while (std::getline(ss, tok, ',')) {
+    if (!trimmed(tok).empty()) out.push_back(parse_int(name, tok));
+  }
+  return out;
 }
 
 bool Cli::has(const std::string& name) const {

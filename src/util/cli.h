@@ -39,9 +39,6 @@ class Cli {
   /// Comma-separated list of integers, e.g. --ks=1,4,16,64.
   std::vector<std::int64_t> get_int_list(const std::string& name,
                                          std::vector<std::int64_t> def);
-  /// Comma-separated list of doubles, e.g. --eps=0.1,0.3,1.0.
-  std::vector<double> get_double_list(const std::string& name,
-                                      std::vector<double> def);
 
   bool has(const std::string& name) const;
   const std::vector<std::string>& positional() const { return positional_; }

@@ -4,8 +4,6 @@
 #include <ostream>
 #include <stdexcept>
 
-#include "util/format.h"
-
 namespace ants::util {
 
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {
@@ -17,13 +15,6 @@ void Table::add_row(std::vector<std::string> cells) {
     throw std::invalid_argument("row width mismatch");
   }
   rows_.push_back(std::move(cells));
-}
-
-void Table::add_row_numeric(const std::vector<double>& cells) {
-  std::vector<std::string> row;
-  row.reserve(cells.size());
-  for (const double v : cells) row.push_back(fmt_compact(v));
-  add_row(std::move(row));
 }
 
 void Table::print(std::ostream& os) const {
@@ -42,19 +33,6 @@ void Table::print(std::ostream& os) const {
   std::size_t total = 0;
   for (const std::size_t w : width) total += w + 2;
   os << std::string(total > 2 ? total - 2 : total, '-') << "\n";
-  for (const auto& row : rows_) emit(row);
-}
-
-void Table::print_markdown(std::ostream& os) const {
-  const auto emit = [&](const std::vector<std::string>& cells) {
-    os << "|";
-    for (const auto& cell : cells) os << " " << cell << " |";
-    os << "\n";
-  };
-  emit(headers_);
-  os << "|";
-  for (std::size_t c = 0; c < headers_.size(); ++c) os << "---|";
-  os << "\n";
   for (const auto& row : rows_) emit(row);
 }
 

@@ -1,5 +1,5 @@
-// Aligned plain-text / markdown table printer used by every experiment
-// harness, so the bench binaries print the rows EXPERIMENTS.md records.
+// Aligned plain-text table printer: search_lab's result tables (TableSink)
+// and its artifact catalog.
 #pragma once
 
 #include <iosfwd>
@@ -15,18 +15,11 @@ class Table {
   /// Appends one row; the row must have exactly as many cells as headers.
   void add_row(std::vector<std::string> cells);
 
-  /// Convenience: formats doubles with fmt_compact.
-  void add_row_numeric(const std::vector<double>& cells);
-
   std::size_t rows() const { return rows_.size(); }
   std::size_t cols() const { return headers_.size(); }
-  const std::vector<std::string>& header() const { return headers_; }
-  const std::vector<std::string>& row(std::size_t i) const { return rows_[i]; }
 
   /// Space-aligned rendering with a rule under the header.
   void print(std::ostream& os) const;
-  /// GitHub-flavored markdown rendering (for EXPERIMENTS.md).
-  void print_markdown(std::ostream& os) const;
 
  private:
   std::vector<std::string> headers_;

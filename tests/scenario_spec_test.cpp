@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "scenario/plan.h"
 #include "scenario/sink.h"
 #include "util/cli.h"
 
@@ -128,6 +131,69 @@ TEST(SpecParse, ErrorsCarryLineNumbers) {
                std::invalid_argument);
   EXPECT_THROW(parse_spec_text("no equals sign here\n"),
                std::invalid_argument);
+}
+
+std::string parse_error(const std::string& text) {
+  try {
+    parse_spec_text(text);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "expected std::invalid_argument for:\n" << text;
+  return "";
+}
+
+TEST(SpecParse, RepeatedTextKeyNamesTheKeyAndBothLines) {
+  // A missing blank line merges two scenarios; the first must not vanish.
+  const std::string error = parse_error(
+      "name = a\nstrategies = uniform\n"
+      "name = b\nstrategies = known-k\n");
+  EXPECT_NE(error.find("line 3"), std::string::npos) << error;
+  EXPECT_NE(error.find("'name'"), std::string::npos) << error;
+  EXPECT_NE(error.find("line 1"), std::string::npos) << error;
+  // Aliases are one key.
+  const std::string alias =
+      parse_error("strategies = uniform\nds = 8\n# note\ndistances = 16\n");
+  EXPECT_NE(alias.find("line 4"), std::string::npos) << alias;
+  EXPECT_NE(alias.find("'distances' repeats 'ds' from line 2"),
+            std::string::npos)
+      << alias;
+  EXPECT_NE(parse_error("placement = ring\nplacements = axis\n")
+                .find("'placements' repeats 'placement'"),
+            std::string::npos);
+  // The blank line resets the keys for the next scenario.
+  EXPECT_EQ(parse_spec_text("name = a\nstrategies = uniform\n\n"
+                            "name = b\nstrategies = known-k\n")
+                .size(),
+            2u);
+}
+
+TEST(SpecParse, RepeatedJsonKeyIsAnError) {
+  const std::string error = parse_error(
+      "name = first\nstrategies = uniform\n\n"
+      "{\"name\": \"a\", \"strategies\": [\"uniform\"], \"name\": \"b\"}\n");
+  EXPECT_NE(error.find("line 4"), std::string::npos) << error;
+  EXPECT_NE(error.find("'name' repeats 'name'"), std::string::npos) << error;
+  EXPECT_NE(parse_error("{\"ds\": [8], \"distances\": [16]}\n")
+                .find("'distances' repeats 'ds'"),
+            std::string::npos);
+}
+
+TEST(SpecParse, ExampleSpecFilesParseAndPlan) {
+  std::size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(ANTS_SOURCE_DIR) + "/examples")) {
+    if (entry.path().extension() != ".spec") continue;
+    ++files;
+    SCOPED_TRACE(entry.path().string());
+    const std::vector<ScenarioSpec> specs =
+        parse_spec_file(entry.path().string());
+    ASSERT_FALSE(specs.empty());
+    for (const ScenarioSpec& spec : specs) {
+      EXPECT_FALSE(make_plan(spec).cells.empty()) << spec.name;
+    }
+  }
+  EXPECT_GE(files, 3u);
 }
 
 TEST(SpecCanonical, RoundTripsThroughTheTextParser) {

@@ -47,22 +47,6 @@ TEST(Table, AlignedOutput) {
   EXPECT_EQ(t.cols(), 2u);
 }
 
-TEST(Table, MarkdownOutput) {
-  Table t({"a", "b"});
-  t.add_row({"x", "y"});
-  std::ostringstream os;
-  t.print_markdown(os);
-  EXPECT_EQ(os.str(), "| a | b |\n|---|---|\n| x | y |\n");
-}
-
-TEST(Table, NumericRow) {
-  Table t({"v1", "v2", "v3"});
-  t.add_row_numeric({1.0, 0.25, 3e7});
-  EXPECT_EQ(t.row(0)[0], "1");
-  EXPECT_EQ(t.row(0)[1], "0.250");
-  EXPECT_EQ(t.row(0)[2], "3e+07");
-}
-
 TEST(Table, RowWidthMismatchThrows) {
   Table t({"a", "b"});
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
