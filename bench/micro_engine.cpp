@@ -3,10 +3,12 @@
 // trial in microseconds — is what makes the E1-E8 sweeps laptop-scale
 // (stepping the same trial would cost ~D^2/k * k = 65536+ node visits).
 //
-// Every trial here runs through the environment-aware executor
-// (sim::run_trial). The BM_Trial* group times the base model per paper
-// strategy; the BM_Unified* group adds the environment draw, async,
-// multi-target, and lock-step costs, each paired with a BM_Batched* twin.
+// The BM_Trial* and BM_Unified* groups run the scalar reference executor
+// (sim::run_trial, tests/support/reference_trial.h), the readable twin the
+// tests pin the product's BatchRunner to. The BM_Trial* group times the
+// base model per paper strategy; the BM_Unified* group adds the environment
+// draw, async, multi-target, and lock-step costs, each paired with a
+// BM_Batched* twin that runs the same trials on BatchRunner.
 // bench/baseline_engine.json pins a reference run of this harness;
 // tools/bench_compare.py diffs a fresh run against it (the CI
 // benchmark-smoke job does both).
@@ -23,6 +25,7 @@
 #include "sim/batch/batch.h"
 #include "sim/placement.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "telemetry/run_telemetry.h"
 
 namespace {
@@ -87,7 +90,7 @@ void BM_TrialSectorSweep(benchmark::State& state) {
 }
 BENCHMARK(BM_TrialSectorSweep)->Arg(4)->Arg(64);
 
-// --- the unified environment-aware executor --------------------------------
+// --- the scalar reference executor ------------------------------------------
 
 // Environment draw alone: two child streams + k delays + k lifetimes.
 void BM_UnifiedDrawEnvironment(benchmark::State& state) {

@@ -23,6 +23,7 @@
 
 #include "core/harmonic.h"
 #include "rng/rng.h"
+#include "sim/batch/batch.h"
 #include "sim/trial.h"
 #include "util/cli.h"
 
@@ -61,12 +62,15 @@ int main(int argc, char** argv) try {
 
   ants::sim::EngineConfig config;
   config.time_cap = 1 << 23;
+  // One runner serves every trial of this (strategy, k) pair.
+  ants::sim::TrialStrategy family;
+  family.segment = &strategy;
+  ants::sim::batch::BatchRunner runner(family, k, config);
 
   for (std::int64_t t = 0; t < trials; ++t) {
     const ants::rng::Rng trial(
         ants::rng::mix_seed(0xF00D, static_cast<std::uint64_t>(t)));
-    const ants::sim::TrialResult r =
-        ants::sim::run_trial(strategy, k, env, trial, config);
+    const ants::sim::TrialResult r = runner.run_one(env, trial);
     // finder >= 0: some patch was found (r.found means ALL were).
     if (r.finder >= 0) {
       ++races_decided;

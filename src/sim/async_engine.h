@@ -20,9 +20,8 @@
 // Both policies are pure per-trial draws consumed by sim::draw_environment
 // (sim/trial.h). The resulting environment applies to EVERY strategy
 // family — segment-, lock-step-, and continuous-plane-level alike — in the
-// batch executor behind sim::run_cell_blocks (sim/batch/batch.h) and in
-// its scalar reference sim::run_trial (plane backends read the integer
-// delays/lifetimes as continuous time units).
+// batch executor behind sim::run_cell_blocks (sim/batch/batch.h). Plane
+// backends read the integer delays/lifetimes as continuous time units.
 //
 // Determinism: delays and lifetimes are drawn from dedicated child streams
 // of the trial rng (tags kScheduleStream / kCrashStream), so enabling either

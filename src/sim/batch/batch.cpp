@@ -5,6 +5,7 @@
 #include <cstring>
 #include <optional>
 #include <stdexcept>
+#include <utility>
 
 #include "grid/spiral.h"
 #include "grid/staircase_path.h"
@@ -43,6 +44,52 @@ inline constexpr std::size_t kMinBlock = 8;
 /// Flat scans up to this size skip the two-level structure entirely.
 inline constexpr std::size_t kFlatAdvance = 16;
 
+/// The plane engine's view of a trial: the environment (integer start
+/// delays and lifetimes read as continuous time units, kNeverTime as
+/// kPlaneNever) and the engine config. `penv` is reused across trials.
+plane::PlaneEngineConfig to_plane(const TrialEnvironment& env,
+                                  const EngineConfig& config,
+                                  plane::PlaneTrialEnvironment* penv) {
+  penv->targets = env.plane_targets;
+  penv->starts.assign(env.starts.begin(), env.starts.end());
+  penv->lifetimes.clear();
+  penv->lifetimes.reserve(env.lifetimes.size());
+  for (const Time life : env.lifetimes) {
+    penv->lifetimes.push_back(life == kNeverTime
+                                  ? plane::kPlaneNever
+                                  : static_cast<plane::Time>(life));
+  }
+  penv->target_appear = env.target_appear;
+  penv->target_vanish = env.target_vanish;
+  penv->windowed = env.windowed;
+  penv->collect_all = env.collect_all;
+
+  plane::PlaneEngineConfig pconfig;
+  pconfig.sight_radius = config.sight_radius;
+  pconfig.spiral_pitch = config.spiral_pitch;
+  pconfig.time_cap = config.time_cap == kNeverTime
+                         ? plane::kPlaneNever
+                         : static_cast<plane::Time>(config.time_cap);
+  pconfig.max_segments_per_agent = config.max_segments_per_agent;
+  return pconfig;
+}
+
+/// A plane result in the executor's result type; fractional sighting times
+/// come back through TrialResult's double fields untouched.
+TrialResult from_plane(plane::PlaneTrialResult r) {
+  TrialResult result;
+  result.time = r.time;
+  result.found = r.found;
+  result.finder = r.finder;
+  result.first_target = r.first_target;
+  result.segments = r.segments;
+  result.last_start = r.last_start;
+  result.from_last_start = r.from_last_start;
+  result.crashed = r.crashed;
+  result.target_times = std::move(r.target_times);
+  return result;
+}
+
 }  // namespace
 
 BatchRunner::BatchRunner(const TrialStrategy& strategy, int k,
@@ -68,13 +115,18 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
   const bool dynamic = env.has_dynamic_targets();
   if (strategy_.plane != nullptr) {
     if (dynamic) {
-      // The one remaining delegation: plane windowed/collect cells. Their
-      // dynamic race lives inside plane::run_plane_trial's heap loop, where
-      // the quadratic sight tests dominate — rebuilding that loop here buys
-      // little. Counted (batch_scalar_fallback metric) so the delegation is
-      // observable instead of silent; run_one ≡ run_trial holds trivially.
+      // The one remaining delegation: plane windowed/collect cells run on
+      // the scalar plane engine. Their dynamic race lives inside
+      // plane::run_plane_trial's heap loop, where the quadratic sight tests
+      // dominate — rebuilding that loop here buys little. Counted
+      // (batch_scalar_fallback metric) so the delegation is observable
+      // instead of silent.
       ++scalar_fallbacks_;
-      return run_trial(strategy_, k_, env, trial_rng, config_);
+      const plane::PlaneEngineConfig pconfig =
+          to_plane(env, config_, &plane_env_);
+      return from_plane(plane::run_plane_trial(*strategy_.plane, k_,
+                                               plane_env_, trial_rng,
+                                               pconfig));
     }
     return run_plane(env, trial_rng);
   }
@@ -92,13 +144,14 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
 }
 
 // ---------------------------------------------------------------------------
-// Segment backend: the scalar executor's interleaved min-heap sweep (see
-// sim/trial.cpp) with the heap replaced by an argmin kernel over the SoA
-// clock array — removed agents park at kNeverTime, which never wins the scan
-// while a live clock remains — and the Segment variant flattened into direct
-// hit tests. A walk's targets are prefiltered by the endpoint bounding box
-// (a staircase is monotone, so it never leaves it), and the StaircasePath is
-// only constructed when some target survives the box.
+// Segment backend: the reference executor's interleaved min-heap sweep
+// (see tests/support/reference_trial.cpp) with the heap replaced by an
+// argmin kernel over the SoA clock array — removed agents park at
+// kNeverTime, which never wins the scan while a live clock remains — and the
+// Segment variant flattened into direct hit tests. A walk's targets are
+// prefiltered by the endpoint bounding box (a staircase is monotone, so it
+// never leaves it), and the StaircasePath is only constructed when some
+// target survives the box.
 //
 // kDynamic adds appear/vanish windows and collect-all (drift and dwell were
 // rejected by validate_trial_args for this family); the static instance
@@ -249,7 +302,8 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     const int a = static_cast<int>(ia);
     if (++seg_count_[ia] > config_.max_segments_per_agent) {
       throw std::runtime_error(
-          "run_trial: agent exceeded segment budget without terminating");
+          "BatchRunner: agent exceeded segment budget without "
+          "terminating");
     }
     ++result.segments;
 
@@ -422,11 +476,12 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 }
 
 // ---------------------------------------------------------------------------
-// Lock-step backend: tick-for-tick the scalar loop — one strategy kernel
-// call steps every active agent over the runner's StepLanes, then the
-// in-order pass detects — with the per-agent occupancy check (first target
-// equal to the agent's new position) routed through the find_point kernel,
-// an in-order scan either way.
+// Lock-step backend: tick-for-tick the reference executor's scalar loop
+// (tests/support/reference_trial.cpp) — one strategy kernel call steps
+// every active agent over the runner's StepLanes, then the in-order pass
+// detects — with the per-agent occupancy check (first target equal to the
+// agent's new position) routed through the find_point kernel, an in-order
+// scan either way.
 //
 // kDynamic adds appear/vanish windows, drift, dwell capture, and
 // collect-all. Per tick the scalar loop tests every target ever spawned for
@@ -709,24 +764,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
 
-  // Environment/config adaptation, exactly as the scalar backend bridge.
-  plane_env_.targets = env.plane_targets;
-  plane_env_.starts.assign(env.starts.begin(), env.starts.end());
-  plane_env_.lifetimes.clear();
-  plane_env_.lifetimes.reserve(env.lifetimes.size());
-  for (const Time life : env.lifetimes) {
-    plane_env_.lifetimes.push_back(life == kNeverTime
-                                       ? plane::kPlaneNever
-                                       : static_cast<plane::Time>(life));
-  }
-
-  plane::PlaneEngineConfig pconfig;
-  pconfig.sight_radius = config_.sight_radius;
-  pconfig.spiral_pitch = config_.spiral_pitch;
-  pconfig.time_cap = config_.time_cap == kNeverTime
-                         ? plane::kPlaneNever
-                         : static_cast<plane::Time>(config_.time_cap);
-  pconfig.max_segments_per_agent = config_.max_segments_per_agent;
+  const plane::PlaneEngineConfig pconfig = to_plane(env, config_, &plane_env_);
 
   plane::detail::validate_plane_trial_args(k, plane_env_, pconfig);
   const double eps = pconfig.sight_radius;
@@ -923,16 +961,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     }
   }
 
-  TrialResult result;
-  result.time = presult.time;
-  result.found = presult.found;
-  result.finder = presult.finder;
-  result.first_target = presult.first_target;
-  result.segments = presult.segments;
-  result.last_start = presult.last_start;
-  result.from_last_start = presult.from_last_start;
-  result.crashed = presult.crashed;
-  return result;
+  return from_plane(std::move(presult));
 }
 
 }  // namespace ants::sim::batch

@@ -1,13 +1,13 @@
 // The batch trial executor: struct-of-arrays state + SIMD kernels.
 //
-// A sweep cell runs hundreds of trials of ONE (strategy, k) pair under the
-// same engine config; the scalar executor (sim::run_trial) rebuilds its
-// per-agent state vectors, heap, and plane environment from scratch for
-// every trial. BatchRunner hoists that state into reusable contiguous
-// arrays — per-agent clocks, positions, elapsed times, lifetimes in SoA
-// layout, targets split into coordinate arrays — and drives the inner loops
-// (min-clock advance, lock-step occupancy checks, plane sight-disc tests)
-// through the runtime-dispatched kernels in kernels.h.
+// The product's one trial executor. A sweep cell runs hundreds of trials of
+// ONE (strategy, k) pair under the same engine config; a scalar executor
+// would rebuild its per-agent state vectors, heap, and plane environment
+// from scratch for every trial. BatchRunner hoists that state into reusable
+// contiguous arrays — per-agent clocks, positions, elapsed times, lifetimes
+// in SoA layout, targets split into coordinate arrays — and drives the
+// inner loops (min-clock advance, lock-step occupancy checks, plane
+// sight-disc tests) through the runtime-dispatched kernels in kernels.h.
 //
 // Batching is strictly an execution detail. Per-trial seed derivation is
 // unchanged — agent a still draws from trial_rng.child(a), environments
@@ -17,8 +17,9 @@
 //     BatchRunner(strategy, k, config).run_one(env, trial_rng)
 //       == run_trial(strategy, k, env, trial_rng, config)
 //
-// byte for byte, on every dispatch level (test- and CI-enforced against the
-// golden CSVs).
+// byte for byte, on every dispatch level, where run_trial is the scalar
+// reference executor in tests/support/reference_trial.h (test-enforced, and
+// CI-enforced against the golden CSVs).
 //
 // A runner is single-threaded and reusable: construct one per worker per
 // (strategy, k) pair and feed it a block of trials. The parallel driver
@@ -57,19 +58,20 @@ inline std::size_t trial_block(std::size_t trials, unsigned workers) {
 class BatchRunner {
  public:
   /// Binds the runner to one (strategy, k, config) cell. The strategy must
-  /// outlive the runner. Throws std::invalid_argument for the same argument
-  /// errors run_trial would report on its first trial (null/ambiguous
-  /// strategy, k < 1).
+  /// outlive the runner. Throws std::invalid_argument for a null or
+  /// ambiguous strategy and for k < 1.
   BatchRunner(const TrialStrategy& strategy, int k,
               const EngineConfig& config = {});
 
-  /// Runs one trial, byte-identical to
-  /// run_trial(strategy, k, env, trial_rng, config).
+  /// Runs one trial. Throws std::invalid_argument for an environment that
+  /// detail::validate_trial_args rejects, and std::runtime_error when an
+  /// agent realizes more than config.max_segments_per_agent segments.
   TrialResult run_one(const TrialEnvironment& env, const rng::Rng& trial_rng);
 
-  /// Trials run_one delegated to the scalar executor since the last call,
-  /// returned and reset. Grid backends never delegate; the one remaining
-  /// case is a plane strategy under a dynamic target process (see run_one).
+  /// Trials run_one delegated to the scalar plane engine
+  /// (plane::run_plane_trial) since the last call, returned and reset. Grid
+  /// backends never delegate; the one remaining case is a plane strategy
+  /// under a dynamic target process (see run_one).
   /// Drained per block by sim::run_cell_blocks; the sweep adds it to the
   /// batch_scalar_fallback metric.
   std::uint64_t take_scalar_fallbacks() noexcept {

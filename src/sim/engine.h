@@ -10,15 +10,14 @@
 // grid steps.
 //
 // This header holds the segment backend's building blocks: the engine
-// config shared by every backend, op realization, and the one-agent hit
-// time. The trial itself — k agents, any environment — is sim::run_trial
-// (sim/trial.h); the base model is its single_target_environment.
+// config shared by every backend and op realization. The trial itself — k
+// agents, any environment — runs on sim::batch::BatchRunner
+// (sim/batch/batch.h); the base model is single_target_environment.
 //
 // Determinism: agent a of a trial draws from trial_rng.child(a), so results
 // are identical regardless of evaluation order or thread count.
 #pragma once
 
-#include "rng/rng.h"
 #include "sim/program.h"
 #include "sim/segment.h"
 #include "sim/types.h"
@@ -41,13 +40,5 @@ struct EngineConfig {
 
 /// Realizes an op into a concrete segment given the agent's position.
 Segment realize(const Op& op, grid::Point current, grid::Point source);
-
-/// First-hit time of a single agent's program under `bound`, a one-agent
-/// oracle for tests. Returns kNeverTime if the agent does not hit at or
-/// before the bound.
-Time single_agent_hit_time(AgentProgram& program, rng::Rng& rng,
-                           grid::Point treasure, grid::Point source,
-                           Time bound, std::int64_t max_segments,
-                           std::int64_t* segments_out = nullptr);
 
 }  // namespace ants::sim

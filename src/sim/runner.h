@@ -120,7 +120,7 @@ struct CellBlockHooks {
   std::function<void(std::size_t cell, unsigned worker, std::int64_t t0_us)>
       trial;
   /// After the last trial of every block: how many of its trials the
-  /// worker's batch runner delegated to the scalar executor.
+  /// worker's batch runner delegated to the scalar plane engine.
   std::function<void(std::uint64_t scalar_fallbacks)> end_block;
   /// Once per cell, on the worker that completes the cell's last trial:
   /// the cell's aggregates, and the telemetry::now_us() reading taken when
@@ -137,8 +137,8 @@ struct CellBlockHooks {
 /// moves to a cell with another (strategy, k). Per trial: seed from the
 /// cell, realize the target process, draw the schedule and crashes unless
 /// the run is the base model, run the trial, record it in the cell's trial
-/// table. Results are byte-identical to sim::run_trial for any thread
-/// count.
+/// table. Results are byte-identical for any thread count, and each trial
+/// equals the scalar reference executor the tests pin BatchRunner to.
 ///
 /// A cell's trial table holds one column per measure the run collects
 /// (search times always; async columns when a schedule is set; target

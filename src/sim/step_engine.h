@@ -12,9 +12,9 @@
 // same trial as "step and check each agent in turn": the lowest index still
 // wins a tick.
 //
-// The lock-step execution loop lives in the unified executor (sim/trial.h)
-// and the batch executor (sim/batch/batch.h), which also give these
-// strategies start schedules, fail-stop crashes, and multi-target races.
+// The lock-step execution loop lives in the batch executor
+// (sim/batch/batch.h), which also gives these strategies start schedules,
+// fail-stop crashes, and multi-target races.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-// The unified, environment-aware trial executor.
+// The trial environment: what one trial of any executor backend runs in.
 //
 // The paper's base model — simultaneous starts, immortal agents, a single
 // treasure — is one point in an environment space this module makes
@@ -9,27 +9,18 @@
 // streams of the trial rng (kScheduleStream / kCrashStream), so enabling an
 // environment axis never perturbs the agents' program randomness.
 //
-// run_trial() executes a trial under any environment with one of three
-// backends, picked by the strategy family:
-//
-//   * segment backend (sim::Strategy) — the interleaved min-heap sweep with
-//     the shrinking time bound (min over agents of the best hit so far),
-//     shared identically by the synchronous and asynchronous paths; cost is
-//     the number of realized segments, never grid steps.
-//   * lock-step backend (sim::StepStrategy) — all agents advance one edge
-//     per tick; not-yet-started agents wait at the source, agents whose
-//     active time exceeds their lifetime halt in place. Requires a finite
-//     time cap (random walks on Z^2 have infinite expected hitting time).
-//   * plane backend (plane::PlaneStrategy) — the continuous model the grid
-//     discretizes: unit-speed trajectories on R^2, targets are sight discs
-//     (plane::run_plane_trial). The same StartSchedule/CrashModel draws
-//     apply — integer delays and lifetimes read as continuous time units —
-//     so a paired grid-vs-plane sweep perturbs both substrates identically.
+// sim::batch::BatchRunner (sim/batch/batch.h) executes a trial under any
+// environment with one of three backends, picked by the strategy family
+// (TrialStrategy): segment (sim::Strategy), lock-step (sim::StepStrategy)
+// and plane (plane::PlaneStrategy, continuous sight discs; integer delays
+// and lifetimes read as continuous time units). The target processes below
+// realize the per-trial target state, and detail:: holds the argument
+// validation and target-window helpers every executor shares.
 //
 // The paper's base model is single_target_environment(treasure): sync
-// starts, immortal agents, one treasure. Tests pin each backend under it
-// to in-test reference reimplementations of the engines this executor
-// replaced, byte for byte.
+// starts, immortal agents, one treasure. The tests pin BatchRunner to the
+// scalar reference executor in tests/support/reference_trial.h, byte for
+// byte.
 #pragma once
 
 #include <functional>
@@ -133,13 +124,13 @@ struct TrialEnvironment {
 
   /// True when any target-process feature is engaged: appear/vanish
   /// windows, drift, dwell capture, or collect-all. The one routing
-  /// predicate of every grid backend in both executors: false runs the
-  /// origin pre-step (detail::resolve_origin_target) before the backend
-  /// loop, and picks the batch executor's static loop instances (sim/batch/,
-  /// a compile-time specialisation of the same loop). The batch executor
-  /// runs every grid dynamic environment natively; only plane
-  /// windowed/collect cells delegate to the scalar path (documented and
-  /// counted at BatchRunner::run_one).
+  /// predicate of every grid backend: false runs the origin pre-step
+  /// (detail::resolve_origin_target) before the backend loop, and picks
+  /// BatchRunner's static loop instances (a compile-time specialisation of
+  /// the same loop). BatchRunner runs every grid dynamic environment
+  /// natively; only plane windowed/collect cells fall back to the scalar
+  /// plane engine, plane::run_plane_trial (documented and counted at
+  /// BatchRunner::run_one).
   bool has_dynamic_targets() const noexcept {
     return has_target_windows() || has_target_drift() || capture_dwell > 0 ||
            collect_all;
@@ -173,30 +164,6 @@ struct TrialStrategy {
 
   bool operator==(const TrialStrategy&) const = default;
 };
-
-/// Runs one trial of `strategy` under `env`. Dispatches to the segment,
-/// lock-step, or plane backend; throws std::invalid_argument on k < 1, an
-/// empty (or wrong-substrate) target set — except that a windowed process
-/// may legitimately spawn zero targets — environment vectors of the wrong
-/// size, a null strategy, a step strategy without a finite config.time_cap,
-/// or target drift / dwell capture with a non-step strategy. The plane backend reads config.sight_radius /
-/// config.spiral_pitch and maps config.time_cap == kNeverTime to
-/// plane::kPlaneNever; its times come back fractional, the grid backends'
-/// as exact integers (TrialResult times are doubles for exactly this).
-TrialResult run_trial(const TrialStrategy& strategy, int k,
-                      const TrialEnvironment& env, const rng::Rng& trial_rng,
-                      const EngineConfig& config = {});
-
-/// Convenience overloads for direct engine-level use (tests, examples).
-TrialResult run_trial(const Strategy& strategy, int k,
-                      const TrialEnvironment& env, const rng::Rng& trial_rng,
-                      const EngineConfig& config = {});
-TrialResult run_trial(const StepStrategy& strategy, int k,
-                      const TrialEnvironment& env, const rng::Rng& trial_rng,
-                      const EngineConfig& config = {});
-TrialResult run_trial(const plane::PlaneStrategy& strategy, int k,
-                      const TrialEnvironment& env, const rng::Rng& trial_rng,
-                      const EngineConfig& config = {});
 
 /// Realizes the per-trial target state given the adversary distance D — the
 /// process generalization of the old one-shot TargetDraw, and the hook the
@@ -252,17 +219,21 @@ TargetProcess drifting_target(double speed, double angle_turns,
 
 namespace detail {
 
-/// Shared between the scalar executor and the batch kernels (sim/batch/):
-/// argument validation and the origin pre-step must behave byte-identically
-/// on both paths, so they live in one place.
+/// Shared between BatchRunner (sim/batch/) and the scalar reference
+/// executor the tests pin it to: argument validation and the origin
+/// pre-step must behave byte-identically on both paths, so they live in one
+/// place.
 
-/// Throws std::invalid_argument exactly as run_trial documents (including
-/// a step strategy without a finite config.time_cap).
+/// Throws std::invalid_argument on k < 1, an empty (or wrong-substrate)
+/// target set — except that a windowed process may legitimately spawn zero
+/// targets — environment vectors of the wrong size, a null or ambiguous
+/// strategy, a step strategy without a finite config.time_cap, or target
+/// drift / dwell capture with a non-step strategy.
 void validate_trial_args(const TrialStrategy& strategy, int k,
                          const TrialEnvironment& env,
                          const EngineConfig& config);
 
-/// The origin pre-step both executors run before any grid backend loop. In
+/// The origin pre-step every executor runs before any grid backend loop. In
 /// a static environment (!env.has_dynamic_targets()) a target sitting on
 /// the source node is found by every agent the moment it wakes up, so the
 /// earliest ALIVE starter (lowest index on ties) is the finder, provided its
@@ -274,8 +245,8 @@ void validate_trial_args(const TrialStrategy& strategy, int k,
 std::optional<TrialResult> resolve_origin_target(const TrialEnvironment& env,
                                                  int k, Time time_cap);
 
-/// Target-window and drift evaluation shared verbatim by the scalar loops
-/// and the batch executor's dynamic SoA loops: byte-identity between the
+/// Target-window and drift evaluation shared verbatim by BatchRunner's
+/// dynamic SoA loops and the reference loops: byte-identity between the
 /// two depends on there being exactly one definition of each.
 
 /// Vanish time of a target with no window: never.

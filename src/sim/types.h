@@ -25,8 +25,8 @@ struct AgentContext {
   int k = 1;
 };
 
-/// Result of one environment-aware trial (the unified executor in
-/// sim/trial.h), for every backend and environment: `time` is always
+/// Result of one environment-aware trial (sim::batch::BatchRunner, in
+/// sim/batch/batch.h), for every backend and environment: `time` is always
 /// absolute (from t = 0, the first possible start), the schedule/crash
 /// aggregates are zero under the paper's base model, and `first_target`
 /// identifies the winning target of a multi-target race (0 for the

@@ -146,10 +146,10 @@ struct RunMetrics {
   /// recompute and append — but a corruption rate is an operational signal
   /// a plain miss is not.
   std::uint64_t cache_corrupt = 0;
-  /// Trials the batch executor delegated to the scalar run_trial path.
-  /// Since the batch dynamic SoA paths landed, only plane strategies under
-  /// a dynamic target process (windows/collect) delegate; grid cells never
-  /// do. Nonzero outside that case means a routing regression.
+  /// Trials the batch executor delegated to the scalar plane engine
+  /// (plane::run_plane_trial). Only plane strategies under a dynamic
+  /// target process (windows/collect) delegate; grid cells never do.
+  /// Nonzero outside that case means a routing regression.
   std::uint64_t batch_scalar_fallback = 0;
   std::int64_t plan_us = 0;          ///< plan phase (flatten/make_plan) wall
   std::int64_t execute_us = 0;       ///< execute phase (trial loop) wall

@@ -59,7 +59,7 @@ class RunTelemetry {
   void record_cache_corrupt(std::uint64_t n = 1) {
     metrics_.cache_corrupt.add(n);
   }
-  /// The batch executor delegated `n` trials to the scalar run_trial path
+  /// The batch executor delegated `n` trials to the scalar plane engine
   /// (plane strategies under a dynamic target process — the one remaining
   /// fallback; grid cells never delegate). Drained per trial block by the
   /// sweep from BatchRunner::take_scalar_fallbacks.

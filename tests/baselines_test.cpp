@@ -7,15 +7,15 @@
 #include <vector>
 
 #include "baselines/biased_walk.h"
-#include "baselines/cow_path_1d.h"
 #include "baselines/levy.h"
 #include "baselines/random_walk.h"
 #include "baselines/sector_sweep.h"
 #include "baselines/spiral_single.h"
 #include "grid/spiral.h"
-#include "grid/visited_set.h"
 #include "sim/runner.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
+#include "support/visited_set.h"
 #include "util/sat.h"
 
 namespace ants::baselines {
@@ -355,38 +355,6 @@ TEST(SectorSweep, MoreAgentsFindFaster) {
   EXPECT_TRUE(k1.found);
   EXPECT_TRUE(k8.found);
   EXPECT_LT(k8.time, k1.time);
-}
-
-TEST(CowPath, FindsEveryTarget) {
-  for (std::int64_t d = 1; d <= 200; ++d) {
-    const CowPathResult right = cow_path_doubling(d);
-    const CowPathResult left = cow_path_doubling(-d);
-    EXPECT_GE(right.steps, d);
-    EXPECT_GE(left.steps, d);
-    EXPECT_GE(right.competitive_ratio, 1.0);
-    EXPECT_GE(left.competitive_ratio, 1.0);
-  }
-}
-
-TEST(CowPath, NineCompetitive) {
-  EXPECT_LE(cow_path_worst_ratio(1 << 12), 9.0 + 1e-9);
-}
-
-TEST(CowPath, WorstCaseApproachesNine) {
-  // Adversarial target just past a turn point: ratio -> 9 from below.
-  EXPECT_GT(cow_path_worst_ratio(1 << 12), 8.5);
-}
-
-TEST(CowPath, ImmediateHitIsOptimal) {
-  const CowPathResult r = cow_path_doubling(1);
-  EXPECT_EQ(r.steps, 1);
-  EXPECT_EQ(r.turns, 0);
-  EXPECT_DOUBLE_EQ(r.competitive_ratio, 1.0);
-}
-
-TEST(CowPath, Validation) {
-  EXPECT_THROW(cow_path_doubling(0), std::invalid_argument);
-  EXPECT_THROW(cow_path_worst_ratio(0), std::invalid_argument);
 }
 
 }  // namespace

@@ -5,9 +5,9 @@
 #include <variant>
 
 #include "core/approx_k.h"
-#include "core/competitive.h"
 #include "core/hedged.h"
 #include "sim/runner.h"
+#include "support/competitive.h"
 #include "util/math.h"
 #include "util/sat.h"
 

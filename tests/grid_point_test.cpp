@@ -4,7 +4,7 @@
 
 #include <set>
 
-#include "grid/visited_set.h"
+#include "support/visited_set.h"
 
 namespace ants::grid {
 namespace {

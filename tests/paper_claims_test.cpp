@@ -12,14 +12,14 @@
 #include <string>
 #include <vector>
 
-#include "core/competitive.h"
 #include "rng/rng.h"
 #include "scenario/registry.h"
 #include "scenario/spec.h"
 #include "scenario/sweep.h"
 #include "sim/metrics.h"
-#include "sim/visitation.h"
-#include "stats/regression.h"
+#include "support/competitive.h"
+#include "support/regression.h"
+#include "support/visitation.h"
 
 namespace ants {
 namespace {

@@ -21,6 +21,7 @@
 #include "plane/strategies.h"
 #include "sim/runner.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 
 namespace ants::plane {
 namespace {

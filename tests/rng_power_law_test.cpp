@@ -10,7 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "stats/regression.h"
+#include "support/regression.h"
 
 namespace ants::rng {
 namespace {

@@ -25,6 +25,7 @@
 #include "sim/placement.h"
 #include "sim/runner.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "util/format.h"
 
 namespace ants::scenario {

@@ -9,6 +9,7 @@
 #include "core/known_k.h"
 #include "rng/rng.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "test_support.h"
 
 namespace ants::sim {

@@ -2,7 +2,8 @@
 //
 // The contract under test is byte-identity: for every strategy family,
 // environment shape, and SIMD dispatch level this machine supports,
-// BatchRunner::run_one must reproduce sim::run_trial EXACTLY — same doubles
+// BatchRunner::run_one must reproduce the scalar reference executor
+// (sim::run_trial, tests/support/reference_trial.h) EXACTLY — same doubles
 // bit for bit, same finder/target tie-breaks, same crash counts. The kernel
 // unit tests pin the three primitives' scalar-equivalence properties
 // (lowest-index argmin ties, in-order occupancy find, candidate supersets)
@@ -16,6 +17,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <initializer_list>
+#include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "baselines/biased_walk.h"
@@ -27,6 +31,7 @@
 #include "sim/batch/kernels.h"
 #include "sim/batch/simd.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "test_support.h"
 
 namespace ants::sim::batch {
@@ -592,6 +597,57 @@ TEST(BatchRunner, ConstructorRejectsBadArguments) {
   TrialStrategy s;
   s.segment = &known;
   EXPECT_THROW(BatchRunner(s, 0, {}), std::invalid_argument);
+}
+
+TEST(BatchRunner, SegmentBudgetGuardsNonTermination) {
+  // Strategies that never move: zero-length moves forever, so no clock
+  // reaches the (absent) cap and only the segment budget ends the trial.
+  struct StuckGrid final : Strategy {
+    std::string name() const override { return "stuck"; }
+    std::unique_ptr<AgentProgram> make_program(AgentContext) const override {
+      class P final : public AgentProgram {
+        Op next(rng::Rng&) override { return GoTo{grid::kOrigin}; }
+      };
+      return std::make_unique<P>();
+    }
+  };
+  struct StuckPlane final : plane::PlaneStrategy {
+    std::string name() const override { return "stuck"; }
+    std::unique_ptr<plane::PlaneAgentProgram> make_program(
+        int, int) const override {
+      class P final : public plane::PlaneAgentProgram {
+        plane::PlaneOp next(rng::Rng&) override { return plane::ReturnHome{}; }
+      };
+      return std::make_unique<P>();
+    }
+  };
+  const StuckGrid stuck_grid;
+  const StuckPlane stuck_plane;
+  EngineConfig config;
+  config.max_segments_per_agent = 1000;
+  const rng::Rng trial_rng(7);
+
+  TrialStrategy grid_family;
+  grid_family.segment = &stuck_grid;
+  BatchRunner grid_runner(grid_family, 2, config);
+  try {
+    grid_runner.run_one(base_env({{5, 5}}), trial_rng);
+    ADD_FAILURE() << "a stuck segment strategy must exhaust its budget";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("BatchRunner: ", 0), 0u) << e.what();
+  }
+
+  // The plane strategy fails on the batch plane loop (static targets) and
+  // on the scalar plane engine fallback (collect-all) alike.
+  TrialStrategy plane_family;
+  plane_family.plane = &stuck_plane;
+  BatchRunner plane_runner(plane_family, 2, config);
+  TrialEnvironment plane_env;
+  plane_env.plane_targets = {{5.0, 5.0}};
+  EXPECT_THROW(plane_runner.run_one(plane_env, trial_rng), std::runtime_error);
+  plane_env.collect_all = true;
+  EXPECT_THROW(plane_runner.run_one(plane_env, trial_rng), std::runtime_error);
+  EXPECT_EQ(plane_runner.take_scalar_fallbacks(), 1u);
 }
 
 TEST(TrialBlock, TilesTrialsExactlyWithinTheCap) {

@@ -20,6 +20,7 @@
 #include "grid/ball.h"
 #include "sim/engine.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "util/sat.h"
 
 namespace ants::sim {

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "test_support.h"
 
 namespace ants::sim {

@@ -8,6 +8,7 @@
 #include "core/harmonic.h"
 #include "core/known_k.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 #include "test_support.h"
 
 namespace ants::sim {

@@ -6,6 +6,7 @@
 
 #include "baselines/random_walk.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 
 namespace ants::sim {
 namespace {

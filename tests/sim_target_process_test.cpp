@@ -45,6 +45,7 @@
 #include "sim/batch/simd.h"
 #include "sim/placement.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 
 namespace ants {
 namespace {

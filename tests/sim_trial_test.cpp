@@ -22,6 +22,7 @@
 #include "core/known_k.h"
 #include "rng/splitmix64.h"
 #include "sim/runner.h"
+#include "support/reference_trial.h"
 #include "test_support.h"
 #include "util/sat.h"
 

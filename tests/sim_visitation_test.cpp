@@ -1,4 +1,4 @@
-#include "sim/visitation.h"
+#include "support/visitation.h"
 
 #include <gtest/gtest.h>
 

@@ -5,10 +5,9 @@
 #include <vector>
 
 #include "rng/rng.h"
-#include "stats/bootstrap.h"
 #include "stats/histogram.h"
-#include "stats/regression.h"
 #include "stats/summary.h"
+#include "support/regression.h"
 
 namespace ants::stats {
 namespace {
@@ -286,34 +285,6 @@ TEST(Log2Histogram, DyadicBuckets) {
   EXPECT_EQ(h.count(10), 1u);
   EXPECT_EQ(h.max_bucket(), 10u);
   EXPECT_EQ(h.total(), 7u);
-}
-
-TEST(Bootstrap, MeanCIBracketsTruth) {
-  rng::Rng data_rng(7);
-  std::vector<double> samples;
-  for (int i = 0; i < 400; ++i) samples.push_back(rng::Rng(data_rng.bits()).uniform_unit() + 2.0);
-  rng::Rng boot_rng(8);
-  const BootstrapCI ci = bootstrap_mean(samples, boot_rng, 500);
-  EXPECT_GT(ci.hi, ci.lo);
-  EXPECT_GE(ci.point, ci.lo - 0.05);
-  EXPECT_LE(ci.point, ci.hi + 0.05);
-  EXPECT_NEAR(ci.point, 2.5, 0.1);
-}
-
-TEST(Bootstrap, MedianCI) {
-  std::vector<double> samples;
-  for (int i = 1; i <= 101; ++i) samples.push_back(static_cast<double>(i));
-  rng::Rng rng(9);
-  const BootstrapCI ci = bootstrap_median(samples, rng, 300);
-  EXPECT_NEAR(ci.point, 51.0, 1e-9);
-  EXPECT_LT(ci.lo, 51.0);
-  EXPECT_GT(ci.hi, 51.0);
-}
-
-TEST(Bootstrap, Validation) {
-  rng::Rng rng(10);
-  EXPECT_THROW(bootstrap_mean({}, rng), std::invalid_argument);
-  EXPECT_THROW(bootstrap_mean({1.0}, rng, 0), std::invalid_argument);
 }
 
 }  // namespace

@@ -34,6 +34,7 @@
 #include "sim/placement.h"
 #include "sim/runner.h"
 #include "sim/trial.h"
+#include "support/reference_trial.h"
 
 namespace ants {
 namespace {

@@ -1,4 +1,4 @@
-#include "core/competitive.h"
+#include "support/competitive.h"
 
 #include <cmath>
 #include <stdexcept>

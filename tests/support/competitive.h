@@ -1,4 +1,4 @@
-// Competitive-curve analysis shared by the experiment harnesses: given
+// Competitive-curve analysis for the paper-claims tests: given
 // measured competitiveness phi(k) at swept k values, quantify how phi grows
 // — the quantity Theorems 3.3/4.1/4.2 are about.
 #pragma once
@@ -6,7 +6,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "stats/regression.h"
+#include "support/regression.h"
 
 namespace ants::core {
 

@@ -1,4 +1,4 @@
-#include "stats/regression.h"
+#include "support/regression.h"
 
 #include <cmath>
 #include <stdexcept>

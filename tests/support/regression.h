@@ -1,5 +1,5 @@
 // Ordinary least squares on (x, y) pairs, plus the log-log convenience
-// wrapper the scaling experiments use to extract empirical exponents
+// wrapper the scaling claims use to extract empirical exponents
 // (e.g. "does T(D, k) scale like D^2/k?" becomes "is the fitted log-log
 // slope 2 in D and -1 in k?").
 #pragma once

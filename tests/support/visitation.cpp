@@ -1,9 +1,9 @@
-#include "sim/visitation.h"
+#include "support/visitation.h"
 
 #include <algorithm>
 #include <stdexcept>
 
-#include "grid/visited_set.h"
+#include "support/visited_set.h"
 #include "sim/engine.h"
 #include "sim/segment.h"
 #include "util/math.h"

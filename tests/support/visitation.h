@@ -6,7 +6,7 @@
 // Omega(T / phi(k_i)) distinct nodes in each dyadic annulus S_i by time 2T,
 // and summing those forces Sum 1/phi(2^i) to converge. The recorder
 // materializes one agent's trajectory up to a horizon and counts distinct
-// nodes per annulus, letting experiment E4 print exactly that bookkeeping.
+// nodes per annulus, so the E4 claims can check exactly that bookkeeping.
 #pragma once
 
 #include <cstdint>

@@ -1,4 +1,4 @@
-#include "grid/visited_set.h"
+#include "support/visited_set.h"
 
 #include <cassert>
 

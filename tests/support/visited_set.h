@@ -1,8 +1,8 @@
 // Sparse set of visited grid nodes.
 //
-// Only the lower-bound experiments (visitation accounting over dyadic
-// annuli, E4) and the step-level baselines materialize visits; the paper
-// algorithms are simulated analytically. Points are packed into 64-bit keys,
+// Only visitation accounting over dyadic annuli (the E4 claims) and the
+// baseline tests materialize visits; the paper algorithms are simulated
+// analytically. Points are packed into 64-bit keys,
 // which requires |coords| < 2^31 — always true within the bounded horizons
 // these consumers run under (asserted).
 #pragma once

@@ -179,7 +179,7 @@ int run_list() {
                "batched SoA/SIMD executor (src/sim/batch/,\n"
                "scalar/SSE2/AVX2 dispatch). The one exception is plane "
                "strategies under a\nwindowed or collect-all process, which "
-               "delegate per trial to the scalar executor\n(counted by the "
+               "delegate per trial to the scalar plane engine\n(counted by the "
                "batch_scalar_fallback metric; see docs/observability.md)."
                "\n\n";
   return 0;
