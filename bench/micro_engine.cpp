@@ -9,10 +9,16 @@
 // base model per paper strategy; the BM_Unified* group adds the environment
 // draw, async, multi-target, and lock-step costs, each paired with a
 // BM_Batched* twin that runs the same trials on BatchRunner.
+// BM_BlockStepBiased has no twin: it times BatchRunner::run_block over a
+// whole lock-step block, in ns per agent-tick.
 // bench/baseline_engine.json pins a reference run of this harness;
 // tools/bench_compare.py diffs a fresh run against it (the CI
 // benchmark-smoke job does both).
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <chrono>
+#include <vector>
 
 #include "baselines/biased_walk.h"
 #include "baselines/random_walk.h"
@@ -339,6 +345,44 @@ void BM_BatchedTrialStepBiased(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchedTrialStepBiased);
+
+// The same hot cell as one 60-trial block, the way the sweep runs a
+// landscape cell on one worker: every trial's 4 walkers step together
+// through one run_block. ns_per_agent_tick divides the time by the steps
+// taken (TrialResult::segments), the unit perfbench's exec.step layer uses.
+// No Unified twin: this measures the block loop, not a pair ratio.
+void BM_BlockStepBiased(benchmark::State& state) {
+  const ants::baselines::BiasedWalkStrategy strategy(0.3, 0.8);
+  ants::sim::EngineConfig config;
+  config.time_cap = 40000;
+  ants::sim::TrialStrategy ts;
+  ts.step = &strategy;
+  ants::sim::batch::BatchRunner runner(ts, 4, config);
+  constexpr std::size_t kTrials = 60;
+  const std::vector<ants::sim::TrialEnvironment> envs(
+      kTrials, ants::sim::single_target_environment({10, -6}));
+  std::vector<ants::sim::TrialResult> results(kTrials);
+  std::uint64_t seed = 0;
+  std::int64_t agent_ticks = 0;
+  double block_ns = 0;
+  for (auto _ : state) {
+    std::vector<ants::rng::Rng> rngs;
+    ++seed;
+    for (std::size_t t = 0; t < kTrials; ++t) {
+      rngs.emplace_back(ants::rng::mix_seed(seed, t));
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    runner.run_block(envs.data(), rngs.data(), kTrials, results.data());
+    block_ns += std::chrono::duration<double, std::nano>(
+                    std::chrono::steady_clock::now() - t0)
+                    .count();
+    for (const auto& r : results) agent_ticks += r.segments;
+    benchmark::DoNotOptimize(results.data());
+  }
+  state.counters["ns_per_agent_tick"] =
+      block_ns / static_cast<double>(std::max<std::int64_t>(agent_ticks, 1));
+}
+BENCHMARK(BM_BlockStepBiased);
 
 void BM_BatchedTrialPlaneSync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));

@@ -1,34 +1,11 @@
 #include "baselines/biased_walk.h"
 
-#include "util/format.h"
-
 #include <stdexcept>
 
+#include "sim/batch/kernels.h"
+#include "util/format.h"
+
 namespace ants::baselines {
-
-namespace {
-
-/// Program word layout: the last move's direction in the low two bits,
-/// plus a flag once the agent has moved at all.
-constexpr std::uint64_t kHasLast = 4;
-
-/// The first direction d whose weight exceeds what is left of u after
-/// subtracting the weights before it (3 if none does): the sequential
-/// roulette scan, evaluated without branches. The subtractions are the
-/// scan's own, so every comparison sees the same doubles.
-inline std::uint64_t roulette(const double* weight, double u) noexcept {
-  const bool c0 = u < weight[0];
-  u -= weight[0];
-  const bool c1 = u < weight[1];
-  u -= weight[1];
-  const bool c2 = u < weight[2];
-  const std::uint64_t past0 = c0 ? 0 : 1;
-  const std::uint64_t past1 = c1 ? 0 : past0;
-  const std::uint64_t past2 = c2 ? 0 : past1;
-  return past0 + past1 + past2;
-}
-
-}  // namespace
 
 BiasedWalkStrategy::BiasedWalkStrategy(double outward_bias, double persistence)
     : outward_bias_(outward_bias),
@@ -62,26 +39,8 @@ std::string BiasedWalkStrategy::name() const {
 void BiasedWalkStrategy::step(sim::StepLanes& lanes,
                               const std::uint32_t* agents,
                               std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t a = agents[i];
-    const std::uint64_t word = lanes.word[a];
-    const std::int64_t x = lanes.x[a];
-    const std::int64_t y = lanes.y[a];
-    std::uint64_t dir;
-    if ((word & kHasLast) != 0 && lanes.rng.bernoulli(a, persist_threshold_)) {
-      dir = word & 3;
-    } else {
-      // Outward moves from (x, y): +x iff x >= 0, +y iff y >= 0, -x iff
-      // x <= 0, -y iff y <= 0.
-      const unsigned mask = (x >= 0 ? 1U : 0U) | (y >= 0 ? 2U : 0U) |
-                            (x <= 0 ? 4U : 0U) | (y <= 0 ? 8U : 0U);
-      dir = roulette(weight_[mask],
-                     lanes.rng.uniform_unit(a) * total_[mask]);
-    }
-    lanes.word[a] = kHasLast | dir;
-    lanes.x[a] = x + grid::kDirections[dir].x;
-    lanes.y[a] = y + grid::kDirections[dir].y;
-  }
+  sim::batch::kernels_for(lanes.level)
+      .step_biased(lanes, agents, n, {persist_threshold_, weight_, total_});
 }
 
 }  // namespace ants::baselines

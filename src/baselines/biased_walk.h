@@ -12,6 +12,8 @@
 // With both zero this degenerates to the simple random walk. The model
 // produces the two-part trajectories the paper's section 6 describes
 // (straight outward runs + local tortuosity) without any treasure knowledge.
+// step() runs the step_biased kernel (sim/batch/kernels.h) over the move
+// tables built here.
 #pragma once
 
 #include <cstdint>

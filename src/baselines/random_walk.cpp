@@ -1,16 +1,13 @@
 #include "baselines/random_walk.h"
 
+#include "sim/batch/kernels.h"
+
 namespace ants::baselines {
 
 void RandomWalkStrategy::step(sim::StepLanes& lanes,
                               const std::uint32_t* agents,
                               std::size_t n) const {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t a = agents[i];
-    const grid::Point d = grid::kDirections[lanes.rng.direction4(a)];
-    lanes.x[a] += d.x;
-    lanes.y[a] += d.y;
-  }
+  sim::batch::kernels_for(lanes.level).step_random(lanes, agents, n);
 }
 
 }  // namespace ants::baselines

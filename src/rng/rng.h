@@ -114,17 +114,34 @@ class RngLanes {
  public:
   /// n lanes; lane i is seeded as parent.child(i).
   void reset_children(std::size_t n, const Rng& parent) {
+    resize(n);
+    seed_children(0, n, parent);
+  }
+
+  /// n lanes, unseeded until seed_children covers them.
+  void resize(std::size_t n) {
     s0_.resize(n);
     s1_.resize(n);
     s2_.resize(n);
     s3_.resize(n);
+  }
+
+  /// Lanes first .. first + n - 1 seeded as parent.child(0 .. n - 1): the
+  /// lock-step block executor gives each trial of a block its own range.
+  void seed_children(std::size_t first, std::size_t n, const Rng& parent) {
     for (std::size_t i = 0; i < n; ++i) {
       SplitMix64 sm(mix_seed(parent.seed(), i));
-      s0_[i] = sm();
-      s1_[i] = sm();
-      s2_[i] = sm();
-      s3_[i] = sm();
+      s0_[first + i] = sm();
+      s1_[first + i] = sm();
+      s2_[first + i] = sm();
+      s3_[first + i] = sm();
     }
+  }
+
+  /// State word w (0..3) of every lane, contiguous: the vector step
+  /// kernels (sim/batch/kernels.h) load and store four lanes at a time.
+  std::uint64_t* state(int w) noexcept {
+    return (w == 0 ? s0_ : w == 1 ? s1_ : w == 2 ? s2_ : s3_).data();
   }
 
   /// Raw 64 random bits from lane i. The state goes through locals: the

@@ -44,7 +44,7 @@ struct EnvEntry {
   std::vector<ParamSpec> params;
   /// Engine-family applicability; empty = every engine family. Printed per
   /// entry by `search_lab list` and enforced by spec validation.
-  std::string applies;
+  std::string applies = {};
 };
 
 const std::vector<EnvEntry>& placement_entries();

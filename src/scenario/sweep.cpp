@@ -193,8 +193,9 @@ std::vector<CellResult> run_cells(const ScenarioSpec& spec,
       }
       trace->begin_workers(workers, std::move(labels));
     };
-    hooks.trial = [&](std::size_t j, unsigned worker, std::int64_t t0_us) {
-      trace->record_trial(worker, pending[j], t0_us, telemetry::now_us());
+    hooks.block = [&](std::size_t j, unsigned worker, std::int64_t t0_us,
+                      std::size_t n) {
+      trace->record_trials(worker, pending[j], t0_us, telemetry::now_us(), n);
     };
   }
   if (tel != nullptr) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -43,6 +44,11 @@ inline constexpr std::size_t kMinBlock = 8;
 
 /// Flat scans up to this size skip the two-level structure entirely.
 inline constexpr std::size_t kFlatAdvance = 16;
+
+/// A lane target no walker reaches: a walker stays within time_cap steps
+/// of the source, and time_cap is below 2^63.
+inline constexpr std::int64_t kNoTarget =
+    std::numeric_limits<std::int64_t>::min();
 
 /// The plane engine's view of a trial: the environment (integer start
 /// delays and lifetimes read as continuous time units, kNeverTime as
@@ -110,6 +116,11 @@ BatchRunner::BatchRunner(const TrialStrategy& strategy, int k,
 
 TrialResult BatchRunner::run_one(const TrialEnvironment& env,
                                  const rng::Rng& trial_rng) {
+  if (strategy_.step != nullptr) {
+    TrialResult result;
+    run_block(&env, &trial_rng, 1, &result);
+    return result;
+  }
   kernels_ = &kernels_for(active_simd_level());
   detail::validate_trial_args(strategy_, k_, env, config_);
   const bool dynamic = env.has_dynamic_targets();
@@ -135,12 +146,42 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
   if (auto origin = detail::resolve_origin_target(env, k_, config_.time_cap)) {
     return *origin;
   }
-  if (strategy_.step != nullptr) {
-    return dynamic ? run_step<true>(env, trial_rng)
-                   : run_step<false>(env, trial_rng);
-  }
   return dynamic ? run_segment<true>(env, trial_rng)
                  : run_segment<false>(env, trial_rng);
+}
+
+void BatchRunner::run_block(const TrialEnvironment* envs,
+                            const rng::Rng* trial_rngs, std::size_t n,
+                            TrialResult* out) {
+  if (strategy_.step == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = run_one(envs[i], trial_rngs[i]);
+    }
+    return;
+  }
+  kernels_ = &kernels_for(active_simd_level());
+  static_trials_.clear();
+  dynamic_trials_.clear();
+  for (std::size_t i = 0; i < n; ++i) {
+    detail::validate_trial_args(strategy_, k_, envs[i], config_);
+    // The static model's one special case, resolved before either loop
+    // starts (the loops detect targets on arrival only).
+    if (auto origin =
+            detail::resolve_origin_target(envs[i], k_, config_.time_cap)) {
+      out[i] = std::move(*origin);
+    } else {
+      (envs[i].has_dynamic_targets() ? dynamic_trials_ : static_trials_)
+          .push_back(static_cast<std::uint32_t>(i));
+    }
+  }
+  if (!static_trials_.empty()) {
+    run_step<false>(envs, trial_rngs, static_trials_.data(),
+                    static_trials_.size(), out);
+  }
+  if (!dynamic_trials_.empty()) {
+    run_step<true>(envs, trial_rngs, dynamic_trials_.data(),
+                   dynamic_trials_.size(), out);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -477,11 +518,20 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 
 // ---------------------------------------------------------------------------
 // Lock-step backend: tick-for-tick the reference executor's scalar loop
-// (tests/support/reference_trial.cpp) — one strategy kernel call steps
-// every active agent over the runner's StepLanes, then the in-order pass
-// detects — with the per-agent occupancy check (first target equal to the
-// agent's new position) routed through the find_point kernel, an in-order
-// scan either way.
+// (tests/support/reference_trial.cpp), run for a block of trials at once.
+// Trial s of the block is slot s: its k agents are lanes s*k .. s*k + k - 1
+// of the runner's StepLanes, seeded from its own trial_rng, and it keeps
+// its own roster, result and target state. One strategy kernel call per
+// tick steps the active lanes of every running slot (the step kernels take
+// runs of consecutive lanes as vectors, kernels.h); then each slot's
+// in-order pass detects exactly as a step-and-check-each-agent loop would,
+// with the per-agent occupancy check (first target equal to the agent's new
+// position) routed through the find_point kernel, an in-order scan either
+// way. Lanes never interact, so every slot's result is the one trial's.
+// A slot retires when it finds (or collects every target), or when its
+// roster is exhausted — nothing can change its result after that, and the
+// loop would only run it to the cap — and its lanes leave the step list.
+// Slots still running at the cap end there.
 //
 // kDynamic adds appear/vanish windows, drift, dwell capture, and
 // collect-all. Per tick the scalar loop tests every target ever spawned for
@@ -500,175 +550,235 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // target with the plain find_point kernel.
 
 template <bool kDynamic>
-TrialResult BatchRunner::run_step(const TrialEnvironment& env,
-                                  const rng::Rng& trial_rng) {
+void BatchRunner::run_step(const TrialEnvironment* envs,
+                           const rng::Rng* trial_rngs,
+                           const std::uint32_t* trials, std::size_t n,
+                           TrialResult* out) {
   const StepStrategy& strategy = *strategy_.step;
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
+  const Time cap = config_.time_cap;
 
-  const Time last_start = env.last_start();
-  const std::size_t nt = env.targets.size();
-  const bool collect = kDynamic && env.collect_all;
-  const bool drift = kDynamic && env.has_target_drift();
-  const Time dwell = kDynamic ? env.capture_dwell : 0;
-  TrialResult result;
-  result.last_start = static_cast<double>(last_start);
-  if (collect) result.target_times.assign(nt, -1.0);
-
-  lanes_.reset(k, trial_rng);
-  result.crashed = roster_.reset(k, env.starts, env.lifetimes);
-
-  if (collect && nt == 0) {
-    // Zero spawned targets: vacuously all found at t = 0; nobody acts.
-    result.found = true;
-    result.time = 0;
-    result.from_last_start = 0;
-    return result;
+  if (slots_.size() < n) slots_.resize(n);
+  lanes_.reset(k, n);
+  lanes_.level = kernels_->level;
+  if constexpr (!kDynamic) {
+    lane_tx_.assign(n * uk, kNoTarget);
+    lane_ty_.assign(n * uk, kNoTarget);
   }
+  running_.clear();
+  bool fixed_rosters = true;   // no slot's roster changes after tick 0
+  std::size_t n_scanned = 0;   // static slots without exactly one target
+  for (std::size_t s = 0; s < n; ++s) {
+    StepSlot& slot = slots_[s];
+    const TrialEnvironment& env = envs[trials[s]];
+    slot.env = &env;
+    slot.result = &out[trials[s]];
+    TrialResult& result = *slot.result;
+    result = TrialResult{};
+    slot.last_start = env.last_start();
+    slot.nt = env.targets.size();
+    slot.collect = kDynamic && env.collect_all;
+    slot.drift = kDynamic && env.has_target_drift();
+    slot.dwell = kDynamic ? env.capture_dwell : 0;
+    slot.n_found = 0;
+    slot.first_finder = -1;
+    slot.first_ti = -1;
+    slot.counted = 0;
+    slot.done = false;
+    const std::size_t nt = slot.nt;
+    result.last_start = static_cast<double>(slot.last_start);
+    if (slot.collect) result.target_times.assign(nt, -1.0);
 
-  tgt_x_.resize(nt);
-  tgt_y_.resize(nt);
-  for (std::size_t ti = 0; ti < nt; ++ti) {
-    tgt_x_[ti] = env.targets[ti].x;
-    tgt_y_[ti] = env.targets[ti].y;
-  }
-  const std::int64_t* tx = tgt_x_.data();
-  const std::int64_t* ty = tgt_y_.data();
-  // Window events: order_[next_appear..] are the targets still to appear,
-  // next_event the earliest tick at which the live list can change.
-  [[maybe_unused]] std::size_t next_appear = 0;
-  [[maybe_unused]] double next_event = detail::kNeverVanish;
-  if constexpr (kDynamic) {
-    app_.resize(nt);
-    van_.resize(nt);
-    order_.resize(nt);
+    lanes_.seed_slot(s, k, trial_rngs[trials[s]]);
+    result.crashed = slot.roster.reset(k, env.starts, env.lifetimes);
+
+    if (slot.collect && nt == 0) {
+      // Zero spawned targets: vacuously all found at t = 0; nobody acts.
+      result.found = true;
+      result.time = 0;
+      result.from_last_start = 0;
+      continue;
+    }
+
+    slot.tx.resize(nt);
+    slot.ty.resize(nt);
     for (std::size_t ti = 0; ti < nt; ++ti) {
-      app_[ti] = detail::appear_of(env, ti);
-      van_[ti] = detail::vanish_of(env, ti);
-      order_[ti] = static_cast<std::uint32_t>(ti);
+      slot.tx[ti] = env.targets[ti].x;
+      slot.ty[ti] = env.targets[ti].y;
     }
-    // Ties in index order: a batch of equal appear times (all of them when
-    // the cell has no windows) is admitted by appending.
-    std::sort(order_.begin(), order_.end(),
-              [&](std::uint32_t a, std::uint32_t b) {
-                return app_[a] < app_[b] || (app_[a] == app_[b] && a < b);
-              });
-    if (nt > 0) next_event = app_[order_[0]];
-    live_.clear();
-    live_x_.clear();
-    live_y_.clear();
-    found_at_.assign(nt, 0);
-    if (dwell > 0) held_.assign(uk * nt, 0);
+    if constexpr (kDynamic) {
+      slot.app.resize(nt);
+      slot.van.resize(nt);
+      slot.order.resize(nt);
+      for (std::size_t ti = 0; ti < nt; ++ti) {
+        slot.app[ti] = detail::appear_of(env, ti);
+        slot.van[ti] = detail::vanish_of(env, ti);
+        slot.order[ti] = static_cast<std::uint32_t>(ti);
+      }
+      // Ties in index order: a batch of equal appear times (all of them
+      // when the cell has no windows) is admitted by appending.
+      const std::vector<double>& app = slot.app;
+      std::sort(slot.order.begin(), slot.order.end(),
+                [&](std::uint32_t a, std::uint32_t b) {
+                  return app[a] < app[b] || (app[a] == app[b] && a < b);
+                });
+      slot.next_appear = 0;
+      slot.next_event = nt > 0 ? app[slot.order[0]] : detail::kNeverVanish;
+      slot.live.clear();
+      slot.live_x.clear();
+      slot.live_y.clear();
+      slot.found_at.assign(nt, 0);
+      if (slot.dwell > 0) slot.held.assign(uk * nt, 0);
+    } else if (nt == 1) {
+      std::fill_n(lane_tx_.begin() + static_cast<std::ptrdiff_t>(s * uk), uk,
+                  slot.tx[0]);
+      std::fill_n(lane_ty_.begin() + static_cast<std::ptrdiff_t>(s * uk), uk,
+                  slot.ty[0]);
+    } else {
+      ++n_scanned;
+    }
+    fixed_rosters = fixed_rosters && slot.roster.fixed();
+    running_.push_back(static_cast<std::uint32_t>(s));
   }
 
-  std::size_t n_found = 0;
-  int first_finder = -1;
-  int first_ti = -1;
+  // Steps are added to a slot's result lazily: the roster's active count
+  // for every tick since the last count.
+  const auto count_steps = [](StepSlot& slot, Time through) {
+    slot.result->segments +=
+        static_cast<std::int64_t>(slot.roster.active().size()) *
+        (through - slot.counted);
+    slot.counted = through;
+  };
 
-  // nt == 0 (zero-spawn windowed process, first-of-set mode) still sweeps
-  // to the cap so crash/segment accounting matches the segment and plane
-  // backends, which run their heaps out naturally.
-  for (Time t = 1;
-       t <= config_.time_cap && (!kDynamic || nt == 0 || n_found < nt); ++t) {
-    if constexpr (kDynamic) {
-      const double td = static_cast<double>(t);
-      bool refresh = drift;  // live_x_/live_y_ need this tick's positions
-      if (td >= next_event) {
-        // Drop the targets whose windows closed, admit those that opened
-        // (a window with vanish <= t never opens), and find the next event.
-        std::size_t keep = 0;
-        for (const std::uint32_t ti : live_) {
-          if (td < van_[ti]) live_[keep++] = ti;
-        }
-        live_.resize(keep);
-        for (; next_appear < nt && app_[order_[next_appear]] <= td;
-             ++next_appear) {
-          const std::uint32_t ti = order_[next_appear];
-          if (td < van_[ti]) {
-            live_.insert(std::upper_bound(live_.begin(), live_.end(), ti),
-                         ti);
-          }
-        }
-        next_event = next_appear < nt ? app_[order_[next_appear]]
-                                      : detail::kNeverVanish;
-        for (const std::uint32_t ti : live_) {
-          next_event = std::min(next_event, van_[ti]);
-        }
-        refresh = true;
+  // The end of a trial that did not stop at a first find, after tick
+  // t_end: every target collected, no agent left, or the cap.
+  const auto finish = [&](StepSlot& slot, Time t_end) {
+    count_steps(slot, t_end);
+    TrialResult& result = *slot.result;
+    result.finder = slot.first_finder;
+    result.first_target = slot.first_ti;
+    if (slot.collect && slot.n_found == slot.nt) {
+      Time t_all = 0;
+      for (std::size_t ti = 0; ti < slot.nt; ++ti) {
+        t_all = std::max(t_all, slot.found_at[ti]);
       }
-      if (refresh) {
-        const std::size_t n_live = live_.size();
-        live_x_.resize(n_live);
-        live_y_.resize(n_live);
-        for (std::size_t j = 0; j < n_live; ++j) {
-          const std::uint32_t ti = live_[j];
-          live_x_[j] = tx[ti];
-          live_y_[j] = ty[ti];
-          if (drift) {
-            live_x_[j] += std::llround(env.target_drift[ti].vx * td);
-            live_y_[j] += std::llround(env.target_drift[ti].vy * td);
-          }
+      result.found = true;
+      result.time = static_cast<double>(t_all);
+      result.from_last_start = static_cast<double>(
+          t_all > slot.last_start ? t_all - slot.last_start : 0);
+    } else {
+      result.found = false;
+      result.time = static_cast<double>(cap);
+      result.from_last_start = static_cast<double>(cap);
+    }
+  };
+
+  // Slot s's window events at tick t: drop the targets whose windows
+  // closed, admit those that opened (a window with vanish <= t never
+  // opens), find the next event, and refresh the live positions.
+  [[maybe_unused]] const auto advance_targets = [&](StepSlot& slot, Time t) {
+    const double td = static_cast<double>(t);
+    const std::size_t nt = slot.nt;
+    bool refresh = slot.drift;  // live_x/live_y need this tick's positions
+    if (td >= slot.next_event) {
+      std::size_t keep = 0;
+      for (const std::uint32_t ti : slot.live) {
+        if (td < slot.van[ti]) slot.live[keep++] = ti;
+      }
+      slot.live.resize(keep);
+      for (; slot.next_appear < nt &&
+             slot.app[slot.order[slot.next_appear]] <= td;
+           ++slot.next_appear) {
+        const std::uint32_t ti = slot.order[slot.next_appear];
+        if (td < slot.van[ti]) {
+          slot.live.insert(
+              std::upper_bound(slot.live.begin(), slot.live.end(), ti), ti);
+        }
+      }
+      slot.next_event = slot.next_appear < nt
+                            ? slot.app[slot.order[slot.next_appear]]
+                            : detail::kNeverVanish;
+      for (const std::uint32_t ti : slot.live) {
+        slot.next_event = std::min(slot.next_event, slot.van[ti]);
+      }
+      refresh = true;
+    }
+    if (refresh) {
+      const std::size_t n_live = slot.live.size();
+      slot.live_x.resize(n_live);
+      slot.live_y.resize(n_live);
+      for (std::size_t j = 0; j < n_live; ++j) {
+        const std::uint32_t ti = slot.live[j];
+        slot.live_x[j] = slot.tx[ti];
+        slot.live_y[j] = slot.ty[ti];
+        if (slot.drift) {
+          slot.live_x[j] += std::llround(slot.env->target_drift[ti].vx * td);
+          slot.live_y[j] += std::llround(slot.env->target_drift[ti].vy * td);
         }
       }
     }
+  };
 
-    // One kernel call steps every active agent; the in-order pass below then
-    // detects exactly as a step-and-check-each-agent loop would. The tick's
-    // steps and crash transitions are counted up front; a first find gives
-    // back those of the agents after the finder.
-    roster_.advance(t);
-    const std::vector<std::uint32_t>& active = roster_.active();
-    strategy.step(lanes_, active.data(), active.size());
-    result.segments += static_cast<std::int64_t>(active.size());
-    result.crashed += static_cast<int>(roster_.halting().size());
+  // Slot s's in-order detection pass at tick t, after the step: false when
+  // the trial is over. A first find counts the tick's steps and crash
+  // transitions only up to the finder.
+  const auto detect = [&](std::uint32_t s, Time t) {
+    StepSlot& slot = slots_[s];
+    TrialResult& result = *slot.result;
+    const std::vector<std::uint32_t>& active = slot.roster.active();
+    const std::size_t nt = slot.nt;
+    const std::size_t base = s * uk;
     const auto first_find = [&](std::size_t i, std::size_t ti) {
+      count_steps(slot, t);
       result.found = true;
       result.time = static_cast<double>(t);
       result.finder = static_cast<int>(active[i]);
       result.first_target = static_cast<int>(ti);
-      result.from_last_start =
-          static_cast<double>(t > last_start ? t - last_start : 0);
+      result.from_last_start = static_cast<double>(
+          t > slot.last_start ? t - slot.last_start : 0);
       result.segments -= static_cast<std::int64_t>(active.size() - 1 - i);
-      result.crashed -= static_cast<int>(roster_.halted_after(active[i]));
+      result.crashed -= static_cast<int>(slot.roster.halted_after(active[i]));
     };
     for (std::size_t i = 0; i < active.size(); ++i) {
       const int a = static_cast<int>(active[i]);
       const auto ia = static_cast<std::size_t>(active[i]);
-      const grid::Point next{lanes_.x[ia], lanes_.y[ia]};
+      const grid::Point next{lanes_.x[base + ia], lanes_.y[base + ia]};
 
       if constexpr (kDynamic) {
         // Takes live entry j off the list as found by agent a at t; true
         // when that ends a first-of-set race.
         const auto capture = [&](std::size_t j) {
-          const std::uint32_t ti = live_[j];
-          live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(j));
-          live_x_.erase(live_x_.begin() + static_cast<std::ptrdiff_t>(j));
-          live_y_.erase(live_y_.begin() + static_cast<std::ptrdiff_t>(j));
-          found_at_[ti] = t;
-          ++n_found;
-          if (first_ti < 0) {
-            first_finder = a;
-            first_ti = static_cast<int>(ti);
+          const std::uint32_t ti = slot.live[j];
+          const auto at = static_cast<std::ptrdiff_t>(j);
+          slot.live.erase(slot.live.begin() + at);
+          slot.live_x.erase(slot.live_x.begin() + at);
+          slot.live_y.erase(slot.live_y.begin() + at);
+          slot.found_at[ti] = t;
+          ++slot.n_found;
+          if (slot.first_ti < 0) {
+            slot.first_finder = a;
+            slot.first_ti = static_cast<int>(ti);
           }
-          if (!collect) {
+          if (!slot.collect) {
             first_find(i, ti);
             return true;
           }
           result.target_times[ti] = static_cast<double>(t);
           return false;
         };
-        if (dwell > 0) {
-          std::int64_t* held = held_.data() + ia * nt;
-          for (std::size_t j = 0; j < live_.size();) {
-            const std::int64_t dx = live_x_[j] - next.x;
-            const std::int64_t dy = live_y_[j] - next.y;
+        if (slot.dwell > 0) {
+          std::int64_t* held = slot.held.data() + ia * nt;
+          for (std::size_t j = 0; j < slot.live.size();) {
+            const std::int64_t dx = slot.live_x[j] - next.x;
+            const std::int64_t dy = slot.live_y[j] - next.y;
             const std::int64_t l1 = (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
-            std::int64_t& h = held[live_[j]];
+            std::int64_t& h = held[slot.live[j]];
             h = l1 <= 1 ? h + 1 : 0;
-            if (h < dwell + 1) {
+            if (h < slot.dwell + 1) {
               ++j;
             } else if (capture(j)) {
-              return result;
+              return false;
             }
           }
         } else {
@@ -677,27 +787,30 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
           // resumes at the entry that moved into the captured one's slot.
           // For a handful of targets the in-order scalar scan beats the
           // kernel call; same first match either way.
-          for (std::size_t j = 0; j < live_.size();) {
-            const std::size_t n = live_.size() - j;
+          for (std::size_t j = 0; j < slot.live.size();) {
+            const std::size_t m = slot.live.size() - j;
             std::size_t rel = kNpos;
-            if (n < 8) {
-              for (std::size_t r = 0; r < n; ++r) {
-                if (live_x_[j + r] == next.x && live_y_[j + r] == next.y) {
+            if (m < 8) {
+              for (std::size_t r = 0; r < m; ++r) {
+                if (slot.live_x[j + r] == next.x &&
+                    slot.live_y[j + r] == next.y) {
                   rel = r;
                   break;
                 }
               }
             } else {
-              rel = kernels_->find_point(live_x_.data() + j,
-                                         live_y_.data() + j, n, next.x,
+              rel = kernels_->find_point(slot.live_x.data() + j,
+                                         slot.live_y.data() + j, m, next.x,
                                          next.y);
             }
             if (rel == kNpos) break;
             j += rel;
-            if (capture(j)) return result;
+            if (capture(j)) return false;
           }
         }
       } else {
+        const std::int64_t* tx = slot.tx.data();
+        const std::int64_t* ty = slot.ty.data();
         std::size_t ti = kNpos;
         if (nt < 8) {
           for (std::size_t r = 0; r < nt; ++r) {
@@ -711,29 +824,91 @@ TrialResult BatchRunner::run_step(const TrialEnvironment& env,
         }
         if (ti != kNpos) {
           first_find(i, ti);
-          return result;
+          return false;
         }
       }
     }
-  }
-
-  result.finder = first_finder;
-  result.first_target = first_ti;
-  if (collect && n_found == nt) {
-    Time t_all = 0;
-    for (std::size_t ti = 0; ti < nt; ++ti) {
-      t_all = std::max(t_all, found_at_[ti]);
+    if (kDynamic && nt > 0 && slot.n_found == nt) {
+      finish(slot, t);
+      return false;
     }
-    result.found = true;
-    result.time = static_cast<double>(t_all);
-    result.from_last_start =
-        static_cast<double>(t_all > last_start ? t_all - last_start : 0);
-  } else {
-    result.found = false;
-    result.time = static_cast<double>(config_.time_cap);
-    result.from_last_start = static_cast<double>(config_.time_cap);
+    return true;
+  };
+
+  // nt == 0 (zero-spawn windowed process, first-of-set mode) runs until its
+  // agents are gone or the cap, so crash/segment accounting matches the
+  // segment and plane backends, which run their heaps out naturally.
+  bool relist = true;  // step_lanes_ must be rebuilt
+  for (Time t = 1; t <= cap; ++t) {
+    if (kDynamic || !fixed_rosters) {
+      std::size_t keep = 0;
+      for (const std::uint32_t s : running_) {
+        StepSlot& slot = slots_[s];
+        if constexpr (kDynamic) advance_targets(slot, t);
+        count_steps(slot, t - 1);  // the roster may change at t
+        if (slot.roster.advance(t)) {
+          slot.result->crashed +=
+              static_cast<int>(slot.roster.halting().size());
+          relist = true;
+          if (slot.roster.exhausted()) {
+            finish(slot, t);
+            continue;
+          }
+        }
+        running_[keep++] = s;
+      }
+      running_.resize(keep);
+    }
+    if (running_.empty()) break;
+    if (relist) {
+      step_lanes_.clear();
+      for (const std::uint32_t s : running_) {
+        const auto base = static_cast<std::uint32_t>(s * uk);
+        for (const std::uint32_t a : slots_[s].roster.active()) {
+          step_lanes_.push_back(base + a);
+        }
+      }
+      relist = false;
+    }
+    strategy.step(lanes_, step_lanes_.data(), step_lanes_.size());
+
+    std::size_t retired = 0;
+    if constexpr (kDynamic) {
+      for (const std::uint32_t s : running_) {
+        if (!detect(s, t)) {
+          slots_[s].done = true;
+          ++retired;
+        }
+      }
+    } else {
+      // One pass over the stepped lanes finds the single-target slots with
+      // a find; each runs its in-order pass, which picks the finder.
+      const std::int64_t* xs = lanes_.x.data();
+      const std::int64_t* ys = lanes_.y.data();
+      for (const std::uint32_t l : step_lanes_) {
+        if (xs[l] == lane_tx_[l] && ys[l] == lane_ty_[l]) {
+          const auto s = static_cast<std::uint32_t>(l / uk);
+          if (!slots_[s].done && !detect(s, t)) {
+            slots_[s].done = true;
+            ++retired;
+          }
+        }
+      }
+      for (std::size_t i = 0; n_scanned > 0 && i < running_.size(); ++i) {
+        StepSlot& slot = slots_[running_[i]];
+        if (slot.nt != 1 && !slot.done && !detect(running_[i], t)) {
+          slot.done = true;
+          ++retired;
+        }
+      }
+    }
+    if (retired > 0) {
+      std::erase_if(running_,
+                    [&](std::uint32_t s) { return slots_[s].done; });
+      relist = true;
+    }
   }
-  return result;
+  for (const std::uint32_t s : running_) finish(slots_[s], cap);
 }
 
 // ---------------------------------------------------------------------------

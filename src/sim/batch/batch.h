@@ -22,13 +22,18 @@
 // CI-enforced against the golden CSVs).
 //
 // A runner is single-threaded and reusable: construct one per worker per
-// (strategy, k) pair and feed it a block of trials. The parallel driver
-// (sim::run_cell_blocks, behind both the scenario sweep and sim::Runner)
-// hands one worker one block at a time, sized by trial_block below: at
-// most kTrialBlock trials, enough to amortize runner reuse, and at least
-// one block per worker when a cell has fewer than workers * kTrialBlock
-// trials, so a small cell still spreads over every worker. Results are
-// indexed by trial, so block sizes never change a byte.
+// (strategy, k) pair and feed it blocks of trials through run_block. The
+// parallel driver (sim::run_cell_blocks, behind both the scenario sweep and
+// sim::Runner) hands one worker one block at a time, sized by trial_block
+// below: at most kTrialBlock trials, enough to amortize runner reuse and to
+// fill the lock-step loop's vector lanes, and at least one block per worker
+// when a cell has fewer than workers * kTrialBlock trials, so a small cell
+// still spreads over every worker. The lock-step walkers run a whole block
+// at once: trial s of the block owns lanes s*k .. s*k + k - 1 of one
+// StepLanes, and one strategy step per tick advances every running trial's
+// agents through the SIMD step kernels (kernels.h). Results are indexed by
+// trial, and no trial reads another's state, so block sizes never change a
+// byte.
 #pragma once
 
 #include <algorithm>
@@ -65,8 +70,18 @@ class BatchRunner {
 
   /// Runs one trial. Throws std::invalid_argument for an environment that
   /// detail::validate_trial_args rejects, and std::runtime_error when an
-  /// agent realizes more than config.max_segments_per_agent segments.
+  /// agent realizes more than config.max_segments_per_agent segments. For
+  /// a step strategy this is run_block of one trial.
   TrialResult run_one(const TrialEnvironment& env, const rng::Rng& trial_rng);
+
+  /// Runs trials 0..n) of a block: trial i in envs[i] with trial_rngs[i],
+  /// its result in out[i], each equal to run_one(envs[i], trial_rngs[i]).
+  /// A step strategy runs the block in lock-step: one strategy step per
+  /// tick over the lanes of every trial still running (see run_step); the
+  /// other families run the trials one after another. Same errors as
+  /// run_one.
+  void run_block(const TrialEnvironment* envs, const rng::Rng* trial_rngs,
+                 std::size_t n, TrialResult* out);
 
   /// Trials run_one delegated to the scalar plane engine
   /// (plane::run_plane_trial) since the last call, returned and reset. Grid
@@ -80,24 +95,27 @@ class BatchRunner {
     return n;
   }
 
-  /// The dispatch level the last/next run_one uses (re-read from
-  /// active_simd_level() at each call, so force_simd_level takes effect
-  /// between trials).
+  /// The dispatch level the last/next run_one or run_block uses (re-read
+  /// from active_simd_level() at each call, so force_simd_level takes
+  /// effect between calls).
   SimdLevel level() const noexcept { return kernels_->level; }
 
  private:
   /// One loop per grid backend. kDynamic is env.has_dynamic_targets(),
-  /// picked once in run_one after the origin pre-step: the true instance
-  /// handles appear/vanish windows, drift, dwell capture, and collect-all
+  /// picked after the origin pre-step (per trial in run_one; run_block
+  /// groups a block's step trials by it): the true instance handles
+  /// appear/vanish windows, drift, dwell capture, and collect-all
   /// (lock-step: per-tick tests over the live-target list only; segment:
   /// targets whose window misses the segment skipped before the hit
   /// test); the false instance compiles all of that out and is the
-  /// paper's static model.
+  /// paper's static model. run_step runs the trials envs[trials[s]] for
+  /// s < n as slots of one lock-step block.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng);
   template <bool kDynamic>
-  TrialResult run_step(const TrialEnvironment& env, const rng::Rng& trial_rng);
+  void run_step(const TrialEnvironment* envs, const rng::Rng* trial_rngs,
+                const std::uint32_t* trials, std::size_t n, TrialResult* out);
   TrialResult run_plane(const TrialEnvironment& env,
                         const rng::Rng& trial_rng);
 
@@ -114,22 +132,13 @@ class BatchRunner {
   const Kernels* kernels_;
 
   // --- reusable workspaces (grown once, reused across trials) -------------
-  // Per-agent rng streams (segment backend), grid target SoA (both grid
-  // backends).
+  // Segment backend: per-agent rng streams, the grid targets in SoA, and
+  // the dynamic target process's per-trial state.
   std::vector<rng::Rng> rngs_;
   std::vector<std::int64_t> tgt_x_, tgt_y_;
-
-  // Dynamic target processes (per-trial target state, SoA).
-  std::vector<double> app_, van_;            ///< appear/vanish windows
-  std::vector<std::uint32_t> order_;  ///< lock-step: targets by appear time
-  std::vector<std::uint32_t> live_;   ///< lock-step: live unfound, ascending
-  std::vector<std::int64_t> live_x_, live_y_;  ///< live_'s positions @ tick
-  std::vector<std::int64_t> found_at_;  ///< per-target discovery tick
-  std::vector<std::int64_t> best_t_;    ///< segment: per-target earliest hit
-  std::vector<int> finder_t_;           ///< segment: per-target finder
-  std::vector<std::int64_t> held_;      ///< dwell contact clocks, uk * nt
-
-  // Segment backend.
+  std::vector<double> app_, van_;     ///< appear/vanish windows
+  std::vector<std::int64_t> best_t_;  ///< per-target earliest hit
+  std::vector<int> finder_t_;         ///< per-target finder
   std::vector<std::unique_ptr<AgentProgram>> seg_programs_;
   std::vector<std::int64_t> clock_;    ///< abs clock; kNeverTime = removed
   std::vector<std::int64_t> elapsed_;  ///< active time in own program
@@ -138,10 +147,41 @@ class BatchRunner {
   std::vector<char> queued_;  ///< mirrors heap membership (rare-path ties)
   std::vector<std::int64_t> blockmin_;  ///< two-level argmin: per-block minima
 
-  // Lock-step backend: the agents' SoA lanes the strategy kernel steps, and
-  // the per-tick active list.
+  // Lock-step backend: one slot per trial of the block, the SoA lanes of
+  // every slot's agents that the strategy kernel steps, the slots still
+  // running, and the lanes that step this tick.
+  struct StepSlot {
+    const TrialEnvironment* env = nullptr;
+    TrialResult* result = nullptr;
+    StepRoster roster;
+    std::size_t nt = 0;  ///< targets
+    bool collect = false, drift = false;
+    Time dwell = 0;
+    Time last_start = 0;
+    std::size_t n_found = 0;
+    int first_finder = -1, first_ti = -1;
+    Time counted = 0;   ///< steps are in result->segments through this tick
+    bool done = false;  ///< retired this tick
+    std::vector<std::int64_t> tx, ty;  ///< targets (drift: base positions)
+    // Dynamic loop only.
+    std::vector<double> app, van;         ///< appear/vanish windows
+    std::vector<std::uint32_t> order;     ///< targets by appear time
+    std::vector<std::uint32_t> live;      ///< live unfound, ascending
+    std::vector<std::int64_t> live_x, live_y;  ///< live's positions @ tick
+    std::vector<std::int64_t> found_at;   ///< per-target discovery tick
+    std::vector<std::int64_t> held;       ///< dwell contact clocks, k * nt
+    std::size_t next_appear = 0;  ///< order[next_appear..] still to appear
+    double next_event = 0;        ///< earliest tick live can change
+  };
+  std::vector<StepSlot> slots_;
   StepLanes lanes_;
-  StepRoster roster_;
+  std::vector<std::uint32_t> running_;
+  std::vector<std::uint32_t> step_lanes_;
+  /// Static loop: lane s*k + a holds slot s's target when it has exactly
+  /// one, else kNoTarget; one pass over the stepped lanes then finds every
+  /// slot that can have a find this tick.
+  std::vector<std::int64_t> lane_tx_, lane_ty_;
+  std::vector<std::uint32_t> static_trials_, dynamic_trials_;
 
   // Plane backend.
   std::vector<std::unique_ptr<plane::PlaneAgentProgram>> plane_programs_;

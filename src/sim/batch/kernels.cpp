@@ -3,6 +3,8 @@
 #include <cmath>
 #include <cstring>
 
+#include "grid/point.h"
+
 #if defined(__x86_64__) || defined(__i386__)
 #define ANTS_BATCH_X86 1
 #include <immintrin.h>
@@ -102,6 +104,60 @@ std::size_t dwell_advance_scalar(const std::int64_t* tx,
     }
   }
   return m;
+}
+
+void step_random_scalar(StepLanes& lanes, const std::uint32_t* idx,
+                        std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t a = idx[i];
+    const grid::Point d = grid::kDirections[lanes.rng.direction4(a)];
+    lanes.x[a] += d.x;
+    lanes.y[a] += d.y;
+  }
+}
+
+/// Program word bit set once a biased-walk lane has moved.
+constexpr std::uint64_t kHasLast = 4;
+
+/// The first direction d whose weight exceeds what is left of u after
+/// subtracting the weights before it (3 if none does): the sequential
+/// roulette scan, evaluated without branches. The subtractions are the
+/// scan's own, so every comparison sees the same doubles.
+inline std::uint64_t roulette(const double* weight, double u) noexcept {
+  const bool c0 = u < weight[0];
+  u -= weight[0];
+  const bool c1 = u < weight[1];
+  u -= weight[1];
+  const bool c2 = u < weight[2];
+  const std::uint64_t past0 = c0 ? 0 : 1;
+  const std::uint64_t past1 = c1 ? 0 : past0;
+  const std::uint64_t past2 = c2 ? 0 : past1;
+  return past0 + past1 + past2;
+}
+
+void step_biased_scalar(StepLanes& lanes, const std::uint32_t* idx,
+                        std::size_t n, const BiasedWalkTable& table) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint32_t a = idx[i];
+    const std::uint64_t word = lanes.word[a];
+    const std::int64_t x = lanes.x[a];
+    const std::int64_t y = lanes.y[a];
+    std::uint64_t dir;
+    if ((word & kHasLast) != 0 &&
+        lanes.rng.bernoulli(a, table.persist_threshold)) {
+      dir = word & 3;
+    } else {
+      // Outward moves from (x, y): +x iff x >= 0, +y iff y >= 0, -x iff
+      // x <= 0, -y iff y <= 0.
+      const unsigned mask = (x >= 0 ? 1U : 0U) | (y >= 0 ? 2U : 0U) |
+                            (x <= 0 ? 4U : 0U) | (y <= 0 ? 8U : 0U);
+      dir = roulette(table.weight[mask],
+                     lanes.rng.uniform_unit(a) * table.total[mask]);
+    }
+    lanes.word[a] = kHasLast | dir;
+    lanes.x[a] = x + grid::kDirections[dir].x;
+    lanes.y[a] = y + grid::kDirections[dir].y;
+  }
 }
 
 #if defined(ANTS_BATCH_X86)
@@ -231,9 +287,10 @@ std::size_t find_point_gated_sse2(const std::int64_t* xs,
   return kNpos;
 }
 
-// drift_positions and dwell_advance stay scalar at SSE2: both pivot on
-// 64-bit integer compares/abs (and a bit-exact double->int64 round), none
-// of which SSE2 offers — the same reason argmin_i64 is scalar here.
+// drift_positions, dwell_advance and the step kernels stay scalar at SSE2:
+// they pivot on 64-bit integer compares, blends and abs (and a bit-exact
+// double->int64 round), none of which SSE2 offers — the same reason
+// argmin_i64 is scalar here.
 
 // --- AVX2 (compiled per-function via target attribute) ---------------------
 
@@ -493,6 +550,250 @@ __attribute__((target("avx2"))) std::size_t dwell_advance_avx2(
   return m;
 }
 
+
+template <int kBits>
+__attribute__((target("avx2"))) inline __m256i rotl_x4(__m256i v) {
+  return _mm256_or_si256(_mm256_slli_epi64(v, kBits),
+                         _mm256_srli_epi64(v, 64 - kBits));
+}
+
+/// xoshiro256ss_next on 4 lanes. AVX2 has no 64-bit multiply, so x * 5 and
+/// x * 9 are (x << 2) + x and (x << 3) + x, the same words mod 2^64.
+__attribute__((target("avx2"))) inline __m256i next_x4(__m256i& s0,
+                                                       __m256i& s1,
+                                                       __m256i& s2,
+                                                       __m256i& s3) {
+  const __m256i x5 = _mm256_add_epi64(_mm256_slli_epi64(s1, 2), s1);
+  const __m256i r = rotl_x4<7>(x5);
+  const __m256i result = _mm256_add_epi64(_mm256_slli_epi64(r, 3), r);
+  const __m256i t = _mm256_slli_epi64(s1, 17);
+  s2 = _mm256_xor_si256(s2, s0);
+  s3 = _mm256_xor_si256(s3, s1);
+  s1 = _mm256_xor_si256(s1, s2);
+  s0 = _mm256_xor_si256(s0, s3);
+  s2 = _mm256_xor_si256(s2, t);
+  s3 = rotl_x4<45>(s3);
+  return result;
+}
+
+/// Four consecutive lanes' state in registers: program word, position and
+/// xoshiro256** state words.
+struct LanesX4 {
+  __m256i word, x, y, s0, s1, s2, s3;
+};
+
+/// The lane arrays of a StepLanes, read once per kernel call: vector
+/// stores may alias anything, so going through the vectors' own pointers
+/// would reload all seven after every store.
+struct LaneArrays {
+  explicit LaneArrays(StepLanes& lanes)
+      : word(lanes.word.data()),
+        x(lanes.x.data()),
+        y(lanes.y.data()),
+        s{lanes.rng.state(0), lanes.rng.state(1), lanes.rng.state(2),
+          lanes.rng.state(3)} {}
+
+  std::uint64_t* word;
+  std::int64_t* x;
+  std::int64_t* y;
+  std::uint64_t* s[4];
+};
+
+__attribute__((target("avx2"))) inline __m256i load_x4(const void* p) {
+  return _mm256_loadu_si256(static_cast<const __m256i*>(p));
+}
+
+__attribute__((target("avx2"))) inline void store_x4(void* p, __m256i v) {
+  _mm256_storeu_si256(static_cast<__m256i*>(p), v);
+}
+
+__attribute__((target("avx2"))) inline LanesX4 load_lanes(
+    const LaneArrays& l, std::uint32_t a) {
+  return {load_x4(l.word + a), load_x4(l.x + a),    load_x4(l.y + a),
+          load_x4(l.s[0] + a), load_x4(l.s[1] + a), load_x4(l.s[2] + a),
+          load_x4(l.s[3] + a)};
+}
+
+__attribute__((target("avx2"))) inline void store_lanes(const LaneArrays& l,
+                                                        std::uint32_t a,
+                                                        const LanesX4& v) {
+  store_x4(l.word + a, v.word);
+  store_x4(l.x + a, v.x);
+  store_x4(l.y + a, v.y);
+  store_x4(l.s[0] + a, v.s0);
+  store_x4(l.s[1] + a, v.s1);
+  store_x4(l.s[2] + a, v.s2);
+  store_x4(l.s[3] + a, v.s3);
+}
+
+/// Grid step (kDirections[d]) for directions d in {0,1,2,3}: even d moves
+/// x by 1 - d, odd d moves y by 2 - d.
+__attribute__((target("avx2"))) inline void move_x4(LanesX4& v, __m256i d) {
+  const __m256i one = _mm256_set1_epi64x(1);
+  const __m256i even =
+      _mm256_cmpeq_epi64(_mm256_and_si256(d, one), _mm256_setzero_si256());
+  v.x = _mm256_add_epi64(v.x, _mm256_and_si256(even, _mm256_sub_epi64(one, d)));
+  v.y = _mm256_add_epi64(
+      v.y,
+      _mm256_andnot_si256(even, _mm256_sub_epi64(_mm256_set1_epi64x(2), d)));
+}
+
+/// Runs `step` (one tick of 4 consecutive lanes held in registers) over
+/// every run of 4 consecutive listed lanes, and `scalar(lanes, n)` over the
+/// listed lanes between such runs; lanes never interact, so the split
+/// changes no draw. The scalar kernel is SSE code, so the upper halves of
+/// the ymm registers are cleared before it runs: GCC emits no vzeroupper
+/// before that call, and SSE instructions executed while they are dirty
+/// each pay a merge, in the scalar kernel and in whatever runs after a tail
+/// call to it (a log-heavy loop ran 30x slower after one such call).
+template <typename StepX4, typename Scalar>
+__attribute__((target("avx2"))) inline void for_lane_runs(
+    StepLanes& lanes, const std::uint32_t* idx, std::size_t n,
+    const StepX4& step, const Scalar& scalar) {
+  const LaneArrays arrays(lanes);
+  std::size_t done = 0;  // idx[done..i) wait for the scalar kernel
+  std::size_t i = 0;
+  while (i + 4 <= n) {
+    const std::uint32_t a = idx[i];
+    if (idx[i + 3] != a + 3) {
+      ++i;
+      continue;
+    }
+    if (done < i) {
+      _mm256_zeroupper();
+      scalar(idx + done, i - done);
+    }
+    LanesX4 v = load_lanes(arrays, a);
+    step(v);
+    store_lanes(arrays, a, v);
+    i += 4;
+    done = i;
+  }
+  _mm256_zeroupper();
+  if (done < n) scalar(idx + done, n - done);
+}
+
+struct RandomStepX4 {
+  __attribute__((target("avx2"))) void operator()(LanesX4& v) const {
+    const __m256i bits = next_x4(v.s0, v.s1, v.s2, v.s3);
+    move_x4(v, _mm256_srli_epi64(bits, 62));  // direction4_from_bits
+  }
+};
+
+__attribute__((target("avx2"))) void step_random_avx2(StepLanes& lanes,
+                                                      const std::uint32_t* idx,
+                                                      std::size_t n) {
+  for_lane_runs(lanes, idx, n, RandomStepX4{},
+                [&](const std::uint32_t* rest, std::size_t m) {
+                  step_random_scalar(lanes, rest, m);
+                });
+}
+
+/// (bits >> 11) as a double on 4 lanes, exactly: AVX2 has no 64-bit int ->
+/// double, so the 53-bit value m converts as its high and low 32-bit
+/// halves, each through the exponent trick (2^84 + hi * 2^32 and 2^52 + lo
+/// are exact doubles; subtracting the bias is exact), and the halves add
+/// back to m without rounding because m < 2^53.
+__attribute__((target("avx2"))) inline __m256d u53_x4(__m256i bits) {
+  const __m256i m = _mm256_srli_epi64(bits, 11);
+  const __m256i lo = _mm256_and_si256(m, _mm256_set1_epi64x(0xFFFFFFFFLL));
+  const __m256i hi = _mm256_srli_epi64(m, 32);
+  const __m256d dlo = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(lo, _mm256_set1_epi64x(0x4330000000000000LL))),
+      _mm256_set1_pd(0x1.0p52));
+  const __m256d dhi = _mm256_sub_pd(
+      _mm256_castsi256_pd(
+          _mm256_or_si256(hi, _mm256_set1_epi64x(0x4530000000000000LL))),
+      _mm256_set1_pd(0x1.0p84));
+  return _mm256_add_pd(dhi, dlo);
+}
+
+/// The inward weight on lanes where `inward_if` is negative, else the
+/// outward one (blendv reads only each lane's sign bit).
+__attribute__((target("avx2"))) inline __m256d weight_x4(__m256d outward,
+                                                         __m256d inward,
+                                                         __m256i inward_if) {
+  return _mm256_blendv_pd(outward, inward, _mm256_castsi256_pd(inward_if));
+}
+
+struct BiasedStepX4 {
+  __m256i threshold;
+  // weight[mask][d] is the outward weight when bit d of mask is set: mask
+  // 15 has every bit set, mask 0 none.
+  __m256d outward, inward;
+
+  __attribute__((target("avx2"))) void operator()(LanesX4& v) const {
+    const __m256i zero = _mm256_setzero_si256();
+    const __m256i one = _mm256_set1_epi64x(1);
+    const __m256i has_last_bit = _mm256_set1_epi64x(kHasLast);
+    // First draw: the persistence test for lanes that have moved, the
+    // roulette draw for the rest. Both sides of the signed compare are
+    // below 2^53, so it is the unsigned test bernoulli_from_bits makes.
+    const __m256i first = next_x4(v.s0, v.s1, v.s2, v.s3);
+    const __m256i has_last = _mm256_cmpeq_epi64(
+        _mm256_and_si256(v.word, has_last_bit), has_last_bit);
+    const __m256i persist = _mm256_and_si256(
+        has_last,
+        _mm256_cmpgt_epi64(threshold, _mm256_srli_epi64(first, 11)));
+    // Second draw, kept only by lanes that moved before and did not
+    // persist: the scalar kernel's short-circuit draws it for them alone.
+    // Both draws convert before the choice, which keeps the persistence
+    // test off the roulette's dependency chain.
+    const __m256i second_draw = _mm256_andnot_si256(persist, has_last);
+    __m256i t0 = v.s0, t1 = v.s1, t2 = v.s2, t3 = v.s3;
+    const __m256i second = next_x4(t0, t1, t2, t3);
+    v.s0 = _mm256_blendv_epi8(v.s0, t0, second_draw);
+    v.s1 = _mm256_blendv_epi8(v.s1, t1, second_draw);
+    v.s2 = _mm256_blendv_epi8(v.s2, t2, second_draw);
+    v.s3 = _mm256_blendv_epi8(v.s3, t3, second_draw);
+    const __m256d m = _mm256_blendv_pd(u53_x4(first), u53_x4(second),
+                                       _mm256_castsi256_pd(second_draw));
+    // Per-direction weights from the outward mask: +x iff x >= 0, +y iff
+    // y >= 0, -x iff x <= 0, -y iff y <= 0, so +x is inward iff x < 0 and
+    // -x iff -x < 0 (positions stay far from INT64_MIN); the total sums
+    // them in direction order, as the table does.
+    const __m256d w0 = weight_x4(outward, inward, v.x);
+    const __m256d w1 = weight_x4(outward, inward, v.y);
+    const __m256d w2 = weight_x4(outward, inward, _mm256_sub_epi64(zero, v.x));
+    const __m256d w3 = weight_x4(outward, inward, _mm256_sub_epi64(zero, v.y));
+    const __m256d total =
+        _mm256_add_pd(_mm256_add_pd(_mm256_add_pd(w0, w1), w2), w3);
+    // unit_from_bits(bits) * total is m * 2^-53 * total: scaling by a power
+    // of two is exact either way round, so m * (total * 2^-53) rounds to
+    // the same double with one multiply on the draw's path.
+    __m256d u =
+        _mm256_mul_pd(m, _mm256_mul_pd(total, _mm256_set1_pd(0x1.0p-53)));
+    // roulette() on 4 lanes.
+    const __m256i c0 = _mm256_castpd_si256(_mm256_cmp_pd(u, w0, _CMP_LT_OQ));
+    u = _mm256_sub_pd(u, w0);
+    const __m256i c1 = _mm256_castpd_si256(_mm256_cmp_pd(u, w1, _CMP_LT_OQ));
+    u = _mm256_sub_pd(u, w1);
+    const __m256i c2 = _mm256_castpd_si256(_mm256_cmp_pd(u, w2, _CMP_LT_OQ));
+    const __m256i past0 = _mm256_andnot_si256(c0, one);
+    const __m256i past1 = _mm256_andnot_si256(c1, past0);
+    const __m256i past2 = _mm256_andnot_si256(c2, past1);
+    const __m256i drawn =
+        _mm256_add_epi64(_mm256_add_epi64(past0, past1), past2);
+    const __m256i dir = _mm256_blendv_epi8(
+        drawn, _mm256_and_si256(v.word, _mm256_set1_epi64x(3)), persist);
+    v.word = _mm256_or_si256(dir, has_last_bit);
+    move_x4(v, dir);
+  }
+};
+
+__attribute__((target("avx2"))) void step_biased_avx2(
+    StepLanes& lanes, const std::uint32_t* idx, std::size_t n,
+    const BiasedWalkTable& table) {
+  const BiasedStepX4 step{
+      _mm256_set1_epi64x(static_cast<std::int64_t>(table.persist_threshold)),
+      _mm256_set1_pd(table.weight[15][0]), _mm256_set1_pd(table.weight[0][0])};
+  for_lane_runs(lanes, idx, n, step,
+                [&](const std::uint32_t* rest, std::size_t m) {
+                  step_biased_scalar(lanes, rest, m, table);
+                });
+}
+
 #endif  // ANTS_BATCH_X86
 
 }  // namespace
@@ -502,18 +803,21 @@ const Kernels& kernels_for(SimdLevel level) noexcept {
                               argmin_f64_scalar,      find_point_scalar,
                               line_candidates_scalar, window_gate_scalar,
                               find_point_gated_scalar, drift_positions_scalar,
-                              dwell_advance_scalar};
+                              dwell_advance_scalar,   step_random_scalar,
+                              step_biased_scalar};
 #if defined(ANTS_BATCH_X86)
   static const Kernels sse2{SimdLevel::kSse2,      argmin_i64_scalar,
                             argmin_f64_sse2,       find_point_sse2,
                             line_candidates_sse2,  window_gate_sse2,
                             find_point_gated_sse2, drift_positions_scalar,
-                            dwell_advance_scalar};
+                            dwell_advance_scalar,  step_random_scalar,
+                            step_biased_scalar};
   static const Kernels avx2{SimdLevel::kAvx2,      argmin_i64_avx2,
                             argmin_f64_avx2,       find_point_avx2,
                             line_candidates_avx2,  window_gate_avx2,
                             find_point_gated_avx2, drift_positions_avx2,
-                            dwell_advance_avx2};
+                            dwell_advance_avx2,    step_random_avx2,
+                            step_biased_avx2};
   switch (level) {
     case SimdLevel::kAvx2:
       return avx2;

@@ -18,32 +18,56 @@
 //     re-checked by the scalar test, making the prefilter byte-safe.
 //   * the dynamic-target kernels (window_gate, find_point_gated,
 //     drift_positions, dwell_advance) compute exactly the per-target
-//     window/drift/dwell tests of the scalar lock-step loop (sim/trial.cpp):
-//     drift_positions reproduces std::llround's half-away-from-zero
-//     rounding bit for bit (trunc + exact fraction + ±1 adjust), and the
-//     scan/advance kernels emit indices in ascending order so the scalar
-//     lowest-target-index tie-break is preserved.
+//     window/drift/dwell tests of the scalar lock-step loop
+//     (tests/support/reference_trial.cpp): drift_positions reproduces
+//     std::llround's half-away-from-zero rounding bit for bit (trunc +
+//     exact fraction + ±1 adjust), and the scan/advance kernels emit
+//     indices in ascending order so the scalar lowest-target-index
+//     tie-break is preserved.
+//   * the step kernels (step_random, step_biased) advance the listed lanes
+//     of a StepLanes by one tick, each lane drawing from its own
+//     xoshiro256** stream exactly as the scalar loop does. At AVX2 every
+//     run of 4 consecutive listed lanes is one vector: xoshiro's x5 and x9
+//     are shift-adds, the 53-bit uniform converts to double exactly through
+//     the 2^52 / 2^84 exponent trick, and the biased walk's second draw is
+//     blended in only on the lanes whose scalar short-circuit draws it.
+//     Every other lane, and every lane at SSE2 (no 64-bit compare or
+//     blend), takes the scalar kernel. Lanes never interact, so how a list
+//     splits into vectors changes no draw.
 //
 // BatchRunner calls argmin_i64 and argmin_f64 (segment and plane min-clock
 // advance), find_point (lock-step occupancy, over all targets in the static
 // loop and over the live-target list in the dynamic one) and
-// line_candidates (plane). The four dynamic-target kernels are not on its
-// path, since its dynamic lock-step loop walks a short live-target list
-// rather than gating every spawned target. They stay in the table because
-// perfbench's replay times them and sim_batch_test pins their contracts.
+// line_candidates (plane). random-walk and biased-walk call their step
+// kernel at StepLanes::level, which BatchRunner sets to its own level. The
+// four dynamic-target kernels are not on the executor's path, since its
+// dynamic lock-step loop walks a short live-target list rather than gating
+// every spawned target. They stay in the table because perfbench's replay
+// times them and sim_batch_test pins their contracts.
 //
 // Kernels never allocate and have no internal state; the dispatch level is
-// chosen per batch by the runner via kernels_for(active_simd_level()).
+// chosen per block by the runner via kernels_for(active_simd_level()).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 
 #include "sim/batch/simd.h"
+#include "sim/step_engine.h"
 
 namespace ants::sim::batch {
 
 inline constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
+
+/// The biased walk's move law (baselines/biased_walk.h), as its step kernel
+/// reads it. weight[mask][d] is 1 + bias when direction d moves outward
+/// (bit d of the outward mask set) and 1 - bias otherwise; total[mask] is
+/// their sum in direction order.
+struct BiasedWalkTable {
+  std::uint64_t persist_threshold;  ///< rng::bernoulli_threshold(persistence)
+  const double (*weight)[4];        ///< [16][4]
+  const double* total;              ///< [16]
+};
 
 struct Kernels {
   SimdLevel level = SimdLevel::kScalar;
@@ -98,6 +122,20 @@ struct Kernels {
                                std::size_t n, std::int64_t x, std::int64_t y,
                                std::int64_t* held, std::int64_t need,
                                std::uint32_t* out);
+
+  /// One tick of the simple random walk on lanes idx[0..n) (distinct,
+  /// ascending): each draws one direction from its own stream and moves.
+  void (*step_random)(StepLanes& lanes, const std::uint32_t* idx,
+                      std::size_t n);
+
+  /// One tick of the biased walk on lanes idx[0..n) (distinct, ascending).
+  /// The program word is the last move's direction in bits 0-1 plus bit 2
+  /// once the lane has moved. A lane that has moved repeats its last move
+  /// on a Bernoulli(persistence) draw; otherwise (or on a first move) it
+  /// draws u and takes the first direction whose weight exceeds what is
+  /// left of u * total[mask] after the weights before it.
+  void (*step_biased)(StepLanes& lanes, const std::uint32_t* idx,
+                      std::size_t n, const BiasedWalkTable& table);
 };
 
 /// The kernel table for `level` (clamping is the caller's concern; passing

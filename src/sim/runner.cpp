@@ -185,11 +185,15 @@ void run_cell_blocks(const std::vector<TrialCell>& cells,
   std::vector<std::unique_ptr<TrialTable>> tables(cells.size());
 
   // Each worker keeps ONE batch runner, rebuilt only when it crosses to a
-  // cell with a different (strategy, k) pair.
+  // cell with a different (strategy, k) pair, and its block's inputs and
+  // results.
   struct WorkerRunner {
     TrialStrategy strategy;
     int k = 0;
     std::unique_ptr<batch::BatchRunner> runner;
+    std::vector<TrialEnvironment> envs;
+    std::vector<rng::Rng> rngs;
+    std::vector<TrialResult> results;
   };
   std::vector<WorkerRunner> runners(n_workers);
 
@@ -217,10 +221,16 @@ void run_cell_blocks(const std::vector<TrialCell>& cells,
         }
 
         const bool plane = cell.strategy.plane != nullptr;
-        for (std::size_t trial = begin; trial < end; ++trial) {
-          const std::int64_t t0 = hooks.trial ? telemetry::now_us() : 0;
-          rng::Rng trial_rng(rng::mix_seed(cell.seed, trial));
-          TrialEnvironment env;
+        const std::size_t n = end - begin;
+        const std::int64_t t0 = hooks.block ? telemetry::now_us() : 0;
+        w.envs.clear();
+        w.envs.resize(n);
+        w.rngs.clear();
+        w.results.resize(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          rng::Rng& trial_rng =
+              w.rngs.emplace_back(rng::mix_seed(cell.seed, begin + i));
+          TrialEnvironment& env = w.envs[i];
           if (plane) {
             cell.targets->plane(trial_rng, cell.distance, run.engine.time_cap,
                                 &env);
@@ -234,14 +244,16 @@ void run_cell_blocks(const std::vector<TrialCell>& cells,
           }
           env.capture_dwell = run.capture_dwell;
           env.collect_all = run.collect_all;
-          table.record(trial, env, w.runner->run_one(env, trial_rng), plane);
-          if (hooks.trial) hooks.trial(ci, worker, t0);
         }
+        w.runner->run_block(w.envs.data(), w.rngs.data(), n,
+                            w.results.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          table.record(begin + i, w.envs[i], w.results[i], plane);
+        }
+        if (hooks.block) hooks.block(ci, worker, t0, n);
         const std::uint64_t fallbacks = w.runner->take_scalar_fallbacks();
         if (hooks.end_block) hooks.end_block(fallbacks);
-        if (table.remaining.fetch_sub(end - begin,
-                                      std::memory_order_acq_rel) ==
-            end - begin) {
+        if (table.remaining.fetch_sub(n, std::memory_order_acq_rel) == n) {
           CellStats stats = table.reduce(cell);
           const std::int64_t start_us = table.start_us;
           tables[ci].reset();

@@ -3,11 +3,12 @@
 //
 // run_cell_blocks is THE (cell, trial-block) loop and THE per-cell
 // aggregator: it runs the trials of any number of cells as work items on
-// the batch executor (sim/batch/batch.h), records every trial into its
-// cell's trial table, and reduces the table in trial order once the cell's
-// last trial lands. The scenario sweep drives it over a whole plan;
-// run_env_trials drives it over one cell, and every other run_* entry point
-// here forwards to run_env_trials.
+// the batch executor (sim/batch/batch.h), one BatchRunner::run_block call
+// per (cell, block) item, records every trial into its cell's trial table,
+// and reduces the table in trial order once the cell's last trial lands.
+// The scenario sweep drives it over a whole plan; run_env_trials drives it
+// over one cell, and every other run_* entry point here forwards to
+// run_env_trials.
 //
 // Reproducibility contract: trial i of a run with master seed S uses
 // rng seed mix(S, i) for both placement and the engine, so a result is a
@@ -111,14 +112,16 @@ struct CellStats {
 /// indices are positions in the `cells` vector.
 struct CellBlockHooks {
   /// Once, before any work item: the number of workers the run uses
-  /// (worker ids handed to `trial` are below it).
+  /// (worker ids handed to `block` are below it).
   std::function<void(unsigned workers)> begin;
   /// Once per cell, when its first block allocates the cell's trial table.
   std::function<void(std::size_t cell)> start_cell;
-  /// One finished trial, for tracing: `t0_us` is telemetry::now_us() read
-  /// just before the trial. Unset, the loop reads no clock per trial.
-  std::function<void(std::size_t cell, unsigned worker, std::int64_t t0_us)>
-      trial;
+  /// One finished block of `trials` trials, for tracing: `t0_us` is
+  /// telemetry::now_us() read just before the block drew its first
+  /// environment. Unset, the loop reads no clock per block.
+  std::function<void(std::size_t cell, unsigned worker, std::int64_t t0_us,
+                     std::size_t trials)>
+      block;
   /// After the last trial of every block: how many of its trials the
   /// worker's batch runner delegated to the scalar plane engine.
   std::function<void(std::uint64_t scalar_fallbacks)> end_block;
@@ -134,9 +137,11 @@ struct CellBlockHooks {
 /// Runs run.trials trials of every cell. Work items are blocks of
 /// consecutive trials of one cell (batch::trial_block), so a worker
 /// amortizes one batch runner across a block, rebuilding it only when it
-/// moves to a cell with another (strategy, k). Per trial: seed from the
-/// cell, realize the target process, draw the schedule and crashes unless
-/// the run is the base model, run the trial, record it in the cell's trial
+/// moves to a cell with another (strategy, k). Per block: for each trial in
+/// order, seed from the cell, realize the target process and draw the
+/// schedule and crashes unless the run is the base model; then run the
+/// block through one BatchRunner::run_block call (lock-step walkers step
+/// the whole block together) and record each trial in the cell's trial
 /// table. Results are byte-identical for any thread count, and each trial
 /// equals the scalar reference executor the tests pin BatchRunner to.
 ///

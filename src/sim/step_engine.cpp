@@ -6,12 +6,12 @@
 
 namespace ants::sim {
 
-void StepLanes::reset(int k, const rng::Rng& trial_rng) {
-  const auto uk = static_cast<std::size_t>(k);
-  x.assign(uk, 0);
-  y.assign(uk, 0);
-  word.assign(uk, 0);
-  rng.reset_children(uk, trial_rng);
+void StepLanes::reset(int k, std::size_t slots) {
+  const std::size_t n = static_cast<std::size_t>(k) * slots;
+  x.assign(n, 0);
+  y.assign(n, 0);
+  word.assign(n, 0);
+  rng.resize(n);
 }
 
 int StepRoster::reset(int k, const std::vector<Time>& starts,

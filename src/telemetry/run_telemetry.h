@@ -99,7 +99,7 @@ class RunTelemetry {
   };
 
   /// The trace collector, or nullptr when tracing is off. The executor
-  /// calls begin_workers/record_trial/end_workers on it directly.
+  /// calls begin_workers/record_trials/end_workers on it directly.
   TraceCollector* trace() { return trace_.get(); }
 
   /// Emits run_end and, when tracing, writes the trace file. Idempotent.

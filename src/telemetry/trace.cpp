@@ -21,17 +21,18 @@ void TraceCollector::begin_workers(unsigned n_workers,
   max_workers_seen_ = std::max(max_workers_seen_, n_workers);
 }
 
-void TraceCollector::record_trial(unsigned worker, std::size_t cell,
-                                  std::int64_t start_us, std::int64_t end_us) {
+void TraceCollector::record_trials(unsigned worker, std::size_t cell,
+                                   std::int64_t start_us, std::int64_t end_us,
+                                   std::uint64_t n) {
   // No lock: `worker` indexes a slot only that worker touches, and the
   // outer vector is sized before the workers start.
   auto& runs = worker_runs_[worker];
   if (!runs.empty() && runs.back().cell == cell) {
     runs.back().end_us = end_us;
-    runs.back().trials += 1;
+    runs.back().trials += n;
     return;
   }
-  runs.push_back(Run{cell, start_us, end_us, 1});
+  runs.push_back(Run{cell, start_us, end_us, n});
 }
 
 void TraceCollector::end_workers() {

@@ -4,11 +4,10 @@
 //
 // Track layout: tid 0 is the "phases" track (plan / execute / merge
 // spans); tid 1..N are one track per scheduler worker, showing which cell
-// that worker was executing when. Per-trial events would be absurdly
-// voluminous (millions of slices), so consecutive trials of the SAME cell
-// on the same worker coalesce into one span as they are recorded — the
-// trace grows with the number of times a worker switches cells, not with
-// the trial count.
+// that worker was executing when. The executor records one block of trials
+// at a time, and consecutive blocks of the SAME cell on the same worker
+// coalesce into one span as they are recorded — the trace grows with the
+// number of times a worker switches cells, not with the trial count.
 //
 // Timestamps are microseconds relative to the collector's construction
 // (the Trace Event Format's native unit), taken from the steady clock.
@@ -31,16 +30,16 @@ class TraceCollector {
 
   /// Declares the worker tracks of an upcoming execute phase and the
   /// display labels of the cells they will run (index-parallel to the
-  /// `cell` argument of record_trial). Must be called before record_trial;
-  /// folds any previous execute phase's runs first.
+  /// `cell` argument of record_trials). Must be called before
+  /// record_trials; folds any previous execute phase's runs first.
   void begin_workers(unsigned n_workers, std::vector<std::string> cell_labels);
 
-  /// Records one trial of `cell` on `worker`. Lock-free across workers:
-  /// each worker index owns its buffer slot, so the per-trial cost is a
-  /// branch and (rarely) a vector push. Call only between begin_workers
-  /// and end_workers, with worker < n_workers.
-  void record_trial(unsigned worker, std::size_t cell, std::int64_t start_us,
-                    std::int64_t end_us);
+  /// Records `n` trials of `cell` run on `worker` from start_us to end_us
+  /// (one block). Lock-free across workers: each worker index owns its
+  /// buffer slot, so the cost is a branch and (rarely) a vector push. Call
+  /// only between begin_workers and end_workers, with worker < n_workers.
+  void record_trials(unsigned worker, std::size_t cell, std::int64_t start_us,
+                     std::int64_t end_us, std::uint64_t n);
 
   /// Folds the per-worker run buffers into finished spans. Called by the
   /// executor after its parallel_for joins.

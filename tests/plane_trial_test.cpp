@@ -175,7 +175,9 @@ TEST(PlaneTrialConformance, ZeroDelayNoCrashMatchesLegacyEngineExactly) {
       ASSERT_EQ(r.segments, legacy.segments);
       EXPECT_EQ(r.crashed, 0);
       EXPECT_EQ(r.last_start, 0.0);
-      if (r.found) EXPECT_EQ(r.from_last_start, r.time);
+      if (r.found) {
+        EXPECT_EQ(r.from_last_start, r.time);
+      }
     }
   }
 }

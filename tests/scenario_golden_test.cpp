@@ -108,5 +108,13 @@ TEST(Golden, StochasticTargetsSpecReproducesByteForByte) {
   check_golden("stochastic_targets", 5);
 }
 
+// The walkers under the static base model, with k straddling the 4-lane
+// vector width and 70 trials crossing the 64-trial block: the lock-step
+// block loop's slots and step kernels, pinned at every thread count.
+TEST(Golden, LockstepStaticSpecReproducesByteForByte) {
+  check_golden("lockstep_static", 1);
+  check_golden("lockstep_static", 5);
+}
+
 }  // namespace
 }  // namespace ants::scenario

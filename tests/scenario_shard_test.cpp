@@ -173,7 +173,7 @@ TEST(ShardMerge, PlaneBaseShardUnionIsByteIdenticalToGolden) {
 TEST(ShardMerge, AllOtherGoldenShardUnionsAreByteIdentical) {
   for (const char* stem :
        {"sync", "async_crash", "placement_sweep", "multi_target",
-        "plane_async"}) {
+        "plane_async", "stochastic_targets", "lockstep_static"}) {
     check_shard_union_identity(stem);
   }
 }

@@ -2,7 +2,8 @@
 //
 // The contract under test is byte-identity: for every strategy family,
 // environment shape, and SIMD dispatch level this machine supports,
-// BatchRunner::run_one must reproduce the scalar reference executor
+// BatchRunner::run_one (and, for the lock-step walkers, run_block over
+// blocks of trials) must reproduce the scalar reference executor
 // (sim::run_trial, tests/support/reference_trial.h) EXACTLY — same doubles
 // bit for bit, same finder/target tie-breaks, same crash counts. The kernel
 // unit tests pin the three primitives' scalar-equivalence properties
@@ -16,6 +17,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
@@ -30,6 +32,7 @@
 #include "rng/rng.h"
 #include "sim/batch/kernels.h"
 #include "sim/batch/simd.h"
+#include "sim/placement.h"
 #include "sim/trial.h"
 #include "support/reference_trial.h"
 #include "test_support.h"
@@ -422,37 +425,141 @@ TEST(BatchRunnerSegment, OriginTargetAndAllDoaEdgeCases) {
   expect_conformance(s, 3, all_doa, config, 8, 8);
 }
 
+/// Runs `trials` trials of a step strategy through run_block in blocks of
+/// 1 (run_one), 7 and 64 at every supported dispatch level and demands
+/// that each equals the scalar reference field for field.
+void expect_block_conformance(
+    const TrialStrategy& strategy, int k,
+    const std::function<TrialEnvironment(const rng::Rng&)>& env_of_trial,
+    const EngineConfig& config, std::size_t trials, std::uint64_t seed) {
+  std::vector<rng::Rng> rngs;
+  std::vector<TrialEnvironment> envs;
+  std::vector<TrialResult> want;
+  for (std::size_t t = 0; t < trials; ++t) {
+    rngs.emplace_back(rng::mix_seed(seed, t));
+    envs.push_back(env_of_trial(rngs.back()));
+    want.push_back(run_trial(strategy, k, envs.back(), rngs.back(), config));
+  }
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    BatchRunner runner(strategy, k, config);
+    for (const std::size_t block : {std::size_t{1}, std::size_t{7},
+                                    std::size_t{64}}) {
+      std::vector<TrialResult> got(trials);
+      for (std::size_t begin = 0; begin < trials; begin += block) {
+        const std::size_t n = std::min(block, trials - begin);
+        if (block == 1) {
+          got[begin] = runner.run_one(envs[begin], rngs[begin]);
+        } else {
+          runner.run_block(envs.data() + begin, rngs.data() + begin, n,
+                           got.data() + begin);
+        }
+      }
+      ASSERT_EQ(runner.level(), level);
+      for (std::size_t t = 0; t < trials; ++t) {
+        const TrialResult& w = want[t];
+        const TrialResult& g = got[t];
+        if (w.time != g.time || w.found != g.found || w.finder != g.finder ||
+            w.first_target != g.first_target || w.segments != g.segments ||
+            w.last_start != g.last_start ||
+            w.from_last_start != g.from_last_start ||
+            w.crashed != g.crashed || w.target_times != g.target_times) {
+          EXPECT_SAME_RESULT(w, g);
+          EXPECT_EQ(w.target_times, g.target_times);
+          FAIL() << "diverged at level " << simd_level_name(level) << " k "
+                 << k << " block " << block << " trial " << t;
+        }
+      }
+    }
+  }
+}
+
 TEST(BatchRunnerStep, MatchesRunTrialAcrossEnvironmentsAndLevels) {
   const baselines::RandomWalkStrategy rw;
   const baselines::BiasedWalkStrategy biased(0.3, 0.8);
   EngineConfig config;
   config.time_cap = 3'000;
 
+  // Kernels: a lane list with gaps, so vector runs of 4 start mid-list and
+  // the lanes between runs take the scalar path, must leave every lane's
+  // position, program word and stream where the scalar kernel does.
+  {
+    const std::vector<std::uint32_t> lanes_on = {0, 1, 2,  3,  5,  6, 7,
+                                                 8, 9, 12, 13, 14, 15};
+    const auto run_kernel = [&](SimdLevel level, bool biased_walk) {
+      StepLanes lanes;
+      lanes.reset(4, 4);
+      for (std::size_t s = 0; s < 4; ++s) {
+        lanes.seed_slot(s, 4, rng::Rng(rng::mix_seed(77, s)));
+      }
+      lanes.level = level;
+      for (int t = 0; t < 100'000; ++t) {
+        if (biased_walk) {
+          biased.step(lanes, lanes_on.data(), lanes_on.size());
+        } else {
+          kernels_for(level).step_random(lanes, lanes_on.data(),
+                                         lanes_on.size());
+        }
+      }
+      return lanes;
+    };
+    for (const bool biased_walk : {false, true}) {
+      StepLanes want = run_kernel(SimdLevel::kScalar, biased_walk);
+      for (const SimdLevel level : testable_levels()) {
+        StepLanes got = run_kernel(level, biased_walk);
+        EXPECT_EQ(got.x, want.x) << simd_level_name(level);
+        EXPECT_EQ(got.y, want.y) << simd_level_name(level);
+        EXPECT_EQ(got.word, want.word) << simd_level_name(level);
+        for (int w = 0; w < 4; ++w) {
+          EXPECT_TRUE(std::equal(got.rng.state(w), got.rng.state(w) + 16,
+                                 want.rng.state(w)))
+              << simd_level_name(level) << " state word " << w;
+        }
+      }
+    }
+  }
+
+  // Executor: every environment shape, k on and off the vector width.
   const std::vector<grid::Point> targets = {{4, 0}, {0, -4}};
-  const auto sync = [&](const rng::Rng&) { return base_env(targets); };
-  const auto single = [&](const rng::Rng&) { return base_env({{-6, 3}}); };
-  const auto drawn = [&](const rng::Rng& trial_rng) {
-    return draw_environment(4, targets, StaggeredStart(2), FixedLifetime(800),
-                            trial_rng);
-  };
-  const auto doa = [&](const rng::Rng& trial_rng) {
-    return draw_environment(4, targets, SyncStart(), DoaCrash(0.5),
-                            trial_rng);
-  };
-  const auto staggered_doa = [&](const rng::Rng& trial_rng) {
-    return draw_environment(4, targets, StaggeredStart(3), DoaCrash(0.4),
-                            trial_rng);
-  };
+  const TargetProcess poisson =
+      poisson_targets(0.001, 400.0, uniform_ring_placement());
   std::uint64_t seed = 201;
-  for (const StepStrategy* strategy :
-       std::initializer_list<const StepStrategy*>{&rw, &biased}) {
-    TrialStrategy s;
-    s.step = strategy;
-    expect_conformance(s, 4, sync, config, 30, seed++);
-    expect_conformance(s, 4, single, config, 30, seed++);
-    expect_conformance(s, 4, drawn, config, 30, seed++);
-    expect_conformance(s, 4, doa, config, 30, seed++);
-    expect_conformance(s, 4, staggered_doa, config, 30, seed++);
+  for (const int k : {1, 3, 4, 5, 8}) {
+    const auto sync = [&](const rng::Rng&) { return base_env(targets); };
+    const auto single = [&](const rng::Rng&) { return base_env({{-6, 3}}); };
+    const auto drawn = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, StaggeredStart(2),
+                              FixedLifetime(800), trial_rng);
+    };
+    const auto doa = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, SyncStart(), DoaCrash(0.5),
+                              trial_rng);
+    };
+    const auto staggered_doa = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, StaggeredStart(3), DoaCrash(0.4),
+                              trial_rng);
+    };
+    // Poisson windows, collect-all: zero-spawn trials and slots that
+    // collect everything before the cap.
+    const auto collect = [&](const rng::Rng& trial_rng) {
+      rng::Rng draw = trial_rng;
+      TrialEnvironment env;
+      poisson.grid(draw, 3, config.time_cap, &env);
+      env.collect_all = true;
+      return env;
+    };
+    for (const StepStrategy* strategy :
+         std::initializer_list<const StepStrategy*>{&rw, &biased}) {
+      TrialStrategy s;
+      s.step = strategy;
+      expect_block_conformance(s, k, sync, config, 40, seed++);
+      expect_block_conformance(s, k, single, config, 40, seed++);
+      expect_block_conformance(s, k, drawn, config, 40, seed++);
+      expect_block_conformance(s, k, doa, config, 40, seed++);
+      expect_block_conformance(s, k, staggered_doa, config, 40, seed++);
+      expect_block_conformance(s, k, collect, config, 40, seed++);
+    }
   }
 }
 

@@ -345,7 +345,10 @@ TEST(Telemetry, EventLogSchemaRoundTripsThroughJsonParser) {
 // --- Chrome trace ----------------------------------------------------------
 
 TEST(Telemetry, TraceRendersValidChromeTraceJson) {
-  const scenario::ScenarioSpec spec = golden_spec("sync");
+  // Segment cells and lock-step walker cells (random-walk, plus a biased
+  // walk): the executor records one trace entry per block of either kind.
+  scenario::ScenarioSpec spec = golden_spec("sync");
+  spec.strategies.push_back("biased-walk");
 
   std::ostringstream events;
   RunTelemetry tel(TelemetryConfig{}, events);  // trace always on here
@@ -415,7 +418,8 @@ TEST(Telemetry, GoldenCsvsByteIdenticalWithTelemetryOn) {
   const std::string tmp = scratch_dir("golden");
   for (const std::string stem :
        {"sync", "async_crash", "placement_sweep", "step_async",
-        "multi_target", "plane_base", "plane_async"}) {
+        "multi_target", "plane_base", "plane_async", "stochastic_targets",
+        "lockstep_static"}) {
     const scenario::ScenarioSpec spec = golden_spec(stem);
 
     std::ostringstream events;
