@@ -116,5 +116,13 @@ TEST(Golden, LockstepStaticSpecReproducesByteForByte) {
   check_golden("lockstep_static", 5);
 }
 
+// The segment and plane strategies at k = 17, 64 and 257 with crashed
+// agents parked among the live ones: the min-clock advance over many
+// agents, pinned at every thread count.
+TEST(Golden, LargeKSpecReproducesByteForByte) {
+  check_golden("large_k", 1);
+  check_golden("large_k", 5);
+}
+
 }  // namespace
 }  // namespace ants::scenario

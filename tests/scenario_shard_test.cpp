@@ -173,7 +173,7 @@ TEST(ShardMerge, PlaneBaseShardUnionIsByteIdenticalToGolden) {
 TEST(ShardMerge, AllOtherGoldenShardUnionsAreByteIdentical) {
   for (const char* stem :
        {"sync", "async_crash", "placement_sweep", "multi_target",
-        "plane_async", "stochastic_targets", "lockstep_static"}) {
+        "plane_async", "stochastic_targets", "lockstep_static", "large_k"}) {
     check_shard_union_identity(stem);
   }
 }

@@ -375,30 +375,39 @@ TrialEnvironment base_env(std::vector<grid::Point> targets) {
   return env;
 }
 
+// k = 5 is one small scan; 17, 64 and 257 pick the earliest clock among
+// many agents (a power of two and one past each side of one), with parked
+// crashed agents among the live ones in the drawn and doa environments.
 TEST(BatchRunnerSegment, MatchesRunTrialAcrossEnvironmentsAndLevels) {
-  const core::KnownKStrategy known(5);
-  const core::HarmonicStrategy harmonic(0.3);
-  TrialStrategy sk;
-  sk.segment = &known;
-  TrialStrategy sh;
-  sh.segment = &harmonic;
-  EngineConfig config;
-  config.time_cap = 200'000;
+  for (const int k : {5, 17, 64, 257}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const core::KnownKStrategy known(k);
+    const core::HarmonicStrategy harmonic(0.3);
+    TrialStrategy sk;
+    sk.segment = &known;
+    TrialStrategy sh;
+    sh.segment = &harmonic;
+    EngineConfig config;
+    config.time_cap = 200'000;
 
-  const std::vector<grid::Point> targets = {{11, -5}, {-7, 3}};
-  const auto sync = [&](const rng::Rng&) { return base_env(targets); };
-  const auto drawn = [&](const rng::Rng& trial_rng) {
-    return draw_environment(5, targets, StaggeredStart(7),
-                            ExponentialLifetime(500.0), trial_rng);
-  };
-  const auto doa = [&](const rng::Rng& trial_rng) {
-    return draw_environment(5, targets, UniformRandomStart(20), DoaCrash(0.4),
-                            trial_rng);
-  };
-  expect_conformance(sk, 5, sync, config, 40, 101);
-  expect_conformance(sk, 5, drawn, config, 40, 102);
-  expect_conformance(sh, 5, drawn, config, 40, 103);
-  expect_conformance(sh, 5, doa, config, 40, 104);
+    const std::vector<grid::Point> targets = {{11, -5}, {-7, 3}};
+    const auto sync = [&](const rng::Rng&) { return base_env(targets); };
+    const auto drawn = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, StaggeredStart(7),
+                              ExponentialLifetime(500.0), trial_rng);
+    };
+    const auto doa = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, targets, UniformRandomStart(20),
+                              DoaCrash(0.4), trial_rng);
+    };
+    const int trials = k == 5 ? 40 : 16;
+    const std::uint64_t seed =
+        k == 5 ? 100 : 1000 * static_cast<std::uint64_t>(k);
+    expect_conformance(sk, k, sync, config, trials, seed + 1);
+    expect_conformance(sk, k, drawn, config, trials, seed + 2);
+    expect_conformance(sh, k, drawn, config, trials, seed + 3);
+    expect_conformance(sh, k, doa, config, trials, seed + 4);
+  }
 }
 
 TEST(BatchRunnerSegment, OriginTargetAndAllDoaEdgeCases) {
@@ -617,35 +626,42 @@ TEST(BatchRunnerStep, OriginTargetAndAllDoaEdgeCases) {
   expect_conformance(s, 3, past_cap, config, 8, 207);
 }
 
+// k = 4 as one small scan, then 17, 64 and 257 as in the segment case.
 TEST(BatchRunnerPlane, MatchesRunTrialAcrossEnvironmentsAndLevels) {
-  const plane::PlaneKnownKStrategy known(4);
-  const plane::PlaneHarmonicStrategy harmonic(0.3);
-  TrialStrategy sk;
-  sk.plane = &known;
-  TrialStrategy sh;
-  sh.plane = &harmonic;
-  EngineConfig config;
-  config.time_cap = 1'000'000;
+  for (const int k : {4, 17, 64, 257}) {
+    SCOPED_TRACE("k = " + std::to_string(k));
+    const plane::PlaneKnownKStrategy known(k);
+    const plane::PlaneHarmonicStrategy harmonic(0.3);
+    TrialStrategy sk;
+    sk.plane = &known;
+    TrialStrategy sh;
+    sh.plane = &harmonic;
+    EngineConfig config;
+    config.time_cap = 1'000'000;
 
-  const auto plane_env = [&](std::vector<plane::Vec2> targets) {
-    TrialEnvironment env;
-    env.plane_targets = std::move(targets);
-    return env;
-  };
-  const std::vector<plane::Vec2> targets = {{12.0, -3.0}, {-6.0, 8.0}};
-  const auto sync = [&](const rng::Rng&) { return plane_env(targets); };
-  const auto drawn = [&](const rng::Rng& trial_rng) {
-    return draw_environment(4, plane_env(targets), StaggeredStart(5),
-                            ExponentialLifetime(300.0), trial_rng);
-  };
-  const auto doa = [&](const rng::Rng& trial_rng) {
-    return draw_environment(4, plane_env(targets), UniformRandomStart(9),
-                            DoaCrash(0.4), trial_rng);
-  };
-  expect_conformance(sk, 4, sync, config, 25, 301);
-  expect_conformance(sk, 4, drawn, config, 25, 302);
-  expect_conformance(sh, 4, drawn, config, 25, 303);
-  expect_conformance(sh, 4, doa, config, 25, 304);
+    const auto plane_env = [&](std::vector<plane::Vec2> targets) {
+      TrialEnvironment env;
+      env.plane_targets = std::move(targets);
+      return env;
+    };
+    const std::vector<plane::Vec2> targets = {{12.0, -3.0}, {-6.0, 8.0}};
+    const auto sync = [&](const rng::Rng&) { return plane_env(targets); };
+    const auto drawn = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, plane_env(targets), StaggeredStart(5),
+                              ExponentialLifetime(300.0), trial_rng);
+    };
+    const auto doa = [&](const rng::Rng& trial_rng) {
+      return draw_environment(k, plane_env(targets), UniformRandomStart(9),
+                              DoaCrash(0.4), trial_rng);
+    };
+    const int trials = k == 4 ? 25 : 16;
+    const std::uint64_t seed =
+        k == 4 ? 300 : 3000 * static_cast<std::uint64_t>(k);
+    expect_conformance(sk, k, sync, config, trials, seed + 1);
+    expect_conformance(sk, k, drawn, config, trials, seed + 2);
+    expect_conformance(sh, k, drawn, config, trials, seed + 3);
+    expect_conformance(sh, k, doa, config, trials, seed + 4);
+  }
 }
 
 TEST(BatchRunnerPlane, HomeTargetAndAllDoaEdgeCases) {

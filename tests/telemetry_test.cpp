@@ -419,7 +419,7 @@ TEST(Telemetry, GoldenCsvsByteIdenticalWithTelemetryOn) {
   for (const std::string stem :
        {"sync", "async_crash", "placement_sweep", "step_async",
         "multi_target", "plane_base", "plane_async", "stochastic_targets",
-        "lockstep_static"}) {
+        "lockstep_static", "large_k"}) {
     const scenario::ScenarioSpec spec = golden_spec(stem);
 
     std::ostringstream events;
