@@ -16,35 +16,6 @@ namespace ants::sim::batch {
 
 namespace {
 
-// Tiny-scan argmin, lowest index on ties (strict < keeps the first). For a
-// handful of elements the SIMD kernels lose to this: the indirect call plus
-// horizontal reduction costs more than the scan itself (measured ~19ns vs
-// ~8ns at n=16 for the AVX2 kernel). The kernels take over for large scans,
-// where the vector width wins.
-template <typename T>
-inline std::size_t small_argmin(const T* v, std::size_t n) noexcept {
-  std::size_t bi = 0;
-  T bv = v[0];
-  for (std::size_t i = 1; i < n; ++i) {
-    if (v[i] < bv) {
-      bv = v[i];
-      bi = i;
-    }
-  }
-  return bi;
-}
-
-/// Block size for the two-level min-clock advance. A flat argmin rescan is
-/// O(k) per segment pop and dominates large-k trials; keeping per-block
-/// minima cuts a pop to one block rescan + one block-minima scan + one
-/// winning-block scan. Picking the lowest block achieving the global min,
-/// then the lowest index inside it, reproduces the flat lowest-index argmin
-/// exactly, so pop order — and every result byte — is unchanged.
-inline constexpr std::size_t kMinBlock = 8;
-
-/// Flat scans up to this size skip the two-level structure entirely.
-inline constexpr std::size_t kFlatAdvance = 16;
-
 /// A lane target no walker reaches: a walker stays within time_cap steps
 /// of the source, and time_cap is below 2^63.
 inline constexpr std::int64_t kNoTarget =
@@ -186,13 +157,13 @@ void BatchRunner::run_block(const TrialEnvironment* envs,
 
 // ---------------------------------------------------------------------------
 // Segment backend: the reference executor's interleaved min-heap sweep
-// (see tests/support/reference_trial.cpp) with the heap replaced by an
-// argmin kernel over the SoA clock array — removed agents park at
-// kNeverTime, which never wins the scan while a live clock remains — and the
-// Segment variant flattened into direct hit tests. A walk's targets are
-// prefiltered by the endpoint bounding box (a staircase is monotone, so it
-// never leaves it), and the StaircasePath is only constructed when some
-// target survives the box.
+// (see tests/support/reference_trial.cpp) with the heap replaced by a
+// winner tree over the SoA clock array (min_tree.h), whose root is the
+// heap's pop: removed agents park at kNeverTime, which never wins while a
+// live clock remains. The Segment variant is flattened into direct hit
+// tests. A walk's targets are prefiltered by the endpoint bounding box (a
+// staircase is monotone, so it never leaves it), and the StaircasePath is
+// only constructed when some target survives the box.
 //
 // kDynamic adds appear/vanish windows and collect-all (drift and dwell were
 // rejected by validate_trial_args for this family); the static instance
@@ -281,30 +252,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   }
   [[maybe_unused]] std::size_t n_unhit = nt;  // collect: targets with no hit
 
-  // Two-level min-clock advance (see kMinBlock). Block scans are at most
-  // kMinBlock elements, so they use small_argmin; the block-minima scan uses
-  // the SIMD kernel once it is wide enough to amortize the call.
-  const bool two_level = uk > kFlatAdvance;
-  const std::size_t n_min_blocks = (uk + kMinBlock - 1) / kMinBlock;
-  const auto refresh_blockmin = [&](std::size_t b) {
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, uk - base);
-    blockmin_[b] = clock_[base + small_argmin(clock_.data() + base, len)];
-  };
-  if (two_level) {
-    blockmin_.resize(n_min_blocks);
-    for (std::size_t b = 0; b < n_min_blocks; ++b) refresh_blockmin(b);
-  }
-  const auto argmin_clock = [&]() -> std::size_t {
-    if (!two_level) return small_argmin(clock_.data(), uk);
-    const std::size_t b =
-        n_min_blocks > 2 * kFlatAdvance
-            ? kernels_->argmin_i64(blockmin_.data(), n_min_blocks)
-            : small_argmin(blockmin_.data(), n_min_blocks);
-    const std::size_t base = b * kMinBlock;
-    const std::size_t len = std::min(kMinBlock, uk - base);
-    return base + small_argmin(clock_.data() + base, len);
-  };
+  clock_tree_.build(&clock_, uk);
 
   // The earliest hit so far over all targets. The static race also tracks
   // its finder and target here; the dynamic one keeps them per target.
@@ -313,10 +261,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   int first_target = -1;
 
   while (n_queued > 0) {
-    std::size_t ia = argmin_clock();
+    std::size_t ia = clock_tree_.top();
     if (clock_[ia] == kNeverTime) {
       // Every queued clock is at kNeverTime (a hand-built environment with
-      // such a start), so the argmin may have landed on a REMOVED agent's
+      // such a start), so the tree may have landed on a REMOVED agent's
       // parking value. The heap would pop the lowest-index queued agent.
       ia = 0;
       while (queued_[ia] == 0) ++ia;
@@ -473,7 +421,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     } else {
       clock_[ia] = util::sat_add(start, elapsed_[ia]);
     }
-    if (two_level) refresh_blockmin(ia / kMinBlock);
+    clock_tree_.update(clock_, ia);
   }
 
   bool found = best != kNeverTime;
@@ -913,9 +861,10 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
 
 // ---------------------------------------------------------------------------
 // Plane backend: the continuous min-clock sweep (plane/engine.cpp) with the
-// clock heap replaced by an argmin_f64 scan (removed agents park at
-// kPlaneNever, and the loop breaks on clock >= bound, so the parking value
-// terminates it exactly when the empty heap would), line sight tests
+// clock heap replaced by the winner tree of run_segment (min_tree.h;
+// removed agents park at kPlaneNever, and the loop breaks on clock >= bound,
+// so the parking value terminates it exactly when the empty heap would),
+// line sight tests
 // prefiltered by the line_candidates kernel (every candidate re-checked by
 // the scalar quadratic), and the per-move spiral Newton solve memoized.
 
@@ -988,40 +937,18 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     }
     cand_.resize(nt);
 
-    // Two-level min-clock advance, as in run_segment: identical pop order to
-    // the flat argmin_f64 rescan at O(k/8 + 16) per pop instead of O(k).
-    const bool two_level = uk > kFlatAdvance;
-    const std::size_t n_min_blocks = (uk + kMinBlock - 1) / kMinBlock;
-    const auto refresh_blockmin = [&](std::size_t b) {
-      const std::size_t base = b * kMinBlock;
-      const std::size_t len = std::min(kMinBlock, uk - base);
-      pblockmin_[b] = pclock_[base + small_argmin(pclock_.data() + base, len)];
-    };
-    if (two_level) {
-      pblockmin_.resize(n_min_blocks);
-      for (std::size_t b = 0; b < n_min_blocks; ++b) refresh_blockmin(b);
-    }
-    const auto argmin_clock = [&]() -> std::size_t {
-      if (!two_level) return small_argmin(pclock_.data(), uk);
-      const std::size_t b =
-          n_min_blocks > 2 * kFlatAdvance
-              ? kernels_->argmin_f64(pblockmin_.data(), n_min_blocks)
-              : small_argmin(pblockmin_.data(), n_min_blocks);
-      const std::size_t base = b * kMinBlock;
-      const std::size_t len = std::min(kMinBlock, uk - base);
-      return base + small_argmin(pclock_.data() + base, len);
-    };
+    clock_tree_.build(&pclock_, uk);
 
     plane::Time best = plane::kPlaneNever;
     int finder = -1;
     int first_target = -1;
 
     for (;;) {
-      const std::size_t ia = argmin_clock();
+      const std::size_t ia = clock_tree_.top();
       const plane::Time abs_clock = pclock_[ia];
       // All other clocks are >= this one; once it reaches the bound, no
       // agent can improve the outcome. When every agent has been removed
-      // the argmin is the kPlaneNever parking value, which also trips this.
+      // the root is the kPlaneNever parking value, which also trips this.
       const plane::Time bound = std::min(pconfig.time_cap, best);
       if (abs_clock >= bound) break;
 
@@ -1118,7 +1045,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
         ppos_y_[ia] = end.y;
         pclock_[ia] = start + pelapsed_[ia];
       }
-      if (two_level) refresh_blockmin(ia / kMinBlock);
+      clock_tree_.update(pclock_, ia);
     }
 
     if (best != plane::kPlaneNever) {

@@ -5,9 +5,11 @@
 // would rebuild its per-agent state vectors, heap, and plane environment
 // from scratch for every trial. BatchRunner hoists that state into reusable
 // contiguous arrays — per-agent clocks, positions, elapsed times, lifetimes
-// in SoA layout, targets split into coordinate arrays — and drives the
-// inner loops (min-clock advance, lock-step occupancy checks, plane
-// sight-disc tests) through the runtime-dispatched kernels in kernels.h.
+// in SoA layout, targets split into coordinate arrays — picks the segment
+// and plane loops' next agent with a winner tree over the clocks
+// (min_tree.h), and drives the other inner loops (lock-step steps and
+// occupancy checks, plane sight-disc tests) through the runtime-dispatched
+// kernels in kernels.h.
 //
 // Batching is strictly an execution detail. Per-trial seed derivation is
 // unchanged — agent a still draws from trial_rng.child(a), environments
@@ -44,6 +46,7 @@
 
 #include "plane/engine.h"
 #include "sim/batch/kernels.h"
+#include "sim/batch/min_tree.h"
 #include "sim/trial.h"
 
 namespace ants::sim::batch {
@@ -145,7 +148,10 @@ class BatchRunner {
   std::vector<std::int64_t> pos_x_, pos_y_;
   std::vector<std::int64_t> seg_count_;
   std::vector<char> queued_;  ///< mirrors heap membership (rare-path ties)
-  std::vector<std::int64_t> blockmin_;  ///< two-level argmin: per-block minima
+  /// The min-clock advance over clock_ (segment) or pclock_ (plane), each
+  /// padded to the tree's leaf count by MinTree::build. A runner has one
+  /// strategy family, so the two loops share one tree.
+  MinTree clock_tree_;
 
   // Lock-step backend: one slot per trial of the block, the SoA lanes of
   // every slot's agents that the strategy kernel steps, the slots still
@@ -190,7 +196,6 @@ class BatchRunner {
   std::vector<double> pclock_;    ///< abs clock; kPlaneNever = removed
   std::vector<double> pelapsed_;
   std::vector<double> ppos_x_, ppos_y_;
-  std::vector<double> pblockmin_;    ///< two-level argmin: per-block minima
   std::vector<std::uint32_t> cand_;  ///< line_candidates output buffer
 
   struct ThetaMemoEntry {

@@ -1,8 +1,8 @@
 // Runtime SIMD dispatch for the batch trial kernels (sim/batch/).
 //
-// The batch executor's inner loops — min-clock argmin scans, lock-step
-// occupancy checks, plane sight-disc prefilters — come in scalar, SSE2, and
-// AVX2 variants (kernels.h). Which variant runs is decided once at runtime:
+// The batch executor's inner loops — lock-step steps and occupancy checks,
+// plane sight-disc prefilters — come in scalar, SSE2, and AVX2 variants
+// (kernels.h). Which variant runs is decided once at runtime:
 //
 //   * detected_simd_level(): what this CPU supports (CPUID; scalar on
 //     non-x86 builds).

@@ -8,12 +8,15 @@
 // bit for bit, same finder/target tie-breaks, same crash counts. The kernel
 // unit tests pin the three primitives' scalar-equivalence properties
 // (lowest-index argmin ties, in-order occupancy find, candidate supersets)
-// at every level, including the non-multiple-of-width tails.
+// at every level, including the non-multiple-of-width tails. The MinTree
+// tests pin the segment and plane min-clock advance: its root is the flat
+// lowest-index argmin after every clock update.
 #include "sim/batch/batch.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -31,6 +34,7 @@
 #include "plane/strategies.h"
 #include "rng/rng.h"
 #include "sim/batch/kernels.h"
+#include "sim/batch/min_tree.h"
 #include "sim/batch/simd.h"
 #include "sim/placement.h"
 #include "sim/trial.h"
@@ -338,6 +342,73 @@ TEST(BatchKernels, LineCandidatesAreSupersetOfSightings) {
       }
     }
   }
+}
+
+// --- the min-clock winner tree ---------------------------------------------
+
+/// The lowest index holding the smallest of v[0..n).
+template <typename T>
+std::size_t flat_argmin(const std::vector<T>& v, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (v[i] < v[best]) best = i;
+  }
+  return best;
+}
+
+/// Clocks drawn from four values, one of them the parking value `never`, so
+/// ties are dense; after every update the root must be the flat argmin. One
+/// tree is rebuilt across the sizes, as a runner's is across trials.
+template <typename T>
+void expect_tree_tracks_flat_argmin(T never, std::uint64_t seed) {
+  rng::Rng rng(seed);
+  const std::array<T, 4> values = {T{3}, T{7}, T{11}, never};
+  const auto draw = [&] {
+    return values[static_cast<std::size_t>(rng.uniform_int(0, 3))];
+  };
+  MinTree tree;
+  for (const std::size_t n : {1, 2, 3, 5, 8, 17, 64, 257, 3}) {
+    std::vector<T> clock(n);
+    for (T& c : clock) c = draw();
+    tree.build(&clock, n);
+    ASSERT_EQ(tree.top(), flat_argmin(clock, n)) << "n=" << n;
+    for (int u = 0; u < 10'000; ++u) {
+      const auto i = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+      clock[i] = draw();
+      tree.update(clock, i);
+      ASSERT_EQ(tree.top(), flat_argmin(clock, n))
+          << "n=" << n << " after update " << u;
+    }
+    // Parking every agent leaves the lowest index on top, as a flat scan
+    // does, never a padding leaf; so does building over all-parked clocks.
+    for (std::size_t i = 0; i < n; ++i) {
+      clock[i] = never;
+      tree.update(clock, i);
+    }
+    EXPECT_EQ(tree.top(), 0u) << "n=" << n;
+    std::vector<T> parked(n, never);
+    tree.build(&parked, n);
+    EXPECT_EQ(tree.top(), 0u) << "n=" << n;
+  }
+}
+
+TEST(MinTree, TopIsTheFlatLowestIndexArgminAfterEveryUpdate) {
+  expect_tree_tracks_flat_argmin<std::int64_t>(kNeverTime, 2323);
+  expect_tree_tracks_flat_argmin<double>(plane::kPlaneNever, 2324);
+}
+
+TEST(MinTree, BuildPadsTheClocksToAPowerOfTwo) {
+  std::vector<std::int64_t> clock = {5, 4, 4, 9, 1, 8};
+  MinTree tree;
+  tree.build(&clock, 5);  // the sixth entry is not a leaf
+  ASSERT_EQ(clock.size(), 8u);
+  EXPECT_EQ(clock[4], 1);
+  for (std::size_t i = 5; i < 8; ++i) EXPECT_EQ(clock[i], kNeverTime);
+  EXPECT_EQ(tree.top(), 4u);
+  clock[4] = kNeverTime;
+  tree.update(clock, 4);
+  EXPECT_EQ(tree.top(), 1u);
 }
 
 // --- executor conformance --------------------------------------------------
