@@ -252,7 +252,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   }
   [[maybe_unused]] std::size_t n_unhit = nt;  // collect: targets with no hit
 
-  clock_tree_.build(&clock_, uk);
+  clock_tree_.build(&clock_);
 
   // The earliest hit so far over all targets. The static race also tracks
   // its finder and target here; the dynamic one keeps them per target.
@@ -937,7 +937,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     }
     cand_.resize(nt);
 
-    clock_tree_.build(&pclock_, uk);
+    clock_tree_.build(&pclock_);
 
     plane::Time best = plane::kPlaneNever;
     int finder = -1;

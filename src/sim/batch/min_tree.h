@@ -19,20 +19,18 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <type_traits>
 #include <vector>
 
 namespace ants::sim::batch {
 
 class MinTree {
  public:
-  /// Builds the tree over (*clock)[0..n), n >= 1, and pads *clock to the
-  /// leaf count with numeric_limits<T>::max().
+  /// Builds the tree over the n >= 1 clocks in *clock and pads *clock to
+  /// the leaf count with numeric_limits<T>::max().
   template <typename T>
-  void build(std::vector<T>* clock, std::size_t n) {
+  void build(std::vector<T>* clock) {
     std::size_t leaves = 1;
-    while (leaves < n) leaves *= 2;
-    clock->resize(n);
+    while (leaves < clock->size()) leaves *= 2;
     clock->resize(leaves, std::numeric_limits<T>::max());
     node_.resize(2 * leaves);
     for (std::size_t i = 0; i < leaves; ++i) {
@@ -50,8 +48,7 @@ class MinTree {
   /// compare feeds masks rather than a branch on random clocks.
   template <typename T>
   void update(const std::vector<T>& clock, std::size_t i) noexcept {
-    using Bits = std::conditional_t<sizeof(T) == 8, std::uint64_t,
-                                    std::uint32_t>;
+    static_assert(sizeof(T) == sizeof(std::uint64_t));
     const T* c = clock.data();
     std::uint32_t w = static_cast<std::uint32_t>(i);
     T cw = c[i];
@@ -61,10 +58,10 @@ class MinTree {
       // A left sibling (p odd) holds lower indices, so it wins ties.
       const bool take = (cs < cw) | ((cs == cw) & ((p & 1) != 0));
       const std::uint32_t m = 0u - static_cast<std::uint32_t>(take);
-      const Bits mb = Bits{0} - static_cast<Bits>(take);
+      const std::uint64_t mb = 0u - static_cast<std::uint64_t>(take);
       w = (s & m) | (w & ~m);
-      cw = std::bit_cast<T>((std::bit_cast<Bits>(cs) & mb) |
-                            (std::bit_cast<Bits>(cw) & ~mb));
+      cw = std::bit_cast<T>((std::bit_cast<std::uint64_t>(cs) & mb) |
+                            (std::bit_cast<std::uint64_t>(cw) & ~mb));
       node_[p / 2] = w;
     }
   }

@@ -370,7 +370,7 @@ void expect_tree_tracks_flat_argmin(T never, std::uint64_t seed) {
   for (const std::size_t n : {1, 2, 3, 5, 8, 17, 64, 257, 3}) {
     std::vector<T> clock(n);
     for (T& c : clock) c = draw();
-    tree.build(&clock, n);
+    tree.build(&clock);
     ASSERT_EQ(tree.top(), flat_argmin(clock, n)) << "n=" << n;
     for (int u = 0; u < 10'000; ++u) {
       const auto i = static_cast<std::size_t>(
@@ -388,7 +388,7 @@ void expect_tree_tracks_flat_argmin(T never, std::uint64_t seed) {
     }
     EXPECT_EQ(tree.top(), 0u) << "n=" << n;
     std::vector<T> parked(n, never);
-    tree.build(&parked, n);
+    tree.build(&parked);
     EXPECT_EQ(tree.top(), 0u) << "n=" << n;
   }
 }
@@ -399,11 +399,10 @@ TEST(MinTree, TopIsTheFlatLowestIndexArgminAfterEveryUpdate) {
 }
 
 TEST(MinTree, BuildPadsTheClocksToAPowerOfTwo) {
-  std::vector<std::int64_t> clock = {5, 4, 4, 9, 1, 8};
+  std::vector<std::int64_t> clock = {5, 4, 4, 9, 1};
   MinTree tree;
-  tree.build(&clock, 5);  // the sixth entry is not a leaf
+  tree.build(&clock);
   ASSERT_EQ(clock.size(), 8u);
-  EXPECT_EQ(clock[4], 1);
   for (std::size_t i = 5; i < 8; ++i) EXPECT_EQ(clock[i], kNeverTime);
   EXPECT_EQ(tree.top(), 4u);
   clock[4] = kNeverTime;
