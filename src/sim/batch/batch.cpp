@@ -864,9 +864,9 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
 // clock heap replaced by the winner tree of run_segment (min_tree.h;
 // removed agents park at kPlaneNever, and the loop breaks on clock >= bound,
 // so the parking value terminates it exactly when the empty heap would),
-// line sight tests
-// prefiltered by the line_candidates kernel (every candidate re-checked by
-// the scalar quadratic), and the per-move spiral Newton solve memoized.
+// line sight tests prefiltered by the line_candidates kernel (every
+// candidate re-checked by the scalar quadratic), and the per-move spiral
+// Newton solve memoized.
 
 double BatchRunner::spiral_theta(double a, double s) {
   std::uint64_t bits = 0;

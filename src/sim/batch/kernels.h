@@ -39,13 +39,13 @@
 // the static loop and over the live-target list in the dynamic one) and
 // line_candidates (plane). random-walk and biased-walk call their step
 // kernel at StepLanes::level, which BatchRunner sets to its own level. Not
-// on the executor's path, kept for perfbench's replay and sim_batch_test:
+// on the executor's path, kept because perfbench's replay times them and
+// sim_batch_test pins their contracts:
 //   * argmin_i64 and argmin_f64 — the segment and plane min-clock advance
 //     is a winner tree (min_tree.h), O(log k) per pop where a rescan is
 //     O(k);
 //   * the four dynamic-target kernels — the dynamic lock-step loop walks a
 //     short live-target list rather than gating every spawned target.
-// perfbench's replay times them, and sim_batch_test pins their contracts.
 //
 // Kernels never allocate and have no internal state; the dispatch level is
 // chosen per block by the runner via kernels_for(active_simd_level()).

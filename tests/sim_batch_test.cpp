@@ -445,9 +445,9 @@ TrialEnvironment base_env(std::vector<grid::Point> targets) {
   return env;
 }
 
-// k = 5 is one small scan; 17, 64 and 257 pick the earliest clock among
-// many agents (a power of two and one past each side of one), with parked
-// crashed agents among the live ones in the drawn and doa environments.
+// k = 17 and 257 sit one past a power of two, so the min-clock tree is
+// mostly padding, and 64 fills it exactly; the drawn and doa environments
+// park crashed agents among the live ones.
 TEST(BatchRunnerSegment, MatchesRunTrialAcrossEnvironmentsAndLevels) {
   for (const int k : {5, 17, 64, 257}) {
     SCOPED_TRACE("k = " + std::to_string(k));
@@ -696,7 +696,7 @@ TEST(BatchRunnerStep, OriginTargetAndAllDoaEdgeCases) {
   expect_conformance(s, 3, past_cap, config, 8, 207);
 }
 
-// k = 4 as one small scan, then 17, 64 and 257 as in the segment case.
+// k = 17, 64 and 257 as in the segment case.
 TEST(BatchRunnerPlane, MatchesRunTrialAcrossEnvironmentsAndLevels) {
   for (const int k : {4, 17, 64, 257}) {
     SCOPED_TRACE("k = " + std::to_string(k));
