@@ -26,16 +26,16 @@
 // A runner is single-threaded and reusable: construct one per worker per
 // (strategy, k) pair and feed it blocks of trials through run_block. The
 // parallel driver (sim::run_cell_blocks, behind both the scenario sweep and
-// sim::Runner) hands one worker one block at a time, sized by trial_block
-// below: at most kTrialBlock trials, enough to amortize runner reuse and to
-// fill the lock-step loop's vector lanes, and at least one block per worker
-// when a cell has fewer than workers * kTrialBlock trials, so a small cell
-// still spreads over every worker. The lock-step walkers run a whole block
-// at once: trial s of the block owns lanes s*k .. s*k + k - 1 of one
-// StepLanes, and one strategy step per tick advances every running trial's
-// agents through the SIMD step kernels (kernels.h). Results are indexed by
-// trial, and no trial reads another's state, so block sizes never change a
-// byte.
+// sim::run_env_trials) hands one worker one block at a time, sized by
+// trial_block below: at most kTrialBlock trials, enough to amortize runner
+// reuse and to fill the lock-step loop's vector lanes, and at least one
+// block per worker when a cell has fewer than workers * kTrialBlock trials,
+// so a small cell still spreads over every worker. The lock-step walkers
+// run a whole block at once: trial s of the block owns lanes
+// s*k .. s*k + k - 1 of one StepLanes, and one strategy step per tick
+// advances every running trial's agents through the SIMD step kernels
+// (kernels.h). Results are indexed by trial, and no trial reads another's
+// state, so block sizes never change a byte.
 #pragma once
 
 #include <algorithm>

@@ -2,13 +2,9 @@
 // table selected by SIMD level (simd.h).
 //
 // Each kernel is a pure array operation over the batch runner's
-// struct-of-arrays state, with scalar/SSE2/AVX2 implementations that are
-// RESULT-identical by construction:
+// struct-of-arrays state. The entries the executor calls have scalar and
+// AVX2 implementations that are RESULT-identical by construction:
 //
-//   * argmin_* return the lowest index attaining the minimum — the
-//     vector variants reduce the minimum value first, then locate its first
-//     occurrence, so the heap's lowest-index tie-break is preserved bit for
-//     bit.
 //   * find_point returns the first index whose (x, y) pair equals the
 //     probe — exactly the lock-step backend's in-order occupancy scan.
 //   * line_candidates evaluates, per target, the same IEEE expression tree
@@ -16,14 +12,6 @@
 //     FMA contraction, same operation order — so the candidate set equals
 //     the set the scalar loop would shortlist; every candidate is then
 //     re-checked by the scalar test, making the prefilter byte-safe.
-//   * the dynamic-target kernels (window_gate, find_point_gated,
-//     drift_positions, dwell_advance) compute exactly the per-target
-//     window/drift/dwell tests of the scalar lock-step loop
-//     (tests/support/reference_trial.cpp): drift_positions reproduces
-//     std::llround's half-away-from-zero rounding bit for bit (trunc +
-//     exact fraction + ±1 adjust), and the scan/advance kernels emit
-//     indices in ascending order so the scalar lowest-target-index
-//     tie-break is preserved.
 //   * the step kernels (step_random, step_biased) advance the listed lanes
 //     of a StepLanes by one tick, each lane drawing from its own
 //     xoshiro256** stream exactly as the scalar loop does. At AVX2 every
@@ -31,21 +19,25 @@
 //     are shift-adds, the 53-bit uniform converts to double exactly through
 //     the 2^52 / 2^84 exponent trick, and the biased walk's second draw is
 //     blended in only on the lanes whose scalar short-circuit draws it.
-//     Every other lane, and every lane at SSE2 (no 64-bit compare or
-//     blend), takes the scalar kernel. Lanes never interact, so how a list
-//     splits into vectors changes no draw.
+//     Every other lane takes the scalar kernel. Lanes never interact, so
+//     how a list splits into vectors changes no draw.
 //
 // BatchRunner calls find_point (lock-step occupancy, over all targets in
 // the static loop and over the live-target list in the dynamic one) and
 // line_candidates (plane). random-walk and biased-walk call their step
-// kernel at StepLanes::level, which BatchRunner sets to its own level. Not
-// on the executor's path, kept because perfbench's replay times them and
-// sim_batch_test pins their contracts:
-//   * argmin_i64 and argmin_f64 — the segment and plane min-clock advance
-//     is a winner tree (min_tree.h), O(log k) per pop where a rescan is
-//     O(k);
-//   * the four dynamic-target kernels — the dynamic lock-step loop walks a
-//     short live-target list rather than gating every spawned target.
+// kernel at StepLanes::level, which BatchRunner sets to its own level.
+//
+// The other six entries run on no executor path and are scalar at every
+// level; they stay in the table only because perfbench's replay times them
+// through it and sim_batch_test pins their contracts:
+//   * argmin_i64 and argmin_f64 return the lowest index attaining the
+//     minimum — the segment and plane min-clock advance is a winner tree
+//     (min_tree.h), O(log k) per pop where a rescan is O(k);
+//   * window_gate, find_point_gated, drift_positions and dwell_advance
+//     compute the per-target window/drift/dwell tests of the scalar
+//     lock-step loop (tests/support/reference_trial.cpp) over a whole
+//     target block — the dynamic lock-step loop walks a short live-target
+//     list instead.
 //
 // Kernels never allocate and have no internal state; the dispatch level is
 // chosen per block by the runner via kernels_for(active_simd_level()).
@@ -107,7 +99,7 @@ struct Kernels {
                                   std::int64_t y);
 
   /// ox[i] = bx[i] + llround(vx[i] * t) (likewise oy) — drifted-target
-  /// positions at tick t. Vector variants match std::llround bit for bit.
+  /// positions at tick t.
   void (*drift_positions)(const std::int64_t* bx, const std::int64_t* by,
                           const double* vx, const double* vy, std::size_t n,
                           double t, std::int64_t* ox, std::int64_t* oy);

@@ -11,9 +11,8 @@ namespace {
 #if defined(__x86_64__) || defined(__i386__)
 SimdLevel probe_cpu() noexcept {
   __builtin_cpu_init();
-  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse2")) return SimdLevel::kSse2;
-  return SimdLevel::kScalar;
+  return __builtin_cpu_supports("avx2") ? SimdLevel::kAvx2
+                                        : SimdLevel::kScalar;
 }
 #else
 SimdLevel probe_cpu() noexcept { return SimdLevel::kScalar; }
@@ -24,7 +23,6 @@ SimdLevel env_level(SimdLevel detected) noexcept {
   const char* env = std::getenv("ANTS_SIMD_LEVEL");
   if (env == nullptr) return detected;
   if (std::strcmp(env, "scalar") == 0) return SimdLevel::kScalar;
-  if (std::strcmp(env, "sse2") == 0) return SimdLevel::kSse2;
   if (std::strcmp(env, "avx2") == 0) return SimdLevel::kAvx2;
   return detected;
 }
@@ -46,15 +44,7 @@ std::atomic<int>& active_storage() noexcept {
 }  // namespace
 
 const char* simd_level_name(SimdLevel level) noexcept {
-  switch (level) {
-    case SimdLevel::kSse2:
-      return "sse2";
-    case SimdLevel::kAvx2:
-      return "avx2";
-    case SimdLevel::kScalar:
-    default:
-      return "scalar";
-  }
+  return level == SimdLevel::kAvx2 ? "avx2" : "scalar";
 }
 
 SimdLevel detected_simd_level() noexcept {

@@ -1,27 +1,27 @@
 // Runtime SIMD dispatch for the batch trial kernels (sim/batch/).
 //
 // The batch executor's inner loops — lock-step steps and occupancy checks,
-// plane sight-disc prefilters — come in scalar, SSE2, and AVX2 variants
+// plane sight-disc prefilters — come in scalar and AVX2 variants
 // (kernels.h). Which variant runs is decided once at runtime:
 //
-//   * detected_simd_level(): what this CPU supports (CPUID; scalar on
-//     non-x86 builds).
-//   * ANTS_SIMD_LEVEL=scalar|sse2|avx2: environment override, clamped to
-//     the detected level — forcing avx2 on a non-AVX2 machine silently runs
-//     the best available level, so CI can export the variable
-//     unconditionally. Unrecognized values are ignored.
+//   * detected_simd_level(): avx2 when this CPU supports it (CPUID), else
+//     scalar (always scalar on non-x86 builds).
+//   * ANTS_SIMD_LEVEL=scalar|avx2: environment override, clamped to the
+//     detected level — forcing avx2 on a non-AVX2 machine silently runs
+//     scalar, so CI can export the variable unconditionally. Unrecognized
+//     values, sse2 among them, are ignored.
 //   * force_simd_level(): programmatic override (same clamp) for tests that
 //     compare dispatch paths in-process.
 //
-// Every level produces byte-identical trial results (test- and CI-enforced
+// Both levels produce byte-identical trial results (test- and CI-enforced
 // against the golden CSVs); dispatch is strictly an execution detail.
 #pragma once
 
 namespace ants::sim::batch {
 
-enum class SimdLevel : int { kScalar = 0, kSse2 = 1, kAvx2 = 2 };
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 1 };
 
-/// "scalar" / "sse2" / "avx2".
+/// "scalar" / "avx2".
 const char* simd_level_name(SimdLevel level) noexcept;
 
 /// Best level this CPU supports (computed once, then cached).

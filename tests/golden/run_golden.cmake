@@ -10,14 +10,14 @@
 # the telemetry files as diffing artifacts.
 #
 #   cmake -DSEARCH_LAB=<bin> -DSPEC=<spec> -DGOLDEN=<csv> -DOUT=<csv>
-#         [-DSIMD_LEVEL=scalar|sse2|avx2] -P run_golden.cmake
+#         [-DSIMD_LEVEL=scalar|avx2] -P run_golden.cmake
 #
 # SIMD_LEVEL, when given, is exported as ANTS_SIMD_LEVEL so the batch
 # executor's dispatch is pinned for the run: the golden CSVs must be
 # byte-identical on EVERY dispatch path, not just the one this machine
-# detects. Levels above the host's capability clamp down (see
-# sim/batch/kernels.cpp), so forcing avx2 is safe anywhere — on an
-# SSE2-only host it degenerates to a duplicate sse2 run, still a valid pin.
+# detects. avx2 clamps to scalar on a host without it (see
+# sim/batch/simd.h), so forcing it is safe anywhere — there it degenerates
+# to a duplicate scalar run, still a valid pin.
 foreach(var SEARCH_LAB SPEC GOLDEN OUT)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "run_golden.cmake: missing -D${var}=")

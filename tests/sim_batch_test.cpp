@@ -6,7 +6,7 @@
 // blocks of trials) must reproduce the scalar reference executor
 // (sim::run_trial, tests/support/reference_trial.h) EXACTLY — same doubles
 // bit for bit, same finder/target tie-breaks, same crash counts. The kernel
-// unit tests pin the three primitives' scalar-equivalence properties
+// unit tests pin every table entry against its plain per-element loop
 // (lowest-index argmin ties, in-order occupancy find, candidate supersets)
 // at every level, including the non-multiple-of-width tails. The MinTree
 // tests pin the segment and plane min-clock advance: its root is the flat
@@ -44,22 +44,8 @@
 namespace ants::sim::batch {
 namespace {
 
-/// Every dispatch level this machine can actually run.
-std::vector<SimdLevel> testable_levels() {
-  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  if (detected_simd_level() >= SimdLevel::kSse2) {
-    levels.push_back(SimdLevel::kSse2);
-  }
-  if (detected_simd_level() >= SimdLevel::kAvx2) {
-    levels.push_back(SimdLevel::kAvx2);
-  }
-  return levels;
-}
-
-/// Restores the active level when a test that forces levels exits.
-struct LevelGuard {
-  ~LevelGuard() { force_simd_level(detected_simd_level()); }
-};
+using testing::LevelGuard;
+using testing::testable_levels;
 
 #define EXPECT_SAME_RESULT(expected, actual)                       \
   do {                                                             \
@@ -75,9 +61,18 @@ struct LevelGuard {
 
 // --- kernel unit tests -----------------------------------------------------
 
+/// The lowest index holding the smallest of v[0..n).
+template <typename T>
+std::size_t flat_argmin(const std::vector<T>& v, std::size_t n) {
+  std::size_t best = 0;
+  for (std::size_t i = 1; i < n; ++i) {
+    if (v[i] < v[best]) best = i;
+  }
+  return best;
+}
+
 TEST(BatchKernels, ArgminI64MatchesScalarWithLowestIndexTies) {
   rng::Rng rng(20260808);
-  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
   for (const SimdLevel level : testable_levels()) {
     const Kernels& k = kernels_for(level);
     for (std::size_t n = 1; n <= 40; ++n) {
@@ -87,7 +82,7 @@ TEST(BatchKernels, ArgminI64MatchesScalarWithLowestIndexTies) {
           // Few distinct values => plenty of exact ties.
           x = rng.uniform_int(-2, 2);
         }
-        EXPECT_EQ(scalar.argmin_i64(v.data(), n), k.argmin_i64(v.data(), n))
+        EXPECT_EQ(k.argmin_i64(v.data(), n), flat_argmin(v, n))
             << simd_level_name(level) << " n=" << n;
       }
     }
@@ -96,14 +91,13 @@ TEST(BatchKernels, ArgminI64MatchesScalarWithLowestIndexTies) {
 
 TEST(BatchKernels, ArgminF64MatchesScalarWithLowestIndexTies) {
   rng::Rng rng(99);
-  const Kernels& scalar = kernels_for(SimdLevel::kScalar);
   for (const SimdLevel level : testable_levels()) {
     const Kernels& k = kernels_for(level);
     for (std::size_t n = 1; n <= 40; ++n) {
       for (int rep = 0; rep < 20; ++rep) {
         std::vector<double> v(n);
         for (auto& x : v) x = static_cast<double>(rng.uniform_int(0, 3));
-        EXPECT_EQ(scalar.argmin_f64(v.data(), n), k.argmin_f64(v.data(), n))
+        EXPECT_EQ(k.argmin_f64(v.data(), n), flat_argmin(v, n))
             << simd_level_name(level) << " n=" << n;
       }
     }
@@ -345,16 +339,6 @@ TEST(BatchKernels, LineCandidatesAreSupersetOfSightings) {
 }
 
 // --- the min-clock winner tree ---------------------------------------------
-
-/// The lowest index holding the smallest of v[0..n).
-template <typename T>
-std::size_t flat_argmin(const std::vector<T>& v, std::size_t n) {
-  std::size_t best = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    if (v[i] < v[best]) best = i;
-  }
-  return best;
-}
 
 /// Clocks drawn from four values, one of them the parking value `never`, so
 /// ties are dense; after every update the root must be the flat argmin. One
@@ -876,6 +860,20 @@ TEST(TrialBlock, TilesTrialsExactlyWithinTheCap) {
   EXPECT_EQ(trial_block(60, 4), 15U);
   EXPECT_EQ(trial_block(256, 4), kTrialBlock);
   EXPECT_EQ(trial_block(3, 4), 1U);
+}
+
+// ANTS_SIMD_LEVEL sets the level a process starts at: scalar under
+// "scalar", the detected level under anything else (avx2 clamps to it,
+// unset and unrecognized values are ignored). The simd_env_* CTest entries
+// run this test alone under each kind of value; in a full run it holds
+// too, since every test that forces a level restores the one it found.
+TEST(BatchSimd, EnvOverrideSetsStartingLevel) {
+  const char* env = std::getenv("ANTS_SIMD_LEVEL");
+  const SimdLevel want = env != nullptr && std::string(env) == "scalar"
+                             ? SimdLevel::kScalar
+                             : detected_simd_level();
+  EXPECT_STREQ(simd_level_name(active_simd_level()), simd_level_name(want))
+      << "ANTS_SIMD_LEVEL=" << (env != nullptr ? env : "(unset)");
 }
 
 TEST(BatchSimd, EnvAndForceClampToDetected) {

@@ -46,6 +46,7 @@
 #include "sim/placement.h"
 #include "sim/trial.h"
 #include "support/reference_trial.h"
+#include "test_support.h"
 
 namespace ants {
 namespace {
@@ -398,20 +399,11 @@ TEST(TargetProcess, CollectAllCensorsUnfoundTargets) {
 
 // ---------------------------------------------------------------------------
 // Batch executor: grid dynamic environments run natively in the batch SoA
-// path — byte-identical to the scalar reference at every forced SIMD level,
-// with the fallback counter pinned at zero so the tests fail if routing ever
-// regresses to delegation. Plane dynamic cells are the one remaining
-// (counted) delegation.
+// path — byte-identical to the scalar reference at every SIMD level the
+// host runs, with the fallback counter pinned at zero so the tests fail if
+// routing ever regresses to delegation. Plane dynamic cells are the one
+// remaining (counted) delegation.
 // ---------------------------------------------------------------------------
-
-class SimdLevelGuard {
- public:
-  SimdLevelGuard() : saved_(sim::batch::active_simd_level()) {}
-  ~SimdLevelGuard() { sim::batch::force_simd_level(saved_); }
-
- private:
-  sim::batch::SimdLevel saved_;
-};
 
 TEST(TargetProcess, BatchRunnerMatchesScalarOnDynamicEnvs) {
   using sim::batch::SimdLevel;
@@ -429,9 +421,8 @@ TEST(TargetProcess, BatchRunnerMatchesScalarOnDynamicEnvs) {
   EngineConfig config;
   config.time_cap = 400;
 
-  SimdLevelGuard guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
     sim::batch::force_simd_level(level);
     for (std::uint64_t seed = 1; seed <= 16; ++seed) {
       const rng::Rng trial_rng(rng::mix_seed(0xD15EA5E, seed));
@@ -608,9 +599,8 @@ TEST(TargetProcess, BatchRunnerMatchesScalarAtWindowEventEdges) {
   segment_strategies[1].segment = &uniform;
   segment_strategies[2].segment = &sector;
 
-  SimdLevelGuard guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
     sim::batch::force_simd_level(level);
     // One runner per strategy, reused over every environment below, so a
     // list or counter left over from the previous trial would show.
@@ -685,9 +675,8 @@ TEST(TargetProcess, BatchRunnerCapturesColocatedTargetsInOneStep) {
   EngineConfig config;
   config.time_cap = 20;
 
-  SimdLevelGuard guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
     sim::batch::force_simd_level(level);
     sim::batch::BatchRunner runner(s, 1, config);
     const TrialResult want = run_trial(east, 1, env, rng::Rng(3), config);
@@ -737,9 +726,8 @@ TEST(TargetProcess, BatchRunnerSegmentHitsAtWindowEdgesOfASegment) {
   EngineConfig config;
   config.time_cap = 100;
 
-  SimdLevelGuard guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
     sim::batch::force_simd_level(level);
     for (const auto kind : {HopStrategy::Kind::kGoTo, HopStrategy::Kind::kPath,
                             HopStrategy::Kind::kSpiral}) {
@@ -793,9 +781,8 @@ TEST(TargetProcess, BatchRunnerDwellAcrossVanishMidContact) {
   EngineConfig config;
   config.time_cap = 50;
 
-  SimdLevelGuard guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
     sim::batch::force_simd_level(level);
     sim::batch::BatchRunner runner(s, 1, config);
     for (const bool collect : {false, true}) {
@@ -824,9 +811,8 @@ TEST(TargetProcess, BatchRunnerCountsPlaneDynamicDelegation) {
   EngineConfig config;
   config.time_cap = 400;
 
-  SimdLevelGuard guard;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
     sim::batch::force_simd_level(level);
     sim::TrialStrategy s;
     s.plane = &plane_known;

@@ -6,6 +6,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/batch/simd.h"
 #include "sim/program.h"
 
 namespace ants::testing {
@@ -63,6 +64,30 @@ class PerAgentScriptedStrategy final : public sim::Strategy {
 
  private:
   std::vector<std::vector<sim::Op>> scripts_;
+};
+
+/// Every SIMD dispatch level this machine can run: scalar, plus avx2 where
+/// the CPU has it.
+inline std::vector<sim::batch::SimdLevel> testable_levels() {
+  std::vector<sim::batch::SimdLevel> levels = {sim::batch::SimdLevel::kScalar};
+  if (sim::batch::detected_simd_level() == sim::batch::SimdLevel::kAvx2) {
+    levels.push_back(sim::batch::SimdLevel::kAvx2);
+  }
+  return levels;
+}
+
+/// Restores the active SIMD level a test started with when it exits, so a
+/// test that forces levels leaves the next one at the level the
+/// environment chose.
+class LevelGuard {
+ public:
+  LevelGuard() : saved_(sim::batch::active_simd_level()) {}
+  ~LevelGuard() { sim::batch::force_simd_level(saved_); }
+  LevelGuard(const LevelGuard&) = delete;
+  LevelGuard& operator=(const LevelGuard&) = delete;
+
+ private:
+  sim::batch::SimdLevel saved_;
 };
 
 }  // namespace ants::testing

@@ -177,7 +177,7 @@ int run_list() {
             << "Every axis above — including the dynamic target processes, "
                "dwell capture, and\ncollect-all — executes through the "
                "batched SoA/SIMD executor (src/sim/batch/,\n"
-               "scalar/SSE2/AVX2 dispatch). The one exception is plane "
+               "scalar/AVX2 dispatch). The one exception is plane "
                "strategies under a\nwindowed or collect-all process, which "
                "delegate per trial to the scalar plane engine\n(counted by the "
                "batch_scalar_fallback metric; see docs/observability.md)."
