@@ -1,8 +1,14 @@
 // Microbenchmarks for the geometric primitives the engine's O(1) hit
 // detection rests on. These quantify the costs that make segment-level
 // simulation ~10^6x cheaper than stepping: a spiral index lookup must stay
-// in the low nanoseconds for the closed forms to beat enumeration.
+// in the low nanoseconds for the closed forms to beat enumeration. The
+// BM_ProgramNext group times op generation, the other per-segment cost of
+// the segment backend.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <string>
+#include <utility>
 
 #include "grid/ball.h"
 #include "grid/spiral.h"
@@ -10,6 +16,7 @@
 #include "rng/power_law.h"
 #include "rng/rng.h"
 #include "scenario/registry.h"
+#include "sim/program.h"
 
 namespace {
 
@@ -81,6 +88,51 @@ void BM_RegistryMakeHarmonic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegistryMakeHarmonic);
+
+// Uniform's construction cost: every registry build fills the strategy's
+// phase table (528 phases, one pow per phase index j); nothing is memoised.
+void BM_RegistryMakeUniform(benchmark::State& state) {
+  const ants::scenario::Registry& registry =
+      ants::scenario::Registry::instance();
+  const ants::scenario::BuildContext ctx{16};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.make("uniform(eps=0.5)", ctx));
+  }
+}
+BENCHMARK(BM_RegistryMakeUniform);
+
+// Op generation as the executor pays it, per op: one make_program per
+// agent (k = 16, as the paper workload's cells), then 240 virtual `next`
+// calls (80 trips) before the next agent's program. Strategies at the
+// paper workload's parameters.
+void BM_ProgramNext(benchmark::State& state, const char* spec) {
+  const ants::scenario::BuildContext ctx{16};
+  const ants::scenario::BuiltStrategy built =
+      ants::scenario::Registry::instance().make(spec, ctx);
+  ants::rng::Rng rng(6);
+  int agent = 0;
+  std::unique_ptr<ants::sim::AgentProgram> program;
+  int left = 0;
+  for (auto _ : state) {
+    if (left == 0) {
+      program = built.segment->make_program({agent++ & 15, 16});
+      left = 240;
+    }
+    --left;
+    benchmark::DoNotOptimize(program->next(rng));
+  }
+}
+const bool kProgramNextRegistered = [] {
+  for (const auto& [name, spec] :
+       {std::pair{"known-k", "known-k"},
+        std::pair{"uniform", "uniform(eps=0.5)"},
+        std::pair{"harmonic", "harmonic(delta=0.5)"}}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_ProgramNext/") + name).c_str(), BM_ProgramNext,
+        spec);
+  }
+  return true;
+}();
 
 void BM_RngUniformU64(benchmark::State& state) {
   ants::rng::Rng rng(5);

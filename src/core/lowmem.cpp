@@ -180,12 +180,20 @@ class LowMemHarmonicProgram final : public sim::AgentProgram {
 
 }  // namespace
 
-LowMemUniformStrategy::LowMemUniformStrategy(double eps) : eps_(eps) {
+namespace {
+
+double checked_eps(double eps) {
   if (!(eps >= 0.0)) throw std::invalid_argument("LowMemUniform: eps >= 0");
+  return eps;
 }
 
+}  // namespace
+
+LowMemUniformStrategy::LowMemUniformStrategy(double eps)
+    : exact_(checked_eps(eps)) {}
+
 std::string LowMemUniformStrategy::name() const {
-  return "lowmem-uniform(eps=" + util::fmt_param(eps_) + ")";
+  return "lowmem-uniform(eps=" + util::fmt_param(eps()) + ")";
 }
 
 std::unique_ptr<sim::AgentProgram> LowMemUniformStrategy::make_program(
@@ -196,15 +204,13 @@ std::unique_ptr<sim::AgentProgram> LowMemUniformStrategy::make_program(
 int LowMemUniformStrategy::walk_exponent(int stage_i, int phase_j) const
     noexcept {
   // round(log2(D_ij)) with D_ij the exact Algorithm 1 radius; >= 0.
-  const UniformStrategy exact(eps_);
-  const double d = static_cast<double>(exact.ball_radius(stage_i, phase_j));
+  const double d = static_cast<double>(exact_.phase(stage_i, phase_j).radius);
   return std::max(0, static_cast<int>(std::lround(std::log2(d))));
 }
 
 int LowMemUniformStrategy::spiral_exponent(int stage_i, int phase_j) const
     noexcept {
-  const UniformStrategy exact(eps_);
-  const double t = static_cast<double>(exact.spiral_budget(stage_i, phase_j));
+  const double t = static_cast<double>(exact_.phase(stage_i, phase_j).budget);
   return std::max(0, static_cast<int>(std::lround(std::log2(t))));
 }
 

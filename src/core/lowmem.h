@@ -34,6 +34,7 @@
 #include <memory>
 #include <string>
 
+#include "core/uniform.h"
 #include "rng/rng.h"
 #include "sim/program.h"
 #include "sim/types.h"
@@ -60,7 +61,7 @@ class LowMemUniformStrategy final : public sim::Strategy {
   std::unique_ptr<sim::AgentProgram> make_program(
       sim::AgentContext ctx) const override;
 
-  double eps() const noexcept { return eps_; }
+  double eps() const noexcept { return exact_.eps(); }
 
   /// Dyadic exponents the counters target (exposed for tests): the walk
   /// exponent is round(log2(D_ij)) and the spiral exponent round(log2(t_ij)),
@@ -69,7 +70,7 @@ class LowMemUniformStrategy final : public sim::Strategy {
   int spiral_exponent(int stage_i, int phase_j) const noexcept;
 
  private:
-  double eps_;
+  UniformStrategy exact_;  ///< the exact schedule the exponents round
 };
 
 /// Algorithm 2 on coin-flip arithmetic. delta > 0 as in HarmonicStrategy.

@@ -54,12 +54,12 @@ class SweepUniformProgram final : public sim::AgentProgram {
     switch (step_) {
       case Step::kGoTo: {
         step_ = Step::kSpiral;
-        const std::int64_t radius = strategy_.ball_radius(i_, j_);
+        const std::int64_t radius = strategy_.phase(i_, j_).radius;
         return sim::GoTo{grid::uniform_ball_point(rng, radius)};
       }
       case Step::kSpiral:
         step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.spiral_budget(i_, j_)};
+        return sim::SpiralFor{strategy_.phase(i_, j_).budget};
       default:
         step_ = Step::kGoTo;
         advance();

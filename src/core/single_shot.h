@@ -73,6 +73,10 @@ class SingleSweepUniform final : public sim::Strategy {
   sim::Time spiral_budget(int stage_i, int phase_j) const noexcept {
     return inner_.spiral_budget(stage_i, phase_j);
   }
+  /// The tabled phase the programs read (UniformStrategy::phase).
+  UniformStrategy::Phase phase(int stage_i, int phase_j) const noexcept {
+    return inner_.phase(stage_i, phase_j);
+  }
 
  private:
   UniformStrategy inner_;  ///< parameter holder for the shared closed forms

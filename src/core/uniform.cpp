@@ -22,12 +22,12 @@ class UniformProgram final : public sim::AgentProgram {
     switch (step_) {
       case Step::kGoTo: {
         step_ = Step::kSpiral;
-        const std::int64_t radius = strategy_.ball_radius(i_, j_);
+        const std::int64_t radius = strategy_.phase(i_, j_).radius;
         return sim::GoTo{grid::uniform_ball_point(rng, radius)};
       }
       case Step::kSpiral:
         step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.spiral_budget(i_, j_)};
+        return sim::SpiralFor{strategy_.phase(i_, j_).budget};
       default:
         step_ = Step::kGoTo;
         advance();
@@ -67,10 +67,40 @@ double phase_divisor(int j, double eps) noexcept {
   return std::pow(jj, 1.0 + eps);
 }
 
+// The closed forms from D_ij^2 = 2^(i+j) / j^(1+eps) and
+// t_ij = 2^(i+2) / j^(1+eps) as computed in double.
+std::int64_t radius_from_square(double d2) noexcept {
+  // Exact enough in double for all reachable stages (2^(i+j) <= 2^120 is
+  // far beyond any horizon anyway).
+  return clamp_radius(std::sqrt(d2));
+}
+
+sim::Time budget_from(double t) noexcept {
+  // Clamped to >= 1 and saturated above.
+  const std::int64_t budget = util::sat_from_double(t);
+  return budget < 1 ? 1 : budget;
+}
+
 }  // namespace
 
 UniformStrategy::UniformStrategy(double eps) : eps_(eps) {
   if (!(eps >= 0.0)) throw std::invalid_argument("Uniform: eps >= 0");
+  // One pow and two divisions per phase index j. Down a column (i -> i + 1)
+  // both quotients double, and doubling commutes with rounding while they
+  // stay normal: they start at >= 2^-1020 (j <= 1 gives divisor 1, and a
+  // finite divisor is below 2^1024) or at exactly 0 (divisor inf), and end
+  // below 2^63. So every entry is the closed forms' value.
+  for (int j = 0; j < kTabledStages; ++j) {
+    const double divisor = phase_divisor(j, eps_);
+    double d2 = std::ldexp(1.0, 2 * j) / divisor;
+    double t = std::ldexp(1.0, j + 2) / divisor;
+    for (int i = j; i < kTabledStages; ++i) {
+      table_[static_cast<std::size_t>(i * (i + 1) / 2 + j)] = {
+          radius_from_square(d2), budget_from(t)};
+      d2 *= 2.0;
+      t *= 2.0;
+    }
+  }
 }
 
 std::string UniformStrategy::name() const {
@@ -85,20 +115,14 @@ std::unique_ptr<sim::AgentProgram> UniformStrategy::make_program(
 
 std::int64_t UniformStrategy::ball_radius(int stage_i, int phase_j) const
     noexcept {
-  // D_ij = sqrt(2^(i+j) / j^(1+eps)); exact enough in double for all
-  // reachable stages (2^(i+j) <= 2^120 is far beyond any horizon anyway).
-  const double d = std::sqrt(std::ldexp(1.0, stage_i + phase_j) /
-                             phase_divisor(phase_j, eps_));
-  return clamp_radius(d);
+  return radius_from_square(std::ldexp(1.0, stage_i + phase_j) /
+                            phase_divisor(phase_j, eps_));
 }
 
 sim::Time UniformStrategy::spiral_budget(int stage_i, int phase_j) const
     noexcept {
-  // t_ij = 2^(i+2) / j^(1+eps), clamped to >= 1 and saturated above.
-  const double t =
-      std::ldexp(1.0, stage_i + 2) / phase_divisor(phase_j, eps_);
-  const std::int64_t budget = util::sat_from_double(t);
-  return budget < 1 ? 1 : budget;
+  return budget_from(std::ldexp(1.0, stage_i + 2) /
+                     phase_divisor(phase_j, eps_));
 }
 
 }  // namespace ants::core

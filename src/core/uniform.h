@@ -18,8 +18,15 @@
 // zero, and j = 1 is the nearest term that does not. eps = 0 is allowed so
 // experiment E4 can probe the non-convergent boundary the lower bound
 // forbids.
+//
+// Each phase's closed forms cost a pow, and a program asks for them on every
+// trip. The strategy fills one table of (D_ij, t_ij) from the closed forms
+// once, at construction, for the stages i < 32 (an agent reaches stage 32
+// only after stage 31's first spiral of 2^33 steps), and programs read it.
+// The closed forms stay the definition and serve any stage beyond the table.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -44,8 +51,28 @@ class UniformStrategy final : public sim::Strategy {
   std::int64_t ball_radius(int stage_i, int phase_j) const noexcept;
   sim::Time spiral_budget(int stage_i, int phase_j) const noexcept;
 
+  /// Phase (i, j) of the schedule: the ball radius D_ij and the spiral
+  /// budget t_ij, bit for bit ball_radius and spiral_budget.
+  struct Phase {
+    std::int64_t radius;
+    sim::Time budget;
+  };
+
+  /// The phase as programs read it: from the table for i < kTabledStages,
+  /// from the closed forms beyond. 0 <= phase_j <= stage_i.
+  Phase phase(int stage_i, int phase_j) const noexcept {
+    if (stage_i < kTabledStages) {
+      return table_[static_cast<std::size_t>(stage_i * (stage_i + 1) / 2 +
+                                             phase_j)];
+    }
+    return {ball_radius(stage_i, phase_j), spiral_budget(stage_i, phase_j)};
+  }
+
+  static constexpr int kTabledStages = 32;
+
  private:
   double eps_;
+  std::array<Phase, kTabledStages * (kTabledStages + 1) / 2> table_;
 };
 
 }  // namespace ants::core

@@ -74,9 +74,11 @@ std::optional<Time> first_sighting_from(const Move& move, Vec2 target,
 
 /// The LineMove case of first_sighting, exposed so the batch kernels
 /// (sim/batch/) can re-check SIMD-prefiltered candidate targets with the
-/// byte-identical scalar arithmetic.
-std::optional<Time> line_first_sighting(const LineMove& line, Vec2 target,
-                                        double eps);
+/// byte-identical scalar arithmetic. `len` is the move's length,
+/// (line.to - line.from).norm(): the caller has it already (it is the move's
+/// duration), so the hit test of each target does not pay a hypot for it.
+std::optional<Time> line_first_sighting(const LineMove& line, double len,
+                                        Vec2 target, double eps);
 
 /// The SpiralMove case of first_sighting with the final angle
 /// `theta_end = spiral_theta_for_arc(pitch / 2pi, duration)` supplied by

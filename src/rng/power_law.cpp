@@ -49,6 +49,14 @@ DiscretePowerLaw::build_table() const {
     table->octave_lo.push_back(lo);
     table->cum_weight.push_back(table->total);
   }
+  const std::int64_t tabled = std::min(r_max_ + 1, kAcceptTabled);
+  table->accept.resize(static_cast<std::size_t>(tabled));
+  for (std::int64_t lo = 1; lo < tabled; lo <<= 1) {
+    for (std::int64_t r = lo; r < std::min(tabled, lo << 1); ++r) {
+      table->accept[static_cast<std::size_t>(r)] =
+          std::pow(static_cast<double>(lo) / r, exponent_);
+    }
+  }
   return table;
 }
 
@@ -91,10 +99,13 @@ std::int64_t DiscretePowerLaw::sample(Rng& rng) const {
 
   // Radius inside the octave by rejection: proposal uniform on [lo, hi),
   // acceptance (lo/r)^e in (2^-e, 1]. Expected iterations < 2^e.
+  const std::vector<double>& tabled = table_->accept;
   for (;;) {
     const std::int64_t r = lo + static_cast<std::int64_t>(rng.uniform_u64(
                                     static_cast<std::uint64_t>(hi - lo)));
-    const double accept = std::pow(static_cast<double>(lo) / r, exponent_);
+    const double accept =
+        r < kAcceptTabled ? tabled[static_cast<std::size_t>(r)]
+                          : std::pow(static_cast<double>(lo) / r, exponent_);
     if (rng.uniform_unit() < accept) return r;
   }
 }

@@ -11,11 +11,15 @@
 // + rejection with acceptance (2^o / r)^exponent, which is >= 2^-exponent.
 // Octave weights are exact sums for octaves with <= 2^18 terms and
 // Euler-Maclaurin-corrected integrals beyond (relative error < 1e-12 there).
+// The acceptance values of the proposals r < 1024 — where the heavy head of
+// the law puts most draws — are tabled, computed by the same expression the
+// sampler evaluates for larger r, so a draw costs a pow only past 1023 and
+// the draws, their order and the radii are those of the untabled sampler.
 //
 // The octave table is a pure function of (exponent, r_max) and costs about
-// 2^19 std::pow calls at the default r_max, so each distinct pair is summed
-// once per process and shared by every law built on it: copies and repeat
-// constructions are O(1).
+// 2^19 std::pow calls at the default r_max (the acceptance values another
+// 1023), so each distinct pair is built once per process and shared by
+// every law built on it: copies and repeat constructions are O(1).
 //
 // The truncation at r_max (default 2^45) is a simulation artifact, not a
 // model change: a trip to radius r costs >= r steps, so every truncated
@@ -54,7 +58,12 @@ class DiscretePowerLaw {
     std::vector<std::int64_t> octave_lo;  // first radius of each octave
     std::vector<double> cum_weight;  // inclusive cumulative octave weights
     double total = 0;
+    // accept[r] = (lo/r)^exponent, lo the first radius of r's octave, for
+    // r in [1, min(r_max, kAcceptTabled - 1)]; accept[0] is unused.
+    std::vector<double> accept;
   };
+
+  static constexpr std::int64_t kAcceptTabled = 1024;
 
   std::shared_ptr<const OctaveTable> build_table() const;
   double octave_weight_exact(std::int64_t lo, std::int64_t hi) const;

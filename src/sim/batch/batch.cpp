@@ -1008,7 +1008,8 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
           // scalar test covers every target directly.
           for (std::size_t ti = 0; ti < nt; ++ti) {
             const auto hit =
-                plane::line_first_sighting(line, plane_env_.targets[ti], eps);
+                plane::line_first_sighting(line, len, plane_env_.targets[ti],
+                                           eps);
             if (hit) consider(*hit, ti);
           }
         } else {
@@ -1019,7 +1020,8 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
           for (std::size_t ci = 0; ci < nc; ++ci) {
             const std::size_t ti = cand_[ci];
             const auto hit =
-                plane::line_first_sighting(line, plane_env_.targets[ti], eps);
+                plane::line_first_sighting(line, len, plane_env_.targets[ti],
+                                           eps);
             if (hit) consider(*hit, ti);
           }
         }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/params.h"
+#include "grid/ball.h"
 #include "sim/runner.h"
 
 namespace ants::core {
@@ -48,6 +49,48 @@ TEST(Uniform, SpiralBudgetMatchesFormula) {
       const std::int64_t clamped =
           expect < 1 ? 1 : static_cast<std::int64_t>(expect);
       EXPECT_EQ(s.spiral_budget(i, j), clamped) << i << "," << j;
+    }
+  }
+}
+
+TEST(Uniform, PhaseTableEqualsClosedForms) {
+  // The table serves i < 32 and the closed forms beyond: every phase of
+  // stages 0..39 must read back as the closed forms, bit for bit. eps = 300
+  // and 2000 push the divisor j^(1+eps) to the top of the double range and
+  // past it (inf), where the quotients reach 0.
+  for (const double eps : {0.0, 0.3, 0.5, 1.0, 2.0, 300.0, 2000.0}) {
+    const UniformStrategy s(eps);
+    for (int i = 0; i < 40; ++i) {
+      for (int j = 0; j <= i; ++j) {
+        const UniformStrategy::Phase phase = s.phase(i, j);
+        EXPECT_EQ(phase.radius, s.ball_radius(i, j))
+            << eps << " " << i << "," << j;
+        EXPECT_EQ(phase.budget, s.spiral_budget(i, j))
+            << eps << " " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(Uniform, OpStreamFollowsClosedFormsPastTheTable) {
+  // Every op through big-stage 33 (7140 phases, stages up to 33): each GoTo
+  // is the ball point of the closed-form radius drawn from a twin rng, each
+  // spiral the closed-form budget.
+  const UniformStrategy s(0.5);
+  const auto program = s.make_program(sim::AgentContext{});
+  rng::Rng rng(31), twin(31);
+  for (int l = 0; l <= 33; ++l) {
+    for (int i = 0; i <= l; ++i) {
+      for (int j = 0; j <= i; ++j) {
+        const Op go = program->next(rng);
+        ASSERT_EQ(std::get<GoTo>(go).target,
+                  grid::uniform_ball_point(twin, s.ball_radius(i, j)))
+            << l << " " << i << "," << j;
+        ASSERT_EQ(std::get<SpiralFor>(program->next(rng)).duration,
+                  s.spiral_budget(i, j))
+            << l << " " << i << "," << j;
+        ASSERT_TRUE(std::holds_alternative<ReturnToSource>(program->next(rng)));
+      }
     }
   }
 }

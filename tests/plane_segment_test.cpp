@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <optional>
 
 #include "rng/rng.h"
@@ -265,6 +268,189 @@ TEST(SpiralSighting, OffCenterSpiralsWork) {
   const double a = 1.0 / kTwoPi;
   EXPECT_LT(*t, 16.0 / (2 * a) * 1.5);
   EXPECT_GT(*t, 1.0);
+}
+
+// ---------------------------------------------------------------------------
+// Bitwise pin of the scan against the plain scan it replaced.
+// ---------------------------------------------------------------------------
+
+// The spiral scan as it was before the certified skip and the fixed-point
+// exits: every step evaluated, 80 bisection and 100 ternary iterations.
+// theta_begin = 0 is spiral_first_sighting_at, theta_begin > 0 the
+// appear-window form.
+double plain_dist2(Vec2 center, double a, double theta, Vec2 target) {
+  return (spiral_point_at(center, a, theta) - target).norm2();
+}
+
+std::optional<Time> plain_refine(const SpiralMove& sp, double a, Vec2 target,
+                                 double eps2, double outside, double inside) {
+  double x0 = outside, x1 = inside;
+  for (int it = 0; it < 80; ++it) {
+    const double mid = 0.5 * (x0 + x1);
+    if (plain_dist2(sp.center, a, mid, target) <= eps2) {
+      x1 = mid;
+    } else {
+      x0 = mid;
+    }
+  }
+  const double s = spiral_arc_length(a, x1);
+  if (s <= sp.duration) return s;
+  return std::nullopt;
+}
+
+std::optional<Time> plain_scan(const SpiralMove& sp, Vec2 target, double eps,
+                               double theta_begin, double theta_end) {
+  const double a = sp.pitch / kTwoPi;
+  const Vec2 rel = target - sp.center;
+  const double d = rel.norm();
+  const double theta_lo = std::max(theta_begin, std::max(0.0, (d - eps) / a));
+  const double theta_hi = std::min(theta_end, (d + eps) / a);
+  if (theta_lo > theta_hi) return std::nullopt;
+  const double eps2 = eps * eps;
+  if (d <= 50.0 * sp.pitch) {
+    const double dtheta = eps / (20.0 * std::max(d, eps));
+    double prev = theta_lo;
+    if (plain_dist2(sp.center, a, prev, target) <= eps2) {
+      return spiral_arc_length(a, prev);
+    }
+    for (double theta = theta_lo + dtheta;; theta += dtheta) {
+      const double th = std::min(theta, theta_hi);
+      if (plain_dist2(sp.center, a, th, target) <= eps2) {
+        return plain_refine(sp, a, target, eps2, prev, th);
+      }
+      prev = th;
+      if (th >= theta_hi) break;
+    }
+    return std::nullopt;
+  }
+  const double phi = std::atan2(rel.y, rel.x);
+  const double n_min = std::floor((theta_lo - phi) / kTwoPi) - 1.0;
+  const double n_max = std::ceil((theta_hi - phi) / kTwoPi) + 1.0;
+  for (double n = std::max(n_min, 0.0); n <= n_max; n += 1.0) {
+    const double theta_c = phi + n * kTwoPi;
+    const double lo =
+        std::max(theta_begin, std::max(0.0, theta_c - 0.5 * kTwoPi));
+    const double hi = std::min(theta_end, theta_c + 0.5 * kTwoPi);
+    if (lo >= hi) continue;
+    double a1 = lo, b1 = hi;
+    for (int it = 0; it < 100; ++it) {
+      const double m1 = a1 + (b1 - a1) / 3.0;
+      const double m2 = b1 - (b1 - a1) / 3.0;
+      if (plain_dist2(sp.center, a, m1, target) <
+          plain_dist2(sp.center, a, m2, target)) {
+        b1 = m2;
+      } else {
+        a1 = m1;
+      }
+    }
+    const double theta_min = 0.5 * (a1 + b1);
+    if (plain_dist2(sp.center, a, theta_min, target) > eps2) continue;
+    return plain_refine(sp, a, target, eps2, lo, theta_min);
+  }
+  return std::nullopt;
+}
+
+/// The plain form of spiral_first_sighting_at.
+std::optional<Time> plain_sighting_at(const SpiralMove& sp, Vec2 target,
+                                      double eps, double theta_end) {
+  if ((target - sp.center).norm() <= eps) return 0.0;
+  if (sp.duration <= 0) return std::nullopt;
+  return plain_scan(sp, target, eps, 0.0, theta_end);
+}
+
+/// The plain form of first_sighting_from on a spiral, from > 0.
+std::optional<Time> plain_sighting_from(const SpiralMove& sp, Vec2 target,
+                                        double eps, Time from) {
+  if (from >= sp.duration) return std::nullopt;
+  if ((move_position_at(Move{sp}, from) - target).norm2() <= eps * eps) {
+    return from;
+  }
+  const double a = sp.pitch / kTwoPi;
+  return plain_scan(sp, target, eps, spiral_theta_for_arc(a, from),
+                    spiral_theta_for_arc(a, sp.duration));
+}
+
+bool same_bits(std::optional<Time> x, std::optional<Time> y) {
+  if (x.has_value() != y.has_value()) return false;
+  return !x || std::bit_cast<std::uint64_t>(*x) ==
+                   std::bit_cast<std::uint64_t>(*y);
+}
+
+TEST(SpiralScanPin, SameBitsAsThePlainScanOnSeededInstances) {
+  // 12000 instances, three quarters in the dense regime (d <= 50 pitch).
+  // Each draws a pitch and an eps off 1, a center up to 10^4 out, and one of
+  // four shapes: a uniform target in the annulus the spiral sweeps, a
+  // grazing target whose nearest approach to the curve is within 1e-9 of
+  // eps, a target whose annulus the budget cuts (theta_end < theta_hi), or
+  // a deep-regime target. Every instance is also run from an arc offset
+  // into the move (theta_begin > 0) through first_sighting_from.
+  rng::Rng rng(2505);
+  int hits = 0, clamped = 0, grazes = 0, windowed_hits = 0, dense = 0;
+  constexpr int kInstances = 12000;
+  for (int iter = 0; iter < kInstances; ++iter) {
+    const double pitch = rng.uniform_real(0.3, 3.0);
+    const double eps = pitch * rng.uniform_real(0.2, 1.2);
+    const double a = pitch / kTwoPi;
+    const Vec2 center =
+        rng.bernoulli(0.5)
+            ? Vec2{rng.uniform_real(-1e4, 1e4), rng.uniform_real(-1e4, 1e4)}
+            : Vec2{rng.uniform_real(-3, 3), rng.uniform_real(-3, 3)};
+    const int shape = static_cast<int>(rng.uniform_u64(4));
+    Vec2 target;
+    double duration;
+    if (shape == 3) {
+      // Deep regime: past 50 coils, budget over the annulus.
+      const double d = pitch * rng.uniform_real(50.5, 56.0);
+      target = center + unit(rng.angle()) * d;
+      duration = spiral_arc_length(a, (d + 2 * eps) / a);
+    } else if (shape == 1) {
+      // Graze: offset from the curve along its normal by eps +- 1e-9.
+      const double theta = rng.uniform_real(2.0, 40.0 * kTwoPi);
+      const Vec2 p = spiral_point_at(center, a, theta);
+      const Vec2 tangent{std::cos(theta) - theta * std::sin(theta),
+                         std::sin(theta) + theta * std::cos(theta)};
+      const Vec2 normal = Vec2{tangent.y, -tangent.x} *
+                          (1.0 / tangent.norm()) *
+                          (rng.bernoulli(0.5) ? 1.0 : -1.0);
+      target = p + normal * (eps + rng.uniform_real(-1e-9, 1e-9));
+      duration = spiral_arc_length(a, theta + rng.uniform_real(0.0, 20.0));
+      ++grazes;
+    } else {
+      const double d = pitch * rng.uniform_real(0.0, 50.0);
+      target = center + unit(rng.angle()) * d;
+      const double theta_hi = (d + eps) / a;
+      // Shape 2 ends the budget inside the annulus, so the scan clamps.
+      const double theta_end =
+          shape == 2 ? std::max(0.0, (d - eps) / a) +
+                           rng.uniform_real(0.0, 2.0 * eps / a)
+                     : theta_hi + rng.uniform_real(0.0, 10.0);
+      duration = spiral_arc_length(a, theta_end);
+    }
+    const SpiralMove sp{center, pitch, duration};
+    const double theta_end = spiral_theta_for_arc(a, duration);
+    const double d = (target - center).norm();
+    dense += d <= 50.0 * pitch;
+    clamped += theta_end < (d + eps) / a;
+
+    const auto want = plain_sighting_at(sp, target, eps, theta_end);
+    const auto got = spiral_first_sighting_at(sp, target, eps, theta_end);
+    ASSERT_TRUE(same_bits(got, want)) << "iter " << iter;
+    hits += want.has_value();
+
+    const Time from = duration * rng.uniform_real(0.0, 1.0);
+    if (from <= 0) continue;
+    const auto want_from = plain_sighting_from(sp, target, eps, from);
+    const auto got_from = first_sighting_from(Move{sp}, target, eps, from);
+    ASSERT_TRUE(same_bits(got_from, want_from)) << "iter " << iter << " from";
+    windowed_hits += want_from.has_value();
+  }
+  // The mix must exercise every path it claims to.
+  EXPECT_GT(dense, kInstances * 7 / 10);
+  EXPECT_GT(hits, kInstances / 4);
+  EXPECT_GT(kInstances - hits, kInstances / 10);
+  EXPECT_GT(clamped, kInstances / 5);
+  EXPECT_GT(grazes, kInstances / 5);
+  EXPECT_GT(windowed_hits, kInstances / 10);
 }
 
 // ---------------------------------------------------------------------------

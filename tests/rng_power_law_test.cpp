@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -137,6 +138,95 @@ TEST(PowerLaw, HarmonicRadiusLawExponent) {
     sum += static_cast<double>(law.sample(rng));
   }
   EXPECT_LT(sum / n, 50.0);  // E[r] = zeta-ish constant, well under 50
+}
+
+/// The sampler before the acceptance table: every proposal's acceptance is a
+/// pow, and the octave weights are summed here as the law's table sums them.
+class PlainPowerLaw {
+ public:
+  PlainPowerLaw(double e, std::int64_t r_max) : e_(e), r_max_(r_max) {
+    for (std::int64_t lo = 1; lo <= r_max_; lo <<= 1) {
+      const std::int64_t hi = std::min(r_max_ + 1, lo << 1);
+      total_ += (hi - lo) <= (std::int64_t{1} << 18) ? exact(lo, hi)
+                                                      : integral(lo, hi);
+      lo_.push_back(lo);
+      cum_.push_back(total_);
+    }
+  }
+
+  double total() const { return total_; }
+
+  std::int64_t sample(Rng& rng) const {
+    const double u = rng.uniform_unit() * total_;
+    const auto it = std::lower_bound(cum_.begin(), cum_.end(), u);
+    const std::size_t o = it == cum_.end()
+                              ? cum_.size() - 1
+                              : static_cast<std::size_t>(it - cum_.begin());
+    const std::int64_t lo = lo_[o];
+    const std::int64_t hi = std::min(r_max_ + 1, lo << 1);
+    for (;;) {
+      const std::int64_t r = lo + static_cast<std::int64_t>(rng.uniform_u64(
+                                      static_cast<std::uint64_t>(hi - lo)));
+      const double accept = std::pow(static_cast<double>(lo) / r, e_);
+      if (rng.uniform_unit() < accept) return r;
+    }
+  }
+
+ private:
+  double exact(std::int64_t lo, std::int64_t hi) const {
+    double w = 0;
+    for (std::int64_t r = hi - 1; r >= lo; --r) {
+      w += std::pow(static_cast<double>(r), -e_);
+    }
+    return w;
+  }
+
+  double integral(std::int64_t lo, std::int64_t hi) const {
+    const double e = e_;
+    const auto f = [e](double x) { return std::pow(x, -e); };
+    const auto fp = [e](double x) { return -e * std::pow(x, -(e + 1)); };
+    const auto a = static_cast<double>(lo);
+    const auto b = static_cast<double>(hi);
+    const double integral =
+        (std::pow(a, 1 - e) - std::pow(b, 1 - e)) / (e - 1);
+    return integral + (f(a) - f(b)) / 2 + (fp(b) - fp(a)) / 12;
+  }
+
+  double e_;
+  std::int64_t r_max_;
+  double total_ = 0;
+  std::vector<std::int64_t> lo_;
+  std::vector<double> cum_;
+};
+
+TEST(PowerLaw, TabledAcceptanceDrawsThePlainSamplersRadii) {
+  // Draw for draw from one seed: the same radii in the same order, and the
+  // rngs left in the same state. r_max 1023/1024/1025 put the table's last
+  // entry, the first untabled octave and a one-radius octave at the edge.
+  for (const double e : {1.1, 1.5, 2.5}) {
+    for (const std::int64_t r_max :
+         {std::int64_t{1}, std::int64_t{2}, std::int64_t{1023},
+          std::int64_t{1024}, std::int64_t{1025}, std::int64_t{1} << 45}) {
+      const DiscretePowerLaw law(e, r_max);
+      const PlainPowerLaw plain(e, r_max);
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(law.total_weight()),
+                std::bit_cast<std::uint64_t>(plain.total()))
+          << e << " " << r_max;
+      Rng rng_law(2025), rng_plain(2025);
+      std::int64_t past_table = 0;
+      for (int i = 0; i < 100000; ++i) {
+        const std::int64_t r = law.sample(rng_law);
+        ASSERT_EQ(r, plain.sample(rng_plain)) << e << " " << r_max << " " << i;
+        past_table += r >= 1024;
+      }
+      EXPECT_EQ(rng_law.uniform_u64(~std::uint64_t{0}),
+                rng_plain.uniform_u64(~std::uint64_t{0}));
+      // The untabled pow branch runs too (P(r >= 1024) is ~1e-5 at 2.5).
+      if (r_max == (std::int64_t{1} << 45) && e < 2.0) {
+        EXPECT_GT(past_table, 0) << e;
+      }
+    }
+  }
 }
 
 /// Everything observable about a law, doubles as bit patterns so equality

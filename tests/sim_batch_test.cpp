@@ -328,7 +328,7 @@ TEST(BatchKernels, LineCandidatesAreSupersetOfSightings) {
                             d.x * inv, d.y * inv, 1.0, cand.data());
       for (std::size_t i = 0; i < n; ++i) {
         const auto hit =
-            plane::line_first_sighting(line, {tx[i], ty[i]}, 1.0);
+            plane::line_first_sighting(line, len, {tx[i], ty[i]}, 1.0);
         if (!hit) continue;
         bool present = false;
         for (std::size_t c = 0; c < nc; ++c) present |= (cand[c] == i);
