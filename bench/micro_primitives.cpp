@@ -76,9 +76,25 @@ void BM_PowerLawSample(benchmark::State& state) {
 }
 BENCHMARK(BM_PowerLawSample);
 
+// One unmemoised octave-table build at the harmonic default (exponent 1.5,
+// r_max 2^45): what the first law of each (exponent, r_max) costs a
+// process. The exponent passes through DoNotOptimize so the build is not
+// folded; it stays fixed, since build_table bypasses the memo anyway.
+void BM_PowerLawTableBuild(benchmark::State& state) {
+  double exponent = 1.5;
+  const std::int64_t r_max = std::int64_t{1} << 45;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(exponent);
+    benchmark::DoNotOptimize(
+        ants::rng::DiscretePowerLaw::build_table(exponent, r_max));
+  }
+}
+BENCHMARK(BM_PowerLawTableBuild)->Unit(benchmark::kMicrosecond);
+
 // Strategy setup cost: one registry build of the harmonic strategy. Its
-// radius law's octave table (~2^19 pow calls) is memoised per process, so
-// after the first iteration this times the parse + factory + table lookup.
+// radius law's octave table (BM_PowerLawTableBuild) is memoised per
+// process, so after the first iteration this times the parse + factory +
+// table lookup.
 void BM_RegistryMakeHarmonic(benchmark::State& state) {
   const ants::scenario::Registry& registry =
       ants::scenario::Registry::instance();

@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "util/format.h"
 #include "util/sat.h"
 
 namespace ants::sim {
@@ -14,10 +13,6 @@ std::vector<Time> SyncStart::draw(int k, rng::Rng&) const {
 
 StaggeredStart::StaggeredStart(Time gap) : gap_(gap) {
   if (gap < 0) throw std::invalid_argument("StaggeredStart: gap must be >= 0");
-}
-
-std::string StaggeredStart::name() const {
-  return "staggered(gap=" + std::to_string(gap_) + ")";
 }
 
 std::vector<Time> StaggeredStart::draw(int k, rng::Rng&) const {
@@ -32,10 +27,6 @@ UniformRandomStart::UniformRandomStart(Time max_delay) : max_delay_(max_delay) {
   if (max_delay < 0) {
     throw std::invalid_argument("UniformRandomStart: max_delay must be >= 0");
   }
-}
-
-std::string UniformRandomStart::name() const {
-  return "uniform-start(max=" + std::to_string(max_delay_) + ")";
 }
 
 std::vector<Time> UniformRandomStart::draw(int k, rng::Rng& rng) const {
@@ -65,8 +56,6 @@ DoaCrash::DoaCrash(double p) : p_(p) {
   if (p < 0 || p > 1) throw std::invalid_argument("DoaCrash: p must be in [0,1]");
 }
 
-std::string DoaCrash::name() const { return "doa(p=" + util::fmt_param(p_) + ")"; }
-
 std::vector<Time> DoaCrash::draw_lifetimes(int k, rng::Rng& rng) const {
   std::vector<Time> lifetimes(static_cast<std::size_t>(k));
   for (auto& l : lifetimes) l = rng.bernoulli(p_) ? 0 : kNeverTime;
@@ -77,10 +66,6 @@ ExponentialLifetime::ExponentialLifetime(double mean) : mean_(mean) {
   if (!(mean > 0)) {
     throw std::invalid_argument("ExponentialLifetime: mean must be > 0");
   }
-}
-
-std::string ExponentialLifetime::name() const {
-  return "exp-life(mean=" + util::fmt_param(mean_) + ")";
 }
 
 std::vector<Time> ExponentialLifetime::draw_lifetimes(int k,
@@ -96,10 +81,6 @@ FixedLifetime::FixedLifetime(Time lifetime) : lifetime_(lifetime) {
   if (lifetime < 0) {
     throw std::invalid_argument("FixedLifetime: lifetime must be >= 0");
   }
-}
-
-std::string FixedLifetime::name() const {
-  return "fixed-life(" + std::to_string(lifetime_) + ")";
 }
 
 std::vector<Time> FixedLifetime::draw_lifetimes(int k, rng::Rng&) const {

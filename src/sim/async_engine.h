@@ -30,7 +30,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "rng/rng.h"
@@ -44,7 +43,6 @@ namespace ants::sim {
 class StartSchedule {
  public:
   virtual ~StartSchedule() = default;
-  virtual std::string name() const = 0;
   /// k start delays (>= 0), one per agent. Must be deterministic given rng.
   virtual std::vector<Time> draw(int k, rng::Rng& rng) const = 0;
 };
@@ -52,7 +50,6 @@ class StartSchedule {
 /// Everybody at t = 0 (the paper's base model).
 class SyncStart final : public StartSchedule {
  public:
-  std::string name() const override { return "sync"; }
   std::vector<Time> draw(int k, rng::Rng& rng) const override;
 };
 
@@ -62,7 +59,6 @@ class SyncStart final : public StartSchedule {
 class StaggeredStart final : public StartSchedule {
  public:
   explicit StaggeredStart(Time gap);
-  std::string name() const override;
   std::vector<Time> draw(int k, rng::Rng& rng) const override;
 
  private:
@@ -73,7 +69,6 @@ class StaggeredStart final : public StartSchedule {
 class UniformRandomStart final : public StartSchedule {
  public:
   explicit UniformRandomStart(Time max_delay);
-  std::string name() const override;
   std::vector<Time> draw(int k, rng::Rng& rng) const override;
 
  private:
@@ -84,7 +79,6 @@ class UniformRandomStart final : public StartSchedule {
 class FixedStart final : public StartSchedule {
  public:
   explicit FixedStart(std::vector<Time> delays);
-  std::string name() const override { return "fixed"; }
   std::vector<Time> draw(int k, rng::Rng& rng) const override;
 
  private:
@@ -97,14 +91,12 @@ class FixedStart final : public StartSchedule {
 class CrashModel {
  public:
   virtual ~CrashModel() = default;
-  virtual std::string name() const = 0;
   virtual std::vector<Time> draw_lifetimes(int k, rng::Rng& rng) const = 0;
 };
 
 /// No failures (the paper's base model).
 class NoCrash final : public CrashModel {
  public:
-  std::string name() const override { return "no-crash"; }
   std::vector<Time> draw_lifetimes(int k, rng::Rng& rng) const override;
 };
 
@@ -113,7 +105,6 @@ class NoCrash final : public CrashModel {
 class DoaCrash final : public CrashModel {
  public:
   explicit DoaCrash(double p);
-  std::string name() const override;
   std::vector<Time> draw_lifetimes(int k, rng::Rng& rng) const override;
 
  private:
@@ -124,7 +115,6 @@ class DoaCrash final : public CrashModel {
 class ExponentialLifetime final : public CrashModel {
  public:
   explicit ExponentialLifetime(double mean);
-  std::string name() const override;
   std::vector<Time> draw_lifetimes(int k, rng::Rng& rng) const override;
 
  private:
@@ -135,7 +125,6 @@ class ExponentialLifetime final : public CrashModel {
 class FixedLifetime final : public CrashModel {
  public:
   explicit FixedLifetime(Time lifetime);
-  std::string name() const override;
   std::vector<Time> draw_lifetimes(int k, rng::Rng& rng) const override;
 
  private:

@@ -9,7 +9,6 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
-#include <limits>
 
 namespace ants::util {
 
@@ -63,7 +62,8 @@ constexpr std::int64_t ipow(std::int64_t base, int exp) noexcept {
   assert(exp >= 0);
   std::int64_t r = 1;
   for (int i = 0; i < exp; ++i) {
-    assert(base == 0 || r <= std::numeric_limits<std::int64_t>::max() / base);
+    [[maybe_unused]] std::int64_t product = 0;
+    assert(!__builtin_mul_overflow(r, base, &product));
     r *= base;
   }
   return r;

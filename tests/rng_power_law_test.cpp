@@ -110,20 +110,107 @@ TEST(PowerLaw, EmpiricalTailExponent) {
   EXPECT_GT(fit.r_squared, 0.98);
 }
 
+/// Neumaier's compensated sum: the reference the Euler-Maclaurin octaves
+/// are checked against.
+class CompensatedSum {
+ public:
+  void add(double term) {
+    const double next = sum_ + term;
+    comp_ += std::abs(sum_) >= std::abs(term) ? (sum_ - next) + term
+                                              : (term - next) + sum_;
+    sum_ = next;
+  }
+  double value() const { return sum_ + comp_; }
+
+ private:
+  double sum_ = 0;
+  double comp_ = 0;
+};
+
+/// sum_{r=lo}^{hi-1} r^-e term by term, compensated.
+double compensated_sum(double e, std::int64_t lo, std::int64_t hi) {
+  CompensatedSum sum;
+  for (std::int64_t r = lo; r < hi; ++r) {
+    sum.add(std::pow(static_cast<double>(r), -e));
+  }
+  return sum.value();
+}
+
 TEST(PowerLaw, OctaveWeightsConsistentAcrossExactIntegralBoundary) {
-  // The same distribution built with different truncations must agree on
-  // shared prefix probabilities (exercises exact + Euler-Maclaurin paths).
-  const DiscretePowerLaw small(1.4, std::int64_t{1} << 19);
+  // At exponent 1.4 the octaves below 2^10 are summed exactly and those
+  // from 2^10 on by Euler-Maclaurin; r_max 2^16 puts six E-M octaves and a
+  // one-radius octave after the exact ones.
+  ASSERT_EQ(DiscretePowerLaw::euler_maclaurin_start(1.4), 1024);
+  const DiscretePowerLaw small(1.4, std::int64_t{1} << 16);
   const DiscretePowerLaw large(1.4, std::int64_t{1} << 26);
   // Ratios p(r)/p(1) are truncation-independent.
-  for (const std::int64_t r : {std::int64_t{2}, std::int64_t{64},
-                               std::int64_t{4096}, std::int64_t{1} << 18}) {
+  for (const std::int64_t r :
+       {std::int64_t{2}, std::int64_t{64}, std::int64_t{1023},
+        std::int64_t{1024}, std::int64_t{1} << 15}) {
     EXPECT_NEAR(small.pmf(r) / small.pmf(1), large.pmf(r) / large.pmf(1),
                 1e-12);
   }
-  // Total weights differ only by the (tiny) tail beyond 2^19.
+  // The total across the boundary is the term-by-term sum.
+  EXPECT_NEAR(small.total_weight() / compensated_sum(1.4, 1, (1 << 16) + 1),
+              1.0, 1e-12);
+  // Total weights differ only by the (tiny) tail beyond 2^16.
   EXPECT_GT(large.total_weight(), small.total_weight());
   EXPECT_NEAR(large.total_weight() / small.total_weight(), 1.0, 1e-2);
+}
+
+TEST(PowerLaw, EulerMaclaurinOctavesMatchCompensatedSums) {
+  // Every octave the table weighs by Euler-Maclaurin, from the exponent's
+  // E-M start through [2^23, 2^24), and partial octaves of 1, 7 and a third
+  // of lo terms, is within 1e-12 relative of the term-by-term compensated
+  // sum. A full octave's even terms (2j)^-e = 2^-e j^-e sum to 2^-e times
+  // the octave below's reference, so only its odd terms take a pow (a few
+  // ulp of reference error, far below the bound): about 2^23 pows per
+  // exponent, one thread per exponent.
+  constexpr double kBound = 1e-12;
+  const std::vector<double> exponents = {1.05, 1.1, 1.5, 1.8, 2.0, 3.0, 6.0};
+  std::vector<double> worst(exponents.size(), 0);
+  std::vector<std::int64_t> checked(exponents.size(), 0);
+  std::vector<std::thread> threads;
+  for (std::size_t i = 0; i < exponents.size(); ++i) {
+    threads.emplace_back([&, i] {
+      const double e = exponents[i];
+      const auto check = [&](std::int64_t lo, std::int64_t hi, double exact) {
+        const double rel =
+            std::abs(DiscretePowerLaw::octave_weight(e, lo, hi) - exact) /
+            exact;
+        worst[i] = std::max(worst[i], rel);
+        ++checked[i];
+      };
+      const std::int64_t start = DiscretePowerLaw::euler_maclaurin_start(e);
+      check(start, start + start / 3,
+            compensated_sum(e, start, start + start / 3));
+      double below = compensated_sum(e, start / 2, start);
+      for (std::int64_t lo = start; lo < (std::int64_t{1} << 24); lo <<= 1) {
+        check(lo, lo + 1, compensated_sum(e, lo, lo + 1));
+        check(lo, lo + 7, compensated_sum(e, lo, lo + 7));
+        CompensatedSum octave;
+        octave.add(std::exp2(-e) * below);
+        for (std::int64_t r = lo + 1; r < lo << 1; r += 2) {
+          octave.add(std::pow(static_cast<double>(r), -e));
+        }
+        below = octave.value();
+        check(lo, lo << 1, below);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t i = 0; i < exponents.size(); ++i) {
+    EXPECT_GE(checked[i], 30) << exponents[i];
+    EXPECT_LE(worst[i], kBound) << exponents[i];
+  }
+}
+
+TEST(PowerLaw, EulerMaclaurinStartGrowsWithTheExponent) {
+  EXPECT_EQ(DiscretePowerLaw::euler_maclaurin_start(1.05), 1024);
+  EXPECT_EQ(DiscretePowerLaw::euler_maclaurin_start(1.5), 1024);
+  EXPECT_EQ(DiscretePowerLaw::euler_maclaurin_start(2.0), 1024);
+  EXPECT_EQ(DiscretePowerLaw::euler_maclaurin_start(3.0), 2048);
+  EXPECT_EQ(DiscretePowerLaw::euler_maclaurin_start(6.0), 4096);
 }
 
 TEST(PowerLaw, HarmonicRadiusLawExponent) {
@@ -141,14 +228,15 @@ TEST(PowerLaw, HarmonicRadiusLawExponent) {
 }
 
 /// The sampler before the acceptance table: every proposal's acceptance is a
-/// pow, and the octave weights are summed here as the law's table sums them.
+/// pow, and the octave weights are summed here as the law's table sums them:
+/// exactly below the exponent's Euler-Maclaurin start, by E-M from it on.
 class PlainPowerLaw {
  public:
   PlainPowerLaw(double e, std::int64_t r_max) : e_(e), r_max_(r_max) {
+    const std::int64_t em_start = DiscretePowerLaw::euler_maclaurin_start(e);
     for (std::int64_t lo = 1; lo <= r_max_; lo <<= 1) {
       const std::int64_t hi = std::min(r_max_ + 1, lo << 1);
-      total_ += (hi - lo) <= (std::int64_t{1} << 18) ? exact(lo, hi)
-                                                      : integral(lo, hi);
+      total_ += lo < em_start ? exact(lo, hi) : integral(lo, hi);
       lo_.push_back(lo);
       cum_.push_back(total_);
     }
@@ -187,8 +275,9 @@ class PlainPowerLaw {
     const auto fp = [e](double x) { return -e * std::pow(x, -(e + 1)); };
     const auto a = static_cast<double>(lo);
     const auto b = static_cast<double>(hi);
-    const double integral =
-        (std::pow(a, 1 - e) - std::pow(b, 1 - e)) / (e - 1);
+    const double integral = -std::pow(a, 1 - e) *
+                            std::expm1((1 - e) * std::log1p((b - a) / a)) /
+                            (e - 1);
     return integral + (f(a) - f(b)) / 2 + (fp(b) - fp(a)) / 12;
   }
 

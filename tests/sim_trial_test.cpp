@@ -373,19 +373,20 @@ TEST(TrialConformance, SegmentBackendMatchesOldAsyncEngineByteForByte) {
   EngineConfig config;
   config.time_cap = 200'000;
   for (const Strategy* s : strategies) {
-    for (const StartSchedule* sched : schedules) {
-      for (const CrashModel* crash : crashes) {
+    for (std::size_t si = 0; si < std::size(schedules); ++si) {
+      for (std::size_t ci = 0; ci < std::size(crashes); ++ci) {
+        const StartSchedule& sched = *schedules[si];
+        const CrashModel& crash = *crashes[ci];
         for (std::uint64_t seed = 0; seed < 8; ++seed) {
           const rng::Rng trial(seed * 7 + 2);
           const TrialResult ref = reference_async_search(
-              *s, 6, Point{9, -4}, trial, *sched, *crash, config);
+              *s, 6, Point{9, -4}, trial, sched, crash, config);
           const TrialResult r = run_trial(
-              *s, 6,
-              draw_environment(6, {Point{9, -4}}, *sched, *crash, trial),
+              *s, 6, draw_environment(6, {Point{9, -4}}, sched, crash, trial),
               trial, config);
           ASSERT_EQ(r.found, ref.found)
-              << s->name() << " " << sched->name() << " " << crash->name()
-              << " " << seed;
+              << s->name() << " schedule " << si << " crash " << ci << " "
+              << seed;
           ASSERT_EQ(r.time, ref.time);
           ASSERT_EQ(r.finder, ref.finder);
           ASSERT_EQ(r.first_target, ref.first_target);

@@ -82,6 +82,9 @@ TEST(Pow2AndIpow, Basics) {
   EXPECT_EQ(ipow(2, 20), 1 << 20);
   EXPECT_EQ(ipow(0, 5), 0);
   EXPECT_EQ(ipow(-2, 3), -8);
+  // Near overflow with a negative base, and the one power at INT64_MIN.
+  EXPECT_EQ(ipow(-3, 39), -4052555153018976267);
+  EXPECT_EQ(ipow(-2, 63), std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(DivCeil, RoundsUp) {
