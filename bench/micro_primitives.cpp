@@ -142,7 +142,9 @@ const bool kProgramNextRegistered = [] {
   for (const auto& [name, spec] :
        {std::pair{"known-k", "known-k"},
         std::pair{"uniform", "uniform(eps=0.5)"},
-        std::pair{"harmonic", "harmonic(delta=0.5)"}}) {
+        std::pair{"harmonic", "harmonic(delta=0.5)"},
+        std::pair{"lowmem-uniform", "lowmem-uniform(eps=0.5)"},
+        std::pair{"approx-k", "approx-k(rho=2, mode=log-uniform)"}}) {
     benchmark::RegisterBenchmark(
         (std::string("BM_ProgramNext/") + name).c_str(), BM_ProgramNext,
         spec);

@@ -6,7 +6,6 @@
 
 #include "core/known_k.h"
 #include "grid/ball.h"
-#include "util/sat.h"
 
 namespace ants::baselines {
 
@@ -26,77 +25,48 @@ std::vector<grid::Point> random_walk_steps(rng::Rng& rng, grid::Point from,
   return path;
 }
 
-// A_k's schedule via a borrowed KnownKStrategy; local search is a
-// materialized random walk instead of a spiral.
-class RandomLocalProgram final : public sim::AgentProgram {
- public:
-  explicit RandomLocalProgram(std::int64_t k_belief) : schedule_(k_belief) {}
+// A_k's trip with the spiral swapped for a materialized random walk from
+// the trip's node.
+struct RandomLocalLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kLocal;
-        const std::int64_t radius = schedule_.ball_radius(i_);
-        target_ = grid::uniform_ball_point(rng, radius);
-        return sim::GoTo{target_};
-      }
-      case Step::kLocal: {
-        step_ = Step::kReturn;
-        // Same step budget as the spiral would get; capped to keep the
-        // materialized path affordable (the ablation is run at small i).
-        const sim::Time budget =
-            std::min<sim::Time>(schedule_.spiral_budget(i_), 1 << 22);
-        return sim::FollowPath{random_walk_steps(rng, target_, budget)};
-      }
-      default:
-        step_ = Step::kGoTo;
-        if (i_ < j_) {
-          ++i_;
-        } else {
-          ++j_;
-          i_ = 1;
-        }
-        return sim::ReturnToSource{};
-    }
+  core::KnownKLaw known;
+  grid::Point target{};
+
+  sim::GoTo destination(rng::Rng& rng) {
+    const sim::GoTo go = known.destination(rng);
+    target = go.target;
+    return go;
   }
-
- private:
-  enum class Step { kGoTo, kLocal, kReturn };
-
-  core::KnownKStrategy schedule_;
-  grid::Point target_{};
-  int j_ = 1;
-  int i_ = 1;
-  Step step_ = Step::kGoTo;
+  sim::FollowPath search(rng::Rng& rng) const {
+    // Same step budget as the spiral would get; capped to keep the
+    // materialized path affordable (the ablation is run at small i).
+    const sim::Time budget = std::min<sim::Time>(
+        core::KnownKStrategy::spiral_budget(known.phases.i, known.k), 1 << 22);
+    return {random_walk_steps(rng, target, budget)};
+  }
+  void advance() noexcept { known.advance(); }
 };
 
-// A_k minus the ReturnToSource op.
+// A_k minus the ReturnToSource op: not a trip, so a program of its own.
 class NoReturnProgram final : public sim::AgentProgram {
  public:
-  explicit NoReturnProgram(std::int64_t k_belief) : schedule_(k_belief) {}
+  explicit NoReturnProgram(std::int64_t k_belief) : law_{k_belief} {}
 
   sim::Op next(rng::Rng& rng) override {
     if (go_phase_) {
       go_phase_ = false;
-      const std::int64_t radius = schedule_.ball_radius(i_);
-      return sim::GoTo{grid::uniform_ball_point(rng, radius)};
+      return law_.destination(rng);
     }
     go_phase_ = true;
-    const sim::Time budget = schedule_.spiral_budget(i_);
-    if (i_ < j_) {
-      ++i_;
-    } else {
-      ++j_;
-      i_ = 1;
-    }
-    return sim::SpiralFor{budget};
+    const sim::SpiralFor spiral = law_.search(rng);
+    law_.advance();
+    return spiral;
   }
 
  private:
-  core::KnownKStrategy schedule_;
+  core::KnownKLaw law_;
   bool go_phase_ = true;
-  int j_ = 1;
-  int i_ = 1;
 };
 
 }  // namespace
@@ -114,7 +84,8 @@ std::string KnownKRandomLocalStrategy::name() const {
 
 std::unique_ptr<sim::AgentProgram> KnownKRandomLocalStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<RandomLocalProgram>(k_belief_);
+  return std::make_unique<core::TripProgram<RandomLocalLaw>>(
+      RandomLocalLaw{core::KnownKLaw{k_belief_}});
 }
 
 KnownKNoReturnStrategy::KnownKNoReturnStrategy(std::int64_t k_belief)

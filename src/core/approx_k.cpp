@@ -3,35 +3,30 @@
 #include "util/format.h"
 
 #include <cmath>
-#include <optional>
 #include <stdexcept>
 
 namespace ants::core {
 
 namespace {
 
-// Each agent owns a KnownK program constructed from its private estimate;
-// the wrapper forwards ops, so an ApproxK agent is exactly an A_{k_a/rho}
-// agent as the corollary prescribes. The estimate is the agent's input,
-// drawn lazily from its private stream so that log-uniform assignments vary
+// An approx-k agent is exactly an A_{k_a/rho} agent, as the corollary
+// prescribes. The estimate k_a is the agent's input, drawn in its first
+// destination from its private stream so that log-uniform assignments vary
 // across trials yet stay reproducible.
-class ApproxKProgram final : public sim::AgentProgram {
- public:
-  explicit ApproxKProgram(const ApproxKStrategy& outer) : outer_(outer) {}
+struct ApproxKLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    if (!inner_) {
-      inner_strategy_.emplace(
-          outer_.parameter_for_estimate(outer_.draw_estimate(rng)));
-      inner_ = inner_strategy_->make_program(sim::AgentContext{});
+  const ApproxKStrategy& strategy;
+  KnownKLaw known{0};  ///< k = 0 until the estimate is drawn
+
+  sim::GoTo destination(rng::Rng& rng) {
+    if (known.k == 0) {
+      known.k = strategy.parameter_for_estimate(strategy.draw_estimate(rng));
     }
-    return inner_->next(rng);
+    return known.destination(rng);
   }
-
- private:
-  const ApproxKStrategy& outer_;
-  std::optional<KnownKStrategy> inner_strategy_;
-  std::unique_ptr<sim::AgentProgram> inner_;
+  sim::SpiralFor search(rng::Rng& rng) const { return known.search(rng); }
+  void advance() noexcept { known.advance(); }
 };
 
 }  // namespace
@@ -73,7 +68,7 @@ double ApproxKStrategy::draw_estimate(rng::Rng& rng) const {
 
 std::unique_ptr<sim::AgentProgram> ApproxKStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<ApproxKProgram>(*this);
+  return std::make_unique<TripProgram<ApproxKLaw>>(ApproxKLaw{*this});
 }
 
 }  // namespace ants::core

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/trip.h"
 #include "grid/ball.h"
 #include "util/sat.h"
 
@@ -12,33 +13,22 @@ namespace ants::core {
 
 namespace {
 
-class HarmonicProgram final : public sim::AgentProgram {
- public:
-  explicit HarmonicProgram(const HarmonicStrategy& strategy)
-      : strategy_(strategy) {}
+// Algorithm 2's trip: a power-law radius r, a uniform node of the ring of
+// radius r, a spiral of r^(2+delta).
+struct HarmonicLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        radius_ = strategy_.radius_law().sample(rng);
-        return sim::GoTo{grid::uniform_ring_point(rng, radius_)};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.spiral_budget(radius_)};
-      default:
-        step_ = Step::kGoTo;
-        return sim::ReturnToSource{};
-    }
+  const HarmonicStrategy& strategy;
+  std::int64_t radius = 1;
+
+  sim::GoTo destination(rng::Rng& rng) {
+    radius = strategy.radius_law().sample(rng);
+    return {grid::uniform_ring_point(rng, radius)};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  const HarmonicStrategy& strategy_;
-  std::int64_t radius_ = 1;
-  Step step_ = Step::kGoTo;
+  sim::SpiralFor search(rng::Rng& /*rng*/) const {
+    return {strategy.spiral_budget(radius)};
+  }
+  void advance() noexcept {}
 };
 
 }  // namespace
@@ -55,7 +45,7 @@ std::string HarmonicStrategy::name() const {
 std::unique_ptr<sim::AgentProgram> HarmonicStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
   // Uniform algorithm: identical program for every agent, no use of ctx.k.
-  return std::make_unique<HarmonicProgram>(*this);
+  return std::make_unique<TripProgram<HarmonicLaw>>(HarmonicLaw{*this});
 }
 
 sim::Time HarmonicStrategy::spiral_budget(std::int64_t radius) const noexcept {

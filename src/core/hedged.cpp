@@ -6,7 +6,8 @@
 #include <cmath>
 #include <stdexcept>
 
-#include "core/params.h"
+#include "core/known_k.h"
+#include "core/trip.h"
 #include "grid/ball.h"
 #include "util/sat.h"
 
@@ -14,55 +15,38 @@ namespace ants::core {
 
 namespace {
 
-class HedgedProgram final : public sim::AgentProgram {
- public:
-  explicit HedgedProgram(const HedgedApproxStrategy& strategy)
-      : strategy_(strategy) {}
+// A_k's trip, with the spiral budget of the current candidate guess.
+struct HedgedLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        return sim::GoTo{
-            grid::uniform_ball_point(rng, strategy_.ball_radius(i_))};
-      }
-      case Step::kSpiral: {
-        step_ = Step::kReturn;
-        const int j = strategy_.candidate_exponents()[candidate_];
-        return sim::SpiralFor{strategy_.spiral_budget(i_, j)};
-      }
-      default:
-        step_ = Step::kGoTo;
-        advance();
-        return sim::ReturnToSource{};
-    }
+  const HedgedApproxStrategy& strategy;
+  int stage = 1;
+  int i = 1;
+  std::size_t candidate = 0;
+
+  sim::GoTo destination(rng::Rng& rng) const {
+    return {grid::uniform_ball_point(rng, strategy.ball_radius(i))};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  void advance() {
+  sim::SpiralFor search(rng::Rng& /*rng*/) const {
+    return {strategy.spiral_budget(i,
+                                   strategy.candidate_exponents()[candidate])};
+  }
+  void advance() noexcept {
     // Innermost: candidate guesses; then phases i in [1, stage]; then
     // unbounded stages — exactly A_k's schedule with a candidate loop
     // spliced in.
-    if (candidate_ + 1 < strategy_.candidate_exponents().size()) {
-      ++candidate_;
+    if (candidate + 1 < strategy.candidate_exponents().size()) {
+      ++candidate;
       return;
     }
-    candidate_ = 0;
-    if (i_ < stage_) {
-      ++i_;
+    candidate = 0;
+    if (i < stage) {
+      ++i;
       return;
     }
-    i_ = 1;
-    ++stage_;
+    i = 1;
+    ++stage;
   }
-
-  const HedgedApproxStrategy& strategy_;
-  int stage_ = 1;
-  int i_ = 1;
-  std::size_t candidate_ = 0;
-  Step step_ = Step::kGoTo;
 };
 
 }  // namespace
@@ -89,11 +73,11 @@ std::string HedgedApproxStrategy::name() const {
 
 std::unique_ptr<sim::AgentProgram> HedgedApproxStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<HedgedProgram>(*this);
+  return std::make_unique<TripProgram<HedgedLaw>>(HedgedLaw{*this});
 }
 
 std::int64_t HedgedApproxStrategy::ball_radius(int phase_i) const noexcept {
-  return util::pow2(std::min(phase_i, kMaxRadiusExponent));
+  return KnownKStrategy::ball_radius(phase_i);
 }
 
 sim::Time HedgedApproxStrategy::spiral_budget(int phase_i,

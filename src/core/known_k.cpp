@@ -4,54 +4,9 @@
 #include <stdexcept>
 
 #include "core/params.h"
-#include "grid/ball.h"
 #include "util/sat.h"
 
 namespace ants::core {
-
-namespace {
-
-class KnownKProgram final : public sim::AgentProgram {
- public:
-  explicit KnownKProgram(const KnownKStrategy& strategy)
-      : strategy_(strategy) {}
-
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        const std::int64_t radius = strategy_.ball_radius(i_);
-        return sim::GoTo{grid::uniform_ball_point(rng, radius)};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.spiral_budget(i_)};
-      default:
-        step_ = Step::kGoTo;
-        advance_phase();
-        return sim::ReturnToSource{};
-    }
-  }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  void advance_phase() {
-    if (i_ < j_) {
-      ++i_;
-    } else {
-      ++j_;
-      i_ = 1;
-    }
-  }
-
-  const KnownKStrategy& strategy_;
-  int j_ = 1;  // stage
-  int i_ = 1;  // phase within stage
-  Step step_ = Step::kGoTo;
-};
-
-}  // namespace
 
 KnownKStrategy::KnownKStrategy(std::int64_t k_belief) : k_belief_(k_belief) {
   if (k_belief < 1) throw std::invalid_argument("KnownK: k_belief >= 1");
@@ -64,19 +19,20 @@ std::string KnownKStrategy::name() const {
 std::unique_ptr<sim::AgentProgram> KnownKStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
   // Identical agents: the program depends only on the strategy parameters.
-  return std::make_unique<KnownKProgram>(*this);
+  return std::make_unique<TripProgram<KnownKLaw>>(KnownKLaw{k_belief_});
 }
 
-sim::Time KnownKStrategy::spiral_budget(int phase_i) const noexcept {
+sim::Time KnownKStrategy::spiral_budget(int phase_i,
+                                        std::int64_t k) noexcept {
   // t_i = 2^(2i+2) / k, clamped to >= 1 so a phase always searches at least
   // the chosen node, and saturated for unreachably large i.
   const int exponent = 2 * phase_i + 2;
   const std::int64_t numerator =
       exponent >= 62 ? util::kTimeCap : util::pow2(exponent);
-  return std::max<std::int64_t>(1, numerator / k_belief_);
+  return std::max<std::int64_t>(1, numerator / k);
 }
 
-std::int64_t KnownKStrategy::ball_radius(int phase_i) const noexcept {
+std::int64_t KnownKStrategy::ball_radius(int phase_i) noexcept {
   return util::pow2(std::min(phase_i, kMaxRadiusExponent));
 }
 

@@ -16,6 +16,8 @@
 #include <memory>
 #include <string>
 
+#include "core/trip.h"
+#include "grid/ball.h"
 #include "sim/program.h"
 
 namespace ants::core {
@@ -33,13 +35,35 @@ class KnownKStrategy final : public sim::Strategy {
 
   /// Spiral budget of phase i: max(1, 2^(2i+2)/k), saturated. Exposed so
   /// tests can pin the schedule against the paper's pseudocode.
-  sim::Time spiral_budget(int phase_i) const noexcept;
+  sim::Time spiral_budget(int phase_i) const noexcept {
+    return spiral_budget(phase_i, k_belief_);
+  }
+  /// The same for a belief k >= 1.
+  static sim::Time spiral_budget(int phase_i, std::int64_t k) noexcept;
 
   /// Ball radius of phase i: min(2^i, 2^30).
-  std::int64_t ball_radius(int phase_i) const noexcept;
+  static std::int64_t ball_radius(int phase_i) noexcept;
 
  private:
   std::int64_t k_belief_;
+};
+
+/// A_k's trip law for TripProgram: phase i goes to a uniform node of
+/// B(2^i) and spirals 2^(2i+2)/k, for the belief k.
+struct KnownKLaw {
+  using Program = sim::AgentProgram;
+
+  std::int64_t k;
+  KnownKPhases phases{};
+
+  sim::GoTo destination(rng::Rng& rng) const {
+    return {grid::uniform_ball_point(rng,
+                                     KnownKStrategy::ball_radius(phases.i))};
+  }
+  sim::SpiralFor search(rng::Rng& /*rng*/) const {
+    return {KnownKStrategy::spiral_budget(phases.i, k)};
+  }
+  void advance() noexcept { phases.advance(); }
 };
 
 }  // namespace ants::core

@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "core/params.h"
+#include "core/trip.h"
 #include "core/uniform.h"
 #include "grid/ball.h"
 #include "util/format.h"
@@ -81,106 +82,53 @@ std::int64_t counter_scaled(rng::Rng& rng, int exponent, std::int64_t limit) {
 }
 
 // Algorithm 1's triple loop with counters instead of registers.
-class LowMemUniformProgram final : public sim::AgentProgram {
- public:
-  explicit LowMemUniformProgram(const LowMemUniformStrategy& strategy)
-      : strategy_(strategy) {}
+struct LowMemUniformLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        const std::int64_t radius = counter_scaled(
-            rng, strategy_.walk_exponent(i_, j_), kMaxBallRadius);
-        return sim::GoTo{grid::uniform_ring_point(rng, radius)};
-      }
-      case Step::kSpiral: {
-        step_ = Step::kReturn;
-        const std::int64_t budget = counter_scaled(
-            rng, strategy_.spiral_exponent(i_, j_), util::kTimeCap);
-        return sim::SpiralFor{budget};
-      }
-      default:
-        step_ = Step::kGoTo;
-        advance();
-        return sim::ReturnToSource{};
-    }
+  const LowMemUniformStrategy& strategy;
+  UniformPhases phases{};
+
+  sim::GoTo destination(rng::Rng& rng) const {
+    const std::int64_t radius = counter_scaled(
+        rng, strategy.walk_exponent(phases.i, phases.j), kMaxBallRadius);
+    return {grid::uniform_ring_point(rng, radius)};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  void advance() {
-    if (j_ < i_) {
-      ++j_;
-      return;
-    }
-    j_ = 0;
-    if (i_ < l_) {
-      ++i_;
-      return;
-    }
-    i_ = 0;
-    ++l_;
+  sim::SpiralFor search(rng::Rng& rng) const {
+    return {counter_scaled(rng, strategy.spiral_exponent(phases.i, phases.j),
+                           util::kTimeCap)};
   }
-
-  const LowMemUniformStrategy& strategy_;
-  int l_ = 0;
-  int i_ = 0;
-  int j_ = 0;
-  Step step_ = Step::kGoTo;
+  void advance() noexcept { phases.advance(); }
 };
 
 // Algorithm 2 with a coin-flip power law and counter-based trip lengths.
-class LowMemHarmonicProgram final : public sim::AgentProgram {
- public:
-  explicit LowMemHarmonicProgram(double delta) : continue_p_(std::exp2(-delta)),
-                                                 delta_(delta) {}
+struct LowMemHarmonicLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        // Dyadic power law: P(scale >= l) = 2^(-delta l) matches the mass
-        // the harmonic density p(u) ~ d^-(2+delta) puts at distance ~2^l
-        // (the ~2^(2l) nodes there each get ~2^(-(2+delta) l)).
-        scale_ = 0;
-        while (scale_ < kMaxRadiusExponent && rng.uniform_unit() < continue_p_) {
-          ++scale_;
-        }
-        const std::int64_t radius =
-            counter_scaled(rng, scale_, kMaxBallRadius);
-        return sim::GoTo{grid::uniform_ring_point(rng, radius)};
-      }
-      case Step::kSpiral: {
-        step_ = Step::kReturn;
-        // t(u) = d(u)^(2+delta) becomes a counter at exponent
-        // ceil((2+delta) * scale): the agent re-uses the 5-bit scale it
-        // drew, never the exact realized distance.
-        const int exponent = static_cast<int>(
-            std::ceil((2.0 + delta_) * static_cast<double>(scale_)));
-        const std::int64_t budget =
-            counter_scaled(rng, std::min(exponent, 62), util::kTimeCap);
-        return sim::SpiralFor{budget};
-      }
-      default:
-        step_ = Step::kGoTo;
-        return sim::ReturnToSource{};
+  double continue_p;
+  double delta;
+  int scale = 0;  ///< the drawn dyadic scale: <= 5 bits
+
+  sim::GoTo destination(rng::Rng& rng) {
+    // Dyadic power law: P(scale >= l) = 2^(-delta l) matches the mass
+    // the harmonic density p(u) ~ d^-(2+delta) puts at distance ~2^l
+    // (the ~2^(2l) nodes there each get ~2^(-(2+delta) l)).
+    scale = 0;
+    while (scale < kMaxRadiusExponent && rng.uniform_unit() < continue_p) {
+      ++scale;
     }
+    const std::int64_t radius = counter_scaled(rng, scale, kMaxBallRadius);
+    return {grid::uniform_ring_point(rng, radius)};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  double continue_p_;
-  double delta_;
-  int scale_ = 0;  // the drawn dyadic scale: <= 5 bits
-  Step step_ = Step::kGoTo;
+  sim::SpiralFor search(rng::Rng& rng) const {
+    // t(u) = d(u)^(2+delta) becomes a counter at exponent
+    // ceil((2+delta) * scale): the agent re-uses the 5-bit scale it
+    // drew, never the exact realized distance.
+    const int exponent =
+        static_cast<int>(std::ceil((2.0 + delta) * static_cast<double>(scale)));
+    return {counter_scaled(rng, std::min(exponent, 62), util::kTimeCap)};
+  }
+  void advance() noexcept {}
 };
-
-}  // namespace
-
-namespace {
 
 double checked_eps(double eps) {
   if (!(eps >= 0.0)) throw std::invalid_argument("LowMemUniform: eps >= 0");
@@ -198,7 +146,8 @@ std::string LowMemUniformStrategy::name() const {
 
 std::unique_ptr<sim::AgentProgram> LowMemUniformStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<LowMemUniformProgram>(*this);
+  return std::make_unique<TripProgram<LowMemUniformLaw>>(
+      LowMemUniformLaw{*this});
 }
 
 int LowMemUniformStrategy::walk_exponent(int stage_i, int phase_j) const
@@ -224,7 +173,8 @@ std::string LowMemHarmonicStrategy::name() const {
 
 std::unique_ptr<sim::AgentProgram> LowMemHarmonicStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<LowMemHarmonicProgram>(delta_);
+  return std::make_unique<TripProgram<LowMemHarmonicLaw>>(
+      LowMemHarmonicLaw{scale_continue_probability(), delta_});
 }
 
 double LowMemHarmonicStrategy::scale_continue_probability() const noexcept {

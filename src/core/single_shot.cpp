@@ -1,88 +1,55 @@
 #include "core/single_shot.h"
 
-#include <algorithm>
 #include <stdexcept>
 
-#include "core/params.h"
+#include "core/known_k.h"
+#include "core/trip.h"
 #include "grid/ball.h"
 #include "util/format.h"
-#include "util/sat.h"
 
 namespace ants::core {
 
 namespace {
 
 // Phases i = 1, 2, 3, ... each exactly once (A_k without the stage loop).
-class SweepKnownKProgram final : public sim::AgentProgram {
- public:
-  explicit SweepKnownKProgram(const SingleSweepKnownK& strategy)
-      : strategy_(strategy) {}
+struct SweepKnownKLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        const std::int64_t radius = strategy_.ball_radius(i_);
-        return sim::GoTo{grid::uniform_ball_point(rng, radius)};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.spiral_budget(i_)};
-      default:
-        step_ = Step::kGoTo;
-        ++i_;  // the single sweep: no outer loop to reset i
-        return sim::ReturnToSource{};
-    }
+  std::int64_t k;
+  int i = 1;
+
+  sim::GoTo destination(rng::Rng& rng) const {
+    return {grid::uniform_ball_point(rng, KnownKStrategy::ball_radius(i))};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  const SingleSweepKnownK& strategy_;
-  int i_ = 1;
-  Step step_ = Step::kGoTo;
+  sim::SpiralFor search(rng::Rng& /*rng*/) const {
+    return {KnownKStrategy::spiral_budget(i, k)};
+  }
+  void advance() noexcept { ++i; }  // the single sweep: no outer loop
 };
 
 // Stages i = 0, 1, 2, ... each exactly once, inner phases j = 0..i intact
 // (Algorithm 1 without the big-stage loop).
-class SweepUniformProgram final : public sim::AgentProgram {
- public:
-  explicit SweepUniformProgram(const SingleSweepUniform& strategy)
-      : strategy_(strategy) {}
+struct SweepUniformLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        const std::int64_t radius = strategy_.phase(i_, j_).radius;
-        return sim::GoTo{grid::uniform_ball_point(rng, radius)};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.phase(i_, j_).budget};
-      default:
-        step_ = Step::kGoTo;
-        advance();
-        return sim::ReturnToSource{};
-    }
+  const SingleSweepUniform& strategy;
+  int i = 0;
+  int j = 0;
+
+  sim::GoTo destination(rng::Rng& rng) const {
+    return {grid::uniform_ball_point(rng, strategy.phase(i, j).radius)};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  void advance() {
-    if (j_ < i_) {
-      ++j_;
+  sim::SpiralFor search(rng::Rng& /*rng*/) const {
+    return {strategy.phase(i, j).budget};
+  }
+  void advance() noexcept {
+    if (j < i) {
+      ++j;
     } else {
-      j_ = 0;
-      ++i_;  // the single sweep: stages never repeat
+      j = 0;
+      ++i;  // the single sweep: stages never repeat
     }
   }
-
-  const SingleSweepUniform& strategy_;
-  int i_ = 0;
-  int j_ = 0;
-  Step step_ = Step::kGoTo;
 };
 
 }  // namespace
@@ -100,19 +67,16 @@ std::string SingleSweepKnownK::name() const {
 
 std::unique_ptr<sim::AgentProgram> SingleSweepKnownK::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<SweepKnownKProgram>(*this);
+  return std::make_unique<TripProgram<SweepKnownKLaw>>(
+      SweepKnownKLaw{k_belief_});
 }
 
 sim::Time SingleSweepKnownK::spiral_budget(int phase_i) const noexcept {
-  // Identical to KnownKStrategy::spiral_budget: t_i = 2^(2i+2)/k, >= 1.
-  const int exponent = 2 * phase_i + 2;
-  const std::int64_t numerator =
-      exponent >= 62 ? util::kTimeCap : util::pow2(exponent);
-  return std::max<std::int64_t>(1, numerator / k_belief_);
+  return KnownKStrategy::spiral_budget(phase_i, k_belief_);
 }
 
 std::int64_t SingleSweepKnownK::ball_radius(int phase_i) const noexcept {
-  return util::pow2(std::min(phase_i, kMaxRadiusExponent));
+  return KnownKStrategy::ball_radius(phase_i);
 }
 
 SingleSweepUniform::SingleSweepUniform(double eps) : inner_(eps) {}
@@ -123,7 +87,8 @@ std::string SingleSweepUniform::name() const {
 
 std::unique_ptr<sim::AgentProgram> SingleSweepUniform::make_program(
     sim::AgentContext /*ctx*/) const {
-  return std::make_unique<SweepUniformProgram>(*this);
+  return std::make_unique<TripProgram<SweepUniformLaw>>(
+      SweepUniformLaw{*this});
 }
 
 }  // namespace ants::core

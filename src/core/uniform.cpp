@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "core/params.h"
+#include "core/trip.h"
 #include "grid/ball.h"
 #include "util/sat.h"
 
@@ -13,52 +14,22 @@ namespace ants::core {
 
 namespace {
 
-class UniformProgram final : public sim::AgentProgram {
- public:
-  explicit UniformProgram(const UniformStrategy& strategy)
-      : strategy_(strategy) {}
+// Algorithm 1's trip: phase (i, j) goes to a uniform node of B(D_ij) and
+// spirals t_ij, both read from the strategy's table.
+struct UniformLaw {
+  using Program = sim::AgentProgram;
 
-  sim::Op next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        const std::int64_t radius = strategy_.phase(i_, j_).radius;
-        return sim::GoTo{grid::uniform_ball_point(rng, radius)};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return sim::SpiralFor{strategy_.phase(i_, j_).budget};
-      default:
-        step_ = Step::kGoTo;
-        advance();
-        return sim::ReturnToSource{};
-    }
+  const UniformStrategy& strategy;
+  UniformPhases phases{};
+
+  sim::GoTo destination(rng::Rng& rng) const {
+    return {grid::uniform_ball_point(
+        rng, strategy.phase(phases.i, phases.j).radius)};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  void advance() {
-    // Innermost to outermost: phase j in [0, i], stage i in [0, l],
-    // big-stage l unbounded.
-    if (j_ < i_) {
-      ++j_;
-      return;
-    }
-    j_ = 0;
-    if (i_ < l_) {
-      ++i_;
-      return;
-    }
-    i_ = 0;
-    ++l_;
+  sim::SpiralFor search(rng::Rng& /*rng*/) const {
+    return {strategy.phase(phases.i, phases.j).budget};
   }
-
-  const UniformStrategy& strategy_;
-  int l_ = 0;  // big-stage
-  int i_ = 0;  // stage
-  int j_ = 0;  // phase
-  Step step_ = Step::kGoTo;
+  void advance() noexcept { phases.advance(); }
 };
 
 /// j^(1+eps) with the paper's j = 0 fixed up to 1.
@@ -110,7 +81,7 @@ std::string UniformStrategy::name() const {
 std::unique_ptr<sim::AgentProgram> UniformStrategy::make_program(
     sim::AgentContext /*ctx*/) const {
   // Uniform algorithm: identical program for every agent, no use of ctx.k.
-  return std::make_unique<UniformProgram>(*this);
+  return std::make_unique<TripProgram<UniformLaw>>(UniformLaw{*this});
 }
 
 std::int64_t UniformStrategy::ball_radius(int stage_i, int phase_j) const

@@ -34,6 +34,10 @@ using PlaneOp = std::variant<GoToPoint, SpiralSweep, ReturnHome>;
 
 class PlaneAgentProgram {
  public:
+  /// The op family, as core::TripProgram (core/trip.h) reads it.
+  using Op = PlaneOp;
+  using Return = ReturnHome;
+
   virtual ~PlaneAgentProgram() = default;
   virtual PlaneOp next(rng::Rng& rng) = 0;
 };

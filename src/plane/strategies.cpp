@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/trip.h"
 #include "util/format.h"
 
 namespace ants::plane {
@@ -17,119 +18,54 @@ Vec2 uniform_disk_point(rng::Rng& rng, double r) {
 }
 
 // Stage/phase double loop of A_k, continuous trips.
-class PlaneKnownKProgram final : public PlaneAgentProgram {
- public:
-  explicit PlaneKnownKProgram(const PlaneKnownKStrategy& strategy)
-      : strategy_(strategy) {}
+struct PlaneKnownKLaw {
+  using Program = PlaneAgentProgram;
 
-  PlaneOp next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        return GoToPoint{uniform_disk_point(rng, strategy_.disk_radius(i_))};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return SpiralSweep{strategy_.sweep_budget(i_)};
-      default:
-        step_ = Step::kGoTo;
-        if (i_ < j_) {
-          ++i_;
-        } else {
-          ++j_;
-          i_ = 1;
-        }
-        return ReturnHome{};
-    }
+  const PlaneKnownKStrategy& strategy;
+  core::KnownKPhases phases{};
+
+  GoToPoint destination(rng::Rng& rng) const {
+    return {uniform_disk_point(rng, strategy.disk_radius(phases.i))};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  const PlaneKnownKStrategy& strategy_;
-  int j_ = 1;
-  int i_ = 1;
-  Step step_ = Step::kGoTo;
+  SpiralSweep search(rng::Rng& /*rng*/) const {
+    return {strategy.sweep_budget(phases.i)};
+  }
+  void advance() noexcept { phases.advance(); }
 };
 
 // Three-step harmonic loop, continuous trips.
-class PlaneHarmonicProgram final : public PlaneAgentProgram {
- public:
-  explicit PlaneHarmonicProgram(double delta) : delta_(delta) {}
+struct PlaneHarmonicLaw {
+  using Program = PlaneAgentProgram;
 
-  PlaneOp next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        // Radial density ~ r^-(1+delta) on [1, inf): Pareto(1, delta).
-        // Clamp so a single astronomically far trip cannot stall a trial.
-        radius_ = std::min(rng.pareto(1.0, delta_), 1e9);
-        return GoToPoint{unit(rng.angle()) * radius_};
-      }
-      case Step::kSpiral: {
-        step_ = Step::kReturn;
-        const double budget = std::pow(radius_, 2.0 + delta_);
-        return SpiralSweep{std::min(budget, 1e18)};
-      }
-      default:
-        step_ = Step::kGoTo;
-        return ReturnHome{};
-    }
+  double delta;
+  double radius = 1.0;
+
+  GoToPoint destination(rng::Rng& rng) {
+    // Radial density ~ r^-(1+delta) on [1, inf): Pareto(1, delta).
+    // Clamp so a single astronomically far trip cannot stall a trial.
+    radius = std::min(rng.pareto(1.0, delta), 1e9);
+    return {unit(rng.angle()) * radius};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  double delta_;
-  double radius_ = 1.0;
-  Step step_ = Step::kGoTo;
+  SpiralSweep search(rng::Rng& /*rng*/) const {
+    return {std::min(std::pow(radius, 2.0 + delta), 1e18)};
+  }
+  void advance() noexcept {}
 };
 
 // Algorithm 1's triple loop, continuous trips.
-class PlaneUniformProgram final : public PlaneAgentProgram {
- public:
-  explicit PlaneUniformProgram(const PlaneUniformStrategy& strategy)
-      : strategy_(strategy) {}
+struct PlaneUniformLaw {
+  using Program = PlaneAgentProgram;
 
-  PlaneOp next(rng::Rng& rng) override {
-    switch (step_) {
-      case Step::kGoTo: {
-        step_ = Step::kSpiral;
-        return GoToPoint{
-            uniform_disk_point(rng, strategy_.disk_radius(i_, j_))};
-      }
-      case Step::kSpiral:
-        step_ = Step::kReturn;
-        return SpiralSweep{strategy_.sweep_budget(i_, j_)};
-      default:
-        step_ = Step::kGoTo;
-        advance();
-        return ReturnHome{};
-    }
+  const PlaneUniformStrategy& strategy;
+  core::UniformPhases phases{};
+
+  GoToPoint destination(rng::Rng& rng) const {
+    return {uniform_disk_point(rng, strategy.disk_radius(phases.i, phases.j))};
   }
-
- private:
-  enum class Step { kGoTo, kSpiral, kReturn };
-
-  void advance() {
-    if (j_ < i_) {
-      ++j_;
-      return;
-    }
-    j_ = 0;
-    if (i_ < l_) {
-      ++i_;
-      return;
-    }
-    i_ = 0;
-    ++l_;
+  SpiralSweep search(rng::Rng& /*rng*/) const {
+    return {strategy.sweep_budget(phases.i, phases.j)};
   }
-
-  const PlaneUniformStrategy& strategy_;
-  int l_ = 0;
-  int i_ = 0;
-  int j_ = 0;
-  Step step_ = Step::kGoTo;
+  void advance() noexcept { phases.advance(); }
 };
 
 }  // namespace
@@ -147,7 +83,8 @@ std::string PlaneKnownKStrategy::name() const {
 
 std::unique_ptr<PlaneAgentProgram> PlaneKnownKStrategy::make_program(
     int /*agent_index*/, int /*k*/) const {
-  return std::make_unique<PlaneKnownKProgram>(*this);
+  return std::make_unique<core::TripProgram<PlaneKnownKLaw>>(
+      PlaneKnownKLaw{*this});
 }
 
 double PlaneKnownKStrategy::disk_radius(int phase_i) const noexcept {
@@ -171,7 +108,8 @@ std::string PlaneHarmonicStrategy::name() const {
 
 std::unique_ptr<PlaneAgentProgram> PlaneHarmonicStrategy::make_program(
     int /*agent_index*/, int /*k*/) const {
-  return std::make_unique<PlaneHarmonicProgram>(delta_);
+  return std::make_unique<core::TripProgram<PlaneHarmonicLaw>>(
+      PlaneHarmonicLaw{delta_});
 }
 
 PlaneUniformStrategy::PlaneUniformStrategy(double eps) : eps_(eps) {
@@ -184,7 +122,8 @@ std::string PlaneUniformStrategy::name() const {
 
 std::unique_ptr<PlaneAgentProgram> PlaneUniformStrategy::make_program(
     int /*agent_index*/, int /*k*/) const {
-  return std::make_unique<PlaneUniformProgram>(*this);
+  return std::make_unique<core::TripProgram<PlaneUniformLaw>>(
+      PlaneUniformLaw{*this});
 }
 
 double PlaneUniformStrategy::disk_radius(int stage_i, int phase_j) const

@@ -106,8 +106,13 @@ std::vector<Cell> flatten(const ScenarioSpec& spec) {
 }
 
 std::uint64_t hash_spec(const ScenarioSpec& spec) {
-  return hash_text("v" + std::to_string(kCellFormatVersion) + "|" +
-                   spec.canonical());
+  // Built with += : g++ 12 reads the inlined "literal" + std::string&& as
+  // an overlapping memcpy (-Wrestrict) and warns on every build.
+  std::string text = "v";
+  text += std::to_string(kCellFormatVersion);
+  text += '|';
+  text += spec.canonical();
+  return hash_text(text);
 }
 
 SweepPlan make_plan(const ScenarioSpec& spec) {

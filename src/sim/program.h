@@ -8,6 +8,13 @@
 // mirrors the paper's model: identical probabilistic agents whose only
 // navigation capabilities are "pick a point / walk straight / spiral /
 // return to source".
+//
+// Trip-shaped strategies (the paper's algorithms and their variants: go to
+// a drawn node, search, return) do not implement AgentProgram: they supply
+// a trip law to core::TripProgram (core/trip.h), which owns the one go ->
+// search -> return state machine. Only the baselines that are not trips
+// (walks, Levy flights, the sector sweep, the single spiral, the no-return
+// ablation) implement AgentProgram directly.
 #pragma once
 
 #include <memory>
@@ -47,6 +54,10 @@ using Op = std::variant<GoTo, SpiralFor, ReturnToSource, FollowPath>;
 /// the engine stops pulling once its time bound is exceeded).
 class AgentProgram {
  public:
+  /// The op family, as core::TripProgram reads it.
+  using Op = sim::Op;
+  using Return = ReturnToSource;
+
   virtual ~AgentProgram() = default;
   virtual Op next(rng::Rng& rng) = 0;
 };

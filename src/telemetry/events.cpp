@@ -1,6 +1,7 @@
 #include "telemetry/events.h"
 
 #include <stdexcept>
+#include <utility>
 
 #include "scenario/json.h"
 #include "telemetry/metrics.h"
@@ -24,8 +25,10 @@ Event& Event::num_ms(const std::string& name, double ms) {
 }
 
 Event& Event::str(const std::string& name, const std::string& value) {
-  fields_.emplace_back(
-      name, "\"" + scenario::detail::json_escape(value) + "\"");
+  std::string quoted = "\"";  // += : see hash_spec in scenario/plan.cpp
+  quoted += scenario::detail::json_escape(value);
+  quoted += '"';
+  fields_.emplace_back(name, std::move(quoted));
   return *this;
 }
 

@@ -2,8 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <functional>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <variant>
 
 #include "core/uniform.h"
@@ -146,6 +151,68 @@ TEST(PlaneUniform, FindsTreasureSmallScale) {
   }
   EXPECT_GT(static_cast<double>(found) / trials, 0.9);
 }
+
+// ---------------------------------------------------------------------------
+// Op-stream pins (TEST_P): the first 2000 ops of agents 0-3 at a fixed seed,
+// hashed with the doubles taken by their bit patterns, equal the digest
+// recorded for each strategy, so a refactor of a program cannot move a
+// random draw or change a rounding unnoticed.
+// ---------------------------------------------------------------------------
+
+struct PinCase {
+  std::string label;
+  std::function<std::unique_ptr<PlaneStrategy>()> make;
+  std::uint64_t digest;
+};
+
+std::uint64_t plane_op_digest(const PlaneStrategy& strategy) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  const auto add = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const rng::Rng trial(20261019);
+  for (int a = 0; a < 4; ++a) {
+    const auto program = strategy.make_program(a, 4);
+    rng::Rng rng = trial.child(static_cast<std::uint64_t>(a));
+    for (int i = 0; i < 2000; ++i) {
+      const PlaneOp op = program->next(rng);
+      add(static_cast<std::uint64_t>(op.index()));
+      if (const auto* go = std::get_if<GoToPoint>(&op)) {
+        add(std::bit_cast<std::uint64_t>(go->target.x));
+        add(std::bit_cast<std::uint64_t>(go->target.y));
+      } else if (const auto* sw = std::get_if<SpiralSweep>(&op)) {
+        add(std::bit_cast<std::uint64_t>(sw->duration));
+      }
+    }
+  }
+  return h;
+}
+
+class PlaneOpStreamPinTest : public ::testing::TestWithParam<PinCase> {};
+
+TEST_P(PlaneOpStreamPinTest, MatchesPinnedDigest) {
+  const auto strategy = GetParam().make();
+  EXPECT_EQ(plane_op_digest(*strategy), GetParam().digest) << strategy->name();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PlaneStrategies, PlaneOpStreamPinTest,
+    ::testing::Values(
+        PinCase{"known_k",
+                [] { return std::make_unique<PlaneKnownKStrategy>(8); },
+                14930090319201143640ULL},
+        PinCase{"uniform",
+                [] { return std::make_unique<PlaneUniformStrategy>(0.5); },
+                7996165716627837234ULL},
+        PinCase{"harmonic",
+                [] { return std::make_unique<PlaneHarmonicStrategy>(0.5); },
+                17166547285844218993ULL}),
+    [](const ::testing::TestParamInfo<PinCase>& info) {
+      return info.param.label;
+    });
 
 // ---------------------------------------------------------------------------
 // Pitch/coverage property sweep (TEST_P): any pitch <= 2*eps leaves no

@@ -10,10 +10,14 @@
 //   3. determinism: same rng seed => identical op stream;
 //   4. engine integration: a small-scale collaborative search terminates
 //      and (for the searching strategies) succeeds under a generous cap;
-//   5. sync/no-crash async runs reproduce the plain engine exactly.
+//   5. sync/no-crash async runs reproduce the plain engine exactly;
+//   6. the op stream is pinned: a digest of the first ops of agents 0-3
+//      at fixed seeds equals the one recorded for the case, so a refactor
+//      of a program cannot move a random draw to another op unnoticed.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -43,60 +47,124 @@ struct StrategyCase {
   std::string label;
   std::function<std::unique_ptr<sim::Strategy>()> make;
   bool always_finds;  ///< finds a D=8 treasure at k=8 under a generous cap
+  std::uint64_t op_digest;  ///< op_stream_digest of the case (contract 6)
+  int digest_ops = 2000;    ///< ops hashed per agent
 };
 
 std::vector<StrategyCase> all_cases() {
   return {
       {"known-k", [] { return std::make_unique<core::KnownKStrategy>(8); },
-       true},
+       true, 5879954799667318296ULL},
       {"approx-under",
        [] {
          return std::make_unique<core::ApproxKStrategy>(
              8, 2.0, core::ApproxMode::kUnder);
        },
-       true},
+       true, 17172240675624376476ULL},
+      // k * rho / rho = k: known-k(8)'s stream, reached through the estimate.
+      {"approx-over",
+       [] {
+         return std::make_unique<core::ApproxKStrategy>(
+             8, 2.0, core::ApproxMode::kOver);
+       },
+       true, 5879954799667318296ULL},
+      // The only mode whose estimate draw consumes the agent's stream.
+      {"approx-loguniform",
+       [] {
+         return std::make_unique<core::ApproxKStrategy>(
+             8, 2.0, core::ApproxMode::kLogUniform);
+       },
+       true, 16807514669200096429ULL},
       {"uniform",
-       [] { return std::make_unique<core::UniformStrategy>(0.5); }, true},
+       [] { return std::make_unique<core::UniformStrategy>(0.5); }, true,
+       17222304313984605268ULL},
       {"harmonic",
-       [] { return std::make_unique<core::HarmonicStrategy>(0.5); }, true},
+       [] { return std::make_unique<core::HarmonicStrategy>(0.5); }, true,
+       14241028807790049038ULL},
       {"hedged",
        [] { return std::make_unique<core::HedgedApproxStrategy>(16.0, 0.5); },
-       true},
+       true, 8930463172085050642ULL},
       {"sweep-known-k",
-       [] { return std::make_unique<core::SingleSweepKnownK>(8); }, true},
+       [] { return std::make_unique<core::SingleSweepKnownK>(8); }, true,
+       7072455182194158340ULL},
       {"sweep-uniform",
-       [] { return std::make_unique<core::SingleSweepUniform>(0.5); }, true},
+       [] { return std::make_unique<core::SingleSweepUniform>(0.5); }, true,
+       933962714623387139ULL},
       {"lowmem-uniform",
        [] { return std::make_unique<core::LowMemUniformStrategy>(0.5); },
-       true},
+       true, 8832447624691019968ULL},
       {"lowmem-harmonic",
        [] { return std::make_unique<core::LowMemHarmonicStrategy>(0.5); },
-       true},
+       true, 5173935634335586625ULL},
       {"sector-sweep",
        [] { return std::make_unique<baselines::SectorSweepStrategy>(); },
-       true},
+       true, 6954206117805615737ULL},
       {"spiral-single",
        [] { return std::make_unique<baselines::SpiralSingleStrategy>(); },
-       true},
+       true, 12258545885952101157ULL},
       {"levy-loop",
        [] { return std::make_unique<baselines::LevyStrategy>(2.0, true, 32); },
-       true},
+       true, 2934965721446153095ULL},
       // Free Levy flights drift off; success within the cap is not
       // guaranteed, only the op-stream contract is.
       {"levy-free",
        [] {
          return std::make_unique<baselines::LevyStrategy>(1.5, false, 0);
        },
-       false},
+       false, 5439894105436726478ULL},
+      // Each random-walk leg is materialized step by step and phase i's
+      // leg is min(2^(2i-1), 2^22) steps long, so the digest stops after
+      // 200 ops (stages 1-11), where 2000 would walk ~5e9 steps.
       {"ak-rw-local",
        [] {
          return std::make_unique<baselines::KnownKRandomLocalStrategy>(8);
        },
-       true},
+       true, 14055354707768630315ULL, 200},
       {"ak-no-return",
        [] { return std::make_unique<baselines::KnownKNoReturnStrategy>(8); },
-       true},
+       true, 13476461652683276276ULL},
   };
+}
+
+/// FNV-1a over 64-bit words.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  void add(std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
+};
+
+/// Digest of the first `ops` ops of agents 0-3 (k = 4), agent a drawing
+/// from Rng(20261019).child(a) as the executors seed it: the op kind, the
+/// GoTo coordinates, the spiral durations and every FollowPath step.
+std::uint64_t op_stream_digest(const sim::Strategy& strategy, int ops) {
+  Fnv1a fnv;
+  const rng::Rng trial(20261019);
+  for (int a = 0; a < 4; ++a) {
+    const auto program = strategy.make_program(sim::AgentContext{a, 4});
+    rng::Rng rng = trial.child(static_cast<std::uint64_t>(a));
+    for (int i = 0; i < ops; ++i) {
+      const sim::Op op = program->next(rng);
+      fnv.add(static_cast<std::uint64_t>(op.index()));
+      if (const auto* go = std::get_if<sim::GoTo>(&op)) {
+        fnv.add(go->target.x);
+        fnv.add(go->target.y);
+      } else if (const auto* sp = std::get_if<sim::SpiralFor>(&op)) {
+        fnv.add(sp->duration);
+      } else if (const auto* fp = std::get_if<sim::FollowPath>(&op)) {
+        fnv.add(static_cast<std::uint64_t>(fp->steps.size()));
+        for (const grid::Point& p : fp->steps) {
+          fnv.add(p.x);
+          fnv.add(p.y);
+        }
+      }
+    }
+  }
+  return fnv.h;
 }
 
 class StrategyConformanceTest
@@ -144,6 +212,13 @@ TEST_P(StrategyConformanceTest, OpStreamIsDeterministicPerSeed) {
       }
     }
   }
+}
+
+TEST_P(StrategyConformanceTest, OpStreamMatchesPinnedDigest) {
+  const auto strategy = GetParam().make();
+  EXPECT_EQ(op_stream_digest(*strategy, GetParam().digest_ops),
+            GetParam().op_digest)
+      << strategy->name();
 }
 
 TEST_P(StrategyConformanceTest, SmallScaleSearchTerminates) {
