@@ -432,11 +432,12 @@ BENCHMARK(BM_BatchedTrialPlaneAsync)->Args({4, 16})->Args({16, 64});
 // --- dynamic target processes ------------------------------------------------
 
 // Stochastic-target twins: Poisson arrival/lifetime windows with dwell
-// capture, and a drifting target under collect-all. These are the
-// environments the batch executor used to delegate wholesale to the scalar
-// path; the pairs pin the native SoA dynamic loops' speedup (the per-tick
-// liveness/drift hoisting is the win — the scalar loop recomputes both per
-// agent per target per tick).
+// capture, a drifting target under collect-all, and Poisson windows under
+// collect-all on the segment backend. These are the environments the batch
+// executor used to delegate wholesale to the scalar path; the pairs pin the
+// native SoA dynamic loops' speedup (the scalar loops test every target's
+// liveness and position per agent per tick, or per segment, where the
+// batch loops keep a live-target list and skip agents out of reach).
 
 // Poisson windows + dwell on the lock-step backend.
 void BM_UnifiedTrialStochasticDwell(benchmark::State& state) {
@@ -533,6 +534,57 @@ void BM_BatchedTrialStochasticCollect(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchedTrialStochasticCollect)->Arg(4)->Arg(16);
+
+// Poisson windows + collect-all on the segment backend: known-k against
+// ~30 targets (rate 0.01 over a 3000 cap), most of which have vanished or
+// not yet appeared at any given segment; the scalar loop tests every one
+// of them on every segment.
+void BM_UnifiedTrialStochasticWindows(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const ants::core::KnownKStrategy strategy(k);
+  const ants::sim::TargetProcess process = ants::sim::poisson_targets(
+      0.01, 300.0, ants::sim::uniform_ring_placement());
+  ants::sim::EngineConfig config;
+  config.time_cap = 3000;
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    ants::sim::TrialEnvironment env;
+    {
+      ants::rng::Rng realize(trial.seed());
+      process.grid(realize, 6, config.time_cap, &env);
+    }
+    env.collect_all = true;
+    const auto r = ants::sim::run_trial(strategy, k, env, trial, config);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_UnifiedTrialStochasticWindows)->Arg(4)->Arg(16);
+
+void BM_BatchedTrialStochasticWindows(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const ants::core::KnownKStrategy strategy(k);
+  const ants::sim::TargetProcess process = ants::sim::poisson_targets(
+      0.01, 300.0, ants::sim::uniform_ring_placement());
+  ants::sim::EngineConfig config;
+  config.time_cap = 3000;
+  ants::sim::TrialStrategy ts;
+  ts.segment = &strategy;
+  ants::sim::batch::BatchRunner runner(ts, k, config);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    ants::sim::TrialEnvironment env;
+    {
+      ants::rng::Rng realize(trial.seed());
+      process.grid(realize, 6, config.time_cap, &env);
+    }
+    env.collect_all = true;
+    const auto r = runner.run_one(env, trial);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_BatchedTrialStochasticWindows)->Arg(4)->Arg(16);
 
 // --- sweep executor telemetry overhead --------------------------------------
 

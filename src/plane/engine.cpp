@@ -218,13 +218,24 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
         realize(agent.program->next(agent.rng), agent.pos,
                 config.spiral_pitch);
     const Time base = start_of(a) + agent.elapsed;
+    // A spiral's end angle, solved once for the move rather than per target.
+    const auto* spiral = std::get_if<SpiralMove>(&move);
+    const double theta_end =
+        spiral != nullptr
+            ? spiral_theta_for_arc(spiral->pitch / kTwoPi, spiral->duration)
+            : 0.0;
     for (std::size_t ti = 0; ti < nt; ++ti) {
+      // Every sighting of this move is at base or later, so a window closed
+      // by base has nothing to add (the vanish test below would reject it).
+      if (vanish_of(ti) <= base) continue;
       const Time from = appear_of(ti) - base;
       const auto hit =
-          from > 0
-              ? first_sighting_from(move, env.targets[ti],
-                                    config.sight_radius, from)
-              : first_sighting(move, env.targets[ti], config.sight_radius);
+          spiral != nullptr
+              ? spiral_first_sighting_from_at(*spiral, env.targets[ti],
+                                              config.sight_radius, from,
+                                              theta_end)
+              : first_sighting_from(move, env.targets[ti],
+                                    config.sight_radius, from);
       if (!hit) continue;
       const Time when_active = agent.elapsed + *hit;
       // A sighting only counts while the agent is still alive.
@@ -256,7 +267,10 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
       continue;
     }
     agent.elapsed += move_time;
-    agent.pos = move_end(move);
+    agent.pos = spiral != nullptr
+                    ? spiral_point_at(spiral->center,
+                                      spiral->pitch / kTwoPi, theta_end)
+                    : move_end(move);
     queue.emplace(start_of(a) + agent.elapsed, a);
   }
 

@@ -175,6 +175,23 @@ std::optional<Time> spiral_first_sighting_at(const SpiralMove& sp, Vec2 target,
 
 namespace {
 
+/// A spiral's first sighting at offset from in (0, duration): at `from`
+/// itself when the mover is already inside the disc there, else the scan
+/// of the coils from the angle reached at `from` (a spiral may re-enter the
+/// disc on a later coil).
+std::optional<Time> spiral_sighting_inside(const SpiralMove& sp, Vec2 target,
+                                           double eps, Time from,
+                                           double theta_end) {
+  const double a = sp.pitch / kTwoPi;
+  const double theta_from = spiral_theta_for_arc(a, from);
+  if ((spiral_point_at(sp.center, a, theta_from) - target).norm2() <=
+      eps * eps) {
+    return from;
+  }
+  return spiral_scan(sp, target, (target - sp.center).norm(), eps, theta_from,
+                     theta_end);
+}
+
 /// Single-trial path: solves for theta_end itself, once the early exits have
 /// not settled the answer.
 std::optional<Time> spiral_first_sighting(const SpiralMove& sp, Vec2 target,
@@ -234,25 +251,30 @@ std::optional<Time> first_sighting_from(const Move& move, Vec2 target,
   if (from <= 0) return first_sighting(move, target, eps);
   const Time duration = move_duration(move);
   if (from >= duration) return std::nullopt;
+  if (const auto* sp = std::get_if<SpiralMove>(&move)) {
+    return spiral_sighting_inside(
+        *sp, target, eps, from, spiral_theta_for_arc(sp->pitch / kTwoPi,
+                                                     duration));
+  }
   // Already inside the disc the instant the window opens.
   if ((move_position_at(move, from) - target).norm2() <= eps * eps) {
     return from;
   }
-  if (const auto* line = std::get_if<LineMove>(&move)) {
-    // A line crosses the disc in at most one interval; since the position
-    // at `from` is outside, either the entry is still ahead (valid iff
-    // >= from) or the disc was exited before `from` (no re-entry).
-    const auto hit = line_first_sighting(*line, duration, target, eps);
-    if (hit && *hit >= from) return hit;
-    return std::nullopt;
-  }
-  // A spiral may re-enter the disc on a later coil: scan the annulus window
-  // from the angle reached at arc length `from`.
-  const auto& sp = std::get<SpiralMove>(move);
-  const double a = sp.pitch / kTwoPi;
-  return spiral_scan(sp, target, (target - sp.center).norm(), eps,
-                     spiral_theta_for_arc(a, from),
-                     spiral_theta_for_arc(a, sp.duration));
+  // A line crosses the disc in at most one interval; since the position at
+  // `from` is outside, either the entry is still ahead (valid iff >= from)
+  // or the disc was exited before `from` (no re-entry).
+  const auto hit =
+      line_first_sighting(std::get<LineMove>(move), duration, target, eps);
+  if (hit && *hit >= from) return hit;
+  return std::nullopt;
+}
+
+std::optional<Time> spiral_first_sighting_from_at(const SpiralMove& sp,
+                                                  Vec2 target, double eps,
+                                                  Time from, double theta_end) {
+  if (from <= 0) return spiral_first_sighting_at(sp, target, eps, theta_end);
+  if (from >= sp.duration) return std::nullopt;
+  return spiral_sighting_inside(sp, target, eps, from, theta_end);
 }
 
 double spiral_arc_length(double a, double theta) noexcept {

@@ -89,6 +89,13 @@ std::optional<Time> line_first_sighting(const LineMove& line, double len,
 std::optional<Time> spiral_first_sighting_at(const SpiralMove& sp, Vec2 target,
                                              double eps, double theta_end);
 
+/// first_sighting_from on a spiral, with `theta_end` supplied as for
+/// spiral_first_sighting_at: the scalar plane engine tests one move against
+/// every target of a windowed trial and solves the end angle once.
+std::optional<Time> spiral_first_sighting_from_at(const SpiralMove& sp,
+                                                  Vec2 target, double eps,
+                                                  Time from, double theta_end);
+
 // --- Archimedean spiral math (exposed for tests) ---------------------------
 
 /// Arc length of r = a*theta from angle 0 to theta (>= 0).

@@ -21,6 +21,26 @@ namespace {
 inline constexpr std::int64_t kNoTarget =
     std::numeric_limits<std::int64_t>::min();
 
+/// An L1 distance beyond any the lock-step loop measures: the distance to
+/// the nearest target of an empty live list.
+inline constexpr std::int64_t kFar = std::numeric_limits<std::int64_t>::max();
+
+/// How far one coordinate of a target drifting at `v` cells per tick moves
+/// per tick, as a bound that holds over any m ticks up to `cap`. The offset
+/// llround(v * t) moves by at most floor(m|v|) + 1 <= m (floor|v| + 1) in m
+/// ticks when v * t is exact. Rounding v * t can add up to 2^-52 |v| cap
+/// between two ticks up to the cap, which matters only when |v| lies that
+/// close below an integer; widening |v| by 2^-50 |v| cap lifts floor|v| by
+/// one in all those cases, and m (floor|v| + 2) then covers the rest.
+std::int64_t drift_reach(double v, Time cap) {
+  const double speed = std::fabs(v);
+  const double bound = speed + speed * static_cast<double>(cap) * 0x1p-50;
+  // From 2^60 cells per tick on (or for a NaN) the reach only has to hold
+  // every quiet stretch at 0 ticks, and must not overflow the cast.
+  if (!(bound < 0x1p60)) return std::int64_t{1} << 60;
+  return static_cast<std::int64_t>(std::floor(bound)) + 1;
+}
+
 /// The plane engine's view of a trial: the environment (integer start
 /// delays and lifetimes read as continuous time units, kNeverTime as
 /// kPlaneNever) and the engine config. `penv` is reused across trials.
@@ -171,12 +191,21 @@ void BatchRunner::run_block(const TrialEnvironment* envs,
 // scans reproduce hit_offset_from exactly: walks and spirals visit each node
 // at most once, so their unique hit counts iff its offset is not before the
 // window's first admissible offset; explicit paths rescan from that offset.
-// A target whose window closed by the segment's start (vanish <= base) or
-// opens after its end (first admissible offset > duration) is skipped
-// before its hit test: every hit lies in [base, base + duration], so
-// consider() or the offset test would reject it anyway. Collect-all counts
-// the targets without a hit yet; while one is left the bound is the cap,
-// and only after that does a pop scan the per-target bounds.
+// Every hit of a segment lies in [base, base + duration], so a target whose
+// window closed by the segment's start (vanish <= base) or opens after its
+// end (first admissible offset > duration) would be rejected by consider()
+// or the offset test; the dynamic loop never tests such a target. Its
+// targets sit in one per-trial list, seg_live_, sorted once by (appear,
+// index). The winner tree pops clocks in nondecreasing order and base is
+// the popped clock, so a target whose window has closed at one pop is
+// closed at every later pop: it leaves the list for good, in a compaction
+// run only when base reaches the smallest vanish left. The first
+// admissible offset grows with appear, so each op's scan stops at the
+// first listed target opening after the segment. consider() keeps a best
+// per target and their minimum, so the order of the scan is unobservable.
+// Collect-all counts the targets without a hit yet; while one is left the
+// bound is the cap, and after that the loosest per-target bound, rescanned
+// only when some per-target best has improved.
 
 template <bool kDynamic>
 TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
@@ -249,8 +278,30 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     // winner after the sweep.
     best_t_.assign(nt, kNeverTime);
     finder_t_.assign(nt, -1);
+    // Targets by (appear, index). Insertion sort: a Poisson process
+    // spawns its targets in appear order, so this is one pass there.
+    seg_live_.resize(nt);
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      std::size_t j = ti;
+      for (; j > 0 && app_[seg_live_[j - 1]] > app_[ti]; --j) {
+        seg_live_[j] = seg_live_[j - 1];
+      }
+      seg_live_[j] = static_cast<std::uint32_t>(ti);
+    }
   }
   [[maybe_unused]] std::size_t n_unhit = nt;  // collect: targets with no hit
+  // The smallest vanish time on seg_live_; the list is compacted when the
+  // popped clock reaches it.
+  [[maybe_unused]] double live_vanish = detail::kNeverVanish;
+  if constexpr (kDynamic) {
+    for (std::size_t ti = 0; ti < nt; ++ti) {
+      live_vanish = std::min(live_vanish, van_[ti]);
+    }
+  }
+  // Collect: the loosest per-target bound once every target has a hit,
+  // recomputed only after some best_t_ changed.
+  [[maybe_unused]] Time loosest = config_.time_cap;
+  [[maybe_unused]] bool loosest_stale = true;
 
   clock_tree_.build(&clock_);
 
@@ -276,13 +327,14 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     Time bound =
         std::min(config_.time_cap, best == kNeverTime ? best : best - 1);
     if (collect) {
-      // Every hit is at most the cap, so an unhit target is the loosest.
-      Time loosest = config_.time_cap;
-      if (n_unhit == 0) {
+      // Every hit is at most the cap, so while a target is unhit the
+      // loosest bound is the cap.
+      if (n_unhit == 0 && loosest_stale) {
         loosest = 0;
         for (std::size_t ti = 0; ti < nt; ++ti) {
           loosest = std::max(loosest, best_t_[ti] - 1);
         }
+        loosest_stale = false;
       }
       bound = std::min(config_.time_cap, loosest);
     }
@@ -300,6 +352,20 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
     const grid::Point pos{pos_x_[ia], pos_y_[ia]};
     [[maybe_unused]] const Time base = util::sat_add(start, elapsed_[ia]);
+    if constexpr (kDynamic) {
+      // base is this pop's clock, and pops never go back in time: a target
+      // whose window closed by base can never be hit again in this trial.
+      if (static_cast<double>(base) >= live_vanish) {
+        std::size_t keep = 0;
+        live_vanish = detail::kNeverVanish;
+        for (const std::uint32_t ti : seg_live_) {
+          if (van_[ti] <= static_cast<double>(base)) continue;
+          seg_live_[keep++] = ti;
+          live_vanish = std::min(live_vanish, van_[ti]);
+        }
+        seg_live_.resize(keep);
+      }
+    }
     // First hit offset inside target ti's appear window (0 when static).
     const auto window_from = [&](std::size_t ti) -> Time {
       if constexpr (kDynamic) {
@@ -308,9 +374,17 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         return 0;
       }
     };
-    // Target ti's window misses this segment, [base, base + len].
-    [[maybe_unused]] const auto misses = [&](std::size_t ti, Time len) {
-      return van_[ti] <= static_cast<double>(base) || window_from(ti) > len;
+    // Each op branch scans the targets target_at(li) for li below
+    // kDynamic ? seg_live_.size() : nt: every target when static, seg_live_
+    // when dynamic. The live list is in appear order and window_from grows
+    // with appear, so its scan ends at the first target whose window opens
+    // after the segment.
+    const auto target_at = [&](std::size_t li) -> std::size_t {
+      if constexpr (kDynamic) {
+        return seg_live_[li];
+      } else {
+        return li;
+      }
     };
 
     const auto consider = [&](Time hit, std::size_t ti) {
@@ -325,6 +399,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         if (when_abs < best_t_[ti] ||
             (when_abs == best_t_[ti] && a < finder_t_[ti])) {
           if (best_t_[ti] == kNeverTime) --n_unhit;
+          if (when_abs < best_t_[ti]) loosest_stale = true;
           best_t_[ti] = when_abs;
           finder_t_[ti] = a;
         }
@@ -347,9 +422,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       const std::int64_t ylo = std::min(from_pt.y, to.y);
       const std::int64_t yhi = std::max(from_pt.y, to.y);
       std::optional<grid::StaircasePath> path;
-      for (std::size_t ti = 0; ti < nt; ++ti) {
+      for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt); ++li) {
+        const std::size_t ti = target_at(li);
         if constexpr (kDynamic) {
-          if (misses(ti, grid::l1_dist(from_pt, to))) continue;
+          if (window_from(ti) > grid::l1_dist(from_pt, to)) break;
         }
         const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
         if (tgt.x < xlo || tgt.x > xhi || tgt.y < ylo || tgt.y > yhi) continue;
@@ -369,9 +445,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     } else if (std::get_if<ReturnToSource>(&op) != nullptr) {
       scan_walk(pos, grid::kOrigin);
     } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
-      for (std::size_t ti = 0; ti < nt; ++ti) {
+      for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt); ++li) {
+        const std::size_t ti = target_at(li);
         if constexpr (kDynamic) {
-          if (misses(ti, sp->duration)) continue;
+          if (window_from(ti) > sp->duration) break;
         }
         const std::int64_t idx = grid::spiral_index(
             grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
@@ -383,9 +460,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       end = pos + grid::spiral_point(sp->duration);
     } else {
       const auto& fp = std::get<FollowPath>(op);
-      for (std::size_t ti = 0; ti < nt; ++ti) {
+      for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt); ++li) {
+        const std::size_t ti = target_at(li);
         if constexpr (kDynamic) {
-          if (misses(ti, static_cast<Time>(fp.steps.size()))) continue;
+          if (window_from(ti) > static_cast<Time>(fp.steps.size())) break;
         }
         const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
         const Time from = window_from(ti);
@@ -473,9 +551,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // tick steps the active lanes of every running slot (the step kernels take
 // runs of consecutive lanes as vectors, kernels.h); then each slot's
 // in-order pass detects exactly as a step-and-check-each-agent loop would,
-// with the per-agent occupancy check (first target equal to the agent's new
-// position) routed through the find_point kernel, an in-order scan either
-// way. Lanes never interact, so every slot's result is the one trial's.
+// with the static loop's per-agent occupancy check (first target equal to
+// the agent's new position) routed through the find_point kernel, an
+// in-order scan either way. Lanes never interact, so every slot's result is
+// the one trial's.
 // A slot retires when it finds (or collects every target), or when its
 // roster is exhausted — nothing can change its result after that, and the
 // loop would only run it to the cap — and its lanes leave the step list.
@@ -494,8 +573,20 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // event. Dwell counters of targets off the list are not reset as the scalar
 // loop resets them, which nothing can observe: a target off the list either
 // has not appeared yet (its counters are still 0), has vanished for good,
-// or is found. The static instance compiles all of that out and scans every
-// target with the plain find_point kernel.
+// or is found.
+// An agent's scan also measures its L1 distance to the nearest live target
+// left. Each tick the agent moves at most one edge (StepStrategy::step's
+// contract) and a target of the slot at most div - 1 (drift_reach), so no
+// live target comes within contact (0, or 1 under dwell) for the next
+// (near - contact - 1) / div ticks: the agent's quiet stretch, through
+// which its scan is skipped, and the slot's whole pass while every active
+// agent is in one. Under dwell a stretch starts only when every contact
+// counter of the agent was just reset, and the scalar loop would keep them
+// at 0. Vanishes and captures only shorten the list, which keeps every
+// stretch valid; an admission ends every stretch of the slot, and a roster
+// change ends the slot's (a new agent starts without one). The static
+// instance compiles all of that out and scans every target with the plain
+// find_point kernel.
 
 template <bool kDynamic>
 void BatchRunner::run_step(const TrialEnvironment* envs,
@@ -513,6 +604,9 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
   if constexpr (!kDynamic) {
     lane_tx_.assign(n * uk, kNoTarget);
     lane_ty_.assign(n * uk, kNoTarget);
+  } else {
+    quiet_.assign(n * uk, 0);
+    quiet_slots_.resize(n);
   }
   running_.clear();
   bool fixed_rosters = true;   // no slot's roster changes after tick 0
@@ -578,6 +672,14 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
       slot.live_y.clear();
       slot.found_at.assign(nt, 0);
       if (slot.dwell > 0) slot.held.assign(uk * nt, 0);
+      std::int64_t reach = 0;  // L1 a target may move per tick
+      if (slot.drift) {
+        for (const TargetDrift& v : env.target_drift) {
+          reach = std::max(reach,
+                           drift_reach(v.vx, cap) + drift_reach(v.vy, cap));
+        }
+      }
+      quiet_slots_[s] = QuietSlot{0, 1 + reach};
     } else if (nt == 1) {
       std::fill_n(lane_tx_.begin() + static_cast<std::ptrdiff_t>(s * uk), uk,
                   slot.tx[0]);
@@ -624,8 +726,10 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
 
   // Slot s's window events at tick t: drop the targets whose windows
   // closed, admit those that opened (a window with vanish <= t never
-  // opens), find the next event, and refresh the live positions.
-  [[maybe_unused]] const auto advance_targets = [&](StepSlot& slot, Time t) {
+  // opens; an admission ends every quiet stretch of the slot), find the
+  // next event, and refresh the live positions.
+  [[maybe_unused]] const auto advance_targets = [&](std::uint32_t s, Time t) {
+    StepSlot& slot = slots_[s];
     const double td = static_cast<double>(t);
     const std::size_t nt = slot.nt;
     bool refresh = slot.drift;  // live_x/live_y need this tick's positions
@@ -642,6 +746,9 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
         if (td < slot.van[ti]) {
           slot.live.insert(
               std::upper_bound(slot.live.begin(), slot.live.end(), ti), ti);
+          std::fill_n(quiet_.begin() + static_cast<std::ptrdiff_t>(s * uk),
+                      uk, 0);
+          quiet_slots_[s].until = 0;
         }
       }
       slot.next_event = slot.next_appear < nt
@@ -688,12 +795,21 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
       result.segments -= static_cast<std::int64_t>(active.size() - 1 - i);
       result.crashed -= static_cast<int>(slot.roster.halted_after(active[i]));
     };
+    // Dynamic: the pass recomputes the slot's earliest end of a quiet
+    // stretch.
+    if constexpr (kDynamic) quiet_slots_[s].until = cap;
     for (std::size_t i = 0; i < active.size(); ++i) {
       const int a = static_cast<int>(active[i]);
       const auto ia = static_cast<std::size_t>(active[i]);
       const grid::Point next{lanes_.x[base + ia], lanes_.y[base + ia]};
 
       if constexpr (kDynamic) {
+        Time& until = quiet_slots_[s].until;
+        Time& quiet = quiet_[base + ia];
+        if (t <= quiet) {
+          until = std::min(until, quiet);  // out of reach of every live target
+          continue;
+        }
         // Takes live entry j off the list as found by agent a at t; true
         // when that ends a first-of-set race.
         const auto capture = [&](std::size_t j) {
@@ -715,47 +831,39 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
           result.target_times[ti] = static_cast<double>(t);
           return false;
         };
-        if (slot.dwell > 0) {
-          std::int64_t* held = slot.held.data() + ia * nt;
-          for (std::size_t j = 0; j < slot.live.size();) {
-            const std::int64_t dx = slot.live_x[j] - next.x;
-            const std::int64_t dy = slot.live_y[j] - next.y;
-            const std::int64_t l1 = (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
+        // One pass in list order, the order the scalar loop meets the
+        // targets in: an entry is caught at distance 0, or under dwell once
+        // its contact counter (contact is the L1 disc of radius 1) reaches
+        // dwell + 1. One agent step can catch several co-located targets
+        // in collect mode, so the pass resumes at the entry that moved into
+        // the caught one's place. `near` ends as the nearest target left.
+        const std::int64_t contact = slot.dwell > 0 ? 1 : 0;
+        std::int64_t* held =
+            slot.dwell > 0 ? slot.held.data() + ia * nt : nullptr;
+        std::int64_t near = kFar;
+        for (std::size_t j = 0; j < slot.live.size();) {
+          const std::int64_t dx = slot.live_x[j] - next.x;
+          const std::int64_t dy = slot.live_y[j] - next.y;
+          const std::int64_t l1 = (dx < 0 ? -dx : dx) + (dy < 0 ? -dy : dy);
+          bool caught = l1 == 0;
+          if (held != nullptr) {
             std::int64_t& h = held[slot.live[j]];
             h = l1 <= 1 ? h + 1 : 0;
-            if (h < slot.dwell + 1) {
-              ++j;
-            } else if (capture(j)) {
-              return false;
-            }
+            caught = h >= slot.dwell + 1;
           }
-        } else {
-          // One agent step can capture several co-located targets in
-          // collect mode (the scalar loop keeps scanning), so the scan
-          // resumes at the entry that moved into the captured one's slot.
-          // For a handful of targets the in-order scalar scan beats the
-          // kernel call; same first match either way.
-          for (std::size_t j = 0; j < slot.live.size();) {
-            const std::size_t m = slot.live.size() - j;
-            std::size_t rel = kNpos;
-            if (m < 8) {
-              for (std::size_t r = 0; r < m; ++r) {
-                if (slot.live_x[j + r] == next.x &&
-                    slot.live_y[j + r] == next.y) {
-                  rel = r;
-                  break;
-                }
-              }
-            } else {
-              rel = kernels_->find_point(slot.live_x.data() + j,
-                                         slot.live_y.data() + j, m, next.x,
-                                         next.y);
-            }
-            if (rel == kNpos) break;
-            j += rel;
-            if (capture(j)) return false;
+          if (!caught) {
+            near = std::min(near, l1);
+            ++j;
+          } else if (capture(j)) {
+            return false;
           }
         }
+        // The agent's quiet stretch (see above): no live target comes
+        // within contact for the next (near - contact - 1) / div ticks.
+        quiet = t + std::clamp<Time>(
+                        (near - contact - 1) / quiet_slots_[s].div, 0,
+                        cap - t);
+        until = std::min(until, quiet);
       } else {
         const std::int64_t* tx = slot.tx.data();
         const std::int64_t* ty = slot.ty.data();
@@ -792,12 +900,13 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
       std::size_t keep = 0;
       for (const std::uint32_t s : running_) {
         StepSlot& slot = slots_[s];
-        if constexpr (kDynamic) advance_targets(slot, t);
+        if constexpr (kDynamic) advance_targets(s, t);
         count_steps(slot, t - 1);  // the roster may change at t
         if (slot.roster.advance(t)) {
           slot.result->crashed +=
               static_cast<int>(slot.roster.halting().size());
           relist = true;
+          if constexpr (kDynamic) quiet_slots_[s].until = 0;  // new agents
           if (slot.roster.exhausted()) {
             finish(slot, t);
             continue;
@@ -823,6 +932,8 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
     std::size_t retired = 0;
     if constexpr (kDynamic) {
       for (const std::uint32_t s : running_) {
+        // Every active agent of the slot in a quiet stretch: nothing to do.
+        if (t <= quiet_slots_[s].until) continue;
         if (!detect(s, t)) {
           slots_[s].done = true;
           ++retired;

@@ -107,12 +107,15 @@ class BatchRunner {
   /// One loop per grid backend. kDynamic is env.has_dynamic_targets(),
   /// picked after the origin pre-step (per trial in run_one; run_block
   /// groups a block's step trials by it): the true instance handles
-  /// appear/vanish windows, drift, dwell capture, and collect-all
-  /// (lock-step: per-tick tests over the live-target list only; segment:
-  /// targets whose window misses the segment skipped before the hit
-  /// test); the false instance compiles all of that out and is the
-  /// paper's static model. run_step runs the trials envs[trials[s]] for
-  /// s < n as slots of one lock-step block.
+  /// appear/vanish windows, drift, dwell capture, and collect-all, and
+  /// does work only for targets and agents that can still produce a hit
+  /// (lock-step: per-tick tests over the live-target list, skipped for an
+  /// agent through a quiet stretch in which it provably cannot reach any
+  /// live target; segment: a per-trial list of the targets whose windows
+  /// have not closed at the popped clock, scanned in appear order up to
+  /// the first one opening after the segment); the false instance compiles
+  /// all of that out and is the paper's static model. run_step runs the
+  /// trials envs[trials[s]] for s < n as slots of one lock-step block.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng);
@@ -206,6 +209,25 @@ class BatchRunner {
   std::array<ThetaMemoEntry, 64> theta_memo_{};
 
   std::uint64_t scalar_fallbacks_ = 0;
+
+  // The dynamic loops' pruning state, declared after every member the
+  // static loop instances read so that those keep their offsets.
+  /// run_segment<true>: the trial's targets that can still be hit, in
+  /// (appear, index) order; a target leaves once its window has closed at
+  /// the popped clock.
+  std::vector<std::uint32_t> seg_live_;
+  /// run_step<true>: per lane, the last tick of its agent's quiet stretch,
+  /// through which the agent provably touches no live target and its scan
+  /// is skipped.
+  std::vector<Time> quiet_;
+  /// run_step<true>, per slot: the earliest end of a quiet stretch over its
+  /// active agents (the slot's detection pass is skipped through it), and
+  /// 1 + the L1 distance one of its targets may drift per tick.
+  struct QuietSlot {
+    Time until = 0;
+    std::int64_t div = 1;
+  };
+  std::vector<QuietSlot> quiet_slots_;
 };
 
 }  // namespace ants::sim::batch

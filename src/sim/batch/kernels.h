@@ -22,10 +22,12 @@
 //     Every other lane takes the scalar kernel. Lanes never interact, so
 //     how a list splits into vectors changes no draw.
 //
-// BatchRunner calls find_point (lock-step occupancy, over all targets in
-// the static loop and over the live-target list in the dynamic one) and
-// line_candidates (plane). random-walk and biased-walk call their step
-// kernel at StepLanes::level, which BatchRunner sets to its own level.
+// BatchRunner calls find_point (lock-step occupancy over the targets of a
+// static slot with eight or more; the dynamic loop's pass over its
+// live-target list also measures the nearest distance, so it runs one
+// scalar loop) and line_candidates (plane). random-walk and biased-walk
+// call their step kernel at StepLanes::level, which BatchRunner sets to its
+// own level.
 //
 // The other six entries run on no executor path and are scalar at every
 // level; they stay in the table only because perfbench's replay times them

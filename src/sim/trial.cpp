@@ -111,20 +111,6 @@ std::optional<TrialResult> resolve_origin_target(const TrialEnvironment& env,
   return std::nullopt;
 }
 
-double appear_of(const TrialEnvironment& env, std::size_t ti) noexcept {
-  return env.target_appear.empty() ? 0.0 : env.target_appear[ti];
-}
-
-double vanish_of(const TrialEnvironment& env, std::size_t ti) noexcept {
-  return env.target_vanish.empty() ? kNeverVanish : env.target_vanish[ti];
-}
-
-Time window_from_offset(double appear, Time base) noexcept {
-  const double lo = appear - static_cast<double>(base);
-  if (lo <= 0) return 0;
-  return static_cast<Time>(std::ceil(lo));
-}
-
 grid::Point target_position_at(const TrialEnvironment& env, std::size_t ti,
                                Time t) noexcept {
   grid::Point p = env.targets[ti];

@@ -23,6 +23,7 @@
 // byte.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -255,12 +256,21 @@ inline constexpr double kNeverVanish =
 
 /// Appear/vanish of target `ti`, with the empty-vector defaults (appear at
 /// 0, never vanish) materialized.
-double appear_of(const TrialEnvironment& env, std::size_t ti) noexcept;
-double vanish_of(const TrialEnvironment& env, std::size_t ti) noexcept;
+inline double appear_of(const TrialEnvironment& env, std::size_t ti) noexcept {
+  return env.target_appear.empty() ? 0.0 : env.target_appear[ti];
+}
+inline double vanish_of(const TrialEnvironment& env, std::size_t ti) noexcept {
+  return env.target_vanish.empty() ? kNeverVanish : env.target_vanish[ti];
+}
 
 /// Smallest integer offset within a segment started at absolute time `base`
-/// at which a hit can fall inside a target's appear window.
-Time window_from_offset(double appear, Time base) noexcept;
+/// at which a hit can fall inside a target's appear window. Nondecreasing
+/// in `appear` for a fixed `base`, and nonincreasing in `base`.
+inline Time window_from_offset(double appear, Time base) noexcept {
+  const double lo = appear - static_cast<double>(base);
+  if (lo <= 0) return 0;
+  return static_cast<Time>(std::ceil(lo));
+}
 
 /// Position of (possibly drifting) grid target `ti` at absolute tick `t`:
 /// base + (llround(vx * t), llround(vy * t)).

@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "plane/strategies.h"
 #include "sim/placement.h"
 #include "sim/runner.h"
+#include "sim/trial.h"
 #include "core/known_k.h"
 
 namespace ants::plane {
@@ -222,6 +225,102 @@ TEST(PlaneVsGrid, HarmonicSuccessProbabilityComparable) {
     plane_found += r.found;
   }
   EXPECT_GT(static_cast<double>(plane_found) / trials, 0.7);
+}
+
+// ---------------------------------------------------------------------------
+// Windowed and collect-all trials pinned by digest: seeded Poisson target
+// windows under staggered starts and finite lifetimes, for three plane
+// strategies at two k, in both collect modes, every result field hashed with
+// the doubles taken by their bit patterns. The digest was recorded before
+// the engine solved a spiral's end angle once per move and skipped the
+// targets whose window had closed, so those two cuts provably move no bit.
+// ---------------------------------------------------------------------------
+
+std::uint64_t windowed_trials_digest() {
+  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
+  const auto add = [&h](std::uint64_t word) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (word >> (8 * b)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  const auto add_time = [&add](double t) {
+    add(std::bit_cast<std::uint64_t>(t));
+  };
+  const PlaneKnownKStrategy known_k(4);
+  const PlaneHarmonicStrategy harmonic(0.5);
+  const PlaneUniformStrategy uniform(0.5);
+  const std::vector<const PlaneStrategy*> strategies = {&known_k, &harmonic,
+                                                        &uniform};
+  const sim::TargetProcess process = sim::poisson_plane_targets(
+      0.01, 300.0, [](rng::Rng& rng) { return rng.angle(); });
+  PlaneEngineConfig config;
+  config.time_cap = 3000;
+  for (const PlaneStrategy* strategy : strategies) {
+    for (const int k : {2, 5}) {
+      for (const bool collect : {false, true}) {
+        for (std::uint64_t trial = 0; trial < 12; ++trial) {
+          const rng::Rng trial_rng(trial * 7919 + 17);
+          sim::TrialEnvironment grid_env;
+          rng::Rng realize = trial_rng;
+          process.plane(realize, 6, 3000, &grid_env);
+          PlaneTrialEnvironment env;
+          env.targets = grid_env.plane_targets;
+          env.target_appear = grid_env.target_appear;
+          env.target_vanish = grid_env.target_vanish;
+          env.windowed = true;
+          env.collect_all = collect;
+          for (int a = 0; a < k; ++a) {
+            env.starts.push_back(3.0 * a);
+            // Agent 1 dies young: hits past its lifetime must not count.
+            env.lifetimes.push_back(a == 1 ? 40.0 : kPlaneNever);
+          }
+          const PlaneTrialResult r =
+              run_plane_trial(*strategy, k, env, trial_rng, config);
+          add(r.found ? 1 : 0);
+          add_time(r.time);
+          add(static_cast<std::uint64_t>(r.finder));
+          add(static_cast<std::uint64_t>(r.first_target));
+          add(static_cast<std::uint64_t>(r.segments));
+          add(static_cast<std::uint64_t>(r.crashed));
+          add_time(r.from_last_start);
+          for (const double t : r.target_times) add_time(t);
+        }
+      }
+    }
+  }
+  return h;
+}
+
+TEST(PlaneEngine, WindowClosingJustAfterAMoveStartsStillCounts) {
+  // One agent starts at t = 2 with the target in sight of home: a window
+  // closing at 2.5 still holds the sighting at offset 0 of its first move,
+  // one closing at exactly 2 does not. Both for a line and a spiral.
+  for (const PlaneOp op : {PlaneOp{GoToPoint{Vec2{5, 0}}},
+                           PlaneOp{SpiralSweep{20.0}}}) {
+    const ScriptedPlaneStrategy s({op});
+    for (const bool collect : {false, true}) {
+      for (const double vanish : {2.0, 2.5}) {
+        PlaneTrialEnvironment env;
+        env.targets = {Vec2{0.5, 0}};
+        env.target_appear = {0.0};
+        env.target_vanish = {vanish};
+        env.starts = {2.0};
+        env.collect_all = collect;
+        PlaneEngineConfig config;
+        config.time_cap = 50;
+        const auto r = run_plane_trial(s, 1, env, rng::Rng(1), config);
+        EXPECT_EQ(r.found, vanish > 2.0) << vanish;
+        if (r.found) {
+          EXPECT_EQ(r.time, 2.0);
+        }
+      }
+    }
+  }
+}
+
+TEST(PlaneEngine, WindowedAndCollectTrialsMatchPinnedDigest) {
+  EXPECT_EQ(windowed_trials_digest(), 0x44e4a53d7b6d2d3aULL);
 }
 
 }  // namespace

@@ -141,7 +141,8 @@ TEST(CacheJournal, PlaneBaseWarmRunIsByteIdentical) {
 TEST(CacheJournal, AllOtherGoldenWarmRunsAreByteIdentical) {
   for (const char* stem :
        {"sync", "async_crash", "placement_sweep", "multi_target",
-        "plane_async", "stochastic_targets"}) {
+        "plane_async", "stochastic_targets", "segment_windows",
+        "segment_windows_first"}) {
     check_warm_identity(stem);
   }
 }

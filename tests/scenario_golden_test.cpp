@@ -108,6 +108,16 @@ TEST(Golden, StochasticTargetsSpecReproducesByteForByte) {
   check_golden("stochastic_targets", 5);
 }
 
+// The segment backend's dynamic loop: Poisson windows under collect-all on
+// the paper's segment strategies, and a first-of-set race over windows with
+// staggered starts and dead-on-arrival crashes.
+TEST(Golden, SegmentWindowsSpecReproducesByteForByte) {
+  check_golden("segment_windows", 1);
+  check_golden("segment_windows", 5);
+  check_golden("segment_windows_first", 1);
+  check_golden("segment_windows_first", 5);
+}
+
 // The walkers under the static base model, with k straddling the 4-lane
 // vector width and 70 trials crossing the 64-trial block: the lock-step
 // block loop's slots and step kernels, pinned at every thread count.

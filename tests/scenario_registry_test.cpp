@@ -2,7 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "rng/rng.h"
+#include "sim/batch/simd.h"
+#include "sim/step_engine.h"
+#include "test_support.h"
 
 namespace ants::scenario {
 namespace {
@@ -51,6 +60,52 @@ TEST(Registry, PlaneStrategiesAreMarkedAsPlane) {
   EXPECT_TRUE(Registry::instance().make("plane-uniform", {}).is_plane());
   EXPECT_FALSE(Registry::instance().make("known-k", {}).is_plane());
   EXPECT_FALSE(Registry::instance().make("random-walk", {}).is_plane());
+}
+
+// StepStrategy::step's contract that every lane moves to a grid neighbour
+// or stays put is what the lock-step loop's quiet gate rests on (an agent
+// out of reach of every target skips its scans for as many ticks as it
+// provably stays out of reach). Every registered step strategy, with its
+// defaults and with extreme parameters, at every dispatch level, over
+// stepped lane lists with gaps and odd lengths.
+TEST(Registry, EveryStepStrategyMovesEachLaneAtMostOneEdgePerTick) {
+  std::vector<std::string> specs;
+  for (const std::string& name : Registry::instance().names()) {
+    if (Registry::instance().make(name, BuildContext{4}).is_step()) {
+      specs.push_back(name);
+    }
+  }
+  ASSERT_FALSE(specs.empty());
+  specs.push_back("biased-walk(bias=0.95, persistence=0.95)");
+  specs.push_back("biased-walk(bias=0, persistence=0)");
+  constexpr int kLanes = 13;
+  for (const std::string& spec : specs) {
+    const BuiltStrategy built =
+        Registry::instance().make(spec, BuildContext{4});
+    ASSERT_TRUE(built.is_step()) << spec;
+    for (const sim::batch::SimdLevel level : ants::testing::testable_levels()) {
+      sim::StepLanes lanes;
+      lanes.reset(kLanes, rng::Rng(20261019));
+      lanes.level = level;
+      std::vector<std::uint32_t> stepped;
+      for (std::uint32_t a = 0; a < kLanes; ++a) {
+        if (a % 4 != 2) stepped.push_back(a);  // gaps in the lane list
+      }
+      for (int tick = 0; tick < 2000; ++tick) {
+        const std::vector<std::int64_t> x = lanes.x, y = lanes.y;
+        built.step->step(lanes, stepped.data(), stepped.size());
+        for (std::uint32_t a = 0; a < kLanes; ++a) {
+          const std::int64_t moved =
+              std::llabs(lanes.x[a] - x[a]) + std::llabs(lanes.y[a] - y[a]);
+          // A lane left off the list stays put.
+          ASSERT_LE(moved, a % 4 == 2 ? 0 : 1)
+              << spec << " lane " << a << " tick " << tick
+                              << " level "
+                              << sim::batch::simd_level_name(level);
+        }
+      }
+    }
+  }
 }
 
 TEST(Registry, DollarKDefaultResolvesToCellK) {

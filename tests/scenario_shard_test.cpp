@@ -173,7 +173,8 @@ TEST(ShardMerge, PlaneBaseShardUnionIsByteIdenticalToGolden) {
 TEST(ShardMerge, AllOtherGoldenShardUnionsAreByteIdentical) {
   for (const char* stem :
        {"sync", "async_crash", "placement_sweep", "multi_target",
-        "plane_async", "stochastic_targets", "lockstep_static", "large_k"}) {
+        "plane_async", "stochastic_targets", "lockstep_static", "large_k",
+        "segment_windows", "segment_windows_first"}) {
     check_shard_union_identity(stem);
   }
 }

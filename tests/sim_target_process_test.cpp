@@ -35,6 +35,7 @@
 #include "baselines/sector_sweep.h"
 #include "core/known_k.h"
 #include "core/uniform.h"
+#include "grid/ball.h"
 #include "grid/spiral.h"
 #include "plane/strategies.h"
 #include "rng/splitmix64.h"
@@ -828,6 +829,261 @@ TEST(TargetProcess, BatchRunnerCountsPlaneDynamicDelegation) {
     // Each dynamic plane trial is a counted delegation; take drains.
     EXPECT_EQ(runner.take_scalar_fallbacks(), 4u);
     EXPECT_EQ(runner.take_scalar_fallbacks(), 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The dynamic loops' pruning: the lock-step quiet gate (an agent out of reach
+// of every live target skips its scan for as many ticks as it provably
+// stays out of reach) and the segment live list (a target leaves once its
+// window has closed at the popped clock). Each case pins the batch loops to
+// the scalar reference loops, which test every target every tick and
+// segment.
+// ---------------------------------------------------------------------------
+
+/// `targets` static nodes at L1 distance `distance` around the source.
+std::vector<Point> ring_targets(std::size_t targets, std::int64_t distance,
+                                std::uint64_t seed) {
+  rng::Rng rng(seed);
+  std::vector<Point> out;
+  for (std::size_t ti = 0; ti < targets; ++ti) {
+    out.push_back(grid::uniform_ring_point(rng, distance));
+  }
+  return out;
+}
+
+TEST(TargetProcess, QuietGateMatchesScalarOnWalkers) {
+  using sim::batch::SimdLevel;
+  const baselines::RandomWalkStrategy random_walk;
+  const baselines::BiasedWalkStrategy biased_walk(0.3, 0.8);
+  const baselines::BiasedWalkStrategy runaway(0.9, 0.95);
+  std::vector<sim::TrialStrategy> strategies(3);
+  strategies[0].step = &random_walk;
+  strategies[1].step = &biased_walk;
+  strategies[2].step = &runaway;
+  constexpr int k = 3;
+
+  // Environments built around `targets`: windows, drift faster than one
+  // cell per tick (components up to 1.75, some exactly 1 and 2), dwell,
+  // collect-all, staggered starts with a dead-on-arrival and a crashing
+  // agent, alone and in combination.
+  const auto variants = [](const std::vector<Point>& targets,
+                           std::uint64_t seed) {
+    rng::Rng rng(seed);
+    TrialEnvironment base;
+    base.targets = targets;
+    std::vector<TrialEnvironment> out;
+    TrialEnvironment windows = base;
+    windows.windowed = true;
+    for (std::size_t ti = 0; ti < targets.size(); ++ti) {
+      const double appear = static_cast<double>(rng.uniform_int(0, 300)) +
+                            (ti % 2 == 0 ? 0.0 : 0.5);
+      windows.target_appear.push_back(appear);
+      windows.target_vanish.push_back(appear + static_cast<double>(
+                                                   rng.uniform_int(0, 400)));
+    }
+    TrialEnvironment drift = base;
+    for (std::size_t ti = 0; ti < targets.size(); ++ti) {
+      const double speeds[] = {1.75, -1.75, 1.0, -2.0, 0.4, 0.0};
+      drift.target_drift.push_back(
+          {speeds[ti % 6], speeds[(ti + 3) % 6] * 0.5});
+    }
+    for (const bool collect : {false, true}) {
+      for (const Time dwell : {Time{0}, Time{2}}) {
+        for (TrialEnvironment env : {base, windows, drift}) {
+          env.collect_all = collect;
+          env.capture_dwell = dwell;
+          if (!env.has_dynamic_targets()) env.windowed = true;
+          out.push_back(env);
+          env.starts = {9, 0, 4};
+          env.lifetimes = {0, 250, sim::kNeverTime};
+          out.push_back(env);
+        }
+      }
+    }
+    return out;
+  };
+
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
+    sim::batch::force_simd_level(level);
+    // A short cap with targets near the source, and a long one in which
+    // the walkers wander far from every target (the runaway walker above
+    // all) and the gate skips thousands of ticks at a time.
+    for (const Time cap : {Time{600}, Time{8000}}) {
+      EngineConfig config;
+      config.time_cap = cap;
+      // One runner per strategy, reused over every block below.
+      std::vector<sim::batch::BatchRunner> runners;
+      for (const auto& s : strategies) runners.emplace_back(s, k, config);
+      for (std::uint64_t seed = 1; seed <= (cap > 1000 ? 2u : 4u); ++seed) {
+        // One target, two, and twelve (the list scan past eight entries).
+        for (const std::size_t n_targets : {1u, 2u, 12u}) {
+          const std::vector<TrialEnvironment> envs = variants(
+              ring_targets(n_targets, cap > 1000 ? 6 : 3, seed), seed);
+          std::vector<rng::Rng> rngs;
+          for (std::size_t i = 0; i < envs.size(); ++i) {
+            rngs.emplace_back(rng::mix_seed(0x9A7E, seed * 1000 + i));
+          }
+          for (std::size_t si = 0; si < runners.size(); ++si) {
+            // Every environment as one lock-step block, so slots with
+            // different gates share the ticks.
+            std::vector<TrialResult> got(envs.size());
+            runners[si].run_block(envs.data(), rngs.data(), envs.size(),
+                                  got.data());
+            for (std::size_t i = 0; i < envs.size(); ++i) {
+              SCOPED_TRACE(::testing::Message()
+                           << "level " << sim::batch::simd_level_name(level)
+                           << " cap " << cap << " seed " << seed
+                           << " targets " << n_targets << " strategy " << si
+                           << " env " << i);
+              expect_same_result(
+                  got[i],
+                  run_trial(strategies[si], k, envs[i], rngs[i], config));
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(TargetProcess, QuietGateEndsOnTheTickOfContact) {
+  // The east walker stands at (t, 0) after tick t. A target at (6, 0) is
+  // 5 away after tick 1, so the agent is quiet through tick 5 and scans on
+  // tick 6, the tick it arrives; under dwell=2 the disc is entered on
+  // tick 5 and contact confirms on tick 7. A target drifting west at
+  // 1.75 cells per tick meets the walker head-on.
+  using sim::batch::SimdLevel;
+  const EastStrategy east;
+  sim::TrialStrategy s;
+  s.step = &east;
+  EngineConfig config;
+  config.time_cap = 100;
+
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
+    sim::batch::force_simd_level(level);
+    sim::batch::BatchRunner runner(s, 1, config);
+    for (const Time dwell : {Time{0}, Time{2}}) {
+      TrialEnvironment still;
+      still.targets = {Point{6, 0}};
+      still.windowed = true;
+      still.capture_dwell = dwell;
+      const TrialResult want = run_trial(east, 1, still, rng::Rng(1), config);
+      EXPECT_TRUE(want.found);
+      EXPECT_EQ(want.time, dwell > 0 ? 7.0 : 6.0);
+      expect_same_result(runner.run_one(still, rng::Rng(1)), want);
+
+      for (const double v : {-1.75, -1.0, -2.0}) {
+        TrialEnvironment head_on;
+        head_on.targets = {Point{41, 0}};
+        head_on.target_drift = {{v, 0.0}};
+        head_on.capture_dwell = dwell;
+        expect_same_result(runner.run_one(head_on, rng::Rng(1)),
+                           run_trial(east, 1, head_on, rng::Rng(1), config));
+      }
+    }
+  }
+}
+
+TEST(TargetProcess, QuietGateWakesForTargetsAppearingNextToTheAgent) {
+  // The east walker is quiet for ~100 ticks (the only live target is 100
+  // away) when a target appears right ahead of it: at (11, 0) on tick 11,
+  // the tick the walker steps onto it, or under dwell=2 at (12, 0), whose
+  // disc the walker is already in on tick 11. The admission must end the
+  // quiet stretch.
+  using sim::batch::SimdLevel;
+  const EastStrategy east;
+  sim::TrialStrategy s;
+  s.step = &east;
+  EngineConfig config;
+  config.time_cap = 200;
+
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
+    sim::batch::force_simd_level(level);
+    sim::batch::BatchRunner runner(s, 1, config);
+    for (const bool collect : {false, true}) {
+      for (const Time dwell : {Time{0}, Time{2}}) {
+        TrialEnvironment env;
+        env.targets = {Point{100, 0}, Point{dwell > 0 ? 12 : 11, 0}};
+        env.target_appear = {0.0, 10.5};
+        env.target_vanish = {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::infinity()};
+        env.capture_dwell = dwell;
+        env.collect_all = collect;
+        const TrialResult want = run_trial(east, 1, env, rng::Rng(2), config);
+        EXPECT_EQ(want.first_target, 1);
+        EXPECT_EQ(collect ? want.target_times[1] : want.time,
+                  dwell > 0 ? 13.0 : 11.0);
+        expect_same_result(runner.run_one(env, rng::Rng(2)), want);
+      }
+    }
+  }
+}
+
+TEST(TargetProcess, QuietGateWakesForLateStarters) {
+  // Agent 0 walks east from tick 1 and is quiet; agent 1 starts on tick 6
+  // and steps onto (1, 0), whose target appeared after agent 0 had left.
+  // Agent 1's start must end the slot's quiet stretch.
+  using sim::batch::SimdLevel;
+  const EastStrategy east;
+  sim::TrialStrategy s;
+  s.step = &east;
+  EngineConfig config;
+  config.time_cap = 100;
+
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
+    sim::batch::force_simd_level(level);
+    sim::batch::BatchRunner runner(s, 2, config);
+    TrialEnvironment env;
+    env.targets = {Point{1, 0}};
+    env.target_appear = {2.5};
+    env.target_vanish = {std::numeric_limits<double>::infinity()};
+    env.starts = {0, 5};
+    const TrialResult want = run_trial(east, 2, env, rng::Rng(4), config);
+    EXPECT_TRUE(want.found);
+    EXPECT_EQ(want.finder, 1);
+    EXPECT_EQ(want.time, 6.0);
+    expect_same_result(runner.run_one(env, rng::Rng(4)), want);
+  }
+}
+
+TEST(TargetProcess, SegmentLiveListAtVanishEqualToAPoppedClock) {
+  // Agent 1 starts on the source at t = 5, which is a popped clock; a
+  // target on the source (appearing after agent 0 left it) vanishing at
+  // 5.5 is hit at offset 0 of that segment, one vanishing at exactly 5 is
+  // not. A third target vanishes at 3, agent 0's second popped clock,
+  // just as agent 0 would reach it.
+  using sim::batch::SimdLevel;
+  EngineConfig config;
+  config.time_cap = 60;
+
+  testing::LevelGuard guard;
+  for (const SimdLevel level : testing::testable_levels()) {
+    sim::batch::force_simd_level(level);
+    for (const auto kind : {HopStrategy::Kind::kGoTo, HopStrategy::Kind::kPath,
+                            HopStrategy::Kind::kSpiral}) {
+      const HopStrategy hop(kind);
+      sim::TrialStrategy s;
+      s.segment = &hop;
+      sim::batch::BatchRunner runner(s, 2, config);
+      for (const bool collect : {false, true}) {
+        for (const double vanish : {5.0, 5.5}) {
+          TrialEnvironment env;
+          env.targets = {grid::kOrigin, Point{3, 0}};
+          env.target_appear = {2.0, 0.0};
+          env.target_vanish = {vanish, 3.0};
+          env.starts = {0, 5};
+          env.collect_all = collect;
+          const TrialResult want = run_trial(hop, 2, env, rng::Rng(6), config);
+          EXPECT_EQ(want.first_target, vanish > 5.0 ? 0 : -1);
+          expect_same_result(runner.run_one(env, rng::Rng(6)), want);
+        }
+      }
+    }
   }
 }
 
