@@ -348,9 +348,11 @@ BENCHMARK(BM_BatchedTrialStepBiased);
 
 // The same hot cell as one 60-trial block, the way the sweep runs a
 // landscape cell on one worker: every trial's 4 walkers step together
-// through one run_block. ns_per_agent_tick divides the time by the steps
-// taken (TrialResult::segments), the unit perfbench's exec.step layer uses.
-// No Unified twin: this measures the block loop, not a pair ratio.
+// through one run_block. ns_per_agent_tick divides the time by the
+// agent-ticks the results account for (TrialResult::segments), the unit
+// perfbench's exec.step layer uses; a slot retired at its reach horizon
+// accounts for ticks through the cap it never stepped. No Unified twin:
+// this measures the block loop, not a pair ratio.
 void BM_BlockStepBiased(benchmark::State& state) {
   const ants::baselines::BiasedWalkStrategy strategy(0.3, 0.8);
   ants::sim::EngineConfig config;

@@ -186,6 +186,10 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
   std::vector<Time> best_t(nt, kPlaneNever);
   std::vector<int> finder_t(nt, -1);
   Time best_first = kPlaneNever;
+  // Collect: the loosest per-target bound, recomputed only after some
+  // best_t changed.
+  Time loosest = config.time_cap;
+  bool loosest_stale = false;
 
   while (!queue.empty()) {
     const auto [abs_clock, a] = queue.top();
@@ -198,10 +202,14 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
     if (!collect) {
       bound = std::min(bound, best_first);
     } else {
-      Time loosest = 0;
-      for (std::size_t ti = 0; ti < nt; ++ti) {
-        loosest = std::max(
-            loosest, best_t[ti] == kPlaneNever ? config.time_cap : best_t[ti]);
+      if (loosest_stale) {
+        loosest = 0;
+        for (std::size_t ti = 0; ti < nt; ++ti) {
+          loosest = std::max(loosest, best_t[ti] == kPlaneNever
+                                          ? config.time_cap
+                                          : best_t[ti]);
+        }
+        loosest_stale = false;
       }
       bound = std::min(bound, loosest);
     }
@@ -249,6 +257,7 @@ PlaneTrialResult run_plane_trial(const PlaneStrategy& strategy, int k,
       // then to the lowest target index — the grid executor's rule.
       if (when_abs < best_t[ti] ||
           (when_abs == best_t[ti] && a < finder_t[ti])) {
+        if (when_abs < best_t[ti]) loosest_stale = true;
         best_t[ti] = when_abs;
         finder_t[ti] = a;
       }

@@ -25,6 +25,18 @@ inline constexpr std::int64_t kNoTarget =
 /// the nearest target of an empty live list.
 inline constexpr std::int64_t kFar = std::numeric_limits<std::int64_t>::max();
 
+/// |a - b| for any two coordinates, clamped at 2^61 so that two of them add
+/// without overflow. A clamped distance only understates how far a target
+/// is, which can delay a reach-horizon retirement but never bring one
+/// forward.
+std::int64_t coord_gap(std::int64_t a, std::int64_t b) {
+  const auto ua = static_cast<std::uint64_t>(a);
+  const auto ub = static_cast<std::uint64_t>(b);
+  const std::uint64_t d = a < b ? ub - ua : ua - ub;
+  return static_cast<std::int64_t>(
+      std::min<std::uint64_t>(d, std::uint64_t{1} << 61));
+}
+
 /// How far one coordinate of a target drifting at `v` cells per tick moves
 /// per tick, as a bound that holds over any m ticks up to `cap`. The offset
 /// llround(v * t) moves by at most floor(m|v|) + 1 <= m (floor|v| + 1) in m
@@ -555,10 +567,30 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // the agent's new position) routed through the find_point kernel, an
 // in-order scan either way. Lanes never interact, so every slot's result is
 // the one trial's.
-// A slot retires when it finds (or collects every target), or when its
-// roster is exhausted — nothing can change its result after that, and the
-// loop would only run it to the cap — and its lanes leave the step list.
-// Slots still running at the cap end there.
+// A slot retires when it finds (or collects every target), when its roster
+// is exhausted, or at its reach horizon (below) — nothing can change its
+// result after that, and the loop would only run it to the cap — and its
+// lanes leave the step list. Slots still running at the cap end there.
+// Before the step, a pass visits a slot only on its wake ticks: its
+// roster's next change, the tick after a crash transition (which empties
+// halting() again, as the first-find correction reads it), and, dynamic,
+// its next window event or every tick while its targets drift. A slot
+// with a fixed roster and targets that never change is visited once, at
+// tick 1.
+//
+// The reach horizon. Once a slot's roster stays as it is through the cap
+// (its steps and crash count through the cap are then known), the slot
+// retires at the first tick t after which no agent can find anything: its
+// result is then the cap's, found = false, time = cap, steps counted
+// through the cap (so TrialResult::segments counts agent-ticks accounted,
+// not stepped). In the static loop that is when every active agent is more
+// than cap - t (L1) from every target. The gap g = (nearest distance) -
+// (cap - t) never falls, as an agent moves at most one edge per tick
+// (StepStrategy::step's contract), and rises by at most 2 per tick, so a
+// slot is measured only at its reach_check tick, ceil((1 - g) / 2) ticks
+// after a measurement read g <= 0. The dynamic loop reuses its quiet
+// stretches (below): a slot whose active agents are all quiet through the
+// cap, with no admission left at or before the cap, retires.
 //
 // kDynamic adds appear/vanish windows, drift, dwell capture, and
 // collect-all. Per tick the scalar loop tests every target ever spawned for
@@ -609,8 +641,7 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
     quiet_slots_.resize(n);
   }
   running_.clear();
-  bool fixed_rosters = true;   // no slot's roster changes after tick 0
-  std::size_t n_scanned = 0;   // static slots without exactly one target
+  std::size_t n_scanned = 0;  // static slots without exactly one target
   for (std::size_t s = 0; s < n; ++s) {
     StepSlot& slot = slots_[s];
     const TrialEnvironment& env = envs[trials[s]];
@@ -627,6 +658,8 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
     slot.first_finder = -1;
     slot.first_ti = -1;
     slot.counted = 0;
+    slot.wake = 1;
+    slot.reach_check = 1;
     slot.done = false;
     const std::size_t nt = slot.nt;
     result.last_start = static_cast<double>(slot.last_start);
@@ -688,7 +721,6 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
     } else {
       ++n_scanned;
     }
-    fixed_rosters = fixed_rosters && slot.roster.fixed();
     running_.push_back(static_cast<std::uint32_t>(s));
   }
 
@@ -891,27 +923,80 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
     return true;
   };
 
-  // nt == 0 (zero-spawn windowed process, first-of-set mode) runs until its
-  // agents are gone or the cap, so crash/segment accounting matches the
-  // segment and plane backends, which run their heaps out naturally.
-  bool relist = true;  // step_lanes_ must be rebuilt
+  // The next tick at which slot s, visited at tick t, must be visited again:
+  // its roster's next change; the next tick, to clear a crash transition
+  // out of halting(); and, dynamic, its next window event or, drifting, the
+  // next tick.
+  const auto wake_of = [&](std::uint32_t s, Time t) {
+    const StepSlot& slot = slots_[s];
+    Time wake = slot.roster.halting().empty() ? slot.roster.next_change()
+                                              : t + 1;
+    if constexpr (kDynamic) {
+      if (slot.drift) return t + 1;
+      if (slot.next_event <= static_cast<double>(cap)) {
+        wake = std::min(wake, static_cast<Time>(std::ceil(slot.next_event)));
+      }
+    }
+    return wake;
+  };
+
+  // Static: slot s's reach gap after tick t, the L1 distance from its
+  // nearest active agent to its nearest target less the cap - t ticks
+  // left. Above 0, no target can be reached by the cap.
+  [[maybe_unused]] const auto reach_gap = [&](std::uint32_t s, Time t) {
+    const StepSlot& slot = slots_[s];
+    const std::size_t base = s * uk;
+    std::int64_t near = kFar;
+    for (const std::uint32_t a : slot.roster.active()) {
+      const std::int64_t x = lanes_.x[base + a];
+      const std::int64_t y = lanes_.y[base + a];
+      for (std::size_t ti = 0; ti < slot.nt; ++ti) {
+        near = std::min(near, coord_gap(slot.tx[ti], x) +
+                                  coord_gap(slot.ty[ti], y));
+      }
+    }
+    return near - (cap - t);
+  };
+
+  // Dynamic: after a detection pass of slot s that found nothing, true when
+  // nothing can be found by the cap: every active agent is quiet through
+  // it, no target is admitted by it, and the roster stays as it is.
+  [[maybe_unused]] const auto out_of_reach = [&](std::uint32_t s) {
+    const StepSlot& slot = slots_[s];
+    return quiet_slots_[s].until >= cap && slot.roster.next_change() > cap &&
+           (slot.next_appear == slot.nt ||
+            slot.app[slot.order[slot.next_appear]] > static_cast<double>(cap));
+  };
+
+  // nt == 0 (zero-spawn windowed process, first-of-set mode) is accounted
+  // until its agents are gone or the cap (its reach horizon stops the
+  // stepping earlier), so crash/segment accounting matches the segment and
+  // plane backends, which run their heaps out naturally.
+  bool relist = true;     // step_lanes_ must be rebuilt
+  Time next_wake = 1;     // the earliest wake of a running slot
+  Time next_reach = 1;    // static: the earliest reach_check of a running slot
   for (Time t = 1; t <= cap; ++t) {
-    if (kDynamic || !fixed_rosters) {
+    if (t >= next_wake) {
+      next_wake = kNeverTime;
       std::size_t keep = 0;
       for (const std::uint32_t s : running_) {
         StepSlot& slot = slots_[s];
-        if constexpr (kDynamic) advance_targets(s, t);
-        count_steps(slot, t - 1);  // the roster may change at t
-        if (slot.roster.advance(t)) {
-          slot.result->crashed +=
-              static_cast<int>(slot.roster.halting().size());
-          relist = true;
-          if constexpr (kDynamic) quiet_slots_[s].until = 0;  // new agents
-          if (slot.roster.exhausted()) {
-            finish(slot, t);
-            continue;
+        if (t >= slot.wake) {
+          if constexpr (kDynamic) advance_targets(s, t);
+          count_steps(slot, t - 1);  // the roster may change at t
+          if (slot.roster.advance(t)) {
+            slot.result->crashed +=
+                static_cast<int>(slot.roster.halting().size());
+            relist = true;
+            if constexpr (kDynamic) quiet_slots_[s].until = 0;  // new agents
+            if (slot.roster.exhausted()) {
+              finish(slot, t);
+              continue;
+            }
           }
+          slot.wake = wake_of(s, t);
         }
+        next_wake = std::min(next_wake, slot.wake);
         running_[keep++] = s;
       }
       running_.resize(keep);
@@ -937,6 +1022,10 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
         if (!detect(s, t)) {
           slots_[s].done = true;
           ++retired;
+        } else if (out_of_reach(s)) {
+          finish(slots_[s], cap);
+          slots_[s].done = true;
+          ++retired;
         }
       }
     } else {
@@ -958,6 +1047,29 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
         if (slot.nt != 1 && !slot.done && !detect(running_[i], t)) {
           slot.done = true;
           ++retired;
+        }
+      }
+      // The reach horizon. The gap rises by at most 2 per tick and never
+      // falls, so from a gap g <= 0 it cannot pass 0 for another
+      // ceil((1 - g) / 2) ticks.
+      if (t >= next_reach) {
+        next_reach = kNeverTime;
+        for (const std::uint32_t s : running_) {
+          StepSlot& slot = slots_[s];
+          if (slot.done) continue;
+          if (t >= slot.reach_check) {
+            if (slot.roster.next_change() <= cap) {
+              slot.reach_check = slot.roster.next_change();
+            } else if (const std::int64_t g = reach_gap(s, t); g > 0) {
+              finish(slot, cap);
+              slot.done = true;
+              ++retired;
+              continue;
+            } else {
+              slot.reach_check = t + 1 - g / 2;
+            }
+          }
+          next_reach = std::min(next_reach, slot.reach_check);
         }
       }
     }

@@ -115,7 +115,13 @@ class BatchRunner {
   /// have not closed at the popped clock, scanned in appear order up to
   /// the first one opening after the segment); the false instance compiles
   /// all of that out and is the paper's static model. run_step runs the
-  /// trials envs[trials[s]] for s < n as slots of one lock-step block.
+  /// trials envs[trials[s]] for s < n as slots of one lock-step block, and
+  /// retires a slot at the first tick from which no agent can reach a
+  /// target before the cap (static: every active agent more than cap - t
+  /// away from every target; dynamic: every active agent quiet through the
+  /// cap and no admission left by it) once its roster stays as it is
+  /// through the cap; the result is the one running to the cap gives, its
+  /// steps counted through the cap.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng);
@@ -169,8 +175,10 @@ class BatchRunner {
     Time last_start = 0;
     std::size_t n_found = 0;
     int first_finder = -1, first_ti = -1;
-    Time counted = 0;   ///< steps are in result->segments through this tick
-    bool done = false;  ///< retired this tick
+    Time counted = 0;      ///< steps are in result->segments through this tick
+    Time wake = 1;         ///< next tick the per-tick pass must visit it
+    Time reach_check = 1;  ///< static: next tick its reach gap is measured
+    bool done = false;     ///< retired this tick
     std::vector<std::int64_t> tx, ty;  ///< targets (drift: base positions)
     // Dynamic loop only.
     std::vector<double> app, van;         ///< appear/vanish windows

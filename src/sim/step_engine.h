@@ -105,6 +105,11 @@ class StepRoster {
   /// tick has crash transitions).
   bool fixed() const noexcept { return next_change_ == kNeverTime; }
 
+  /// The first tick after the current one at which advance() rebuilds
+  /// active() (kNeverTime when fixed()). Until then active() stays as it is
+  /// and no agent has a crash transition.
+  Time next_change() const noexcept { return next_change_; }
+
   /// True once no agent steps at this tick or any later one: every agent
   /// has halted or was dead on arrival.
   bool exhausted() const noexcept { return active_.empty() && fixed(); }

@@ -229,14 +229,18 @@ TEST(PlaneVsGrid, HarmonicSuccessProbabilityComparable) {
 
 // ---------------------------------------------------------------------------
 // Windowed and collect-all trials pinned by digest: seeded Poisson target
-// windows under staggered starts and finite lifetimes, for three plane
-// strategies at two k, in both collect modes, every result field hashed with
-// the doubles taken by their bit patterns. The digest was recorded before
-// the engine solved a spiral's end angle once per move and skipped the
-// targets whose window had closed, so those two cuts provably move no bit.
+// windows (arrival rate, mean life; 0 = immortal) under staggered starts and
+// finite lifetimes, for three plane strategies at two k, in both collect
+// modes, every result field hashed with the doubles taken by their bit
+// patterns. The digest of the short-lived windows was recorded before the
+// engine solved a spiral's end angle once per move and skipped the targets
+// whose window had closed; that of the sparse immortal ones, where a
+// collect-all trial can end at its last sighting, before the engine cached
+// the collect-all bound between improvements. Those cuts provably move no
+// bit.
 // ---------------------------------------------------------------------------
 
-std::uint64_t windowed_trials_digest() {
+std::uint64_t windowed_trials_digest(double rate, double mean_life) {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
   const auto add = [&h](std::uint64_t word) {
     for (int b = 0; b < 8; ++b) {
@@ -253,7 +257,7 @@ std::uint64_t windowed_trials_digest() {
   const std::vector<const PlaneStrategy*> strategies = {&known_k, &harmonic,
                                                         &uniform};
   const sim::TargetProcess process = sim::poisson_plane_targets(
-      0.01, 300.0, [](rng::Rng& rng) { return rng.angle(); });
+      rate, mean_life, [](rng::Rng& rng) { return rng.angle(); });
   PlaneEngineConfig config;
   config.time_cap = 3000;
   for (const PlaneStrategy* strategy : strategies) {
@@ -320,7 +324,11 @@ TEST(PlaneEngine, WindowClosingJustAfterAMoveStartsStillCounts) {
 }
 
 TEST(PlaneEngine, WindowedAndCollectTrialsMatchPinnedDigest) {
-  EXPECT_EQ(windowed_trials_digest(), 0x44e4a53d7b6d2d3aULL);
+  EXPECT_EQ(windowed_trials_digest(0.01, 300.0), 0x44e4a53d7b6d2d3aULL);
+}
+
+TEST(PlaneEngine, CollectAllTrialsEndingAtTheLastSightingMatchPinnedDigest) {
+  EXPECT_EQ(windowed_trials_digest(0.001, 0.0), 0x237bd608a3091b93ULL);
 }
 
 }  // namespace

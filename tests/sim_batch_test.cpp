@@ -25,6 +25,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/biased_walk.h"
@@ -678,6 +679,333 @@ TEST(BatchRunnerStep, OriginTargetAndAllDoaEdgeCases) {
   expect_conformance(s, 3, origin_env, config, 8, 205);
   expect_conformance(s, 3, all_doa, config, 8, 206);
   expect_conformance(s, 3, past_cap, config, 8, 207);
+}
+
+// --- the lock-step reach horizon -------------------------------------------
+
+/// Steps as `inner` does and counts the lane-ticks it is asked to step, so
+/// a test can tell the ticks a block stepped from the agent-ticks its
+/// results account for (TrialResult::segments).
+class CountingStep final : public StepStrategy {
+ public:
+  explicit CountingStep(const StepStrategy& inner) : inner_(inner) {}
+  std::string name() const override { return inner_.name(); }
+  void step(StepLanes& lanes, const std::uint32_t* agents,
+            std::size_t n) const override {
+    stepped += static_cast<std::int64_t>(n);
+    inner_.step(lanes, agents, n);
+  }
+
+  mutable std::int64_t stepped = 0;
+
+ private:
+  const StepStrategy& inner_;
+};
+
+/// Moves every lane one cell east per tick: an agent that started at s
+/// stands at (t - s, 0) after tick t.
+class EastStep final : public StepStrategy {
+ public:
+  std::string name() const override { return "east"; }
+  void step(StepLanes& lanes, const std::uint32_t* agents,
+            std::size_t n) const override {
+    for (std::size_t i = 0; i < n; ++i) ++lanes.x[agents[i]];
+  }
+};
+
+struct Ticks {
+  std::int64_t stepped = 0;    ///< lane-ticks the strategy stepped
+  std::int64_t accounted = 0;  ///< TrialResult::segments, summed
+};
+
+using EnvOfTrial = std::function<TrialEnvironment(const rng::Rng&)>;
+
+/// expect_block_conformance, then one run_block of the same trials through
+/// a counting copy of `strategy`.
+Ticks expect_counted_block_conformance(const StepStrategy& strategy, int k,
+                                       const EnvOfTrial& env_of_trial,
+                                       const EngineConfig& config,
+                                       std::size_t trials,
+                                       std::uint64_t seed) {
+  TrialStrategy s;
+  s.step = &strategy;
+  expect_block_conformance(s, k, env_of_trial, config, trials, seed);
+  const CountingStep counting(strategy);
+  TrialStrategy counted;
+  counted.step = &counting;
+  std::vector<rng::Rng> rngs;
+  std::vector<TrialEnvironment> envs;
+  for (std::size_t t = 0; t < trials; ++t) {
+    rngs.emplace_back(rng::mix_seed(seed, t));
+    envs.push_back(env_of_trial(rngs.back()));
+  }
+  std::vector<TrialResult> got(trials);
+  BatchRunner runner(counted, k, config);
+  runner.run_block(envs.data(), rngs.data(), trials, got.data());
+  Ticks ticks;
+  ticks.stepped = counting.stepped;
+  for (const TrialResult& r : got) ticks.accounted += r.segments;
+  return ticks;
+}
+
+// Caps short enough that most trials end unfound, so most slots retire at
+// their horizon: the random walk near the cap, the biased walks (drifting
+// outward) well before it. Every block must step fewer lane-ticks than its
+// results account for.
+TEST(BatchRunnerStepHorizon, StaticMatchesRunTrialWhereItFires) {
+  const baselines::RandomWalkStrategy rw;
+  const baselines::BiasedWalkStrategy biased(0.3, 0.8);
+  const baselines::BiasedWalkStrategy runaway(0.9, 0.95);
+  struct Walker {
+    const StepStrategy* strategy;
+    Time cap;
+  };
+  std::uint64_t seed = 301;
+  for (const int k : {1, 3, 4, 5}) {
+    // Single and pair targets; staggered starts, so a roster becomes fixed
+    // partway through the trial; and finite lifetimes, which hold every
+    // retirement back to the last halt (or past the cap, where they do not
+    // matter).
+    const std::vector<EnvOfTrial> envs = {
+        [](const rng::Rng&) { return base_env({{-9, 4}}); },
+        [](const rng::Rng&) { return base_env({{7, 7}, {-12, 1}}); },
+        [k](const rng::Rng& trial_rng) {
+          return draw_environment(k, {{-9, 4}}, StaggeredStart(25), NoCrash(),
+                                  trial_rng);
+        },
+        [k](const rng::Rng& trial_rng) {
+          return draw_environment(k, {{7, 7}, {-12, 1}}, StaggeredStart(10),
+                                  ExponentialLifetime(3000.0), trial_rng);
+        },
+    };
+    for (const Walker w : {Walker{&rw, 150}, Walker{&biased, 2000},
+                           Walker{&runaway, 600}}) {
+      EngineConfig config;
+      config.time_cap = w.cap;
+      for (std::size_t e = 0; e < envs.size(); ++e) {
+        const Ticks ticks = expect_counted_block_conformance(
+            *w.strategy, k, envs[e], config, 40, seed++);
+        EXPECT_LT(ticks.stepped, ticks.accounted)
+            << w.strategy->name() << " k " << k << " env " << e;
+      }
+    }
+  }
+}
+
+// The dynamic loop's horizon: drift (the quiet bound divides by the drift
+// reach), dwell (contact at L1 distance 1), staggered starts with drift,
+// and Poisson windows under collect-all, whose late admissions keep a slot
+// running.
+TEST(BatchRunnerStepHorizon, DynamicMatchesRunTrialWhereItFires) {
+  const baselines::BiasedWalkStrategy biased(0.3, 0.8);
+  const baselines::BiasedWalkStrategy runaway(0.9, 0.95);
+  const TargetProcess poisson =
+      poisson_targets(0.004, 150.0, uniform_ring_placement());
+  std::uint64_t seed = 401;
+  for (const int k : {1, 3, 4, 5}) {
+    for (const auto& [strategy, cap] :
+         {std::pair<const StepStrategy*, Time>{&biased, 2000},
+          std::pair<const StepStrategy*, Time>{&runaway, 600}}) {
+      EngineConfig config;
+      config.time_cap = cap;
+      const auto drift = [](const rng::Rng&) {
+        TrialEnvironment env = base_env({{-6, 5}, {9, -2}});
+        env.target_drift = {{0.25, -0.5}, {-1.0, 0.0}};
+        return env;
+      };
+      const auto dwell = [](const rng::Rng&) {
+        TrialEnvironment env = base_env({{-6, 5}, {8, 2}});
+        env.capture_dwell = 2;
+        return env;
+      };
+      const auto staggered_drift = [&](const rng::Rng& trial_rng) {
+        return draw_environment(k, drift(trial_rng), StaggeredStart(20),
+                                NoCrash(), trial_rng);
+      };
+      const auto collect = [&](const rng::Rng& trial_rng) {
+        rng::Rng draw = trial_rng;
+        TrialEnvironment env;
+        poisson.grid(draw, 4, cap, &env);
+        env.collect_all = true;
+        return env;
+      };
+      for (const EnvOfTrial& env_of : {EnvOfTrial(drift), EnvOfTrial(dwell),
+                                       EnvOfTrial(staggered_drift)}) {
+        const Ticks ticks = expect_counted_block_conformance(
+            *strategy, k, env_of, config, 40, seed++);
+        EXPECT_LT(ticks.stepped, ticks.accounted)
+            << strategy->name() << " k " << k;
+      }
+      expect_counted_block_conformance(*strategy, k, collect, config, 40,
+                                       seed++);
+    }
+  }
+}
+
+// Counted exactly with east walkers, cap 50, in both loops: a target more
+// than cap - 1 away after tick 1 costs one tick of stepping; a target
+// exactly at reach keeps the slot running to the cap, whether it is found
+// there, (50, 0), or passed at distance 1, (49, 1), which stays exactly
+// cap - t away through tick 49.
+TEST(BatchRunnerStepHorizon, StepsOneTickOutOfReachAndNeverRetiresEarly) {
+  const EastStep east;
+  EngineConfig config;
+  config.time_cap = 50;
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    for (const bool dynamic : {false, true}) {
+      for (const int k : {1, 3}) {
+        const CountingStep counting(east);
+        TrialStrategy s;
+        s.step = &counting;
+        BatchRunner runner(s, k, config);
+        const grid::Point targets[] = {{51, 0}, {52, 0}, {-52, 0}, {0, 52},
+                                       {50, 0}, {49, 1}};
+        for (const grid::Point target : targets) {
+          TrialEnvironment env = base_env({target});
+          env.windowed = dynamic;
+          const TrialResult want = run_trial(east, k, env, rng::Rng(3), config);
+          counting.stepped = 0;
+          const TrialResult got = runner.run_one(env, rng::Rng(3));
+          EXPECT_SAME_RESULT(want, got);
+          const bool in_reach = target.x > 0 && target.x + target.y == 50;
+          EXPECT_EQ(want.found, (target == grid::Point{50, 0}));
+          EXPECT_EQ(counting.stepped, in_reach ? 50 * k : k)
+              << simd_level_name(level) << " dynamic " << dynamic << " k "
+              << k << " target (" << target.x << ", " << target.y << ")";
+        }
+      }
+    }
+  }
+}
+
+// Two east walkers, the target 3 cells west of the source, cap 100: an
+// agent that started at s is out of reach after tick t once
+// t - s + 3 > 100 - t. The static loop retires at the first such tick of
+// the last agent once the roster stays fixed through the cap; the dynamic
+// loop's quiet stretches may take longer, never less.
+TEST(BatchRunnerStepHorizon, WaitsForTheRosterToStayFixed) {
+  const EastStep east;
+  EngineConfig config;
+  config.time_cap = 100;
+  struct Case {
+    std::vector<Time> starts, lifetimes;
+    std::int64_t stepped;  // by the static loop
+    int crashed;
+  };
+  const Case cases[] = {
+      // Both out of reach from tick 49 (52 > 51).
+      {{}, {}, 2 * 49, 0},
+      // Agent 1 starts on tick 31 and is out of reach from tick 64
+      // (37 > 36).
+      {{0, 30}, {}, 64 + 34, 0},
+      // Out of reach from tick 49, but agent 1's crash transition on tick
+      // 81 is still to come.
+      {{}, {kNeverTime, 80}, 81 + 80, 1},
+      // A halt past the cap changes nothing up to it.
+      {{}, {kNeverTime, 150}, 2 * 49, 0},
+  };
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    for (const bool dynamic : {false, true}) {
+      for (const Case& c : cases) {
+        TrialEnvironment env = base_env({{-3, 0}});
+        env.starts = c.starts;
+        env.lifetimes = c.lifetimes;
+        env.windowed = dynamic;
+        const CountingStep counting(east);
+        TrialStrategy s;
+        s.step = &counting;
+        BatchRunner runner(s, 2, config);
+        const TrialResult want = run_trial(east, 2, env, rng::Rng(3), config);
+        const TrialResult got = runner.run_one(env, rng::Rng(3));
+        EXPECT_SAME_RESULT(want, got);
+        EXPECT_FALSE(got.found);
+        EXPECT_EQ(got.crashed, c.crashed);
+        if (dynamic) {
+          EXPECT_GE(counting.stepped, c.stepped);
+          EXPECT_LT(counting.stepped, got.segments);
+        } else {
+          EXPECT_EQ(counting.stepped, c.stepped);
+        }
+      }
+    }
+  }
+}
+
+// One east walker, cap 200. Target 0 sits 50 cells west and is live
+// throughout; the walker is quiet through the cap from about tick 150 on.
+// Target 1 appears later on the walker's path: at 180.5 it is caught on
+// tick 181 (under dwell=2 it sits one cell further, and contact confirms on
+// tick 183), so the slot must not retire while its admission is pending; at
+// 250.5, past the cap, there is nothing left to find and the slot retires.
+TEST(BatchRunnerStepHorizon, DynamicWaitsForAWindowOpeningLate) {
+  const EastStep east;
+  EngineConfig config;
+  config.time_cap = 200;
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    for (const bool collect : {false, true}) {
+      for (const Time dwell : {Time{0}, Time{2}}) {
+        for (const double appear : {180.5, 250.5}) {
+          TrialEnvironment env;
+          env.targets = {{-50, 0}, {dwell > 0 ? 182 : 181, 0}};
+          env.target_appear = {0.0, appear};
+          env.target_vanish = {detail::kNeverVanish, detail::kNeverVanish};
+          env.capture_dwell = dwell;
+          env.collect_all = collect;
+          const CountingStep counting(east);
+          TrialStrategy s;
+          s.step = &counting;
+          BatchRunner runner(s, 1, config);
+          const TrialResult want = run_trial(east, 1, env, rng::Rng(8), config);
+          const TrialResult got = runner.run_one(env, rng::Rng(8));
+          EXPECT_SAME_RESULT(want, got);
+          EXPECT_EQ(want.target_times, got.target_times);
+          if (appear < 200) {
+            EXPECT_EQ(want.first_target, 1);
+            EXPECT_EQ(collect ? want.target_times[1] : want.time,
+                      dwell > 0 ? 183.0 : 181.0);
+          } else {
+            EXPECT_EQ(want.first_target, -1);
+            EXPECT_LT(counting.stepped, 200);
+          }
+        }
+      }
+    }
+  }
+}
+
+// Two east walkers; agent 1 halts on tick 6 (lifetime 5). Agent 0 finding
+// a target at (6, 0) on tick 6 cuts off agent 1's crash transition, later
+// in agent order; finding one at (7, 0) on tick 7 does not, as that
+// transition is a tick old. A slot is not visited on tick 7 for its roster,
+// so halting() must already be empty there.
+TEST(BatchRunnerStep, CrashTransitionCountsOnlyOnItsTick) {
+  const EastStep east;
+  TrialStrategy s;
+  s.step = &east;
+  EngineConfig config;
+  config.time_cap = 100;
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    BatchRunner runner(s, 2, config);
+    for (const bool dynamic : {false, true}) {
+      for (const std::int64_t x : {6, 7}) {
+        TrialEnvironment env = base_env({{x, 0}});
+        env.lifetimes = {kNeverTime, 5};
+        env.windowed = dynamic;
+        const TrialResult want = run_trial(east, 2, env, rng::Rng(4), config);
+        EXPECT_TRUE(want.found);
+        EXPECT_EQ(want.crashed, x == 6 ? 0 : 1);
+        EXPECT_SAME_RESULT(want, runner.run_one(env, rng::Rng(4)));
+      }
+    }
+  }
 }
 
 // k = 17, 64 and 257 as in the segment case.
