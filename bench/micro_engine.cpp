@@ -129,6 +129,24 @@ void BM_UnifiedTrialSync(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedTrialSync)->Args({16, 64})->Args({64, 256});
 
+// The paper-segment-plane workload's heaviest grid cell: uniform(eps=0.5)
+// at k = 64, D = 8, whose trips are short, so the per-pop cost of the
+// segment loop dominates; the scalar side of the BM_BatchedTrialUniform
+// pair.
+void BM_UnifiedTrialUniform(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const std::int64_t d = state.range(1);
+  const ants::core::UniformStrategy strategy(0.5);
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    const auto r = ants::sim::run_trial(
+        strategy, k, ants::sim::single_target_environment({d, 0}), trial);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_UnifiedTrialUniform)->Args({64, 8});
+
 // Full async/crash trial: environment draw + segment backend with
 // starts/lifetimes live.
 void BM_UnifiedTrialAsync(benchmark::State& state) {
@@ -268,6 +286,23 @@ void BM_BatchedTrialSync(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BatchedTrialSync)->Args({16, 64})->Args({64, 256});
+
+void BM_BatchedTrialUniform(benchmark::State& state) {
+  const auto k = static_cast<int>(state.range(0));
+  const std::int64_t d = state.range(1);
+  const ants::core::UniformStrategy strategy(0.5);
+  ants::sim::TrialStrategy ts;
+  ts.segment = &strategy;
+  ants::sim::batch::BatchRunner runner(ts, k, {});
+  std::uint64_t seed = 0;
+  for (auto _ : state) {
+    ants::rng::Rng trial(++seed);
+    const auto r =
+        runner.run_one(ants::sim::single_target_environment({d, 0}), trial);
+    benchmark::DoNotOptimize(r.time);
+  }
+}
+BENCHMARK(BM_BatchedTrialUniform)->Args({64, 8});
 
 void BM_BatchedTrialAsync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));

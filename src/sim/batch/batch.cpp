@@ -142,7 +142,12 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
                                                plane_env_, trial_rng,
                                                pconfig));
     }
-    return run_plane(env, trial_rng);
+    if (auto result = run_plane(env, trial_rng, kMaxFolds)) {
+      return *std::move(result);
+    }
+    // A sighting improved the outcome at its own leg's start, where
+    // folding is not exact (see the plane backend below).
+    return *run_plane(env, trial_rng, 0);
   }
   // The static model's one special case, resolved before either loop
   // starts (the loops detect targets on arrival only).
@@ -196,6 +201,37 @@ void BatchRunner::run_block(const TrialEnvironment* envs,
 // tests. A walk's targets are prefiltered by the endpoint bounding box (a
 // staircase is monotone, so it never leaves it), and the StaircasePath is
 // only constructed when some target survives the box.
+//
+// Folds (static instance). A pop runs the popped leg, then folds up to
+// kMaxFolds more legs of the same agent into the pop: each pulls the
+// agent's next op, runs its hit tests from that leg's own elapsed base and
+// counts it provisionally. Only cheap legs fold, GoTo, ReturnToSource and
+// SpiralFor (O(1) per target); a pulled FollowPath waits in pending_ for
+// the agent's next pop. A trip G S R is thus one pop: the winner-tree
+// update, the bound check and the pop itself are paid once per trip, not
+// once per leg. A strategy whose programs walk paths gains little from
+// folds and would build, at each trial's end, a path it never runs, so the
+// runner stops folding (folds_ = 0) at the first FollowPath it pulls while
+// folding. Before each fold the next leg's start is checked against
+// the current bound; past it, the fold stops without pulling the op. At
+// the segment budget it stops too, so the next pop throws exactly when the
+// reference would. Each agent pulls its own ops in order from its own
+// stream, so every draw stays at the same op.
+//
+// Why the result is exact. The reference runs a leg iff its start is at
+// most the final bound B* = min(cap, best - 1). Every hit lies at or after
+// its leg's start, and a hit at a leg's start (offset 0) repeats the end of
+// the same agent's previous leg, hit at the same time before; the first
+// leg starts at the origin, whose targets are resolved before the loop. So
+// a hit found early, or on a folded leg that starts past B* (whose hits lie
+// past B* too), leaves time, finder and first_target as the reference
+// leaves them: ties resolve by (time, agent) and, within one agent, in its
+// own leg order, which folding keeps. A popped leg always starts by B*, so
+// only the folds since an agent's last pop can start past it, at most
+// kMaxFolds per agent (seg_tail_). At the end they leave the segment
+// count, and a death in one leaves the crash count. The dynamic instance
+// does not fold: collect-all's loosest bound and windows that open late
+// are outside this argument.
 //
 // kDynamic adds appear/vanish windows and collect-all (drift and dwell were
 // rejected by validate_trial_args for this family); the static instance
@@ -260,6 +296,10 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   pos_y_.assign(uk, 0);
   seg_count_.assign(uk, 0);
   queued_.assign(uk, 0);
+  if constexpr (!kDynamic) {
+    pending_.assign(uk, std::nullopt);
+    seg_tail_.assign(uk, {});
+  }
   std::size_t n_queued = 0;
   for (int a = 0; a < k; ++a) {
     const auto ia = static_cast<std::size_t>(a);
@@ -322,6 +362,11 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   Time best = kNeverTime;
   int finder = -1;
   int first_target = -1;
+  // The first-find race's bound: a leg starting past it cannot improve the
+  // outcome.
+  const auto race_bound = [&] {
+    return std::min(config_.time_cap, best == kNeverTime ? best : best - 1);
+  };
 
   while (n_queued > 0) {
     std::size_t ia = clock_tree_.top();
@@ -336,8 +381,7 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     // The bound below which a pop can still improve the outcome: in the
     // first-find race it is best - 1; in collect-all it is the loosest
     // per-target bound (an unfound target keeps the cap open).
-    Time bound =
-        std::min(config_.time_cap, best == kNeverTime ? best : best - 1);
+    Time bound = race_bound();
     if (collect) {
       // Every hit is at most the cap, so while a target is unhit the
       // loosest bound is the cap.
@@ -362,7 +406,6 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 
     const Time start = env.starts.empty() ? Time{0} : env.starts[ia];
     const Time life = env.lifetimes.empty() ? kNeverTime : env.lifetimes[ia];
-    const grid::Point pos{pos_x_[ia], pos_y_[ia]};
     [[maybe_unused]] const Time base = util::sat_add(start, elapsed_[ia]);
     if constexpr (kDynamic) {
       // base is this pop's clock, and pops never go back in time: a target
@@ -426,8 +469,6 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       }
     };
 
-    Time dur = 0;
-    grid::Point end = pos;
     const auto scan_walk = [&](grid::Point from_pt, grid::Point to) {
       const std::int64_t xlo = std::min(from_pt.x, to.x);
       const std::int64_t xhi = std::max(from_pt.x, to.x);
@@ -447,64 +488,103 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
         if (kDynamic && *hit < window_from(ti)) continue;
         consider(*hit, ti);
       }
-      dur = grid::l1_dist(from_pt, to);
-      end = to;
     };
 
-    const Op op = seg_programs_[ia]->next(rngs_[ia]);
-    if (const auto* go = std::get_if<GoTo>(&op)) {
-      scan_walk(pos, go->target);
-    } else if (std::get_if<ReturnToSource>(&op) != nullptr) {
-      scan_walk(pos, grid::kOrigin);
-    } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
-      for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt); ++li) {
-        const std::size_t ti = target_at(li);
-        if constexpr (kDynamic) {
-          if (window_from(ti) > sp->duration) break;
+    // The popped leg, then (static) up to folds_ more: see "Folds" above.
+    Op op = !kDynamic && pending_[ia] ? *std::move(pending_[ia])
+                                      : seg_programs_[ia]->next(rngs_[ia]);
+    if constexpr (!kDynamic) pending_[ia].reset();
+    bool dead = false;
+    for (int f = 0;; ++f) {
+      const grid::Point pos{pos_x_[ia], pos_y_[ia]};
+      Time dur = 0;
+      grid::Point end = pos;
+      if (const auto* go = std::get_if<GoTo>(&op)) {
+        scan_walk(pos, go->target);
+        dur = grid::l1_dist(pos, go->target);
+        end = go->target;
+      } else if (std::get_if<ReturnToSource>(&op) != nullptr) {
+        scan_walk(pos, grid::kOrigin);
+        dur = grid::l1_dist(pos, grid::kOrigin);
+        end = grid::kOrigin;
+      } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
+        for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt);
+             ++li) {
+          const std::size_t ti = target_at(li);
+          if constexpr (kDynamic) {
+            if (window_from(ti) > sp->duration) break;
+          }
+          const std::int64_t idx = grid::spiral_index(
+              grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
+          if (idx > sp->duration) continue;
+          if (kDynamic && idx < window_from(ti)) continue;
+          consider(idx, ti);
         }
-        const std::int64_t idx = grid::spiral_index(
-            grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
-        if (idx > sp->duration) continue;
-        if (kDynamic && idx < window_from(ti)) continue;
-        consider(idx, ti);
-      }
-      dur = sp->duration;
-      end = pos + grid::spiral_point(sp->duration);
-    } else {
-      const auto& fp = std::get<FollowPath>(op);
-      for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt); ++li) {
-        const std::size_t ti = target_at(li);
-        if constexpr (kDynamic) {
-          if (window_from(ti) > static_cast<Time>(fp.steps.size())) break;
-        }
-        const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
-        const Time from = window_from(ti);
-        std::optional<Time> hit;
-        if (from <= 0 && pos == tgt) {
-          hit = 0;
-        } else {
-          // Paths may revisit: first match at offset >= from (offset i + 1
-          // is steps[i]; offset 0 is the start, already < from when > 0).
-          for (std::size_t i =
-                   from <= 0 ? 0 : static_cast<std::size_t>(from - 1);
-               i < fp.steps.size(); ++i) {
-            if (fp.steps[i] == tgt) {
-              hit = static_cast<Time>(i + 1);
-              break;
+        dur = sp->duration;
+        end = pos + grid::spiral_point(sp->duration);
+      } else {
+        const auto& fp = std::get<FollowPath>(op);
+        for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt);
+             ++li) {
+          const std::size_t ti = target_at(li);
+          if constexpr (kDynamic) {
+            if (window_from(ti) > static_cast<Time>(fp.steps.size())) break;
+          }
+          const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
+          const Time from = window_from(ti);
+          std::optional<Time> hit;
+          if (from <= 0 && pos == tgt) {
+            hit = 0;
+          } else {
+            // Paths may revisit: first match at offset >= from (offset
+            // i + 1 is steps[i]; offset 0 is the start, already < from
+            // when > 0).
+            for (std::size_t i =
+                     from <= 0 ? 0 : static_cast<std::size_t>(from - 1);
+                 i < fp.steps.size(); ++i) {
+              if (fp.steps[i] == tgt) {
+                hit = static_cast<Time>(i + 1);
+                break;
+              }
             }
           }
+          if (hit) consider(*hit, ti);
         }
-        if (hit) consider(*hit, ti);
+        dur = static_cast<Time>(fp.steps.size());
+        end = fp.steps.empty() ? pos : fp.steps.back();
       }
-      dur = static_cast<Time>(fp.steps.size());
-      end = fp.steps.empty() ? pos : fp.steps.back();
+      elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
+      pos_x_[ia] = end.x;
+      pos_y_[ia] = end.y;
+      dead = elapsed_[ia] >= life;  // halts mid-plan, wherever it died
+
+      if constexpr (kDynamic) {
+        break;
+      } else {
+        FoldTail<Time>& tail = seg_tail_[ia];
+        if (f == 0) tail.n = 0;
+        tail.dead = dead;
+        if (dead || f == folds_) break;
+        const Time next_start = util::sat_add(start, elapsed_[ia]);
+        if (next_start > race_bound() ||
+            seg_count_[ia] >= config_.max_segments_per_agent) {
+          break;
+        }
+        op = seg_programs_[ia]->next(rngs_[ia]);
+        if (std::holds_alternative<FollowPath>(op)) {
+          // Its agent's next pop runs it; the runner stops folding.
+          pending_[ia] = std::move(op);
+          folds_ = 0;
+          break;
+        }
+        ++seg_count_[ia];
+        ++result.segments;
+        tail.start[tail.n++] = next_start;
+      }
     }
 
-    elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
-    pos_x_[ia] = end.x;
-    pos_y_[ia] = end.y;
-    if (elapsed_[ia] >= life) {
-      ++result.crashed;  // halts mid-plan; position is wherever it died
+    if (dead) {
+      ++result.crashed;
       clock_[ia] = kNeverTime;
       queued_[ia] = 0;
       --n_queued;
@@ -514,6 +594,20 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
     clock_tree_.update(clock_, ia);
   }
 
+  if constexpr (!kDynamic) {
+    // A folded leg that starts past the final bound is one the reference
+    // never runs: it leaves the segment count and, if the agent died in
+    // it, the crash count.
+    const Time last = race_bound();
+    for (std::size_t ia = 0; ia < uk; ++ia) {
+      const FoldTail<Time>& tail = seg_tail_[ia];
+      for (int j = 0; j < tail.n; ++j) {
+        if (tail.start[j] <= last) continue;
+        --result.segments;
+        if (j + 1 == tail.n && tail.dead) --result.crashed;
+      }
+    }
+  }
   bool found = best != kNeverTime;
   Time done = best;
   if constexpr (kDynamic) {
@@ -1089,24 +1183,40 @@ void BatchRunner::run_step(const TrialEnvironment* envs,
 // so the parking value terminates it exactly when the empty heap would),
 // line sight tests prefiltered by the line_candidates kernel (every
 // candidate re-checked by the scalar quadratic), and the per-move spiral
-// Newton solve memoized.
+// Newton solve and end point memoized.
+//
+// The plane loop folds as the segment loop does (see there): line legs,
+// GoToPoint and ReturnHome, fold, and a SpiralSweep waits for the agent's
+// next pop, so each search S R G is one pop. The bound is strict: the
+// reference runs a leg iff it starts before B* = min(cap, best). In
+// floating point a sighting at a leg's start need not repeat the previous
+// leg: that leg's entry root can land a rounding step past its end. The
+// argument needs only that no sighting improves the outcome at its own
+// leg's start. Then every leg the reference runs starts before B*, any
+// other leg's sightings lie past it, and a folded leg is the reference's
+// iff it starts before B*. The loop watches for such a sighting and, on
+// that rare path, runs the trial again without folds.
 
-double BatchRunner::spiral_theta(double a, double s) {
+const BatchRunner::SpiralEnd& BatchRunner::spiral_end(double a, double s) {
   std::uint64_t bits = 0;
   static_assert(sizeof(bits) == sizeof(s));
   std::memcpy(&bits, &s, sizeof(bits));
   const std::size_t slot =
       static_cast<std::size_t>((bits * 0x9E3779B97F4A7C15ULL) >> 58);
-  ThetaMemoEntry& e = theta_memo_[slot];
-  if (e.valid && e.s_bits == bits) return e.theta;
+  SpiralEnd& e = theta_memo_[slot];
+  if (e.valid && e.s_bits == bits) return e;
   e.s_bits = bits;
   e.theta = plane::spiral_theta_for_arc(a, s);
+  // spiral_point_at's expression, without the center.
+  const double r = a * e.theta;
+  e.offset = plane::Vec2{r * std::cos(e.theta), r * std::sin(e.theta)};
   e.valid = true;
-  return e.theta;
+  return e;
 }
 
-TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
-                                   const rng::Rng& trial_rng) {
+std::optional<TrialResult> BatchRunner::run_plane(const TrialEnvironment& env,
+                                                  const rng::Rng& trial_rng,
+                                                  int folds) {
   const plane::PlaneStrategy& strategy = *strategy_.plane;
   const int k = k_;
   const auto uk = static_cast<std::size_t>(k);
@@ -1142,6 +1252,8 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     ppos_x_.assign(uk, 0.0);
     ppos_y_.assign(uk, 0.0);
     seg_count_.assign(uk, 0);
+    ppending_.assign(uk, std::nullopt);
+    plane_tail_.assign(uk, {});
     for (int a = 0; a < k; ++a) {
       const auto ia = static_cast<std::size_t>(a);
       if (lifetime_of(ia) <= 0) {
@@ -1165,6 +1277,9 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
     plane::Time best = plane::kPlaneNever;
     int finder = -1;
     int first_target = -1;
+    // Some sighting improved the outcome at its own leg's start: folding
+    // is not exact then, and the trial runs again without folds.
+    bool flat = false;
 
     for (;;) {
       const std::size_t ia = clock_tree_.top();
@@ -1172,8 +1287,7 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
       // All other clocks are >= this one; once it reaches the bound, no
       // agent can improve the outcome. When every agent has been removed
       // the root is the kPlaneNever parking value, which also trips this.
-      const plane::Time bound = std::min(pconfig.time_cap, best);
-      if (abs_clock >= bound) break;
+      if (abs_clock >= std::min(pconfig.time_cap, best)) break;
 
       const int a = static_cast<int>(ia);
       if (++seg_count_[ia] > pconfig.max_segments_per_agent) {
@@ -1185,7 +1299,8 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
 
       const plane::Time start = start_of(ia);
       const plane::Time life = lifetime_of(ia);
-      const plane::Vec2 pos{ppos_x_[ia], ppos_y_[ia]};
+      // The running leg's start clock.
+      plane::Time base = abs_clock;
 
       const auto consider = [&](plane::Time hit, std::size_t ti) {
         const plane::Time when_active = pelapsed_[ia] + hit;
@@ -1196,81 +1311,123 @@ TrialResult BatchRunner::run_plane(const TrialEnvironment& env,
           best = when_abs;
           finder = a;
           first_target = static_cast<int>(ti);
+          if (when_abs <= base) flat = true;
         }
       };
 
-      const plane::PlaneOp op = plane_programs_[ia]->next(rngs_[ia]);
-      plane::Time move_time = 0;
-      plane::Vec2 end = pos;
-      bool is_line = false;
-      plane::LineMove line{pos, pos};
-      plane::SpiralMove spiral{pos, pconfig.spiral_pitch, 0};
+      // The popped leg, then up to `folds` more line legs (see run_segment).
+      plane::PlaneOp op = ppending_[ia] ? *ppending_[ia]
+                                        : plane_programs_[ia]->next(rngs_[ia]);
+      ppending_[ia].reset();
+      FoldTail<double>& tail = plane_tail_[ia];
+      tail.n = 0;
+      bool dead = false;
+      for (int f = 0;; ++f) {
+        base = start + pelapsed_[ia];
+        const plane::Vec2 pos{ppos_x_[ia], ppos_y_[ia]};
+        plane::Time move_time = 0;
+        plane::Vec2 end = pos;
+        bool is_line = false;
+        plane::LineMove line{pos, pos};
+        plane::SpiralMove spiral{pos, pconfig.spiral_pitch, 0};
 
-      if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
-        spiral.duration = sw->duration;
-        const double theta_end = spiral_theta(a_coef, spiral.duration);
-        for (std::size_t ti = 0; ti < nt; ++ti) {
-          const auto hit = plane::spiral_first_sighting_at(
-              spiral, plane_env_.targets[ti], eps, theta_end);
-          if (hit) consider(*hit, ti);
-        }
-        move_time = spiral.duration;
-        end = plane::spiral_point_at(spiral.center, a_coef, theta_end);
-      } else {
-        is_line = true;
-        if (const auto* go = std::get_if<plane::GoToPoint>(&op)) {
-          line.to = go->target;
-        } else {
-          line.to = plane::kPlaneOrigin;  // ReturnHome
-        }
-        const plane::Vec2 d = line.to - line.from;
-        const double len = d.norm();
-        if (len == 0.0 || nt < 4) {
-          // Degenerate move (no direction to prefilter along) or too few
-          // targets for the prefilter kernel to pay for its call: the
-          // scalar test covers every target directly.
+        if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
+          spiral.duration = sw->duration;
+          const SpiralEnd& se = spiral_end(a_coef, spiral.duration);
           for (std::size_t ti = 0; ti < nt; ++ti) {
-            const auto hit =
-                plane::line_first_sighting(line, len, plane_env_.targets[ti],
-                                           eps);
+            const auto hit = plane::spiral_first_sighting_at(
+                spiral, plane_env_.targets[ti], eps, se.theta);
             if (hit) consider(*hit, ti);
           }
+          move_time = spiral.duration;
+          end = spiral.center + se.offset;
         } else {
-          const double inv = 1.0 / len;
-          const std::size_t nc = kernels_->line_candidates(
-              ptgt_x_.data(), ptgt_y_.data(), nt, line.from.x, line.from.y,
-              d.x * inv, d.y * inv, eps, cand_.data());
-          for (std::size_t ci = 0; ci < nc; ++ci) {
-            const std::size_t ti = cand_[ci];
-            const auto hit =
-                plane::line_first_sighting(line, len, plane_env_.targets[ti],
-                                           eps);
-            if (hit) consider(*hit, ti);
+          is_line = true;
+          if (const auto* go = std::get_if<plane::GoToPoint>(&op)) {
+            line.to = go->target;
+          } else {
+            line.to = plane::kPlaneOrigin;  // ReturnHome
           }
+          const plane::Vec2 d = line.to - line.from;
+          const double len = d.norm();
+          if (len == 0.0 || nt < 4) {
+            // Degenerate move (no direction to prefilter along) or too few
+            // targets for the prefilter kernel to pay for its call: the
+            // scalar test covers every target directly.
+            for (std::size_t ti = 0; ti < nt; ++ti) {
+              const auto hit = plane::line_first_sighting(
+                  line, len, plane_env_.targets[ti], eps);
+              if (hit) consider(*hit, ti);
+            }
+          } else {
+            const double inv = 1.0 / len;
+            const std::size_t nc = kernels_->line_candidates(
+                ptgt_x_.data(), ptgt_y_.data(), nt, line.from.x, line.from.y,
+                d.x * inv, d.y * inv, eps, cand_.data());
+            for (std::size_t ci = 0; ci < nc; ++ci) {
+              const std::size_t ti = cand_[ci];
+              const auto hit = plane::line_first_sighting(
+                  line, len, plane_env_.targets[ti], eps);
+              if (hit) consider(*hit, ti);
+            }
+          }
+          move_time = len;
+          end = line.to;
         }
-        move_time = len;
-        end = line.to;
-      }
 
-      if (pelapsed_[ia] + move_time >= life) {
-        // Fail-stop: truncate the trajectory at the remaining budget (the
-        // rare path — build the Move variant and reuse the scalar clamp).
-        const plane::Move move =
-            is_line ? plane::Move{line} : plane::Move{spiral};
-        const plane::Vec2 died_at =
-            plane::move_position_at(move, life - pelapsed_[ia]);
-        ppos_x_[ia] = died_at.x;
-        ppos_y_[ia] = died_at.y;
-        pelapsed_[ia] = life;
+        dead = pelapsed_[ia] + move_time >= life;
+        if (dead) {
+          // Fail-stop: truncate the trajectory at the remaining budget (the
+          // rare path — build the Move variant and reuse the scalar clamp).
+          const plane::Move move =
+              is_line ? plane::Move{line} : plane::Move{spiral};
+          const plane::Vec2 died_at =
+              plane::move_position_at(move, life - pelapsed_[ia]);
+          ppos_x_[ia] = died_at.x;
+          ppos_y_[ia] = died_at.y;
+          pelapsed_[ia] = life;
+        } else {
+          pelapsed_[ia] += move_time;
+          ppos_x_[ia] = end.x;
+          ppos_y_[ia] = end.y;
+        }
+
+        tail.dead = dead;
+        if (dead || f == folds) break;
+        const plane::Time next_start = start + pelapsed_[ia];
+        if (next_start >= std::min(pconfig.time_cap, best) ||
+            seg_count_[ia] >= pconfig.max_segments_per_agent) {
+          break;
+        }
+        op = plane_programs_[ia]->next(rngs_[ia]);
+        if (std::holds_alternative<plane::SpiralSweep>(op)) {
+          ppending_[ia] = op;
+          break;
+        }
+        ++seg_count_[ia];
+        ++presult.segments;
+        tail.start[tail.n++] = next_start;
+      }
+      if (folds > 0 && flat) return std::nullopt;
+
+      if (dead) {
         ++presult.crashed;
         pclock_[ia] = plane::kPlaneNever;
       } else {
-        pelapsed_[ia] += move_time;
-        ppos_x_[ia] = end.x;
-        ppos_y_[ia] = end.y;
         pclock_[ia] = start + pelapsed_[ia];
       }
       clock_tree_.update(pclock_, ia);
+    }
+
+    // Folded legs starting at or past the final bound: see run_segment.
+    const plane::Time last = std::min(pconfig.time_cap, best);
+    for (std::size_t ia = 0; ia < uk; ++ia) {
+      const FoldTail<double>& tail = plane_tail_[ia];
+      for (int j = 0; j < tail.n; ++j) {
+        if (tail.start[j] < last) continue;
+        --presult.segments;
+        if (j + 1 == tail.n && tail.dead) --presult.crashed;
+      }
     }
 
     if (best != plane::kPlaneNever) {

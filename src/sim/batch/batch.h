@@ -42,6 +42,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "plane/engine.h"
@@ -122,21 +123,52 @@ class BatchRunner {
   /// cap and no admission left by it) once its roster stays as it is
   /// through the cap; the result is the one running to the cap gives, its
   /// steps counted through the cap.
+  /// The static segment loop and the plane loop pop once per trip rather
+  /// than once per leg: after the popped leg they fold up to kMaxFolds more
+  /// cheap legs of the same agent into the pop while those start within the
+  /// current bound, and take back at the end the folded legs that started
+  /// past the final one (batch.cpp says why that is exact). run_segment
+  /// folds folds_ legs per pop. run_plane folds `folds` legs per pop and
+  /// returns nullopt when, folding, a sighting improves the outcome at its
+  /// own leg's start, the one case where folding is not exact; run_one then
+  /// runs the trial again with 0.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng);
   template <bool kDynamic>
   void run_step(const TrialEnvironment* envs, const rng::Rng* trial_rngs,
                 const std::uint32_t* trials, std::size_t n, TrialResult* out);
-  TrialResult run_plane(const TrialEnvironment& env,
-                        const rng::Rng& trial_rng);
+  std::optional<TrialResult> run_plane(const TrialEnvironment& env,
+                                       const rng::Rng& trial_rng, int folds);
 
-  /// spiral_theta_for_arc(a, s) through a small direct-mapped memo. The
+  /// The end angle theta = spiral_theta_for_arc(a, s) of a spiral of arc
+  /// length s and its end point's offset from the center, {r cos theta,
+  /// r sin theta} with r = a theta, through a small direct-mapped memo. The
   /// Newton solve dominates the plane profile and strategies reuse a few
   /// distinct durations (phase budgets) across agents and trials; keying on
-  /// the exact bit pattern of s returns bit-identical thetas. `a` is fixed
+  /// the exact bit pattern of s returns bit-identical values, and center +
+  /// offset is spiral_point_at(center, a, theta) bit for bit. `a` is fixed
   /// per runner (derived from config.spiral_pitch), so it is not keyed.
-  double spiral_theta(double a, double s);
+  struct SpiralEnd {
+    std::uint64_t s_bits = 0;
+    double theta = 0.0;
+    plane::Vec2 offset;
+    bool valid = false;
+  };
+  const SpiralEnd& spiral_end(double a, double s);
+
+  /// The most legs the static segment and plane loops fold into one pop
+  /// after the popped one: a grid trip is one pop, a plane search another.
+  static constexpr int kMaxFolds = 2;
+  /// The legs an agent folded since its last pop: their start clocks, and
+  /// whether it died in the last one. Only these can start past the final
+  /// bound (see run_segment).
+  template <typename T>
+  struct FoldTail {
+    std::array<T, kMaxFolds> start{};
+    int n = 0;
+    bool dead = false;
+  };
 
   TrialStrategy strategy_;
   int k_;
@@ -209,12 +241,7 @@ class BatchRunner {
   std::vector<double> ppos_x_, ppos_y_;
   std::vector<std::uint32_t> cand_;  ///< line_candidates output buffer
 
-  struct ThetaMemoEntry {
-    std::uint64_t s_bits = 0;
-    double theta = 0.0;
-    bool valid = false;
-  };
-  std::array<ThetaMemoEntry, 64> theta_memo_{};
+  std::array<SpiralEnd, 64> theta_memo_{};
 
   std::uint64_t scalar_fallbacks_ = 0;
 
@@ -236,6 +263,17 @@ class BatchRunner {
     std::int64_t div = 1;
   };
   std::vector<QuietSlot> quiet_slots_;
+
+  // The folds' state, also declared last. Static segment loop: the legs a
+  // pop folds (kMaxFolds, or 0 once the strategy has handed out a walk: see
+  // batch.cpp), an op pulled while folding that does not fold, run at the
+  // agent's next pop, and each agent's folds since its last pop; then the
+  // plane loop's twins.
+  int folds_ = kMaxFolds;
+  std::vector<std::optional<Op>> pending_;
+  std::vector<FoldTail<Time>> seg_tail_;
+  std::vector<std::optional<plane::PlaneOp>> ppending_;
+  std::vector<FoldTail<double>> plane_tail_;
 };
 
 }  // namespace ants::sim::batch

@@ -2,16 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "plane/strategies.h"
+#include "sim/batch/batch.h"
+#include "sim/batch/simd.h"
 #include "sim/placement.h"
 #include "sim/runner.h"
 #include "sim/trial.h"
 #include "core/known_k.h"
+#include "support/reference_trial.h"
+#include "test_support.h"
 
 namespace ants::plane {
 namespace {
@@ -329,6 +340,335 @@ TEST(PlaneEngine, WindowedAndCollectTrialsMatchPinnedDigest) {
 
 TEST(PlaneEngine, CollectAllTrialsEndingAtTheLastSightingMatchPinnedDigest) {
   EXPECT_EQ(windowed_trials_digest(0.001, 0.0), 0x237bd608a3091b93ULL);
+}
+
+// ---------------------------------------------------------------------------
+// Folded legs: the batch plane loop (sim/batch) against the reference.
+// The loop runs a pop's leg and folds up to two more line legs of the same
+// agent into the pop (a spiral waits for the agent's next pop), then, at
+// the end, takes back the folded legs that started at or past the final
+// bound (and a death in one). Each case compares run_block with the
+// reference sim::run_trial, all fields, at every dispatch level.
+// ---------------------------------------------------------------------------
+
+/// ScriptedPlaneStrategy with one script per agent (indexed by agent).
+class PerAgentScriptedPlaneStrategy final : public PlaneStrategy {
+ public:
+  explicit PerAgentScriptedPlaneStrategy(std::vector<std::vector<PlaneOp>> s)
+      : scripts_(std::move(s)) {}
+
+  std::string name() const override { return "per-agent-scripted-plane"; }
+
+  std::unique_ptr<PlaneAgentProgram> make_program(int agent,
+                                                  int k) const override {
+    const ScriptedPlaneStrategy one(
+        scripts_[static_cast<std::size_t>(agent) % scripts_.size()]);
+    return one.make_program(agent, k);
+  }
+
+ private:
+  std::vector<std::vector<PlaneOp>> scripts_;
+};
+
+#define EXPECT_SAME_TRIAL(want, got)                             \
+  do {                                                           \
+    EXPECT_EQ((want).time, (got).time);                          \
+    EXPECT_EQ((want).found, (got).found);                        \
+    EXPECT_EQ((want).finder, (got).finder);                      \
+    EXPECT_EQ((want).first_target, (got).first_target);          \
+    EXPECT_EQ((want).segments, (got).segments);                  \
+    EXPECT_EQ((want).last_start, (got).last_start);              \
+    EXPECT_EQ((want).from_last_start, (got).from_last_start);    \
+    EXPECT_EQ((want).crashed, (got).crashed);                    \
+  } while (0)
+
+/// One trial through the reference and through run_block at every
+/// dispatch level: both throw std::runtime_error or both return the same
+/// result. Returns the reference's result, or nullopt when it threw.
+std::optional<sim::TrialResult> expect_same_outcome(
+    const PlaneStrategy& strategy, int k, const sim::TrialEnvironment& env,
+    const sim::EngineConfig& config) {
+  sim::TrialStrategy s;
+  s.plane = &strategy;
+  const rng::Rng trial_rng(23);
+  std::optional<sim::TrialResult> want;
+  try {
+    want = sim::run_trial(s, k, env, trial_rng, config);
+  } catch (const std::runtime_error&) {
+  }
+  testing::LevelGuard guard;
+  for (const sim::batch::SimdLevel level : testing::testable_levels()) {
+    sim::batch::force_simd_level(level);
+    sim::batch::BatchRunner runner(s, k, config);
+    sim::TrialResult got;
+    if (want) {
+      EXPECT_NO_THROW(runner.run_block(&env, &trial_rng, 1, &got));
+      EXPECT_SAME_TRIAL(*want, got);
+    } else {
+      EXPECT_THROW(runner.run_block(&env, &trial_rng, 1, &got),
+                   std::runtime_error);
+    }
+  }
+  return want;
+}
+
+sim::TrialEnvironment plane_targets_at(std::vector<Vec2> targets) {
+  sim::TrialEnvironment env;
+  env.plane_targets = std::move(targets);
+  return env;
+}
+
+TEST(BatchPlaneFold, DeathInsideAFoldedLegCountsIffTheLegStartsByTheBound) {
+  // Agent 0 walks to (0, a) and spirals for 10: its second pop, at a, runs
+  // the spiral and folds the return and the next walk, before agent 1
+  // (starting at s1 > a) sees the target (d, 0) at s1 + d - 1. Agent 0 dies
+  // inside one of the folded legs; the reference runs that leg, and counts
+  // the death, iff the leg starts before the find (at d = 10 the return
+  // starts at the very time of the find).
+  const sim::EngineConfig config = [] {
+    sim::EngineConfig c;
+    c.time_cap = 1'000;
+    return c;
+  }();
+  int counted = 0;
+  int uncounted = 0;
+  for (const double a : {2.0, 4.0}) {
+    const PerAgentScriptedPlaneStrategy scripted(
+        {{GoToPoint{{0, a}}, SpiralSweep{10.0}, ReturnHome{},
+          GoToPoint{{0, -6}}},
+         {GoToPoint{{30, 0}}}});
+    for (const double d : {8.0, 10.0, 12.0, 16.0, 20.0}) {
+      for (const double into : {0.5, 2.0, 4.0, 7.0}) {
+        sim::TrialEnvironment env = plane_targets_at({{d, 0}});
+        const auto s1 = static_cast<sim::Time>(a) + 1;
+        env.starts = {0, s1};
+        env.lifetimes = {static_cast<sim::Time>(a + 10.0 + into),
+                         sim::kNeverTime};
+        SCOPED_TRACE("a " + std::to_string(a) + " d " + std::to_string(d) +
+                     " into " + std::to_string(into));
+        const auto want = expect_same_outcome(scripted, 2, env, config);
+        ASSERT_TRUE(want.has_value());
+        ++(want->crashed == 1 ? counted : uncounted);
+      }
+    }
+  }
+  EXPECT_GT(counted, 0);
+  EXPECT_GT(uncounted, 0);
+}
+
+TEST(BatchPlaneFold, BudgetCrossedInsideAFoldThrowsIffTheLegStartsByTheBound) {
+  // Agent 0 parks from the start: line legs of length sqrt(2), folded two
+  // at a time from clock 0 on, so its (budget + 1)-th leg is the one a fold
+  // stops at. Agent 1 sees the target (d, 0) at d - 1; the reference throws
+  // iff that leg starts before then.
+  const PerAgentScriptedPlaneStrategy scripted({{}, {GoToPoint{{30, 0}}}});
+  int threw = 0;
+  int returned = 0;
+  for (const std::int64_t budget : {1, 2, 3, 4, 5}) {
+    for (const double d : {3.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " d " +
+                   std::to_string(d));
+      sim::EngineConfig config;
+      config.time_cap = 1'000;
+      config.max_segments_per_agent = budget;
+      const auto want =
+          expect_same_outcome(scripted, 2, plane_targets_at({{d, 0}}), config);
+      EXPECT_EQ(want.has_value(),
+                static_cast<double>(budget) * std::sqrt(2.0) > d - 1);
+      ++(want ? returned : threw);
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(returned, 0);
+}
+
+TEST(BatchPlaneFold, TargetsAtALegJunctionKeepFinderAndFirstTarget) {
+  // Agent 0's folded walk from (0, 1) to (4, 1) comes within sight of two
+  // targets at (5, 1) exactly at its end, at 5 + its start; agent 1 sees a
+  // third target at time t1. In every order of the three targets the
+  // earliest time wins, then the lower agent, then the lower target index.
+  const PerAgentScriptedPlaneStrategy scripted(
+      {{GoToPoint{{0, 1}}, GoToPoint{{4, 1}}, GoToPoint{{4, 9}}},
+       {GoToPoint{{0, -3}}, GoToPoint{{-12, -3}}}});
+  sim::EngineConfig config;
+  config.time_cap = 1'000;
+  for (const double t1 : {4.0, 5.0, 6.0}) {
+    const std::array<Vec2, 3> spots = {Vec2{5, 1}, Vec2{5, 1},
+                                       Vec2{-(t1 - 3) - 1, -3}};
+    std::array<std::size_t, 3> order = {0, 1, 2};
+    do {
+      for (const sim::Time start0 : {0, 1}) {
+        sim::TrialEnvironment env = plane_targets_at(
+            {spots[order[0]], spots[order[1]], spots[order[2]]});
+        env.starts = {start0, 0};
+        const auto want = expect_same_outcome(scripted, 2, env, config);
+        ASSERT_TRUE(want.has_value());
+        ASSERT_TRUE(want->found);
+        EXPECT_EQ(want->time,
+                  std::min(5.0 + static_cast<double>(start0), t1));
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+TEST(BatchPlaneFold, SightingAtItsOwnLegsStartRunsTheTrialUnfolded) {
+  // The walk from home to p ends exactly eps from the target t, but the
+  // walk's quadratic puts its entry a rounding step past its end, so the
+  // next walk (folded into the first pop) sees t at its own start. Only
+  // there is folding not exact: the trial must still match the reference,
+  // which runs that walk as a pop of its own.
+  const Vec2 p{4.9995775059501746, 0.064998169182137161};
+  const Vec2 t{5.9994930071402095, 0.077997803018564599};
+  const double len = p.norm();
+  ASSERT_FALSE(line_first_sighting(LineMove{{0, 0}, p}, len, t, 1.0));
+  ASSERT_EQ(line_first_sighting(LineMove{p, {-20, 0}}, (Vec2{-20, 0} - p).norm(),
+                                t, 1.0),
+            0.0);
+  const PerAgentScriptedPlaneStrategy scripted(
+      {{GoToPoint{p}, GoToPoint{{-20, 0}}}, {GoToPoint{{0, -40}}}});
+  for (const int k : {1, 2}) {
+    sim::EngineConfig config;
+    config.time_cap = 1'000;
+    const auto want =
+        expect_same_outcome(scripted, k, plane_targets_at({t}), config);
+    ASSERT_TRUE(want.has_value());
+    EXPECT_TRUE(want->found);
+    EXPECT_EQ(want->time, len);
+    EXPECT_EQ(want->finder, 0);
+  }
+}
+
+/// Wraps a plane strategy and counts the ops its programs hand out.
+class CountingPlaneStrategy final : public PlaneStrategy {
+ public:
+  explicit CountingPlaneStrategy(const PlaneStrategy& inner) : inner_(inner) {}
+
+  std::string name() const override { return "counting-plane"; }
+
+  std::unique_ptr<PlaneAgentProgram> make_program(int agent,
+                                                  int k) const override {
+    class Program final : public PlaneAgentProgram {
+     public:
+      Program(std::unique_ptr<PlaneAgentProgram> inner, std::int64_t* pulls)
+          : inner_(std::move(inner)), pulls_(pulls) {}
+      PlaneOp next(rng::Rng& rng) override {
+        ++*pulls_;
+        return inner_->next(rng);
+      }
+
+     private:
+      std::unique_ptr<PlaneAgentProgram> inner_;
+      std::int64_t* pulls_;
+    };
+    return std::make_unique<Program>(inner_.make_program(agent, k), &pulls);
+  }
+
+  mutable std::int64_t pulls = 0;
+
+ private:
+  const PlaneStrategy& inner_;
+};
+
+TEST(BatchPlaneFold, PullsNoOpForALegPastTheBound) {
+  // Once a sighting has set the bound, a fold stops before the first leg
+  // that starts at or past it without pulling its op. Alone, the agent sees
+  // (10.5, 0) at 9.5 on its first walk, or (11, 0) at 10, and its second
+  // walk would start at 10. Paired, agent 1 sees (5, 0) at 4 before agent 0
+  // (starting at 1) pops; agent 0's second walk starts at 3 and folds, its
+  // third would start at 8.
+  sim::EngineConfig config;
+  config.time_cap = 1'000;
+  struct Case {
+    std::vector<std::vector<PlaneOp>> scripts;
+    Vec2 target;
+    std::vector<sim::Time> starts;
+  };
+  const std::vector<Case> cases = {
+      {{{GoToPoint{{10, 0}}, GoToPoint{{10, 5}}, ReturnHome{}}},
+       {10.5, 0},
+       {0}},
+      {{{GoToPoint{{10, 0}}, GoToPoint{{10, 5}}, ReturnHome{}}},
+       {11, 0},
+       {0}},
+      {{{GoToPoint{{0, 2}}, GoToPoint{{0, 7}}, ReturnHome{}},
+        {GoToPoint{{9, 0}}}},
+       {5, 0},
+       {1, 0}}};
+  for (const Case& c : cases) {
+    const PerAgentScriptedPlaneStrategy scripted(c.scripts);
+    const CountingPlaneStrategy counting(scripted);
+    sim::TrialStrategy s;
+    s.plane = &counting;
+    const int k = static_cast<int>(c.scripts.size());
+    sim::TrialEnvironment env = plane_targets_at({c.target});
+    env.starts = c.starts;
+    const rng::Rng trial_rng(5);
+    counting.pulls = 0;
+    const sim::TrialResult want = sim::run_trial(s, k, env, trial_rng, config);
+    const std::int64_t reference_pulls = counting.pulls;
+    EXPECT_EQ(reference_pulls, want.segments);
+    testing::LevelGuard guard;
+    for (const sim::batch::SimdLevel level : testing::testable_levels()) {
+      sim::batch::force_simd_level(level);
+      sim::batch::BatchRunner runner(s, k, config);
+      counting.pulls = 0;
+      sim::TrialResult got;
+      runner.run_block(&env, &trial_rng, 1, &got);
+      EXPECT_SAME_TRIAL(want, got);
+      EXPECT_EQ(counting.pulls, reference_pulls);
+    }
+  }
+}
+
+TEST(BatchPlaneFold, TripStrategiesMatchRunTrialAtEveryK) {
+  const PlaneKnownKStrategy known(4);
+  const PlaneUniformStrategy uniform(0.5);
+  const PlaneHarmonicStrategy harmonic(0.5);
+  const std::vector<std::pair<std::string, const PlaneStrategy*>> strategies =
+      {{"plane-known-k", &known},
+       {"plane-uniform", &uniform},
+       {"plane-harmonic", &harmonic}};
+  sim::EngineConfig config;
+  config.time_cap = 20'000;
+  const std::vector<Vec2> targets = {{9.5, -4.0}, {-6.0, 3.5}};
+  std::uint64_t seed = 700;
+  for (const auto& [label, strategy] : strategies) {
+    sim::TrialStrategy s;
+    s.plane = strategy;
+    for (const int k : {1, 3, 4, 17, 64}) {
+      SCOPED_TRACE(label + " k = " + std::to_string(k));
+      for (int env_kind = 0; env_kind < 3; ++env_kind) {
+        std::vector<sim::TrialEnvironment> envs;
+        std::vector<rng::Rng> rngs;
+        for (std::uint64_t trial = 0; trial < 6; ++trial) {
+          rngs.emplace_back(rng::mix_seed(++seed, trial));
+          if (env_kind == 0) {
+            envs.push_back(plane_targets_at(targets));
+          } else if (env_kind == 1) {
+            envs.push_back(sim::draw_environment(
+                k, plane_targets_at(targets), sim::StaggeredStart(3),
+                sim::ExponentialLifetime(400.0), rngs.back()));
+          } else {
+            envs.push_back(sim::draw_environment(
+                k, plane_targets_at(targets), sim::UniformRandomStart(20),
+                sim::DoaCrash(0.3), rngs.back()));
+          }
+        }
+        testing::LevelGuard guard;
+        for (const sim::batch::SimdLevel level : testing::testable_levels()) {
+          sim::batch::force_simd_level(level);
+          sim::batch::BatchRunner runner(s, k, config);
+          std::vector<sim::TrialResult> got(envs.size());
+          runner.run_block(envs.data(), rngs.data(), envs.size(), got.data());
+          for (std::size_t i = 0; i < envs.size(); ++i) {
+            const sim::TrialResult want =
+                sim::run_trial(s, k, envs[i], rngs[i], config);
+            EXPECT_SAME_TRIAL(want, got[i]);
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

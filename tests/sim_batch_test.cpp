@@ -23,15 +23,20 @@
 #include <functional>
 #include <initializer_list>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "baselines/ablation_variants.h"
 #include "baselines/biased_walk.h"
+#include "baselines/levy.h"
 #include "baselines/random_walk.h"
+#include "baselines/sector_sweep.h"
 #include "core/harmonic.h"
 #include "core/known_k.h"
+#include "core/uniform.h"
 #include "plane/strategies.h"
 #include "rng/rng.h"
 #include "sim/batch/kernels.h"
@@ -1153,6 +1158,253 @@ TEST(BatchRunner, SegmentBudgetGuardsNonTermination) {
   plane_env.collect_all = true;
   EXPECT_THROW(plane_runner.run_one(plane_env, trial_rng), std::runtime_error);
   EXPECT_EQ(plane_runner.take_scalar_fallbacks(), 1u);
+}
+
+// --- folded legs -----------------------------------------------------------
+//
+// The static segment loop runs a pop's leg and folds up to two more cheap
+// legs of the same agent into the pop, then, at the end, takes back the
+// folded legs that started past the final bound (and a death in one). These
+// cases aim at that accounting: deaths and budget crossings inside folded
+// legs on either side of the bound, staggered starts, ties at a leg
+// junction, and every trip-shaped strategy at k = 1, 3, 4, 17 and 64.
+
+/// Runs one trial through the reference and through run_block at every
+/// dispatch level: both must throw std::runtime_error or both return the
+/// same result. Returns the reference's result, or nullopt when it threw.
+std::optional<TrialResult> expect_same_outcome(const TrialStrategy& strategy,
+                                               int k,
+                                               const TrialEnvironment& env,
+                                               const EngineConfig& config) {
+  const rng::Rng trial_rng(17);
+  std::optional<TrialResult> want;
+  try {
+    want = run_trial(strategy, k, env, trial_rng, config);
+  } catch (const std::runtime_error&) {
+  }
+  LevelGuard guard;
+  for (const SimdLevel level : testable_levels()) {
+    force_simd_level(level);
+    BatchRunner runner(strategy, k, config);
+    TrialResult got;
+    if (want) {
+      EXPECT_NO_THROW(runner.run_block(&env, &trial_rng, 1, &got));
+      EXPECT_SAME_RESULT(*want, got);
+    } else {
+      EXPECT_THROW(runner.run_block(&env, &trial_rng, 1, &got),
+                   std::runtime_error);
+    }
+  }
+  return want;
+}
+
+TEST(BatchRunnerFold, DeathInsideAFoldedLegCountsIffTheLegStartsByTheBound) {
+  // Agent 0 walks to (0, a), spirals for 10 and returns, and dies inside the
+  // spiral or the return; both are folded into its first pop, at clock 0,
+  // before agent 1 finds the target (d, 0) at d + its start, which sets the
+  // bound to d - 1 + its start. The reference runs (and counts the death
+  // in) the leg iff it starts by that bound.
+  using testing::PerAgentScriptedStrategy;
+  EngineConfig config;
+  config.time_cap = 1'000;
+  int counted = 0;
+  int uncounted = 0;
+  for (const std::int64_t a : {1, 2, 3, 4, 5}) {
+    const PerAgentScriptedStrategy scripted(
+        {{GoTo{{0, a}}, SpiralFor{10}, ReturnToSource{}}, {GoTo{{6, 0}}}});
+    TrialStrategy s;
+    s.segment = &scripted;
+    for (const Time life : {a + 1, a + 5, a + 9, a + 11, a + 12}) {
+      for (const Time start1 : {0, 2}) {
+        SCOPED_TRACE("a " + std::to_string(a) + " life " +
+                     std::to_string(life) + " start1 " +
+                     std::to_string(start1));
+        TrialEnvironment env = base_env({{6, 0}});
+        env.starts = {0, start1};
+        env.lifetimes = {life, kNeverTime};
+        const auto want = expect_same_outcome(s, 2, env, config);
+        ASSERT_TRUE(want.has_value());
+        ++(want->crashed == 1 ? counted : uncounted);
+      }
+    }
+  }
+  // Both sides of the bound are exercised.
+  EXPECT_GT(counted, 0);
+  EXPECT_GT(uncounted, 0);
+}
+
+TEST(BatchRunnerFold, BudgetCrossedInsideAFoldThrowsIffTheLegStartsByTheBound) {
+  // Agent 0 parks from the start: legs of 2 steps starting at 0, 2, 4, ...,
+  // folded two at a time from clock 0 on, so its (budget + 1)-th leg, at
+  // 2 * budget, is the one a fold stops at. Agent 1 finds the target (d, 0)
+  // at d. The reference throws iff that leg starts by the bound d - 1.
+  using testing::PerAgentScriptedStrategy;
+  const PerAgentScriptedStrategy scripted({{}, {GoTo{{12, 0}}}});
+  TrialStrategy s;
+  s.segment = &scripted;
+  int threw = 0;
+  int returned = 0;
+  for (const std::int64_t budget : {1, 2, 3, 4, 5}) {
+    for (std::int64_t d = 2; d <= 12; ++d) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " d " +
+                   std::to_string(d));
+      EngineConfig config;
+      config.time_cap = 1'000;
+      config.max_segments_per_agent = budget;
+      const TrialEnvironment env = base_env({{d, 0}});
+      const auto want = expect_same_outcome(s, 2, env, config);
+      // A staircase walk from the origin to (12, 0) meets (d, 0) at d.
+      EXPECT_EQ(want.has_value(), 2 * budget > d - 1);
+      ++(want ? returned : threw);
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(returned, 0);
+}
+
+TEST(BatchRunnerFold, TargetsAtALegJunctionKeepFinderAndFirstTarget) {
+  // Agent 0's folded walk to (4, 1) ends on two targets at once, at time 5
+  // + its start; agent 1 stands on a third target at time t1. In every
+  // order of the three targets the earliest time wins, then the lower
+  // agent, then the lower target index of that agent's first hit.
+  using testing::PerAgentScriptedStrategy;
+  EngineConfig config;
+  config.time_cap = 1'000;
+  const PerAgentScriptedStrategy scripted(
+      {{GoTo{{0, 1}}, GoTo{{4, 1}}, SpiralFor{8}, ReturnToSource{}},
+       {GoTo{{0, -3}}, GoTo{{-9, -3}}}});
+  TrialStrategy s;
+  s.segment = &scripted;
+  for (const std::int64_t t1 : {4, 5, 6}) {
+    const std::array<grid::Point, 3> spots = {
+        grid::Point{4, 1}, grid::Point{4, 1}, grid::Point{-(t1 - 3), -3}};
+    std::array<std::size_t, 3> order = {0, 1, 2};
+    do {
+      for (const Time start0 : {0, 1}) {
+        TrialEnvironment env = base_env(
+            {spots[order[0]], spots[order[1]], spots[order[2]]});
+        env.starts = {start0, 0};
+        const auto want = expect_same_outcome(s, 2, env, config);
+        ASSERT_TRUE(want.has_value());
+        ASSERT_TRUE(want->found);
+        EXPECT_EQ(want->time, static_cast<double>(std::min(5 + start0, t1)));
+      }
+    } while (std::next_permutation(order.begin(), order.end()));
+  }
+}
+
+/// Wraps a strategy and counts the ops its programs hand out.
+class CountingStrategy final : public Strategy {
+ public:
+  explicit CountingStrategy(const Strategy& inner) : inner_(inner) {}
+
+  std::string name() const override { return "counting"; }
+
+  std::unique_ptr<AgentProgram> make_program(AgentContext ctx) const override {
+    class Program final : public AgentProgram {
+     public:
+      Program(std::unique_ptr<AgentProgram> inner, std::int64_t* pulls)
+          : inner_(std::move(inner)), pulls_(pulls) {}
+      Op next(rng::Rng& rng) override {
+        ++*pulls_;
+        return inner_->next(rng);
+      }
+
+     private:
+      std::unique_ptr<AgentProgram> inner_;
+      std::int64_t* pulls_;
+    };
+    return std::make_unique<Program>(inner_.make_program(ctx), &pulls);
+  }
+
+  mutable std::int64_t pulls = 0;
+
+ private:
+  const Strategy& inner_;
+};
+
+TEST(BatchRunnerFold, PullsNoOpForALegPastTheBound) {
+  // Once a find has set the bound, a fold stops before the first leg that
+  // starts past it without pulling its op: here the loop pulls exactly the
+  // ops of the legs the reference runs. Alone, the agent finds (5, 0) with
+  // its first leg. Paired, agent 1 finds (4, 0) at 4 before agent 0
+  // (starting at 1) pops; agent 0's spiral starts at 3 and folds, its
+  // return would start at 13 and is never pulled.
+  using testing::PerAgentScriptedStrategy;
+  EngineConfig config;
+  config.time_cap = 1'000;
+  struct Case {
+    std::vector<std::vector<Op>> scripts;
+    grid::Point target;
+    std::vector<Time> starts;
+  };
+  const std::vector<Case> cases = {
+      {{{GoTo{{5, 0}}, SpiralFor{10}, ReturnToSource{}}}, {5, 0}, {0}},
+      {{{GoTo{{0, 2}}, SpiralFor{10}, ReturnToSource{}}, {GoTo{{4, 0}}}},
+       {4, 0},
+       {1, 0}}};
+  for (const Case& c : cases) {
+    const PerAgentScriptedStrategy scripted(c.scripts);
+    const CountingStrategy counting(scripted);
+    TrialStrategy s;
+    s.segment = &counting;
+    const int k = static_cast<int>(c.scripts.size());
+    TrialEnvironment env = base_env({c.target});
+    env.starts = c.starts;
+    const rng::Rng trial_rng(5);
+    counting.pulls = 0;
+    const TrialResult want = run_trial(s, k, env, trial_rng, config);
+    const std::int64_t reference_pulls = counting.pulls;
+    EXPECT_EQ(reference_pulls, want.segments);
+    LevelGuard guard;
+    for (const SimdLevel level : testable_levels()) {
+      force_simd_level(level);
+      BatchRunner runner(s, k, config);
+      counting.pulls = 0;
+      TrialResult got;
+      runner.run_block(&env, &trial_rng, 1, &got);
+      EXPECT_SAME_RESULT(want, got);
+      EXPECT_EQ(counting.pulls, reference_pulls);
+    }
+  }
+}
+
+TEST(BatchRunnerFold, TripStrategiesMatchRunTrialAtEveryK) {
+  const core::KnownKStrategy known(4);
+  const core::UniformStrategy uniform(0.5);
+  const core::HarmonicStrategy harmonic(0.5);
+  const baselines::LevyStrategy levy(1.5, false);
+  const baselines::LevyStrategy levy_loop(2.0, true, 8);
+  const baselines::SectorSweepStrategy sector;
+  const baselines::KnownKRandomLocalStrategy random_local(4);
+  const std::vector<std::pair<std::string, const Strategy*>> strategies = {
+      {"known-k", &known},       {"uniform", &uniform},
+      {"harmonic", &harmonic},   {"levy", &levy},
+      {"levy-loop", &levy_loop}, {"sector-sweep", &sector},
+      {"random-local", &random_local}};
+  EngineConfig config;
+  config.time_cap = 20'000;
+  const std::vector<grid::Point> targets = {{9, -4}, {-6, 3}};
+  std::uint64_t seed = 500;
+  for (const auto& [label, strategy] : strategies) {
+    TrialStrategy s;
+    s.segment = strategy;
+    for (const int k : {1, 3, 4, 17, 64}) {
+      SCOPED_TRACE(label + " k = " + std::to_string(k));
+      const auto sync = [&](const rng::Rng&) { return base_env(targets); };
+      const auto staggered = [&](const rng::Rng& trial_rng) {
+        return draw_environment(k, targets, StaggeredStart(3),
+                                ExponentialLifetime(400.0), trial_rng);
+      };
+      const auto doa = [&](const rng::Rng& trial_rng) {
+        return draw_environment(k, targets, UniformRandomStart(20),
+                                DoaCrash(0.3), trial_rng);
+      };
+      expect_block_conformance(s, k, sync, config, 6, ++seed);
+      expect_block_conformance(s, k, staggered, config, 6, ++seed);
+      expect_block_conformance(s, k, doa, config, 6, ++seed);
+    }
+  }
 }
 
 TEST(TrialBlock, TilesTrialsExactlyWithinTheCap) {
