@@ -114,18 +114,6 @@ std::unique_ptr<PlaneAgentProgram> PlaneHarmonicStrategy::make_program(
 
 PlaneUniformStrategy::PlaneUniformStrategy(double eps) : eps_(eps) {
   if (!(eps >= 0)) throw std::invalid_argument("PlaneUniform: eps >= 0");
-  for (std::size_t j = 0; j < divisors_.size(); ++j) {
-    divisors_[j] = std::pow(j < 1 ? 1.0 : static_cast<double>(j), 1.0 + eps_);
-  }
-}
-
-double PlaneUniformStrategy::divisor(int phase_j) const noexcept {
-  if (phase_j >= 0 &&
-      static_cast<std::size_t>(phase_j) < divisors_.size()) {
-    return divisors_[static_cast<std::size_t>(phase_j)];
-  }
-  return std::pow(phase_j < 1 ? 1.0 : static_cast<double>(phase_j),
-                  1.0 + eps_);
 }
 
 std::string PlaneUniformStrategy::name() const {
@@ -140,14 +128,18 @@ std::unique_ptr<PlaneAgentProgram> PlaneUniformStrategy::make_program(
 
 double PlaneUniformStrategy::disk_radius(int stage_i, int phase_j) const
     noexcept {
+  const double divisor =
+      std::pow(phase_j < 1 ? 1.0 : static_cast<double>(phase_j), 1.0 + eps_);
   return std::sqrt(std::ldexp(1.0, std::min(stage_i + phase_j, 120)) /
-                   divisor(phase_j));
+                   divisor);
 }
 
 Time PlaneUniformStrategy::sweep_budget(int stage_i, int phase_j) const
     noexcept {
-  return std::max(1.0, std::ldexp(1.0, std::min(stage_i + 2, 120)) /
-                           divisor(phase_j));
+  const double divisor =
+      std::pow(phase_j < 1 ? 1.0 : static_cast<double>(phase_j), 1.0 + eps_);
+  return std::max(1.0,
+                  std::ldexp(1.0, std::min(stage_i + 2, 120)) / divisor);
 }
 
 }  // namespace ants::plane

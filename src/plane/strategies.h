@@ -16,7 +16,6 @@
 // the same theorem shapes must appear in both models.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -76,13 +75,7 @@ class PlaneUniformStrategy final : public PlaneStrategy {
   Time sweep_budget(int stage_i, int phase_j) const noexcept;
 
  private:
-  /// max(j,1)^(1+eps), the divisor of both closed forms: read from
-  /// divisors_ below its size (a phase past it needs a stage beyond 2^64
-  /// time units), computed by the same pow call past it.
-  double divisor(int phase_j) const noexcept;
-
   double eps_;
-  std::array<double, 64> divisors_{};
 };
 
 }  // namespace ants::plane

@@ -127,14 +127,15 @@ class BatchRunner {
   /// than once per leg: after the popped leg they fold up to kMaxFolds more
   /// cheap legs of the same agent into the pop while those start within the
   /// current bound, and take back at the end the folded legs that started
-  /// past the final one (batch.cpp says why that is exact). run_segment
-  /// folds folds_ legs per pop. run_plane folds `folds` legs per pop and
+  /// past the final one (clock_loops.cpp says why that is exact). Both fold
+  /// `folds` legs per pop: run_one passes folds_ to the static segment
+  /// loop, 0 to the dynamic one, and kMaxFolds to the plane loop, which
   /// returns nullopt when, folding, a sighting improves the outcome at its
   /// own leg's start, the one case where folding is not exact; run_one then
   /// runs the trial again with 0.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
-                          const rng::Rng& trial_rng);
+                          const rng::Rng& trial_rng, int folds);
   template <bool kDynamic>
   void run_step(const TrialEnvironment* envs, const rng::Rng* trial_rngs,
                 const std::uint32_t* trials, std::size_t n, TrialResult* out);
@@ -266,13 +267,13 @@ class BatchRunner {
 
   // The folds' state, also declared last. Static segment loop: the legs a
   // pop folds (kMaxFolds, or 0 once the strategy has handed out a walk: see
-  // batch.cpp), an op pulled while folding that does not fold, run at the
-  // agent's next pop, and each agent's folds since its last pop; then the
-  // plane loop's twins.
+  // clock_loops.cpp), an op pulled while folding that does not fold, run at
+  // the agent's next pop, and each agent's folds since its last pop; then
+  // the plane loop's twins (there only a spiral waits).
   int folds_ = kMaxFolds;
   std::vector<std::optional<Op>> pending_;
   std::vector<FoldTail<Time>> seg_tail_;
-  std::vector<std::optional<plane::PlaneOp>> ppending_;
+  std::vector<std::optional<plane::SpiralSweep>> ppending_;
   std::vector<FoldTail<double>> plane_tail_;
 };
 

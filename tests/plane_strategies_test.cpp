@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -114,27 +113,6 @@ TEST(PlaneUniform, ClosedFormsMatchGridUniform) {
       const auto grid_t = static_cast<double>(grid_s.spiral_budget(i, j));
       EXPECT_NEAR(plane_s.sweep_budget(i, j), grid_t, 1.0 + 0.01 * grid_t)
           << i << "," << j;
-    }
-  }
-}
-
-TEST(PlaneUniform, ClosedFormsAreTheirPowExpressionsBitForBit) {
-  // The divisor max(j,1)^(1+eps) is tabulated per strategy for small j and
-  // computed past the table; both must give the closed forms' exact bits.
-  for (const double eps : {0.0, 0.4, 0.5, 1.7}) {
-    const PlaneUniformStrategy s(eps);
-    for (int j = 0; j <= 80; ++j) {
-      const double divisor =
-          std::pow(j < 1 ? 1.0 : static_cast<double>(j), 1.0 + eps);
-      for (const int i : {0, j, j + 3, 150}) {
-        EXPECT_EQ(s.disk_radius(i, j),
-                  std::sqrt(std::ldexp(1.0, std::min(i + j, 120)) / divisor))
-            << eps << " " << i << "," << j;
-        EXPECT_EQ(s.sweep_budget(i, j),
-                  std::max(1.0, std::ldexp(1.0, std::min(i + 2, 120)) /
-                                    divisor))
-            << eps << " " << i << "," << j;
-      }
     }
   }
 }
