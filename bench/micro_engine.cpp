@@ -129,10 +129,10 @@ void BM_UnifiedTrialSync(benchmark::State& state) {
 }
 BENCHMARK(BM_UnifiedTrialSync)->Args({16, 64})->Args({64, 256});
 
-// The paper-segment-plane workload's heaviest grid cell: uniform(eps=0.5)
-// at k = 64, D = 8, whose trips are short, so the per-pop cost of the
-// segment loop dominates; the scalar side of the BM_BatchedTrialUniform
-// pair.
+// The paper-segment-plane workload's heaviest grid cells: uniform(eps=0.5)
+// at k = 64, D = 8 and at the paper's k = 256, D = 4, whose trips are short,
+// so the per-pop cost of the segment loop dominates; the scalar side of the
+// BM_BatchedTrialUniform pair.
 void BM_UnifiedTrialUniform(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));
   const std::int64_t d = state.range(1);
@@ -145,7 +145,7 @@ void BM_UnifiedTrialUniform(benchmark::State& state) {
     benchmark::DoNotOptimize(r.time);
   }
 }
-BENCHMARK(BM_UnifiedTrialUniform)->Args({64, 8});
+BENCHMARK(BM_UnifiedTrialUniform)->Args({64, 8})->Args({256, 4});
 
 // Full async/crash trial: environment draw + segment backend with
 // starts/lifetimes live.
@@ -302,7 +302,7 @@ void BM_BatchedTrialUniform(benchmark::State& state) {
     benchmark::DoNotOptimize(r.time);
   }
 }
-BENCHMARK(BM_BatchedTrialUniform)->Args({64, 8});
+BENCHMARK(BM_BatchedTrialUniform)->Args({64, 8})->Args({256, 4});
 
 void BM_BatchedTrialAsync(benchmark::State& state) {
   const auto k = static_cast<int>(state.range(0));

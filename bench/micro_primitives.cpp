@@ -13,6 +13,7 @@
 #include "grid/ball.h"
 #include "grid/spiral.h"
 #include "grid/staircase_path.h"
+#include "plane/engine.h"
 #include "rng/power_law.h"
 #include "rng/rng.h"
 #include "scenario/registry.h"
@@ -120,15 +121,28 @@ BENCHMARK(BM_RegistryMakeUniform);
 // Op generation as the executor pays it, per op: one make_program per
 // agent (k = 16, as the paper workload's cells), then 240 virtual `next`
 // calls (80 trips) before the next agent's program. Strategies at the
-// paper workload's parameters.
+// paper workload's parameters; plane-uniform times the plane op family,
+// whose disk radius and sweep budget pay two std::pow per trip.
 void BM_ProgramNext(benchmark::State& state, const char* spec) {
   const ants::scenario::BuildContext ctx{16};
   const ants::scenario::BuiltStrategy built =
       ants::scenario::Registry::instance().make(spec, ctx);
   ants::rng::Rng rng(6);
   int agent = 0;
-  std::unique_ptr<ants::sim::AgentProgram> program;
   int left = 0;
+  if (built.is_plane()) {
+    std::unique_ptr<ants::plane::PlaneAgentProgram> program;
+    for (auto _ : state) {
+      if (left == 0) {
+        program = built.plane->make_program(agent++ & 15, 16);
+        left = 240;
+      }
+      --left;
+      benchmark::DoNotOptimize(program->next(rng));
+    }
+    return;
+  }
+  std::unique_ptr<ants::sim::AgentProgram> program;
   for (auto _ : state) {
     if (left == 0) {
       program = built.segment->make_program({agent++ & 15, 16});
@@ -144,7 +158,8 @@ const bool kProgramNextRegistered = [] {
         std::pair{"uniform", "uniform(eps=0.5)"},
         std::pair{"harmonic", "harmonic(delta=0.5)"},
         std::pair{"lowmem-uniform", "lowmem-uniform(eps=0.5)"},
-        std::pair{"approx-k", "approx-k(rho=2, mode=log-uniform)"}}) {
+        std::pair{"approx-k", "approx-k(rho=2, mode=log-uniform)"},
+        std::pair{"plane-uniform", "plane-uniform(eps=0.5)"}}) {
     benchmark::RegisterBenchmark(
         (std::string("BM_ProgramNext/") + name).c_str(), BM_ProgramNext,
         spec);

@@ -14,13 +14,15 @@
 //   };
 //
 // and TripProgram<Law> owns the go -> search -> return switch. The program
-// base names the op family through two aliases, its `Op` variant and its
-// `Return` op, so this header depends on rng/ alone and serves the grid
-// (sim/) and the plane (plane/) alike. Law calls are static: they inline
-// into the one virtual next() a program has, and every random draw stays at
-// the op where a hand-written program made it.
+// base names the op family through aliases, its `Op` variant, its `Return`
+// and `Search` ops and its `Trip`, so this header depends on rng/ alone and
+// serves the grid (sim/) and the plane (plane/) alike. Law calls are static:
+// they inline into the program's two virtuals, next() for one op and
+// next_trip() for a whole trip when the search is a spiral, and every random
+// draw stays at the op where a hand-written program made it.
 #pragma once
 
+#include <type_traits>
 #include <utility>
 
 #include "rng/rng.h"
@@ -46,6 +48,23 @@ class TripProgram final : public Law::Program {
         leg_ = Leg::kGoTo;
         law_.advance();
         return typename Program::Return{};
+    }
+  }
+
+  /// The three calls next() makes for a trip, in the same order, when the
+  /// program stands at a trip's start and the law searches with a spiral.
+  bool next_trip(rng::Rng& rng, typename Program::Trip* trip) override {
+    if constexpr (std::is_same_v<decltype(law_.search(rng)),
+                                 typename Program::Search>) {
+      if (leg_ != Leg::kGoTo) return false;
+      trip->to = law_.destination(rng).target;
+      trip->budget = law_.search(rng).duration;
+      law_.advance();
+      return true;
+    } else {
+      static_cast<void>(rng);
+      static_cast<void>(trip);
+      return false;
     }
   }
 

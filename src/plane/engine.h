@@ -32,14 +32,30 @@ struct ReturnHome {};
 
 using PlaneOp = std::variant<GoToPoint, SpiralSweep, ReturnHome>;
 
+/// One whole trip of a trip program: GoToPoint{to}, SpiralSweep{budget} and
+/// ReturnHome, pulled at once by PlaneAgentProgram::next_trip.
+struct PlaneTrip {
+  Vec2 to;
+  Time budget = 0;
+};
+
 class PlaneAgentProgram {
  public:
   /// The op family, as core::TripProgram (core/trip.h) reads it.
   using Op = PlaneOp;
   using Return = ReturnHome;
+  using Search = SpiralSweep;
+  using Trip = PlaneTrip;
 
   virtual ~PlaneAgentProgram() = default;
   virtual PlaneOp next(rng::Rng& rng) = 0;
+
+  /// The plane twin of sim::AgentProgram::next_trip: the next three ops at
+  /// once when they are one trip with a spiral sweep, drawing exactly what
+  /// three next() calls would; false, drawing nothing, otherwise.
+  virtual bool next_trip(rng::Rng& /*rng*/, PlaneTrip* /*trip*/) {
+    return false;
+  }
 };
 
 class PlaneStrategy {

@@ -48,6 +48,7 @@
 #include "plane/engine.h"
 #include "sim/batch/kernels.h"
 #include "sim/batch/min_tree.h"
+#include "sim/batch/trip_chain.h"
 #include "sim/trial.h"
 
 namespace ants::sim::batch {
@@ -123,16 +124,22 @@ class BatchRunner {
   /// cap and no admission left by it) once its roster stays as it is
   /// through the cap; the result is the one running to the cap gives, its
   /// steps counted through the cap.
-  /// The static segment loop and the plane loop pop once per trip rather
-  /// than once per leg: after the popped leg they fold up to kMaxFolds more
-  /// cheap legs of the same agent into the pop while those start within the
-  /// current bound, and take back at the end the folded legs that started
-  /// past the final one (clock_loops.cpp says why that is exact). Both fold
-  /// `folds` legs per pop: run_one passes folds_ to the static segment
-  /// loop, 0 to the dynamic one, and kMaxFolds to the plane loop, which
-  /// returns nullopt when, folding, a sighting improves the outcome at its
-  /// own leg's start, the one case where folding is not exact; run_one then
-  /// runs the trial again with 0.
+  /// The static segment loop and the plane loop pop once per trip or less:
+  /// a pop runs the popped leg and chains more legs of the same agent while
+  /// they start within the current bound, and the end of the trial takes
+  /// back the chained legs that started past the final one
+  /// (clock_loops.cpp says why that is exact). A trip program hands its
+  /// trips out whole (AgentProgram::next_trip); a trip that cannot reach
+  /// any target (trip_chain.h) runs without hit or sighting tests, and a
+  /// pop chains those while the agent's tail holds them and then at most
+  /// one ordinary trip, whose legs fold as G S R on the grid and S R G on
+  /// the plane. Other
+  /// programs fold up to kMaxFolds cheap legs per pop after the popped one.
+  /// `folds` is 0 for one leg per pop: run_one passes folds_ to the static
+  /// segment loop, 0 to the dynamic one, and kMaxFolds to the plane loop,
+  /// which returns nullopt when, chaining, a sighting improves the outcome
+  /// at its own leg's start, the one case where chaining is not exact;
+  /// run_one then runs the trial again with 0.
   template <bool kDynamic>
   TrialResult run_segment(const TrialEnvironment& env,
                           const rng::Rng& trial_rng, int folds);
@@ -159,16 +166,15 @@ class BatchRunner {
   const SpiralEnd& spiral_end(double a, double s);
 
   /// The most legs the static segment and plane loops fold into one pop
-  /// after the popped one: a grid trip is one pop, a plane search another.
+  /// after the popped one for a program that does not hand out whole
+  /// trips: a grid trip is one pop, a plane search another.
   static constexpr int kMaxFolds = 2;
-  /// The legs an agent folded since its last pop: their start clocks, and
-  /// whether it died in the last one. Only these can start past the final
-  /// bound (see run_segment).
-  template <typename T>
-  struct FoldTail {
-    std::array<T, kMaxFolds> start{};
-    int n = 0;
-    bool dead = false;
+
+  /// A spiral the plane loop left for its agent's next pop; `trip` when its
+  /// trip's return home was pulled with it and runs right after it.
+  struct PlaneSearch {
+    plane::Time budget = 0;
+    bool trip = false;
   };
 
   TrialStrategy strategy_;
@@ -265,16 +271,18 @@ class BatchRunner {
   };
   std::vector<QuietSlot> quiet_slots_;
 
-  // The folds' state, also declared last. Static segment loop: the legs a
-  // pop folds (kMaxFolds, or 0 once the strategy has handed out a walk: see
-  // clock_loops.cpp), an op pulled while folding that does not fold, run at
-  // the agent's next pop, and each agent's folds since its last pop; then
-  // the plane loop's twins (there only a spiral waits).
+  // The chains' state, also declared last and kept on the heap, so that
+  // the lock-step loop's layout does not move with it. Static segment loop:
+  // the legs a pop folds for a program that does not hand out whole trips
+  // (kMaxFolds, or 0 once the strategy has handed out a walk: see
+  // clock_loops.cpp) and each agent's chain since its last pop, with a walk
+  // pulled while folding that waits for the agent's next pop; the segment
+  // loops' spiral end points; then the plane loop's chains (there only a
+  // spiral waits).
   int folds_ = kMaxFolds;
-  std::vector<std::optional<Op>> pending_;
-  std::vector<FoldTail<Time>> seg_tail_;
-  std::vector<std::optional<plane::SpiralSweep>> ppending_;
-  std::vector<FoldTail<double>> plane_tail_;
+  std::unique_ptr<ChainTails<Time, Op>> seg_chains_;
+  std::unique_ptr<SpiralPointMemo> spiral_points_;
+  std::unique_ptr<ChainTails<plane::Time, PlaneSearch>> plane_chains_;
 };
 
 }  // namespace ants::sim::batch

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <optional>
 #include <stdexcept>
 #include <utility>
@@ -95,7 +96,7 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
       return *std::move(result);
     }
     // A sighting improved the outcome at its own leg's start, where
-    // folding is not exact (see the plane backend below).
+    // chaining is not exact (see the plane backend below).
     return *run_plane(env, trial_rng, 0);
   }
   // The static model's one special case, resolved before either loop
@@ -118,36 +119,51 @@ TrialResult BatchRunner::run_one(const TrialEnvironment& env,
 // staircase is monotone, so it never leaves it), and the StaircasePath is
 // only constructed when some target survives the box.
 //
-// Folds (static instance). A pop runs the popped leg, then folds up to
-// `folds` more legs of the same agent into the pop: each pulls the
-// agent's next op, runs its hit tests from that leg's own elapsed base and
-// counts it provisionally. Only cheap legs fold, GoTo, ReturnToSource and
-// SpiralFor (O(1) per target); a pulled FollowPath waits in pending_ for
-// the agent's next pop. A trip G S R is thus one pop: the winner-tree
-// update, the bound check and the pop itself are paid once per trip, not
-// once per leg. A strategy whose programs walk paths gains little from
-// folds and would build, at each trial's end, a path it never runs, so the
-// runner keeps in folds_ the count run_one passes, kMaxFolds until the
-// first FollowPath pulled while folding and 0 from then on. Before each fold the next leg's start is checked against
-// the current bound; past it, the fold stops without pulling the op. At
-// the segment budget it stops too, so the next pop throws exactly when the
-// reference would. Each agent pulls its own ops in order from its own
-// stream, so every draw stays at the same op.
+// Chains (static instance). A pop runs the popped leg and then chains more
+// legs of the same agent into the pop, each with its hit tests run from
+// that leg's own elapsed base and counted provisionally. Before each chained
+// leg, its start is checked against the current bound (past it, the chain
+// stops) and the agent's count against the segment budget (there it stops
+// too, so the next pop throws exactly when the reference would). Each agent
+// pulls its own ops in order from its own stream, so every draw stays at the
+// same op.
+//
+// A trip program hands its trips out whole (AgentProgram::next_trip, which
+// draws what three next() calls draw). A trip whose reach, |to|_inf plus the
+// spiral ring its budget reaches, is strictly below the nearest target's
+// L-infinity norm visits no target (trip_chain.h): it is quiet, and its
+// three legs run without hit tests. After a quiet trip the same pop pulls
+// the agent's next trip, so a pop is quiet trips, as many as the agent's
+// tail holds (ChainTails::kCap legs), and then at most one ordinary trip,
+// G S R with its hit tests. A chain stops at a trip's start when the next
+// trip might overflow the tail. It may stop inside a trip only where the agent never
+// runs again in this trial: a death, a start past the bound (which only
+// falls), or the segment budget (the next pop throws). So a trip program's
+// pops always start at a trip's start, at the source.
+//
+// Any other program folds up to `folds` cheap legs, GoTo, ReturnToSource
+// and SpiralFor (O(1) per target); a pulled FollowPath waits in the agent's
+// ChainTails::pending for its next pop. A strategy whose programs walk paths
+// gains little from folds and would build, at each trial's end, a path it
+// never runs, so the runner keeps in folds_ the count run_one passes,
+// kMaxFolds until the first FollowPath pulled while folding and 0 from then
+// on. With folds = 0 no leg is chained at all.
 //
 // Why the result is exact. The reference runs a leg iff its start is at
 // most the final bound B* = min(cap, best - 1). Every hit lies at or after
 // its leg's start, and a hit at a leg's start (offset 0) repeats the end of
 // the same agent's previous leg, hit at the same time before; the first
 // leg starts at the origin, whose targets are resolved before the loop. So
-// a hit found early, or on a folded leg that starts past B* (whose hits lie
+// a hit found early, or on a chained leg that starts past B* (whose hits lie
 // past B* too), leaves time, finder and first_target as the reference
 // leaves them: ties resolve by (time, agent) and, within one agent, in its
-// own leg order, which folding keeps. A popped leg always starts by B*, so
-// only the folds since an agent's last pop can start past it, at most
-// kMaxFolds per agent (seg_tail_). At the end they leave the segment
-// count, and a death in one leaves the crash count. The dynamic instance
-// does not fold: collect-all's loosest bound and windows that open late
-// are outside this argument.
+// own leg order, which chaining keeps. A quiet leg has no hit to find. A
+// popped leg always starts by B*, so only the legs chained since an agent's
+// last pop can start past it. They sit in the agent's tail (seg_chains_,
+// its starts in chain order), and at the end they leave the segment count,
+// and a death in the last of them leaves the crash count. The dynamic
+// instance does not chain: collect-all's loosest bound and windows that
+// open late are outside this argument.
 //
 // kDynamic adds appear/vanish windows and collect-all (drift and dwell were
 // rejected by validate_trial_args for this family); the static instance
@@ -212,9 +228,13 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   pos_y_.assign(uk, 0);
   seg_count_.assign(uk, 0);
   queued_.assign(uk, 0);
+  if (!spiral_points_) spiral_points_ = std::make_unique<SpiralPointMemo>();
+  SpiralPointMemo& spiral_points = *spiral_points_;
+  [[maybe_unused]] ChainTails<Time, Op>* chains = nullptr;
   if constexpr (!kDynamic) {
-    pending_.assign(uk, std::nullopt);
-    seg_tail_.assign(uk, {});
+    if (!seg_chains_) seg_chains_ = std::make_unique<ChainTails<Time, Op>>();
+    chains = seg_chains_.get();
+    chains->begin(uk);
   }
   std::size_t n_queued = 0;
   for (int a = 0; a < k; ++a) {
@@ -234,6 +254,15 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   for (std::size_t ti = 0; ti < nt; ++ti) {
     tgt_x_[ti] = env.targets[ti].x;
     tgt_y_[ti] = env.targets[ti].y;
+  }
+  // Static: the smallest L-infinity norm of a target. A trip whose reach
+  // stays below it is quiet.
+  [[maybe_unused]] std::int64_t nearest =
+      std::numeric_limits<std::int64_t>::max();
+  if constexpr (!kDynamic) {
+    for (const grid::Point& t : env.targets) {
+      nearest = std::min(nearest, grid::linf_norm(t));
+    }
   }
   if constexpr (kDynamic) {
     app_.resize(nt);
@@ -406,98 +435,136 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
       }
     };
 
-    // The popped leg, then (static) up to `folds` more: see "Folds" above.
-    Op op = !kDynamic && pending_[ia] ? *std::move(pending_[ia])
-                                      : seg_programs_[ia]->next(rngs_[ia]);
-    if constexpr (!kDynamic) pending_[ia].reset();
-    bool dead = false;
-    for (int f = 0;; ++f) {
-      const grid::Point pos{pos_x_[ia], pos_y_[ia]};
-      Time dur = 0;
-      grid::Point end = pos;
-      if (const auto* go = std::get_if<GoTo>(&op)) {
-        scan_walk(pos, go->target);
-        dur = grid::l1_dist(pos, go->target);
-        end = go->target;
-      } else if (std::get_if<ReturnToSource>(&op) != nullptr) {
-        scan_walk(pos, grid::kOrigin);
-        dur = grid::l1_dist(pos, grid::kOrigin);
-        end = grid::kOrigin;
-      } else if (const auto* sp = std::get_if<SpiralFor>(&op)) {
-        for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt);
-             ++li) {
-          const std::size_t ti = target_at(li);
-          if constexpr (kDynamic) {
-            if (window_from(ti) > sp->duration) break;
-          }
-          const std::int64_t idx = grid::spiral_index(
-              grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
-          if (idx > sp->duration) continue;
-          if (kDynamic && idx < window_from(ti)) continue;
-          consider(idx, ti);
-        }
-        dur = sp->duration;
-        end = pos + grid::spiral_point(sp->duration);
-      } else {
-        const auto& fp = std::get<FollowPath>(op);
-        for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt);
-             ++li) {
-          const std::size_t ti = target_at(li);
-          if constexpr (kDynamic) {
-            if (window_from(ti) > static_cast<Time>(fp.steps.size())) break;
-          }
-          const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
-          const Time from = window_from(ti);
-          std::optional<Time> hit;
-          if (from <= 0 && pos == tgt) {
-            hit = 0;
-          } else {
-            // Paths may revisit: first match at offset >= from (offset
-            // i + 1 is steps[i]; offset 0 is the start, already < from
-            // when > 0).
-            for (std::size_t i =
-                     from <= 0 ? 0 : static_cast<std::size_t>(from - 1);
-                 i < fp.steps.size(); ++i) {
-              if (fp.steps[i] == tgt) {
-                hit = static_cast<Time>(i + 1);
-                break;
-              }
-            }
-          }
-          if (hit) consider(*hit, ti);
-        }
-        dur = static_cast<Time>(fp.steps.size());
-        end = fp.steps.empty() ? pos : fp.steps.back();
-      }
+    // Ends the running leg: the agent takes its duration and end point.
+    // Returns whether the agent died in it (it halts mid-plan, wherever).
+    const auto finish = [&](Time dur, grid::Point end) {
       elapsed_[ia] = util::sat_add(elapsed_[ia], dur);
       pos_x_[ia] = end.x;
       pos_y_[ia] = end.y;
-      dead = elapsed_[ia] >= life;  // halts mid-plan, wherever it died
+      return elapsed_[ia] >= life;
+    };
+    // The leg kinds, each run with its hit tests unless `test` is false.
+    const auto walk = [&](grid::Point to, bool test) {
+      const grid::Point pos{pos_x_[ia], pos_y_[ia]};
+      if (test) scan_walk(pos, to);
+      return finish(grid::l1_dist(pos, to), to);
+    };
+    const auto spiral = [&](Time duration, grid::Point end_offset,
+                            bool test) {
+      const grid::Point pos{pos_x_[ia], pos_y_[ia]};
+      for (std::size_t li = 0;
+           test && li < (kDynamic ? seg_live_.size() : nt); ++li) {
+        const std::size_t ti = target_at(li);
+        if constexpr (kDynamic) {
+          if (window_from(ti) > duration) break;
+        }
+        const std::int64_t idx = grid::spiral_index(
+            grid::Point{tgt_x_[ti] - pos.x, tgt_y_[ti] - pos.y});
+        if (idx > duration) continue;
+        if (kDynamic && idx < window_from(ti)) continue;
+        consider(idx, ti);
+      }
+      return finish(duration, pos + end_offset);
+    };
+    const auto run_op = [&](const Op& op) {
+      if (const auto* go = std::get_if<GoTo>(&op)) {
+        return walk(go->target, true);
+      }
+      if (std::get_if<ReturnToSource>(&op) != nullptr) {
+        return walk(grid::kOrigin, true);
+      }
+      if (const auto* sp = std::get_if<SpiralFor>(&op)) {
+        return spiral(sp->duration, spiral_points.at(sp->duration), true);
+      }
+      const auto& fp = std::get<FollowPath>(op);
+      const grid::Point pos{pos_x_[ia], pos_y_[ia]};
+      for (std::size_t li = 0; li < (kDynamic ? seg_live_.size() : nt);
+           ++li) {
+        const std::size_t ti = target_at(li);
+        if constexpr (kDynamic) {
+          if (window_from(ti) > static_cast<Time>(fp.steps.size())) break;
+        }
+        const grid::Point tgt{tgt_x_[ti], tgt_y_[ti]};
+        const Time from = window_from(ti);
+        std::optional<Time> hit;
+        if (from <= 0 && pos == tgt) {
+          hit = 0;
+        } else {
+          // Paths may revisit: first match at offset >= from (offset
+          // i + 1 is steps[i]; offset 0 is the start, already < from
+          // when > 0).
+          for (std::size_t i =
+                   from <= 0 ? 0 : static_cast<std::size_t>(from - 1);
+               i < fp.steps.size(); ++i) {
+            if (fp.steps[i] == tgt) {
+              hit = static_cast<Time>(i + 1);
+              break;
+            }
+          }
+        }
+        if (hit) consider(*hit, ti);
+      }
+      return finish(static_cast<Time>(fp.steps.size()),
+                    fp.steps.empty() ? pos : fp.steps.back());
+    };
 
-      if constexpr (kDynamic) {
-        break;
-      } else {
-        FoldTail<Time>& tail = seg_tail_[ia];
-        if (f == 0) tail.n = 0;
-        tail.dead = dead;
-        if (dead || f == folds) break;
-        const Time next_start = util::sat_add(start, elapsed_[ia]);
-        if (next_start > race_bound() ||
-            seg_count_[ia] >= config_.max_segments_per_agent) {
-          break;
-        }
-        op = seg_programs_[ia]->next(rngs_[ia]);
-        if (std::holds_alternative<FollowPath>(op)) {
-          // Its agent's next pop runs it; the runner stops folding, in
-          // this trial and the ones after it.
-          pending_[ia] = std::move(op);
-          folds = folds_ = 0;
-          break;
-        }
+    bool dead = false;
+    if constexpr (kDynamic) {
+      dead = run_op(seg_programs_[ia]->next(rngs_[ia]));
+    } else {
+      // The popped leg, then its chain: see "Chains" above.
+      ChainTails<Time, Op>& tails = *chains;
+      tails.open(ia);
+      // Whether the agent's next leg may join this pop: it must start by
+      // the current bound and within the segment budget.
+      const auto may_chain = [&] {
+        return util::sat_add(start, elapsed_[ia]) <= race_bound() &&
+               seg_count_[ia] < config_.max_segments_per_agent;
+      };
+      // The next leg joins: it is counted, and its start joins the tail.
+      const auto count = [&] {
         ++seg_count_[ia];
         ++result.segments;
-        tail.start[tail.n++] = next_start;
+        tails.push(ia, util::sat_add(start, elapsed_[ia]));
+      };
+      const auto chain = [&] {
+        if (!may_chain()) return false;
+        count();
+        return true;
+      };
+      AgentProgram& program = *seg_programs_[ia];
+      std::optional<Op>& pending = tails.pending(ia);
+      Trip trip;
+      if (!pending && folds > 0 && program.next_trip(rngs_[ia], &trip)) {
+        for (;;) {
+          const grid::Point end_offset = spiral_points.at(trip.budget);
+          const bool quiet = grid_trip_quiet(trip.to, end_offset, nearest);
+          if ((dead = walk(trip.to, !quiet)) || !chain()) break;
+          if ((dead = spiral(trip.budget, end_offset, !quiet)) || !chain()) {
+            break;
+          }
+          if ((dead = walk(grid::kOrigin, !quiet)) || !quiet) break;
+          if (!tails.has_room(ia, 3) || !chain()) break;
+          program.next_trip(rngs_[ia], &trip);  // at a trip's start
+        }
+      } else {
+        Op op = pending ? *std::move(pending) : program.next(rngs_[ia]);
+        pending.reset();
+        for (int f = 0;; ++f) {
+          dead = run_op(op);
+          if (dead || f == folds || !may_chain()) break;
+          op = program.next(rngs_[ia]);
+          if (std::holds_alternative<FollowPath>(op)) {
+            // Its agent's next pop runs it; the runner stops folding, in
+            // this trial and the ones after it.
+            tails.leave(ia, std::move(op));
+            folds = folds_ = 0;
+            break;
+          }
+          count();
+        }
       }
+      tails.set_dead(ia, dead);
     }
 
     if (dead) {
@@ -512,18 +579,12 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
   }
 
   if constexpr (!kDynamic) {
-    // A folded leg that starts past the final bound is one the reference
+    // A chained leg that starts past the final bound is one the reference
     // never runs: it leaves the segment count and, if the agent died in
     // it, the crash count.
     const Time last = race_bound();
-    for (std::size_t ia = 0; ia < uk; ++ia) {
-      const FoldTail<Time>& tail = seg_tail_[ia];
-      for (int j = 0; j < tail.n; ++j) {
-        if (tail.start[j] <= last) continue;
-        --result.segments;
-        if (j + 1 == tail.n && tail.dead) --result.crashed;
-      }
-    }
+    chains->settle([last](Time s) { return s > last; }, &result.segments,
+                   &result.crashed);
   }
   bool found = best != kNeverTime;
   Time done = best;
@@ -574,17 +635,32 @@ TrialResult BatchRunner::run_segment(const TrialEnvironment& env,
 // candidate re-checked by the scalar quadratic), and the per-move spiral
 // Newton solve and end point memoized.
 //
-// The plane loop folds as the segment loop does (see there): line legs,
-// GoToPoint and ReturnHome, fold, and a SpiralSweep waits for the agent's
-// next pop, so each search S R G is one pop. The bound is strict: the
-// reference runs a leg iff it starts before B* = min(cap, best). In
-// floating point a sighting at a leg's start need not repeat the previous
-// leg: that leg's entry root can land a rounding step past its end. The
-// argument needs only that no sighting improves the outcome at its own
-// leg's start. Then every leg the reference runs starts before B*, any
-// other leg's sightings lie past it, and a folded leg is the reference's
-// iff it starts before B*. The loop watches for such a sighting and, on
-// that rare path, runs the trial again without folds.
+// The plane loop chains as the segment loop does (see there). A trip
+// program's trips come whole; a trip is quiet when |to| + sqrt(2 a s) +
+// eps, times 1 + kPlaneQuietMargin, is strictly below the nearest target's
+// norm (s the sweep's arc length): every point of its legs is within |to| +
+// a * theta_end <= |to| + sqrt(2 a s) of the origin, so no target comes
+// within eps of it, and the margin covers the rounding of the sighting
+// tests (trip_chain.h gives the bound). The bound spares the quiet test the
+// Newton solve for theta_end, which an ordinary trip pays only when its
+// spiral runs. A quiet
+// trip's legs run without sighting tests. An ordinary trip's walk out ends
+// the pop, and its spiral waits for the agent's next pop, which runs it with
+// the return home and then chains on. So a pop is an ordinary trip's
+// S R, quiet trips as the tail holds them, and at most one ordinary trip's
+// G, a plane search S R G as with folds. Other programs fold line legs,
+// GoToPoint and ReturnHome, and a pulled SpiralSweep waits for the agent's
+// next pop.
+//
+// The bound is strict: the reference runs a leg iff it starts before B* =
+// min(cap, best). In floating point a sighting at a leg's start need not
+// repeat the previous leg: that leg's entry root can land a rounding step
+// past its end. The argument needs only that no sighting improves the
+// outcome at its own leg's start. Then every leg the reference runs starts
+// before B*, any other leg's sightings lie past it, and a chained leg is the
+// reference's iff it starts before B*. The loop watches for such a sighting
+// and, on that rare path, runs the trial again without chains. A quiet leg
+// has no sighting, so it never takes that path.
 
 const BatchRunner::SpiralEnd& BatchRunner::spiral_end(double a, double s) {
   std::uint64_t bits = 0;
@@ -641,8 +717,12 @@ std::optional<TrialResult> BatchRunner::run_plane(const TrialEnvironment& env,
     ppos_x_.assign(uk, 0.0);
     ppos_y_.assign(uk, 0.0);
     seg_count_.assign(uk, 0);
-    ppending_.assign(uk, std::nullopt);
-    plane_tail_.assign(uk, {});
+    if (!plane_chains_) {
+      plane_chains_ =
+          std::make_unique<ChainTails<plane::Time, PlaneSearch>>();
+    }
+    ChainTails<plane::Time, PlaneSearch>& tails = *plane_chains_;
+    tails.begin(uk);
     for (int a = 0; a < k; ++a) {
       const auto ia = static_cast<std::size_t>(a);
       if (lifetime_of(ia) <= 0) {
@@ -660,14 +740,20 @@ std::optional<TrialResult> BatchRunner::run_plane(const TrialEnvironment& env,
       ptgt_y_[ti] = plane_env_.targets[ti].y;
     }
     cand_.resize(nt);
+    // The smallest norm of a target. A trip whose reach stays below it is
+    // quiet.
+    double nearest = std::numeric_limits<double>::infinity();
+    for (const plane::Vec2& t : plane_env_.targets) {
+      nearest = std::min(nearest, t.norm());
+    }
 
     clock_tree_.build(&pclock_);
 
     plane::Time best = plane::kPlaneNever;
     int finder = -1;
     int first_target = -1;
-    // Some sighting improved the outcome at its own leg's start: folding
-    // is not exact then, and the trial runs again without folds.
+    // Some sighting improved the outcome at its own leg's start: chaining
+    // is not exact then, and the trial runs again without chains.
     bool flat = false;
 
     for (;;) {
@@ -704,100 +790,159 @@ std::optional<TrialResult> BatchRunner::run_plane(const TrialEnvironment& env,
         }
       };
 
-      // The popped leg, then up to `folds` more line legs (see run_segment).
-      plane::PlaneOp op = ppending_[ia]
-                              ? plane::PlaneOp{*ppending_[ia]}
-                              : plane_programs_[ia]->next(rngs_[ia]);
-      ppending_[ia].reset();
-      FoldTail<double>& tail = plane_tail_[ia];
-      tail.n = 0;
-      bool dead = false;
-      for (int f = 0;; ++f) {
+      // Ends the running leg's time: the agent takes its duration or, dying
+      // in it, halts where its lifetime runs out. Returns whether it died;
+      // a survivor's end point is the caller's to set.
+      const auto elapse = [&](const auto& move, plane::Time move_time) {
+        if (pelapsed_[ia] + move_time < life) {
+          pelapsed_[ia] += move_time;
+          return false;
+        }
+        // Fail-stop: truncate the trajectory at the remaining budget (the
+        // rare path: build the Move variant and reuse the scalar clamp).
+        const plane::Vec2 died_at = plane::move_position_at(
+            plane::Move{move}, life - pelapsed_[ia]);
+        ppos_x_[ia] = died_at.x;
+        ppos_y_[ia] = died_at.y;
+        pelapsed_[ia] = life;
+        return true;
+      };
+      const auto move_to = [&](plane::Vec2 p) {
+        ppos_x_[ia] = p.x;
+        ppos_y_[ia] = p.y;
+      };
+      // A walk, with its sighting tests unless `test` is false, and a sweep
+      // with its tests (a quiet trip's sweep is inlined below).
+      const auto line_leg = [&](plane::Vec2 to, bool test) {
         base = start + pelapsed_[ia];
-        const plane::Vec2 pos{ppos_x_[ia], ppos_y_[ia]};
-        plane::Time move_time = 0;
-        plane::Vec2 end = pos;
-        bool is_line = false;
-        plane::LineMove line{pos, pos};
-        plane::SpiralMove spiral{pos, pconfig.spiral_pitch, 0};
-
-        if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
-          spiral.duration = sw->duration;
-          const SpiralEnd& se = spiral_end(a_coef, spiral.duration);
+        const plane::LineMove line{{ppos_x_[ia], ppos_y_[ia]}, to};
+        const plane::Vec2 d = line.to - line.from;
+        const double len = d.norm();
+        if (test && (len == 0.0 || nt < 4)) {
+          // Degenerate move (no direction to prefilter along) or too few
+          // targets for the prefilter kernel to pay for its call: the
+          // scalar test covers every target directly.
           for (std::size_t ti = 0; ti < nt; ++ti) {
-            const auto hit = plane::spiral_first_sighting_at(
-                spiral, plane_env_.targets[ti], eps, se.theta);
+            const auto hit = plane::line_first_sighting(
+                line, len, plane_env_.targets[ti], eps);
             if (hit) consider(*hit, ti);
           }
-          move_time = spiral.duration;
-          end = spiral.center + se.offset;
-        } else {
-          is_line = true;
-          if (const auto* go = std::get_if<plane::GoToPoint>(&op)) {
-            line.to = go->target;
-          } else {
-            line.to = plane::kPlaneOrigin;  // ReturnHome
+        } else if (test) {
+          const double inv = 1.0 / len;
+          const std::size_t nc = kernels_->line_candidates(
+              ptgt_x_.data(), ptgt_y_.data(), nt, line.from.x, line.from.y,
+              d.x * inv, d.y * inv, eps, cand_.data());
+          for (std::size_t ci = 0; ci < nc; ++ci) {
+            const std::size_t ti = cand_[ci];
+            const auto hit = plane::line_first_sighting(
+                line, len, plane_env_.targets[ti], eps);
+            if (hit) consider(*hit, ti);
           }
-          const plane::Vec2 d = line.to - line.from;
-          const double len = d.norm();
-          if (len == 0.0 || nt < 4) {
-            // Degenerate move (no direction to prefilter along) or too few
-            // targets for the prefilter kernel to pay for its call: the
-            // scalar test covers every target directly.
-            for (std::size_t ti = 0; ti < nt; ++ti) {
-              const auto hit = plane::line_first_sighting(
-                  line, len, plane_env_.targets[ti], eps);
-              if (hit) consider(*hit, ti);
-            }
-          } else {
-            const double inv = 1.0 / len;
-            const std::size_t nc = kernels_->line_candidates(
-                ptgt_x_.data(), ptgt_y_.data(), nt, line.from.x, line.from.y,
-                d.x * inv, d.y * inv, eps, cand_.data());
-            for (std::size_t ci = 0; ci < nc; ++ci) {
-              const std::size_t ti = cand_[ci];
-              const auto hit = plane::line_first_sighting(
-                  line, len, plane_env_.targets[ti], eps);
-              if (hit) consider(*hit, ti);
-            }
-          }
-          move_time = len;
-          end = line.to;
         }
+        if (elapse(line, len)) return true;
+        move_to(line.to);
+        return false;
+      };
+      const auto sweep_leg = [&](plane::Time duration, const SpiralEnd& se) {
+        base = start + pelapsed_[ia];
+        const plane::SpiralMove spiral{{ppos_x_[ia], ppos_y_[ia]},
+                                       pconfig.spiral_pitch, duration};
+        for (std::size_t ti = 0; ti < nt; ++ti) {
+          const auto hit = plane::spiral_first_sighting_at(
+              spiral, plane_env_.targets[ti], eps, se.theta);
+          if (hit) consider(*hit, ti);
+        }
+        if (elapse(spiral, duration)) return true;
+        move_to(spiral.center + se.offset);
+        return false;
+      };
 
-        dead = pelapsed_[ia] + move_time >= life;
-        if (dead) {
-          // Fail-stop: truncate the trajectory at the remaining budget (the
-          // rare path — build the Move variant and reuse the scalar clamp).
-          const plane::Move move =
-              is_line ? plane::Move{line} : plane::Move{spiral};
-          const plane::Vec2 died_at =
-              plane::move_position_at(move, life - pelapsed_[ia]);
-          ppos_x_[ia] = died_at.x;
-          ppos_y_[ia] = died_at.y;
-          pelapsed_[ia] = life;
-        } else {
-          pelapsed_[ia] += move_time;
-          ppos_x_[ia] = end.x;
-          ppos_y_[ia] = end.y;
-        }
-
-        tail.dead = dead;
-        if (dead || f == folds) break;
-        const plane::Time next_start = start + pelapsed_[ia];
-        if (next_start >= std::min(pconfig.time_cap, best) ||
-            seg_count_[ia] >= pconfig.max_segments_per_agent) {
-          break;
-        }
-        op = plane_programs_[ia]->next(rngs_[ia]);
-        if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
-          ppending_[ia] = *sw;
-          break;
-        }
+      // The popped leg, then its chain (see above and run_segment).
+      tails.open(ia);
+      // Whether the agent's next leg may join this pop: it must start
+      // before the current bound and within the segment budget.
+      const auto may_chain = [&] {
+        return start + pelapsed_[ia] < std::min(pconfig.time_cap, best) &&
+               seg_count_[ia] < pconfig.max_segments_per_agent;
+      };
+      // The next leg joins: it is counted, and its start joins the tail.
+      const auto count = [&] {
         ++seg_count_[ia];
         ++presult.segments;
-        tail.start[tail.n++] = next_start;
+        tails.push(ia, start + pelapsed_[ia]);
+      };
+      const auto chain = [&] {
+        if (!may_chain()) return false;
+        count();
+        return true;
+      };
+      plane::PlaneAgentProgram& program = *plane_programs_[ia];
+      std::optional<PlaneSearch>& pending = tails.pending(ia);
+      const std::optional<PlaneSearch> search = pending;
+      pending.reset();
+      bool dead = false;
+      plane::PlaneTrip trip;
+      if (folds > 0 && (search ? search->trip
+                               : program.next_trip(rngs_[ia], &trip))) {
+        // An ordinary trip's S R G, or quiet trips and at most one
+        // ordinary trip's G.
+        const auto run_trips = [&] {
+          if (search) {
+            if (sweep_leg(search->budget,
+                          spiral_end(a_coef, search->budget))) {
+              return true;
+            }
+            if (!chain()) return false;
+            if (line_leg(plane::kPlaneOrigin, true)) return true;
+            if (!tails.has_room(ia, 3) || !chain()) return false;
+            program.next_trip(rngs_[ia], &trip);  // at a trip's start
+          }
+          for (;;) {
+            const bool quiet = plane_trip_quiet(
+                trip.to, plane_sweep_radius(a_coef, trip.budget), eps,
+                nearest);
+            if (line_leg(trip.to, !quiet)) return true;
+            if (!quiet) {
+              tails.leave(ia, PlaneSearch{trip.budget, true});
+              return false;
+            }
+            // The sweep, untested. Its end point, and the Newton solve
+            // behind it, wait until the walk home joins the pop: where it
+            // does not, the agent never moves again in this trial.
+            if (!chain()) return false;
+            const plane::SpiralMove sweep{{ppos_x_[ia], ppos_y_[ia]},
+                                          pconfig.spiral_pitch, trip.budget};
+            if (elapse(sweep, trip.budget)) return true;
+            if (!chain()) return false;
+            move_to(sweep.center + spiral_end(a_coef, trip.budget).offset);
+            if (line_leg(plane::kPlaneOrigin, false)) return true;
+            if (!tails.has_room(ia, 3) || !chain()) return false;
+            program.next_trip(rngs_[ia], &trip);
+          }
+        };
+        dead = run_trips();
+      } else {
+        plane::PlaneOp op = search ? plane::PlaneOp{plane::SpiralSweep{
+                                         search->budget}}
+                                   : program.next(rngs_[ia]);
+        for (int f = 0;; ++f) {
+          if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
+            dead = sweep_leg(sw->duration, spiral_end(a_coef, sw->duration));
+          } else if (const auto* go = std::get_if<plane::GoToPoint>(&op)) {
+            dead = line_leg(go->target, true);
+          } else {
+            dead = line_leg(plane::kPlaneOrigin, true);  // ReturnHome
+          }
+          if (dead || f == folds || !may_chain()) break;
+          op = program.next(rngs_[ia]);
+          if (const auto* sw = std::get_if<plane::SpiralSweep>(&op)) {
+            tails.leave(ia, PlaneSearch{sw->duration, false});
+            break;
+          }
+          count();
+        }
       }
+      tails.set_dead(ia, dead);
       if (folds > 0 && flat) return std::nullopt;
 
       if (dead) {
@@ -809,16 +954,10 @@ std::optional<TrialResult> BatchRunner::run_plane(const TrialEnvironment& env,
       clock_tree_.update(pclock_, ia);
     }
 
-    // Folded legs starting at or past the final bound: see run_segment.
+    // Chained legs starting at or past the final bound: see run_segment.
     const plane::Time last = std::min(pconfig.time_cap, best);
-    for (std::size_t ia = 0; ia < uk; ++ia) {
-      const FoldTail<double>& tail = plane_tail_[ia];
-      for (int j = 0; j < tail.n; ++j) {
-        if (tail.start[j] < last) continue;
-        --presult.segments;
-        if (j + 1 == tail.n && tail.dead) --presult.crashed;
-      }
-    }
+    tails.settle([last](plane::Time s) { return s >= last; },
+                 &presult.segments, &presult.crashed);
 
     if (best != plane::kPlaneNever) {
       presult.found = true;

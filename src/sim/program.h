@@ -49,6 +49,13 @@ struct FollowPath {
 
 using Op = std::variant<GoTo, SpiralFor, ReturnToSource, FollowPath>;
 
+/// One whole trip of a trip program: GoTo{to}, SpiralFor{budget} and
+/// ReturnToSource, pulled at once by AgentProgram::next_trip.
+struct Trip {
+  grid::Point to;
+  Time budget = 0;
+};
+
 /// Per-agent mutable algorithm state; next() may consult the agent's private
 /// randomness and must always return (programs are conceptually infinite;
 /// the engine stops pulling once its time bound is exceeded).
@@ -57,9 +64,18 @@ class AgentProgram {
   /// The op family, as core::TripProgram reads it.
   using Op = sim::Op;
   using Return = ReturnToSource;
+  using Search = SpiralFor;
+  using Trip = sim::Trip;
 
   virtual ~AgentProgram() = default;
   virtual Op next(rng::Rng& rng) = 0;
+
+  /// The next three ops at once when they are one trip with a spiral
+  /// search: fills *trip and returns true, having drawn exactly what three
+  /// next() calls would. Returns false, drawing nothing, for a program that
+  /// is not such a trip program and for a trip program between the legs of
+  /// a trip; the caller then pulls ops with next().
+  virtual bool next_trip(rng::Rng& /*rng*/, Trip* /*trip*/) { return false; }
 };
 
 class Strategy {

@@ -17,6 +17,7 @@
 #include "plane/strategies.h"
 #include "sim/batch/batch.h"
 #include "sim/batch/simd.h"
+#include "sim/batch/trip_chain.h"
 #include "sim/placement.h"
 #include "sim/runner.h"
 #include "sim/trial.h"
@@ -387,10 +388,10 @@ class PerAgentScriptedPlaneStrategy final : public PlaneStrategy {
 /// result. Returns the reference's result, or nullopt when it threw.
 std::optional<sim::TrialResult> expect_same_outcome(
     const PlaneStrategy& strategy, int k, const sim::TrialEnvironment& env,
-    const sim::EngineConfig& config) {
+    const sim::EngineConfig& config, std::uint64_t seed = 23) {
   sim::TrialStrategy s;
   s.plane = &strategy;
-  const rng::Rng trial_rng(23);
+  const rng::Rng trial_rng(seed);
   std::optional<sim::TrialResult> want;
   try {
     want = sim::run_trial(s, k, env, trial_rng, config);
@@ -549,21 +550,30 @@ class CountingPlaneStrategy final : public PlaneStrategy {
                                                   int k) const override {
     class Program final : public PlaneAgentProgram {
      public:
-      Program(std::unique_ptr<PlaneAgentProgram> inner, std::int64_t* pulls)
-          : inner_(std::move(inner)), pulls_(pulls) {}
+      Program(std::unique_ptr<PlaneAgentProgram> inner, std::int64_t* pulls,
+              std::int64_t* trips)
+          : inner_(std::move(inner)), pulls_(pulls), trips_(trips) {}
       PlaneOp next(rng::Rng& rng) override {
         ++*pulls_;
         return inner_->next(rng);
+      }
+      bool next_trip(rng::Rng& rng, PlaneTrip* trip) override {
+        if (!inner_->next_trip(rng, trip)) return false;
+        ++*trips_;
+        return true;
       }
 
      private:
       std::unique_ptr<PlaneAgentProgram> inner_;
       std::int64_t* pulls_;
+      std::int64_t* trips_;
     };
-    return std::make_unique<Program>(inner_.make_program(agent, k), &pulls);
+    return std::make_unique<Program>(inner_.make_program(agent, k), &pulls,
+                                     &trips);
   }
 
   mutable std::int64_t pulls = 0;
+  mutable std::int64_t trips = 0;
 
  private:
   const PlaneStrategy& inner_;
@@ -630,45 +640,199 @@ TEST(BatchPlaneFold, TripStrategiesMatchRunTrialAtEveryK) {
        {"plane-harmonic", &harmonic}};
   sim::EngineConfig config;
   config.time_cap = 20'000;
-  const std::vector<Vec2> targets = {{9.5, -4.0}, {-6.0, 3.5}};
+  // Near targets, which most trips can reach, and targets at D = 8, 32 and
+  // 64, where most trips are quiet and chain. Short lifetimes end agents
+  // inside their chains.
+  const std::vector<std::vector<Vec2>> target_sets = {
+      {{9.5, -4.0}, {-6.0, 3.5}},
+      {{8.0, 0.0}, {-5.5, 6.0}},
+      {{-32.0, 7.25}, {20.0, 29.0}},
+      {{45.25, -45.25}}};
   std::uint64_t seed = 700;
   for (const auto& [label, strategy] : strategies) {
     sim::TrialStrategy s;
     s.plane = strategy;
     for (const int k : {1, 3, 4, 17, 64}) {
-      SCOPED_TRACE(label + " k = " + std::to_string(k));
-      for (int env_kind = 0; env_kind < 3; ++env_kind) {
-        std::vector<sim::TrialEnvironment> envs;
-        std::vector<rng::Rng> rngs;
-        for (std::uint64_t trial = 0; trial < 6; ++trial) {
-          rngs.emplace_back(rng::mix_seed(++seed, trial));
-          if (env_kind == 0) {
-            envs.push_back(plane_targets_at(targets));
-          } else if (env_kind == 1) {
-            envs.push_back(sim::draw_environment(
-                k, plane_targets_at(targets), sim::StaggeredStart(3),
-                sim::ExponentialLifetime(400.0), rngs.back()));
-          } else {
-            envs.push_back(sim::draw_environment(
-                k, plane_targets_at(targets), sim::UniformRandomStart(20),
-                sim::DoaCrash(0.3), rngs.back()));
+      for (const std::vector<Vec2>& targets : target_sets) {
+        SCOPED_TRACE(label + " k = " + std::to_string(k) + " D = " +
+                     std::to_string(targets.front().norm()));
+        for (int env_kind = 0; env_kind < 4; ++env_kind) {
+          std::vector<sim::TrialEnvironment> envs;
+          std::vector<rng::Rng> rngs;
+          for (std::uint64_t trial = 0; trial < 6; ++trial) {
+            rngs.emplace_back(rng::mix_seed(++seed, trial));
+            if (env_kind == 0) {
+              envs.push_back(plane_targets_at(targets));
+            } else if (env_kind == 1) {
+              envs.push_back(sim::draw_environment(
+                  k, plane_targets_at(targets), sim::StaggeredStart(3),
+                  sim::ExponentialLifetime(400.0), rngs.back()));
+            } else if (env_kind == 2) {
+              envs.push_back(sim::draw_environment(
+                  k, plane_targets_at(targets), sim::UniformRandomStart(20),
+                  sim::DoaCrash(0.3), rngs.back()));
+            } else {
+              envs.push_back(sim::draw_environment(
+                  k, plane_targets_at(targets), sim::StaggeredStart(5),
+                  sim::ExponentialLifetime(60.0), rngs.back()));
+            }
           }
-        }
-        testing::LevelGuard guard;
-        for (const sim::batch::SimdLevel level : testing::testable_levels()) {
-          sim::batch::force_simd_level(level);
-          sim::batch::BatchRunner runner(s, k, config);
-          std::vector<sim::TrialResult> got(envs.size());
-          runner.run_block(envs.data(), rngs.data(), envs.size(), got.data());
-          for (std::size_t i = 0; i < envs.size(); ++i) {
-            const sim::TrialResult want =
-                sim::run_trial(s, k, envs[i], rngs[i], config);
-            EXPECT_SAME_TRIAL(want, got[i]);
+          testing::LevelGuard guard;
+          for (const sim::batch::SimdLevel level :
+               testing::testable_levels()) {
+            sim::batch::force_simd_level(level);
+            sim::batch::BatchRunner runner(s, k, config);
+            std::vector<sim::TrialResult> got(envs.size());
+            runner.run_block(envs.data(), rngs.data(), envs.size(),
+                             got.data());
+            for (std::size_t i = 0; i < envs.size(); ++i) {
+              const sim::TrialResult want =
+                  sim::run_trial(s, k, envs[i], rngs[i], config);
+              EXPECT_SAME_TRIAL(want, got[i]);
+            }
           }
         }
       }
     }
   }
+}
+
+TEST(BatchPlaneFold, SegmentBudgetCrossedInsideAChainMatchesRunTrial) {
+  // Far targets make most trips quiet, so an agent's budget runs out inside
+  // a chain: the reference throws iff the leg past the budget starts before
+  // the bound, and the runner must throw exactly then.
+  const PlaneKnownKStrategy known(4);
+  const PlaneUniformStrategy uniform(0.5);
+  const PlaneHarmonicStrategy harmonic(0.5);
+  int threw = 0;
+  int returned = 0;
+  std::uint64_t seed = 900;
+  for (const PlaneStrategy* strategy :
+       {static_cast<const PlaneStrategy*>(&known),
+        static_cast<const PlaneStrategy*>(&uniform),
+        static_cast<const PlaneStrategy*>(&harmonic)}) {
+    for (const int k : {1, 4, 17}) {
+      for (const std::int64_t budget : {5, 20, 60}) {
+        for (const sim::Time cap : {200, 3'000}) {
+          for (const Vec2 target : {Vec2{8.0, 0.0}, Vec2{-20.0, 31.0}}) {
+            SCOPED_TRACE(strategy->name() + " k " + std::to_string(k) +
+                         " budget " + std::to_string(budget) + " cap " +
+                         std::to_string(cap));
+            sim::EngineConfig config;
+            config.time_cap = cap;
+            config.max_segments_per_agent = budget;
+            const auto want = expect_same_outcome(
+                *strategy, k, plane_targets_at({target}), config, ++seed);
+            ++(want ? returned : threw);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(returned, 0);
+}
+
+TEST(BatchPlaneChain, PullsNoTripPastTheBound) {
+  // One agent, so the bound falls only at its own sighting or sits at the
+  // cap. The loop pulls a trip iff its walk out starts before the bound, so
+  // it pulls ceil(legs / 3) trips for the legs the reference runs, and no
+  // single op. Far targets make most trips quiet; they chain under the cap.
+  const PlaneKnownKStrategy known(4);
+  const PlaneUniformStrategy uniform(0.5);
+  const PlaneHarmonicStrategy harmonic(0.5);
+  int chained = 0;
+  for (const PlaneStrategy* strategy :
+       {static_cast<const PlaneStrategy*>(&known),
+        static_cast<const PlaneStrategy*>(&uniform),
+        static_cast<const PlaneStrategy*>(&harmonic)}) {
+    const CountingPlaneStrategy counting(*strategy);
+    sim::TrialStrategy s;
+    s.plane = &counting;
+    for (const sim::Time cap : {50, 500, 5'000}) {
+      for (const Vec2 target : {Vec2{6.0, 0.0}, Vec2{40.0, -3.0},
+                                Vec2{100.0, 100.0}}) {
+        SCOPED_TRACE(strategy->name() + " cap " + std::to_string(cap) +
+                     " target x " + std::to_string(target.x));
+        sim::EngineConfig config;
+        config.time_cap = cap;
+        const sim::TrialEnvironment env = plane_targets_at({target});
+        const rng::Rng trial_rng(static_cast<std::uint64_t>(cap) + 7);
+        counting.pulls = 0;
+        const sim::TrialResult want =
+            sim::run_trial(s, 1, env, trial_rng, config);
+        const std::int64_t reference_pulls = counting.pulls;
+        EXPECT_EQ(reference_pulls, want.segments);
+        if (want.segments > 6) ++chained;
+        testing::LevelGuard guard;
+        for (const sim::batch::SimdLevel level : testing::testable_levels()) {
+          sim::batch::force_simd_level(level);
+          sim::batch::BatchRunner runner(s, 1, config);
+          counting.pulls = 0;
+          counting.trips = 0;
+          sim::TrialResult got;
+          runner.run_block(&env, &trial_rng, 1, &got);
+          EXPECT_SAME_TRIAL(want, got);
+          EXPECT_EQ(counting.pulls, 0);
+          EXPECT_EQ(counting.trips, (reference_pulls + 2) / 3);
+        }
+      }
+    }
+  }
+  EXPECT_GT(chained, 0);
+}
+
+TEST(BatchPlaneChain, QuietPlaneTripsSightNothing) {
+  // A quiet trip's three legs, tested with the reference first_sighting:
+  // none sees a target whose norm is past the trip's reach. Targets sit on
+  // the reach and one ulp either side of it, on the rays through the walk's
+  // end and the spiral's end, where a leg comes closest, and at random
+  // angles. Half the trips head along the spiral's end angle, so the walk
+  // out, the spiral and the walk home line up with one ray.
+  rng::Rng rng(4099);
+  int quiet = 0;
+  for (int iter = 0; iter < 4'000; ++iter) {
+    const double pitch = iter % 2 == 0 ? 1.0 : 2.0;
+    const double eps = iter % 3 == 0 ? 1.0 : 0.5;
+    const double a = pitch / kTwoPi;
+    double budget = 0.0;
+    switch (iter % 4) {
+      case 0: budget = 0.0; break;
+      case 1: budget = rng.uniform_real(0.0, 1e-6); break;
+      case 2: budget = rng.uniform_real(0.0, 60.0); break;
+      default: budget = rng.uniform_real(0.0, 5'000.0); break;
+    }
+    const double theta_end = spiral_theta_for_arc(a, budget);
+    const double r = rng.uniform_real(0.0, 1'000.0);
+    const Vec2 to = unit(iter % 8 < 4 ? theta_end : rng.angle()) * r;
+    const SpiralMove sweep{to, pitch, budget};
+    const Vec2 end = move_end(sweep);
+    const std::vector<Move> legs = {LineMove{kPlaneOrigin, to}, sweep,
+                                    LineMove{end, kPlaneOrigin}};
+    const double reach = sim::batch::plane_trip_reach(
+        to, sim::batch::plane_sweep_radius(a, budget), eps);
+    std::vector<Vec2> dirs = {unit(rng.angle())};
+    if (to.norm() > 0) dirs.push_back(to * (1.0 / to.norm()));
+    if (end.norm() > 0) dirs.push_back(end * (1.0 / end.norm()));
+    for (const Vec2 dir : dirs) {
+      for (const double n : {std::nextafter(reach, 0.0), reach,
+                             std::nextafter(reach, 2 * reach + 1)}) {
+        const Vec2 target = dir * n;
+        if (!sim::batch::plane_trip_quiet(
+                to, sim::batch::plane_sweep_radius(a, budget), eps,
+                target.norm())) {
+          continue;
+        }
+        ++quiet;
+        for (const Move& leg : legs) {
+          EXPECT_FALSE(first_sighting(leg, target, eps).has_value())
+              << "to (" << to.x << ", " << to.y << ") budget " << budget
+              << " target (" << target.x << ", " << target.y << ")";
+        }
+      }
+    }
+  }
+  EXPECT_GT(quiet, 4'000);
 }
 
 }  // namespace

@@ -165,7 +165,13 @@ struct PinCase {
   std::uint64_t digest;
 };
 
-std::uint64_t plane_op_digest(const PlaneStrategy& strategy) {
+/// With `trips`, the stream is pulled as the executor's chains pull it: a
+/// whole trip (next_trip, read as its three ops) at every second or third
+/// op where three ops are left, next() elsewhere and wherever next_trip
+/// declines; `*trips_taken` counts the trips handed out.
+std::uint64_t plane_op_digest(const PlaneStrategy& strategy,
+                              bool trips = false,
+                              int* trips_taken = nullptr) {
   std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over 64-bit words
   const auto add = [&h](std::uint64_t word) {
     for (int b = 0; b < 8; ++b) {
@@ -173,18 +179,31 @@ std::uint64_t plane_op_digest(const PlaneStrategy& strategy) {
       h *= 0x100000001b3ULL;
     }
   };
+  const auto add_op = [&add](const PlaneOp& op) {
+    add(static_cast<std::uint64_t>(op.index()));
+    if (const auto* go = std::get_if<GoToPoint>(&op)) {
+      add(std::bit_cast<std::uint64_t>(go->target.x));
+      add(std::bit_cast<std::uint64_t>(go->target.y));
+    } else if (const auto* sw = std::get_if<SpiralSweep>(&op)) {
+      add(std::bit_cast<std::uint64_t>(sw->duration));
+    }
+  };
   const rng::Rng trial(20261019);
   for (int a = 0; a < 4; ++a) {
     const auto program = strategy.make_program(a, 4);
     rng::Rng rng = trial.child(static_cast<std::uint64_t>(a));
-    for (int i = 0; i < 2000; ++i) {
-      const PlaneOp op = program->next(rng);
-      add(static_cast<std::uint64_t>(op.index()));
-      if (const auto* go = std::get_if<GoToPoint>(&op)) {
-        add(std::bit_cast<std::uint64_t>(go->target.x));
-        add(std::bit_cast<std::uint64_t>(go->target.y));
-      } else if (const auto* sw = std::get_if<SpiralSweep>(&op)) {
-        add(std::bit_cast<std::uint64_t>(sw->duration));
+    for (int i = 0; i < 2000;) {
+      PlaneTrip trip;
+      if (trips && (i + a) % 5 != 1 && 2000 - i >= 3 &&
+          program->next_trip(rng, &trip)) {
+        add_op(GoToPoint{trip.to});
+        add_op(SpiralSweep{trip.budget});
+        add_op(ReturnHome{});
+        i += 3;
+        if (trips_taken != nullptr) ++*trips_taken;
+      } else {
+        add_op(program->next(rng));
+        ++i;
       }
     }
   }
@@ -196,6 +215,16 @@ class PlaneOpStreamPinTest : public ::testing::TestWithParam<PinCase> {};
 TEST_P(PlaneOpStreamPinTest, MatchesPinnedDigest) {
   const auto strategy = GetParam().make();
   EXPECT_EQ(plane_op_digest(*strategy), GetParam().digest) << strategy->name();
+}
+
+TEST_P(PlaneOpStreamPinTest, TripCallsInterleavedWithNextMatchPinnedDigest) {
+  // The chains' whole-trip call draws exactly what three next() calls draw:
+  // interleaved with next(), it reproduces the pinned op stream.
+  const auto strategy = GetParam().make();
+  int trips = 0;
+  EXPECT_EQ(plane_op_digest(*strategy, true, &trips), GetParam().digest)
+      << strategy->name();
+  EXPECT_GT(trips, 2000 / 6) << strategy->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(

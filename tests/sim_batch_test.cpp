@@ -37,12 +37,15 @@
 #include "core/harmonic.h"
 #include "core/known_k.h"
 #include "core/uniform.h"
+#include "grid/spiral.h"
 #include "plane/strategies.h"
 #include "rng/rng.h"
 #include "sim/batch/kernels.h"
 #include "sim/batch/min_tree.h"
 #include "sim/batch/simd.h"
+#include "sim/batch/trip_chain.h"
 #include "sim/placement.h"
+#include "sim/segment.h"
 #include "sim/trial.h"
 #include "support/reference_trial.h"
 #include "test_support.h"
@@ -1175,8 +1178,9 @@ TEST(BatchRunner, SegmentBudgetGuardsNonTermination) {
 std::optional<TrialResult> expect_same_outcome(const TrialStrategy& strategy,
                                                int k,
                                                const TrialEnvironment& env,
-                                               const EngineConfig& config) {
-  const rng::Rng trial_rng(17);
+                                               const EngineConfig& config,
+                                               std::uint64_t seed = 17) {
+  const rng::Rng trial_rng(seed);
   std::optional<TrialResult> want;
   try {
     want = run_trial(strategy, k, env, trial_rng, config);
@@ -1293,7 +1297,8 @@ TEST(BatchRunnerFold, TargetsAtALegJunctionKeepFinderAndFirstTarget) {
   }
 }
 
-/// Wraps a strategy and counts the ops its programs hand out.
+/// Wraps a strategy and counts the ops and the whole trips its programs
+/// hand out.
 class CountingStrategy final : public Strategy {
  public:
   explicit CountingStrategy(const Strategy& inner) : inner_(inner) {}
@@ -1303,21 +1308,30 @@ class CountingStrategy final : public Strategy {
   std::unique_ptr<AgentProgram> make_program(AgentContext ctx) const override {
     class Program final : public AgentProgram {
      public:
-      Program(std::unique_ptr<AgentProgram> inner, std::int64_t* pulls)
-          : inner_(std::move(inner)), pulls_(pulls) {}
+      Program(std::unique_ptr<AgentProgram> inner, std::int64_t* pulls,
+              std::int64_t* trips)
+          : inner_(std::move(inner)), pulls_(pulls), trips_(trips) {}
       Op next(rng::Rng& rng) override {
         ++*pulls_;
         return inner_->next(rng);
+      }
+      bool next_trip(rng::Rng& rng, Trip* trip) override {
+        if (!inner_->next_trip(rng, trip)) return false;
+        ++*trips_;
+        return true;
       }
 
      private:
       std::unique_ptr<AgentProgram> inner_;
       std::int64_t* pulls_;
+      std::int64_t* trips_;
     };
-    return std::make_unique<Program>(inner_.make_program(ctx), &pulls);
+    return std::make_unique<Program>(inner_.make_program(ctx), &pulls,
+                                     &trips);
   }
 
   mutable std::int64_t pulls = 0;
+  mutable std::int64_t trips = 0;
 
  private:
   const Strategy& inner_;
@@ -1384,27 +1398,227 @@ TEST(BatchRunnerFold, TripStrategiesMatchRunTrialAtEveryK) {
       {"random-local", &random_local}};
   EngineConfig config;
   config.time_cap = 20'000;
-  const std::vector<grid::Point> targets = {{9, -4}, {-6, 3}};
+  // Near targets, which most trips can reach, and, for the strategies that
+  // hand out whole trips, targets at D = 8, 32 and 64, where most trips are
+  // quiet and chain. Short lifetimes end agents inside their chains.
+  const std::vector<std::vector<grid::Point>> near = {{{9, -4}, {-6, 3}}};
+  const std::vector<std::vector<grid::Point>> far = {
+      {{9, -4}, {-6, 3}}, {{8, 0}, {-5, 8}}, {{-32, 7}, {20, 29}},
+      {{64, -64}}};
   std::uint64_t seed = 500;
   for (const auto& [label, strategy] : strategies) {
     TrialStrategy s;
     s.segment = strategy;
+    const bool trips = label == "known-k" || label == "uniform" ||
+                       label == "harmonic";
     for (const int k : {1, 3, 4, 17, 64}) {
-      SCOPED_TRACE(label + " k = " + std::to_string(k));
-      const auto sync = [&](const rng::Rng&) { return base_env(targets); };
-      const auto staggered = [&](const rng::Rng& trial_rng) {
-        return draw_environment(k, targets, StaggeredStart(3),
-                                ExponentialLifetime(400.0), trial_rng);
-      };
-      const auto doa = [&](const rng::Rng& trial_rng) {
-        return draw_environment(k, targets, UniformRandomStart(20),
-                                DoaCrash(0.3), trial_rng);
-      };
-      expect_block_conformance(s, k, sync, config, 6, ++seed);
-      expect_block_conformance(s, k, staggered, config, 6, ++seed);
-      expect_block_conformance(s, k, doa, config, 6, ++seed);
+      for (const std::vector<grid::Point>& targets : trips ? far : near) {
+        SCOPED_TRACE(label + " k = " + std::to_string(k) + " D = " +
+                     std::to_string(grid::linf_norm(targets.front())));
+        const auto sync = [&](const rng::Rng&) { return base_env(targets); };
+        const auto staggered = [&](const rng::Rng& trial_rng) {
+          return draw_environment(k, targets, StaggeredStart(3),
+                                  ExponentialLifetime(400.0), trial_rng);
+        };
+        const auto doa = [&](const rng::Rng& trial_rng) {
+          return draw_environment(k, targets, UniformRandomStart(20),
+                                  DoaCrash(0.3), trial_rng);
+        };
+        const auto short_lives = [&](const rng::Rng& trial_rng) {
+          return draw_environment(k, targets, StaggeredStart(5),
+                                  ExponentialLifetime(60.0), trial_rng);
+        };
+        expect_block_conformance(s, k, sync, config, 6, ++seed);
+        expect_block_conformance(s, k, staggered, config, 6, ++seed);
+        expect_block_conformance(s, k, doa, config, 6, ++seed);
+        if (trips) {
+          expect_block_conformance(s, k, short_lives, config, 6, ++seed);
+        }
+      }
     }
   }
+}
+
+TEST(BatchRunnerFold, SegmentBudgetCrossedInsideAChainMatchesRunTrial) {
+  // Far targets make most trips quiet, so an agent's budget runs out inside
+  // a chain: the reference throws iff the leg past the budget starts by the
+  // bound, and the runner must throw exactly then.
+  const core::KnownKStrategy known(4);
+  const core::UniformStrategy uniform(0.5);
+  const core::HarmonicStrategy harmonic(0.5);
+  int threw = 0;
+  int returned = 0;
+  std::uint64_t seed = 900;
+  for (const Strategy* strategy :
+       std::initializer_list<const Strategy*>{&known, &uniform, &harmonic}) {
+    TrialStrategy s;
+    s.segment = strategy;
+    for (const int k : {1, 4, 17}) {
+      for (const std::int64_t budget : {5, 20, 60}) {
+        for (const Time cap : {200, 3'000}) {
+          for (const grid::Point target :
+               {grid::Point{8, 0}, grid::Point{-20, 31}}) {
+            SCOPED_TRACE(strategy->name() + " k " + std::to_string(k) +
+                         " budget " + std::to_string(budget) + " cap " +
+                         std::to_string(cap));
+            EngineConfig config;
+            config.time_cap = cap;
+            config.max_segments_per_agent = budget;
+            const auto want = expect_same_outcome(s, k, base_env({target}),
+                                                  config, ++seed);
+            ++(want ? returned : threw);
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(threw, 0);
+  EXPECT_GT(returned, 0);
+}
+
+// --- trip chains -------------------------------------------------------------
+//
+// A trip program hands the static segment loop whole trips; a trip whose
+// reach stays below the nearest target's norm is quiet and runs without hit
+// tests, and a pop chains quiet trips. These cases pin the quiet predicate
+// against an enumeration of every node a trip visits, the spiral end memo
+// against spiral_point, and the trips the loop pulls against the reference's
+// legs.
+
+TEST(BatchRunnerChain, QuietGridTripsVisitNoTarget) {
+  rng::Rng rng(2031);
+  int quiet = 0;
+  int tight = 0;
+  for (int iter = 0; iter < 3'000; ++iter) {
+    const std::int64_t span = 1 + iter % 40;
+    const grid::Point to{rng.uniform_int(-span, span),
+                         rng.uniform_int(-span, span)};
+    const std::int64_t r = rng.uniform_int(0, 12);
+    Time budget = 0;
+    if (iter % 3 == 0) {
+      budget = grid::spiral_length_for_radius(r);  // ring r completed
+    } else if (iter % 3 == 1) {
+      budget = r == 0 ? 0 : (2 * r - 1) * (2 * r - 1);  // ring r entered
+    } else {
+      budget = rng.uniform_int(0, 700);
+    }
+    const grid::Point end_offset = grid::spiral_point(budget);
+    // Every node the trip visits, by enumeration.
+    std::vector<grid::Point> visited;
+    std::int64_t farthest = 0;
+    const std::vector<Segment> legs = {
+        WalkSegment(grid::kOrigin, to), SpiralSegment{to, budget},
+        WalkSegment(to + end_offset, grid::kOrigin)};
+    for (const Segment& leg : legs) {
+      for_each_visit(leg, duration(leg), [&](grid::Point p, Time) {
+        visited.push_back(p);
+        farthest = std::max(farthest, grid::linf_norm(p));
+      });
+    }
+    const auto is_visited = [&](grid::Point p) {
+      return std::find(visited.begin(), visited.end(), p) != visited.end();
+    };
+    const std::int64_t reach = grid_trip_reach(to, end_offset);
+    ASSERT_GE(reach, farthest);
+    if (reach == farthest) ++tight;
+    // A target on the farthest node visited: never quiet.
+    EXPECT_FALSE(grid_trip_quiet(to, end_offset, farthest))
+        << "to (" << to.x << ", " << to.y << ") budget " << budget;
+    // Targets on the rings around the reach: a quiet trip visits none.
+    for (int t = 0; t < 8; ++t) {
+      const std::int64_t n = std::max<std::int64_t>(
+          1, reach + rng.uniform_int(-2, 2));
+      // Spiral ring n is the whole L-infinity ring of radius n.
+      const grid::Point target = grid::spiral_point(
+          (2 * n - 1) * (2 * n - 1) + rng.uniform_int(0, 8 * n - 1));
+      ASSERT_EQ(grid::linf_norm(target), n);
+      if (!grid_trip_quiet(to, end_offset, n)) continue;
+      ++quiet;
+      EXPECT_FALSE(is_visited(target))
+          << "to (" << to.x << ", " << to.y << ") budget " << budget;
+    }
+  }
+  // Both sides of the predicate are exercised, and its reach is attained.
+  EXPECT_GT(quiet, 1'000);
+  EXPECT_GT(tight, 500);
+}
+
+TEST(BatchRunnerChain, SpiralPointMemoReturnsSpiralPointBits) {
+  SpiralPointMemo memo;
+  // Budgets that share a slot with 0 and with each other, phase budgets,
+  // and the ends of the range, read in an order that evicts and refills.
+  std::vector<Time> budgets;
+  for (Time n = 1; budgets.size() < 6; ++n) {
+    if (SpiralPointMemo::slot(n) == SpiralPointMemo::slot(0)) {
+      budgets.push_back(n);
+    }
+  }
+  ASSERT_EQ(SpiralPointMemo::slot(budgets[0]),
+            SpiralPointMemo::slot(budgets[1]));
+  for (int i = 0; i < 24; ++i) budgets.push_back(Time{1} << (i + 1));
+  budgets.push_back(0);
+  budgets.push_back(grid::spiral_length_for_radius(1000));
+  budgets.push_back((Time{1} << 62) - 1);
+  budgets.push_back(Time{1} << 62);
+  rng::Rng rng(44);
+  for (int pass = 0; pass < 4; ++pass) {
+    for (const Time n : budgets) {
+      EXPECT_EQ(memo.at(n), grid::spiral_point(n)) << n;
+    }
+    for (int i = 0; i < 200; ++i) {
+      const Time n = rng.uniform_int(0, 5'000);
+      EXPECT_EQ(memo.at(n), grid::spiral_point(n)) << n;
+    }
+    std::reverse(budgets.begin(), budgets.end());
+  }
+}
+
+TEST(BatchRunnerChain, PullsNoTripPastTheBound) {
+  // One agent, so the bound falls only at its own find or sits at the cap.
+  // The loop pulls a trip iff its walk out starts by the bound, so it pulls
+  // ceil(legs / 3) trips for the legs the reference runs (the reference
+  // pulls one op per leg), and no single op. Far targets make most trips
+  // quiet; they chain under the cap alone.
+  const core::KnownKStrategy known(4);
+  const core::UniformStrategy uniform(0.5);
+  const core::HarmonicStrategy harmonic(0.5);
+  int chained = 0;
+  for (const Strategy* strategy :
+       std::initializer_list<const Strategy*>{&known, &uniform, &harmonic}) {
+    const CountingStrategy counting(*strategy);
+    TrialStrategy s;
+    s.segment = &counting;
+    for (const Time cap : {50, 500, 5'000}) {
+      for (const grid::Point target :
+           {grid::Point{6, 0}, grid::Point{40, -3}, grid::Point{100, 100}}) {
+        SCOPED_TRACE(strategy->name() + " cap " + std::to_string(cap) +
+                     " target (" + std::to_string(target.x) + ", " +
+                     std::to_string(target.y) + ")");
+        EngineConfig config;
+        config.time_cap = cap;
+        const TrialEnvironment env = base_env({target});
+        const rng::Rng trial_rng(cap + target.x);
+        counting.pulls = 0;
+        const TrialResult want = run_trial(s, 1, env, trial_rng, config);
+        const std::int64_t reference_pulls = counting.pulls;
+        EXPECT_EQ(reference_pulls, want.segments);
+        if (want.segments > 6) ++chained;
+        LevelGuard guard;
+        for (const SimdLevel level : testable_levels()) {
+          force_simd_level(level);
+          BatchRunner runner(s, 1, config);
+          counting.pulls = 0;
+          counting.trips = 0;
+          TrialResult got;
+          runner.run_block(&env, &trial_rng, 1, &got);
+          EXPECT_SAME_RESULT(want, got);
+          EXPECT_EQ(counting.pulls, 0);
+          EXPECT_EQ(counting.trips, (reference_pulls + 2) / 3);
+        }
+      }
+    }
+  }
+  EXPECT_GT(chained, 0);
 }
 
 TEST(TrialBlock, TilesTrialsExactlyWithinTheCap) {

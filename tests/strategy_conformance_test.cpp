@@ -138,29 +138,50 @@ struct Fnv1a {
   void add(std::int64_t v) { add(static_cast<std::uint64_t>(v)); }
 };
 
+/// Folds one op into the digest: the op kind, the GoTo coordinates, the
+/// spiral duration and every FollowPath step.
+void add_op(Fnv1a& fnv, const sim::Op& op) {
+  fnv.add(static_cast<std::uint64_t>(op.index()));
+  if (const auto* go = std::get_if<sim::GoTo>(&op)) {
+    fnv.add(go->target.x);
+    fnv.add(go->target.y);
+  } else if (const auto* sp = std::get_if<sim::SpiralFor>(&op)) {
+    fnv.add(sp->duration);
+  } else if (const auto* fp = std::get_if<sim::FollowPath>(&op)) {
+    fnv.add(static_cast<std::uint64_t>(fp->steps.size()));
+    for (const grid::Point& p : fp->steps) {
+      fnv.add(p.x);
+      fnv.add(p.y);
+    }
+  }
+}
+
 /// Digest of the first `ops` ops of agents 0-3 (k = 4), agent a drawing
-/// from Rng(20261019).child(a) as the executors seed it: the op kind, the
-/// GoTo coordinates, the spiral durations and every FollowPath step.
-std::uint64_t op_stream_digest(const sim::Strategy& strategy, int ops) {
+/// from Rng(20261019).child(a) as the executors seed it. With `trips`, the
+/// stream is pulled as the executor's chains pull it: a whole trip
+/// (next_trip, read as its three ops) at every second or third op where
+/// three ops are left, next() elsewhere and wherever next_trip declines.
+/// `*trips_taken` counts the trips next_trip handed out.
+std::uint64_t op_stream_digest(const sim::Strategy& strategy, int ops,
+                               bool trips = false,
+                               int* trips_taken = nullptr) {
   Fnv1a fnv;
   const rng::Rng trial(20261019);
   for (int a = 0; a < 4; ++a) {
     const auto program = strategy.make_program(sim::AgentContext{a, 4});
     rng::Rng rng = trial.child(static_cast<std::uint64_t>(a));
-    for (int i = 0; i < ops; ++i) {
-      const sim::Op op = program->next(rng);
-      fnv.add(static_cast<std::uint64_t>(op.index()));
-      if (const auto* go = std::get_if<sim::GoTo>(&op)) {
-        fnv.add(go->target.x);
-        fnv.add(go->target.y);
-      } else if (const auto* sp = std::get_if<sim::SpiralFor>(&op)) {
-        fnv.add(sp->duration);
-      } else if (const auto* fp = std::get_if<sim::FollowPath>(&op)) {
-        fnv.add(static_cast<std::uint64_t>(fp->steps.size()));
-        for (const grid::Point& p : fp->steps) {
-          fnv.add(p.x);
-          fnv.add(p.y);
-        }
+    for (int i = 0; i < ops;) {
+      sim::Trip trip;
+      if (trips && (i + a) % 5 != 1 && ops - i >= 3 &&
+          program->next_trip(rng, &trip)) {
+        add_op(fnv, sim::GoTo{trip.to});
+        add_op(fnv, sim::SpiralFor{trip.budget});
+        add_op(fnv, sim::ReturnToSource{});
+        i += 3;
+        if (trips_taken != nullptr) ++*trips_taken;
+      } else {
+        add_op(fnv, program->next(rng));
+        ++i;
       }
     }
   }
@@ -219,6 +240,37 @@ TEST_P(StrategyConformanceTest, OpStreamMatchesPinnedDigest) {
   EXPECT_EQ(op_stream_digest(*strategy, GetParam().digest_ops),
             GetParam().op_digest)
       << strategy->name();
+}
+
+TEST_P(StrategyConformanceTest, TripCallsInterleavedWithNextMatchPinnedDigest) {
+  // The chains' whole-trip call draws exactly what three next() calls draw:
+  // interleaved with next(), it reproduces the pinned op stream. The
+  // paper's trip strategies hand out trips; the others never do.
+  const auto strategy = GetParam().make();
+  const std::string& label = GetParam().label;
+  const bool trip_law =
+      label != "sector-sweep" && label != "spiral-single" &&
+      label != "levy-loop" && label != "levy-free" &&
+      label != "ak-rw-local" && label != "ak-no-return";
+  if (!trip_law) {
+    // next_trip declines at every op and draws nothing: the stream after
+    // it is the pinned one (OpStreamMatchesPinnedDigest).
+    const auto program = strategy->make_program(sim::AgentContext{0, 4});
+    rng::Rng rng(20261019);
+    for (int i = 0; i < 12; ++i) {
+      sim::Trip trip;
+      const rng::Rng before = rng;
+      EXPECT_FALSE(program->next_trip(rng, &trip)) << strategy->name();
+      EXPECT_EQ(rng::Rng(rng).bits(), rng::Rng(before).bits());
+      program->next(rng);
+    }
+    return;
+  }
+  int trips = 0;
+  EXPECT_EQ(op_stream_digest(*strategy, GetParam().digest_ops, true, &trips),
+            GetParam().op_digest)
+      << strategy->name();
+  EXPECT_GT(trips, GetParam().digest_ops / 6) << strategy->name();
 }
 
 TEST_P(StrategyConformanceTest, SmallScaleSearchTerminates) {
